@@ -17,12 +17,14 @@ from .circuit import (
     expect_probe_y,
     expect_probe_z,
     run,
+    scattering_gates,
 )
 from .leggett_garg import (
     Evolution,
     LGResult,
     Schedule,
     analytic_k,
+    correlation_batch,
     correlation_circuit,
     correlation_oracle,
     dichotomic_observable,

@@ -7,6 +7,10 @@ exp(-i*phase*h) on one wire, and a controlled unitary between the wires.
 Running a circuit conjugates the input density matrix by the ordered product
 of the embedded 4x4 gate unitaries.
 
+An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
+then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
+S + (4, 4) and the readouts shape S, so N circuits cost a few ``matmul`` calls.
+
 The probe readout of the interferometer built by ``build_scattering_circuit``
 returns Re Tr[rho_sys O(t_m) O(t_k)]: a Hadamard splits the probe, the two
 controlled copies of the observable interleaved with free evolutions apply
@@ -22,10 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    HERMITIAN_TOL,
     IDENTITY_2,
     SIGMA_Y,
     SIGMA_Z,
+    dagger,
+    dichotomic_observable,
     expm_hermitian,
     is_hermitian,
     kron,
@@ -58,11 +63,12 @@ class Hadamard:
 
 @dataclass(frozen=True)
 class Evolve:
-    """Free evolution exp(-i * phase * hamiltonian) on one wire."""
+    """Free evolution exp(-i * phase * hamiltonian) on one wire (``phase``
+    may be an array: a stack of gates)."""
 
     wire: str
     hamiltonian: np.ndarray
-    phase: float
+    phase: float | np.ndarray
 
     def __post_init__(self):
         _check_wire(self.wire)
@@ -97,7 +103,8 @@ class Circuit:
 
 
 def embed(gate: Gate) -> np.ndarray:
-    """The 4x4 unitary a gate applies to the full register.
+    """The 4x4 unitary a gate applies to the full register (a stack of them
+    for an ``Evolve`` with an array of phases).
 
     Single-wire gates are tensored with the identity on the other wire; a
     controlled gate becomes |0><0|_c (x) I + |1><1|_c (x) U with the factor
@@ -134,14 +141,13 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
     """Conjugate a 4x4 input state by the circuit unitary.
 
-    Trace and positivity of the input carry over exactly, up to round-off in
-    the products.
+    The input may be a stack of states of shape S + (4, 4); it broadcasts
+    against a stacked circuit.  Trace and positivity of the input carry over
+    exactly, up to round-off in the products.
     """
-    rho_in = operator(rho_in)
-    if rho_in.shape[0] != 4:
-        raise ValueError("run expects a 4x4 register state")
+    rho_in = _register(rho_in, "run")
     v = circuit_unitary(circuit)
-    return v @ rho_in @ v.conj().T
+    return v @ rho_in @ dagger(v)
 
 
 def build_scattering_circuit(
@@ -149,51 +155,64 @@ def build_scattering_circuit(
 ) -> Circuit:
     """Interferometer measuring the two-time correlator of ``obs``.
 
-    ``theta_k`` and ``theta_m`` are the accumulated evolution phases (omega*t
-    for a drive of angular frequency omega) of the earlier and later
-    measurement instants.  The controlled two-time operator product is
-    decomposed into free evolutions interleaved with two controlled copies of
-    the dichotomic observable; the trailing uncontrolled evolution that would
-    complete the Heisenberg conjugation acts after the last controlled gate
-    and cannot affect the probe readout, so it is dropped.
+    ``theta_k`` and ``theta_m`` are the earlier and later measurement times
+    against the generator ``h``: the free evolutions are exp(-i*theta*h), so
+    for H = omega*sigma_x they are plain times, not phases omega*t.  The
+    controlled two-time operator product is decomposed into free evolutions
+    interleaved with two controlled copies of the dichotomic observable; the
+    trailing uncontrolled evolution that would complete the Heisenberg
+    conjugation acts after the last controlled gate and cannot affect the
+    probe readout, so it is dropped.
     """
-    h = operator(h)
-    if h.shape[0] != 2 or not is_hermitian(h):
-        raise ValueError("scattering circuit needs a 2x2 Hermitian Hamiltonian")
-    obs = operator(obs)
-    if obs.shape[0] != 2 or not is_hermitian(obs):
-        raise ValueError("observable must be 2x2 Hermitian")
-    if np.max(np.abs(obs @ obs - IDENTITY_2)) > HERMITIAN_TOL:
-        raise ValueError("observable must be dichotomic (O^2 = I)")
-    if not 0.0 <= theta_k <= theta_m:
-        raise ValueError(
-            f"need theta_m >= theta_k >= 0, got ({theta_k}, {theta_m})"
-        )
-    return Circuit(
-        (
-            Hadamard(PROBE),
-            Evolve(SYSTEM, h, theta_k),
-            ControlledU(PROBE, SYSTEM, obs),
-            Evolve(SYSTEM, h, theta_m - theta_k),
-            ControlledU(PROBE, SYSTEM, obs),
-            Hadamard(PROBE),
-        )
+    return Circuit(scattering_gates(h, obs, float(theta_k), float(theta_m)))
+
+
+def scattering_gates(h: np.ndarray, obs: np.ndarray, theta_k, theta_m):
+    """The six gates of ``build_scattering_circuit`` for a stack of time pairs.
+
+    ``theta_k`` and ``theta_m`` are numbers or arrays that broadcast against
+    each other; the gates then describe one circuit per pair.  ``obs`` is
+    validated once (``Evolve`` checks ``h``) and the ordering
+    0 <= theta_k <= theta_m in one vectorised test.
+    """
+    obs = dichotomic_observable(obs)
+    theta_k, theta_m = np.broadcast_arrays(theta_k, theta_m)
+    bad = ~((0.0 <= theta_k) & (theta_k <= theta_m))
+    if bad.any():
+        raise ValueError(f"need theta_m >= theta_k >= 0, got "
+                         f"({theta_k[bad][0]}, {theta_m[bad][0]})")
+    return (
+        Hadamard(PROBE),
+        Evolve(SYSTEM, h, theta_k),
+        ControlledU(PROBE, SYSTEM, obs),
+        Evolve(SYSTEM, h, theta_m - theta_k),
+        ControlledU(PROBE, SYSTEM, obs),
+        Hadamard(PROBE),
     )
 
 
-def expect_probe_z(rho: np.ndarray) -> float:
+def _register(rho: np.ndarray, what: str) -> np.ndarray:
+    """Coerce a 4x4 register state, or a stack of them, to a complex array."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"{what} expects a 4x4 register state")
+    if not np.isfinite(rho).all():
+        raise ValueError("operator entries must be finite")
+    return rho
+
+
+def _probe_readout(rho: np.ndarray, pauli: np.ndarray):
+    """Re Tr[rho (pauli (x) I)] for one state (a float) or a stack (an array)."""
+    value = np.einsum("...ij,ji->...", _register(rho, "probe readout"),
+                      kron(pauli, IDENTITY_2)).real
+    return float(value) if value.ndim == 0 else value
+
+
+def expect_probe_z(rho: np.ndarray):
     """<sigma_z> of the probe wire; the real part of the scattering signal."""
-    rho = operator(rho)
-    if rho.shape[0] != 4:
-        raise ValueError("probe readout expects a 4x4 register state")
-    value = np.trace(rho @ kron(SIGMA_Z, IDENTITY_2))
-    return float(value.real)
+    return _probe_readout(rho, SIGMA_Z)
 
 
-def expect_probe_y(rho: np.ndarray) -> float:
+def expect_probe_y(rho: np.ndarray):
     """<sigma_y> of the probe wire; carries the imaginary part of the signal."""
-    rho = operator(rho)
-    if rho.shape[0] != 4:
-        raise ValueError("probe readout expects a 4x4 register state")
-    value = np.trace(rho @ kron(SIGMA_Y, IDENTITY_2))
-    return float(value.real)
+    return _probe_readout(rho, SIGMA_Y)

@@ -30,7 +30,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .leggett_garg import Evolution, LGResult, analytic_k, find_violations, sweep
+from .circuit import Circuit, run, scattering_gates
+from .leggett_garg import (Evolution, LGResult, analytic_k, find_violations,
+                           observable_from_state, sweep)
 from .linalg import overlap_fidelity, partial_trace, trace_distance
 from .nmr import (
     PAULI_LABELS,
@@ -40,8 +42,6 @@ from .nmr import (
     reconstruct,
     tomograph,
 )
-from .circuit import build_scattering_circuit, run
-from .leggett_garg import observable_from_state
 from .states import (
     KET0,
     classical_mixture,
@@ -335,20 +335,17 @@ def _compute(cfg: RunConfig):
 
 
 def _max_disturbance(cfg: RunConfig, rho_sys: np.ndarray) -> float:
-    """Worst-case change of the system state over a 5x5 grid of time pairs."""
+    """Worst-case change of the system state over a 5x5 grid of time pairs,
+    run as one stack of 25 circuits."""
     evo = Evolution(omega=1.0)
     obs = observable_from_state(KET0)
     probe = pseudo_pure(cfg.epsilon, KET0)
     rho_in = np.kron(probe, rho_sys)
     phases = np.linspace(cfg.theta_min / 2.0, cfg.theta_max / 2.0, 5)
-    worst = 0.0
-    for a in phases:
-        for b in phases:
-            lo, hi = (float(a), float(b)) if a <= b else (float(b), float(a))
-            circ = build_scattering_circuit(evo.hamiltonian, obs, lo, hi)
-            reduced = partial_trace(run(circ, rho_in), "system")
-            worst = max(worst, trace_distance(reduced, rho_sys))
-    return worst
+    a, b = np.meshgrid(phases, phases)
+    gates = scattering_gates(evo.hamiltonian, obs, np.minimum(a, b), np.maximum(a, b))
+    out = run(Circuit(gates), rho_in).reshape(-1, 4, 4)
+    return max(trace_distance(partial_trace(state, "system"), rho_sys) for state in out)
 
 
 # --------------------------------------------------------------------------
@@ -356,8 +353,9 @@ def _max_disturbance(cfg: RunConfig, rho_sys: np.ndarray) -> float:
 
 
 def _clean(value: float) -> float:
-    # normalize -0.0 so formatting is sign-stable
-    return value + 0.0
+    # Round to the printed 9 decimals first, then normalize -0.0, so that
+    # round-off noise such as -1e-17 cannot print as a negative zero.
+    return round(value, 9) + 0.0
 
 
 def _fmt(value) -> str:
@@ -376,7 +374,7 @@ def emit_json(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
     def jsonable(value):
         if isinstance(value, str):
             return value
-        return round(_clean(float(value)), 9)
+        return _clean(float(value))
 
     payload = {
         "config": asdict(cfg),

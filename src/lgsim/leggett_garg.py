@@ -3,9 +3,10 @@
 Correlators are available through two independent routes: the scattering
 circuit (the simulated experiment, including the pseudo-pure probe and its
 reference normalization) and a direct Heisenberg-picture trace that serves as
-the oracle the circuit is validated against.  ``k_value`` assembles
-K = C12 + C23 - C13 from circuit correlators for an equally spaced
-three-measurement schedule; ``analytic_k`` evaluates the closed-form
+the oracle the circuit is validated against.  All circuit correlators run
+through ``correlation_batch``, as stacks of time pairs sharing one reference.
+``k_value`` assembles K = C12 + C23 - C13 from circuit correlators for an
+equally spaced three-measurement schedule; ``analytic_k`` evaluates the closed-form
 prediction 2 cos(theta) - cos(2 theta), where theta is the dimensionless
 phase (energy gap) x (spacing) accumulated between consecutive measurements.
 
@@ -20,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import build_scattering_circuit, expect_probe_z, run
+from .circuit import Circuit, expect_probe_z, run, scattering_gates
 from .linalg import (
-    HERMITIAN_TOL,
     IDENTITY_2,
     SIGMA_X,
+    dichotomic_observable,
     expm_hermitian,
-    is_hermitian,
     kron,
     operator,
 )
@@ -37,16 +37,6 @@ from .states import KET0, pseudo_pure, pure_state
 _VIOLATION_GUARD = 1e-12
 _BISECT_TOL = 1e-9
 _REFERENCE_FLOOR = 1e-15
-
-
-def dichotomic_observable(entries) -> np.ndarray:
-    """Validate a 2x2 Hermitian observable with O^2 = I (eigenvalues +-1)."""
-    obs = operator(entries)
-    if obs.shape[0] != 2 or not is_hermitian(obs):
-        raise ValueError("observable must be 2x2 Hermitian")
-    if np.max(np.abs(obs @ obs - IDENTITY_2)) > HERMITIAN_TOL:
-        raise ValueError("observable must square to the identity")
-    return obs
 
 
 def observable_from_state(psi0) -> np.ndarray:
@@ -148,6 +138,40 @@ def correlation_oracle(
     return float(np.trace(rho_sys @ product).real)
 
 
+def correlation_batch(
+    rho_sys,
+    obs,
+    evo: Evolution,
+    pairs,
+    probe_eps: float = 1.0,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Two-time correlators measured through the scattering circuit, in stacks.
+
+    ``pairs`` holds ``(t_k, t_m)`` times under H = omega*sigma_x, numbers or
+    arrays that broadcast together; each pair runs as one stack.  The probe
+    enters as the pseudo-pure state (1-eps) I/2 + eps |0><0|, so the raw
+    signal is scaled by eps.  As in the experiment, raw values are normalized
+    to the signal of the zero-time circuit, whose correlator is exactly 1
+    because O^2 = I; that reference runs once per call, however many pairs.
+    Returns ``(raw, normalized)`` per pair; normalized matches the oracle.
+    """
+    rho_sys = operator(rho_sys)
+    if rho_sys.shape[0] != 2:
+        raise ValueError("system state must be a single qubit")
+    rho_in = kron(pseudo_pure(probe_eps, KET0), rho_sys)
+
+    def signal(t_k, t_m):
+        return expect_probe_z(
+            run(Circuit(scattering_gates(evo.hamiltonian, obs, t_k, t_m)), rho_in)
+        )
+
+    reference = signal(0.0, 0.0)
+    if abs(reference) < _REFERENCE_FLOOR:
+        raise ValueError("reference signal vanished; cannot normalize")
+    raws = [signal(t_k, t_m) for t_k, t_m in pairs]
+    return [(raw, raw / reference) for raw in raws]
+
+
 def correlation_circuit(
     rho_sys,
     obs,
@@ -156,30 +180,8 @@ def correlation_circuit(
     t_m: float,
     probe_eps: float = 1.0,
 ) -> tuple[float, float]:
-    """Two-time correlator measured through the scattering circuit.
-
-    The probe enters as the pseudo-pure state (1-eps) I/2 + eps |0><0|, so
-    the raw probe signal is scaled by eps.  As in the experiment, the raw
-    value is normalized to a reference: the signal of the zero-time circuit,
-    whose correlator is exactly 1 because O^2 = I.  Returns ``(raw,
-    normalized)``; the normalized value matches ``correlation_oracle``.
-    """
-    rho_sys = operator(rho_sys)
-    if rho_sys.shape[0] != 2:
-        raise ValueError("system state must be a single qubit")
-    probe = pseudo_pure(probe_eps, KET0)
-    rho_in = kron(probe, rho_sys)
-    h = evo.hamiltonian
-
-    raw = expect_probe_z(
-        run(build_scattering_circuit(h, obs, evo.omega * t_k, evo.omega * t_m), rho_in)
-    )
-    reference = expect_probe_z(
-        run(build_scattering_circuit(h, obs, 0.0, 0.0), rho_in)
-    )
-    if abs(reference) < _REFERENCE_FLOOR:
-        raise ValueError("reference signal vanished; cannot normalize")
-    return raw, raw / reference
+    """``correlation_batch`` for the single pair ``(t_k, t_m)``."""
+    return correlation_batch(rho_sys, obs, evo, [(t_k, t_m)], probe_eps)[0]
 
 
 def analytic_k(theta: float) -> float:
@@ -195,15 +197,11 @@ def k_value(
     probe_eps: float = 1.0,
 ) -> LGResult:
     """K = C12 + C23 - C13 from normalized circuit correlators."""
-    pairs = (
-        (schedule.t1, schedule.t2),
-        (schedule.t2, schedule.t3),
-        (schedule.t1, schedule.t3),
+    t1, t2, t3 = schedule.t1, schedule.t2, schedule.t3
+    [(_, normalized)] = correlation_batch(
+        rho_sys, obs, evo, [((t1, t2, t1), (t2, t3, t3))], probe_eps
     )
-    c12, c23, c13 = (
-        correlation_circuit(rho_sys, obs, evo, t_k, t_m, probe_eps)[1]
-        for t_k, t_m in pairs
-    )
+    c12, c23, c13 = normalized.tolist()
     theta = evo.energy_gap * schedule.dt
     return LGResult(theta=theta, c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13)
 
@@ -221,9 +219,9 @@ def sweep(
 
     theta is the canonical parameter; the measurement spacing is recovered as
     theta / energy_gap, with measurements taken at times (0, dt, 2*dt).
-    ``obs`` defaults to the observable built from |0>, i.e. sigma_z.  Every
-    grid point is an independent pure computation, so results are
-    deterministic regardless of evaluation order.
+    ``obs`` defaults to the observable built from |0>, i.e. sigma_z.  Each
+    correlator runs as one stack over the whole grid, all three against one
+    reference; results equal per-point ``k_value`` calls.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -233,14 +231,16 @@ def sweep(
         raise ValueError(f"theta_min must be >= 0, got {theta_min}")
     if evo.omega <= 0.0:
         raise ValueError("sweep needs omega > 0 to map theta onto a time spacing")
-    obs = observable_from_state(KET0) if obs is None else dichotomic_observable(obs)
-    results = []
-    for theta in np.linspace(theta_min, theta_max, steps):
-        dt = float(theta) / evo.energy_gap
-        results.append(
-            k_value(rho_sys, obs, evo, Schedule(0.0, dt, 2.0 * dt), probe_eps)
-        )
-    return results
+    obs = observable_from_state(KET0) if obs is None else obs
+    dt = np.linspace(theta_min, theta_max, steps) / evo.energy_gap
+    stacks = correlation_batch(
+        rho_sys, obs, evo, [(0.0, dt), (dt, 2.0 * dt), (0.0, 2.0 * dt)], probe_eps
+    )
+    c12, c23, c13 = (normalized.tolist() for _, normalized in stacks)
+    return [
+        LGResult(theta=theta, c12=a, c23=b, c13=c, k=a + b - c)
+        for theta, a, b, c in zip((evo.energy_gap * dt).tolist(), c12, c23, c13)
+    ]
 
 
 def find_violations(

@@ -2,10 +2,10 @@
 
 Everything in this package is a plain ``numpy`` array of ``complex`` entries;
 states, gates and observables are 2x2 or 4x4 matrices.  The constructors
-``operator``, ``unitary`` and ``density`` validate the respective invariants
-once, on entry into the library; the algebraic operations below then assume
-valid inputs and stay pure.  All values are immutable by convention, so the
-whole module is safe for concurrent use.
+``operator``, ``unitary``, ``density`` and ``dichotomic_observable`` validate
+the respective invariants once, on entry into the library; the algebraic
+operations below then assume valid inputs and stay pure.  All values are
+immutable by convention, so the whole module is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -21,11 +21,6 @@ TRACE_TOL = 1e-12
 # Smallest admissible eigenvalue of a density matrix (round-off slack
 # accumulated by 4x4 products).
 POSITIVITY_TOL = 1e-10
-
-# Off-diagonal Frobenius norm at which the Jacobi eigensolver stops, and the
-# sweep cap after which it gives up.
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 IDENTITY_4 = np.eye(4, dtype=complex)
@@ -57,9 +52,13 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 
 def unitary(entries) -> np.ndarray:
     """Validate that ``entries`` is unitary (U U+ = I entrywise to 1e-12)."""
-    u = operator(entries)
-    residual = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if residual > UNITARY_TOL:
+    return _check_unitary(operator(entries))
+
+
+def _check_unitary(u: np.ndarray) -> np.ndarray:
+    """Raise unless every matrix of the stack ``u`` is unitary to 1e-12."""
+    residual = np.max(np.abs(u @ dagger(u) - np.eye(u.shape[-1])))
+    if not residual <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (|UU+ - I| = {residual:.3e})")
     return u
 
@@ -76,10 +75,20 @@ def density(entries) -> np.ndarray:
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {tr:.12g}")
-    evals, _ = eig_hermitian(rho)
-    if evals[0] < -POSITIVITY_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {evals[0]:.3e}")
+    lowest = np.linalg.eigvalsh(rho)[0]
+    if lowest < -POSITIVITY_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
     return rho
+
+
+def dichotomic_observable(entries) -> np.ndarray:
+    """Validate a 2x2 Hermitian observable with O^2 = I (eigenvalues +-1)."""
+    obs = operator(entries)
+    if obs.shape[0] != 2 or not is_hermitian(obs):
+        raise ValueError("observable must be 2x2 Hermitian")
+    if np.max(np.abs(obs @ obs - IDENTITY_2)) > HERMITIAN_TOL:
+        raise ValueError("observable must be dichotomic (square to the identity)")
+    return obs
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,23 +102,25 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with ``a`` as the left (probe-side) factor.
 
-    The register is capped at two qubits, so the result may not exceed
+    Either factor may be a stack of matrices; leading axes broadcast.  The
+    register is capped at two qubits, so the result may not exceed
     dimension 4.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    n = a.shape[0] * b.shape[0]
+    n = a.shape[-1] * b.shape[-1]
     if n > 4:
         raise ValueError(
             f"kron result dimension {n} exceeds the two-qubit register"
         )
     # einsum beats np.kron by a wide margin at these fixed small sizes
-    return np.einsum("ij,kl->ikjl", a, b).reshape(n, n)
+    out = np.einsum("...ij,...kl->...ikjl", a, b)
+    return out.reshape(out.shape[:-4] + (n, n))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(np.asarray(a, dtype=complex), -1, -2).conj()
 
 
 def trace(a: np.ndarray) -> complex:
@@ -134,9 +145,11 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'probe' or 'system', got {keep!r}")
 
 
-def expm_hermitian(h: np.ndarray, angle: float) -> np.ndarray:
+def expm_hermitian(h: np.ndarray, angle) -> np.ndarray:
     """exp(-i * angle * h) for a 2x2 Hermitian generator, in closed form.
 
+    ``angle`` is a number or an array of angles; an array of shape S gives
+    the stack of shape S + (2, 2), checked for unitarity in one reduction.
     Writing h = a0*I + a.sigma, the exponential is
     exp(-i*angle*a0) * (cos(angle*|a|) I - i sin(angle*|a|) (a/|a|).sigma),
     which is exact for a single qubit; no series or scaling-and-squaring is
@@ -147,17 +160,20 @@ def expm_hermitian(h: np.ndarray, angle: float) -> np.ndarray:
         raise ValueError("expm_hermitian is defined for 2x2 generators only")
     if not is_hermitian(h):
         raise ValueError("expm_hermitian requires a Hermitian generator")
+    angle = np.asarray(angle, dtype=float)[..., None, None]
+    if not np.isfinite(angle).all():
+        raise ValueError("expm_hermitian requires finite angles")
     a0 = (h[0, 0].real + h[1, 1].real) / 2.0
     ax = h[0, 1].real
     ay = -h[0, 1].imag
     az = (h[0, 0].real - h[1, 1].real) / 2.0
     norm = math.sqrt(ax * ax + ay * ay + az * az)
-    phase = complex(math.cos(angle * a0), -math.sin(angle * a0))
+    phase = np.cos(angle * a0) - 1j * np.sin(angle * a0)
     if norm == 0.0:
-        return unitary(phase * IDENTITY_2)
+        return _check_unitary(phase * IDENTITY_2)
     axis = (ax * SIGMA_X + ay * SIGMA_Y + az * SIGMA_Z) / norm
-    u = math.cos(angle * norm) * IDENTITY_2 - 1j * math.sin(angle * norm) * axis
-    return unitary(phase * u)
+    u = np.cos(angle * norm) * IDENTITY_2 - 1j * np.sin(angle * norm) * axis
+    return _check_unitary(phase * u)
 
 
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,47 +181,13 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in
     ascending order and the matching eigenvectors as columns of a unitary
-    matrix.  Uses cyclic Jacobi rotations: at dimension <= 4 a handful of
-    sweeps drives the off-diagonal norm below 1e-14.
+    matrix.
     """
     h = operator(h)
     if not is_hermitian(h):
         raise ValueError("eig_hermitian requires a Hermitian matrix")
-    n = h.shape[0]
-    a = h.astype(complex).copy()
-    v = np.eye(n, dtype=complex)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(float(np.sum(np.abs(a[off_mask]) ** 2)))
-        if off <= _JACOBI_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                z = a[p, q]
-                r = abs(z)
-                if r == 0.0:
-                    continue
-                delta = (a[p, p].real - a[q, q].real) / 2.0
-                mag = math.hypot(delta, r)
-                # m - delta computed without cancellation for delta > 0
-                md = (r * r) / (mag + delta) if delta >= 0.0 else mag - delta
-                nrm = math.hypot(r, md)
-                j = np.eye(n, dtype=complex)
-                j[p, p] = -md / nrm
-                j[q, p] = z.conjugate() / nrm
-                j[p, q] = z / nrm
-                j[q, q] = md / nrm
-                a = j.conj().T @ a @ j
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                v = v @ j
-    else:
-        raise ArithmeticError(
-            f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
-        )
-    evals = np.diag(a).real.copy()
-    order = np.argsort(evals, kind="stable")
-    return evals[order], v[:, order]
+    evals, evecs = np.linalg.eigh(h)
+    return evals, evecs
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

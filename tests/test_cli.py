@@ -194,6 +194,22 @@ class TestSweepOutput:
             for key, value in row.items():
                 assert value == round(value, 9), key
 
+    @pytest.mark.parametrize("command", [
+        "sweep", "correlations", "noninvasive-check", "tomography", "noise-check",
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_default_output_has_no_negative_zero(self, tmp_path, command, fmt):
+        """Round-off such as -1e-17 (c13 at 3 pi/4) must not print as -0."""
+        code, text = run_cli([command, "--format", fmt], tmp_path, "out")
+        assert code == EXIT_OK
+        if fmt == "csv":
+            values = [v for line in text.splitlines()[1:] for v in line.split(",")]
+        else:
+            values = [json.dumps(v) for row in json.loads(text)["rows"]
+                      for v in row.values()]
+        zeros = [v for v in values if v.startswith("-") and float(v) == 0.0]
+        assert zeros == []
+
     def test_byte_identical_reruns(self, tmp_path):
         _, first = run_cli(["sweep", "--steps", "9"], tmp_path, "a.csv")
         _, second = run_cli(["sweep", "--steps", "9"], tmp_path, "b.csv")

@@ -1,0 +1,202 @@
+"""The batched scattering engine: stacks against scalar runs, sweeps against
+per-point calls, drives of any omega against the oracle, and how many
+circuits each entry point runs."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lgsim.circuit
+import lgsim.leggett_garg
+from lgsim.circuit import Circuit, build_scattering_circuit, run, scattering_gates
+from lgsim.leggett_garg import (
+    Evolution,
+    Schedule,
+    analytic_k,
+    correlation_batch,
+    correlation_circuit,
+    correlation_oracle,
+    k_value,
+    sweep,
+)
+from lgsim.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, kron
+from lgsim.nmr import T2Config, t2_dephase
+from lgsim.states import KET0, classical_mixture, pseudo_pure
+
+SETTINGS = settings(max_examples=30, deadline=None)
+
+direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: math.hypot(*v) > 1e-3
+)
+times = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)).map(sorted)
+omegas = st.floats(0.25, 4.0)
+epsilons = st.floats(0.05, 1.0)
+
+
+def pauli_vector(v) -> np.ndarray:
+    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+
+
+def unit_observable(v) -> np.ndarray:
+    """n.sigma for the unit vector along ``v``: dichotomic, eigenvalues +-1."""
+    return pauli_vector(np.asarray(v) / math.hypot(*v))
+
+
+@st.composite
+def qubit_states(draw):
+    radius = draw(st.floats(0.0, 1.0))
+    return (IDENTITY_2 + radius * unit_observable(draw(direction))) / 2.0
+
+
+@st.composite
+def generators(draw):
+    """A 2x2 Hermitian a0*I + a.sigma with |a0|, |a_i| <= 2."""
+    a0, *a = (draw(st.floats(-2.0, 2.0)) for _ in range(4))
+    return a0 * IDENTITY_2 + pauli_vector(a)
+
+
+@SETTINGS
+@given(h=generators(), angles=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12))
+def test_expm_stack_equals_scalar_calls(h, angles):
+    stack = expm_hermitian(h, np.array(angles))
+    assert stack.shape == (len(angles), 2, 2)
+    for u, angle in zip(stack, angles):
+        np.testing.assert_allclose(u, expm_hermitian(h, angle), rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(
+    h=generators(),
+    obs=direction.map(unit_observable),
+    rho_sys=qubit_states(),
+    eps=epsilons,
+    pairs=st.lists(times, min_size=1, max_size=12),
+)
+def test_stack_equals_scalar_runs(h, obs, rho_sys, eps, pairs):
+    rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
+    t_k, t_m = np.array(pairs).T
+    stacked = run(Circuit(scattering_gates(h, obs, t_k, t_m)), rho_in)
+    assert stacked.shape == (len(pairs), 4, 4)
+    for out, (a, b) in zip(stacked, pairs):
+        single = run(build_scattering_circuit(h, obs, a, b), rho_in)
+        np.testing.assert_allclose(out, single, rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(
+    rho_sys=qubit_states(),
+    obs=direction.map(unit_observable),
+    omega=omegas,
+    pair=times,
+    eps=epsilons,
+)
+def test_size_one_batch_equals_correlation_circuit(rho_sys, obs, omega, pair, eps):
+    evo = Evolution(omega)
+    [(raw, normalized)] = correlation_batch(
+        rho_sys, obs, evo, [(np.array(pair[:1]), np.array(pair[1:]))], eps
+    )
+    single = correlation_circuit(rho_sys, obs, evo, *pair, eps)
+    assert raw.shape == normalized.shape == (1,)
+    assert abs(raw[0] - single[0]) <= 1e-12
+    assert abs(normalized[0] - single[1]) <= 1e-12
+
+
+@SETTINGS
+@given(
+    rho_sys=qubit_states(),
+    obs=direction.map(unit_observable),
+    omega=omegas,
+    pair=times,
+    eps=epsilons,
+)
+def test_circuit_matches_oracle_at_any_omega(rho_sys, obs, omega, pair, eps):
+    """H = omega*sigma_x enters once: the circuit applies exp(-i omega t sigma_x)."""
+    evo = Evolution(omega)
+    _, normalized = correlation_circuit(rho_sys, obs, evo, *pair, eps)
+    assert abs(normalized - correlation_oracle(rho_sys, obs, evo, *pair)) <= 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    omega=omegas,
+    p0=st.floats(0.0, 1.0),
+    eps=epsilons,
+    bounds=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.01, 2 * math.pi)),
+)
+def test_sweep_equals_per_point_k_value(omega, p0, eps, bounds):
+    evo = Evolution(omega)
+    rho_sys = classical_mixture(p0, 1.0 - p0)
+    theta_min, width = bounds
+    results = sweep(evo, rho_sys, eps, theta_min, theta_min + width, 9, SIGMA_Z)
+    dts = np.linspace(theta_min, theta_min + width, 9) / evo.energy_gap
+    for r, dt in zip(results, dts.tolist()):
+        want = k_value(rho_sys, SIGMA_Z, evo, Schedule(0.0, dt, 2.0 * dt), eps)
+        for name in ("theta", "c12", "c23", "c13", "k"):
+            assert abs(getattr(r, name) - getattr(want, name)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("omega", [0.25, 0.7, 2.0, 4.0])
+def test_sweep_reproduces_the_analytic_curve_away_from_unit_omega(omega):
+    results = sweep(Evolution(omega), classical_mixture(0.3, 0.7), 0.6,
+                    0.0, 2 * math.pi, 181)
+    assert max(abs(r.k - analytic_k(r.theta)) for r in results) <= 1e-9
+
+
+def test_batch_rejects_a_reversed_pair_anywhere_in_a_stack():
+    rho = classical_mixture(0.5, 0.5)
+    t_k, t_m = np.array([0.0, 0.5, 0.2]), np.array([0.1, 0.4, 0.3])
+    with pytest.raises(ValueError, match="theta_m"):
+        correlation_batch(rho, SIGMA_Z, Evolution(1.0), [(t_k, t_m)])
+
+
+def test_batch_rejects_a_non_dichotomic_observable():
+    with pytest.raises(ValueError, match="dichotomic"):
+        correlation_batch(classical_mixture(0.5, 0.5), 0.5 * SIGMA_Z,
+                          Evolution(1.0), [(0.0, 1.0)])
+
+
+@pytest.fixture
+def run_calls(monkeypatch):
+    """Count calls of ``circuit.run`` under every name the package binds it to."""
+    calls = []
+
+    def counting(circuit, rho_in):
+        calls.append(circuit)
+        return run(circuit, rho_in)
+
+    for module in (lgsim.circuit, lgsim.leggett_garg):
+        monkeypatch.setattr(module, "run", counting)
+    return calls
+
+
+def test_default_sweep_runs_at_most_four_circuit_stacks(run_calls):
+    results = sweep(Evolution(1.0), classical_mixture(0.5, 0.5), 1.0,
+                    0.0, 2 * math.pi, 721)
+    assert len(results) == 721
+    assert 1 <= len(run_calls) <= 4
+
+
+def test_k_value_and_correlator_run_one_stack_and_one_reference(run_calls):
+    rho = classical_mixture(0.5, 0.5)
+    k_value(rho, SIGMA_Z, Evolution(1.0), Schedule(0.0, 0.3, 0.6))
+    assert len(run_calls) == 2
+    correlation_circuit(rho, SIGMA_Z, Evolution(1.0), 0.1, 0.4)
+    assert len(run_calls) == 4
+
+
+def test_t2_dephase_broadcasts_over_a_stack(rng):
+    cfg = T2Config(t2_probe=2.0, t2_system=0.5, duration=0.04)
+    stack = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    out = t2_dephase(stack, cfg)
+    for index in np.ndindex(2, 3):
+        np.testing.assert_array_equal(out[index], t2_dephase(stack[index], cfg))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2), (3, 4, 2), (3, 2, 2)])
+def test_t2_dephase_rejects_non_register_shapes(shape):
+    cfg = T2Config(t2_probe=2.0, t2_system=0.5, duration=0.04)
+    with pytest.raises(ValueError, match="4x4"):
+        t2_dephase(np.zeros(shape, dtype=complex), cfg)
