@@ -9,7 +9,8 @@ of the embedded 4x4 gate unitaries.
 
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
 then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
-S + (4, 4) and the readouts shape S, so N circuits cost a few ``matmul`` calls.
+S + (4, 4) and the readouts shape S, so N circuits cost a few products of
+whole stacks (``linalg._product``).
 
 The probe readout of the interferometer built by ``build_scattering_circuit``
 returns Re Tr[rho_sys O(t_m) O(t_k)]: a Hadamard splits the probe, the two
@@ -29,6 +30,7 @@ from .linalg import (
     IDENTITY_2,
     SIGMA_Y,
     SIGMA_Z,
+    _product,
     dagger,
     dichotomic_observable,
     expm_hermitian,
@@ -132,9 +134,10 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Ordered product of the embedded gates (first gate acts first)."""
     if not circuit.gates:
         raise ValueError("cannot execute an empty circuit")
-    v = np.eye(4, dtype=complex)
-    for gate in circuit.gates:
-        v = embed(gate) @ v
+    first, *rest = circuit.gates
+    v = embed(first)
+    for gate in rest:
+        v = _product(embed(gate), v)
     return v
 
 
@@ -147,7 +150,7 @@ def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
     """
     rho_in = _register(rho_in, "run")
     v = circuit_unitary(circuit)
-    return v @ rho_in @ dagger(v)
+    return _product(_product(v, rho_in), dagger(v))
 
 
 def build_scattering_circuit(
@@ -201,18 +204,23 @@ def _register(rho: np.ndarray, what: str) -> np.ndarray:
     return rho
 
 
-def _probe_readout(rho: np.ndarray, pauli: np.ndarray):
-    """Re Tr[rho (pauli (x) I)] for one state (a float) or a stack (an array)."""
+_PROBE_Z = kron(SIGMA_Z, IDENTITY_2)
+_PROBE_Y = kron(SIGMA_Y, IDENTITY_2)
+
+
+def _probe_readout(rho: np.ndarray, probe_pauli: np.ndarray):
+    """Re Tr[rho probe_pauli] for one state (a float) or a stack (an array);
+    ``probe_pauli`` is a Pauli on the probe tensored with I on the system."""
     value = np.einsum("...ij,ji->...", _register(rho, "probe readout"),
-                      kron(pauli, IDENTITY_2)).real
+                      probe_pauli).real
     return float(value) if value.ndim == 0 else value
 
 
 def expect_probe_z(rho: np.ndarray):
     """<sigma_z> of the probe wire; the real part of the scattering signal."""
-    return _probe_readout(rho, SIGMA_Z)
+    return _probe_readout(rho, _PROBE_Z)
 
 
 def expect_probe_y(rho: np.ndarray):
     """<sigma_y> of the probe wire; carries the imaginary part of the signal."""
-    return _probe_readout(rho, SIGMA_Y)
+    return _probe_readout(rho, _PROBE_Y)

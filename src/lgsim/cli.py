@@ -131,6 +131,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(flag: str, raw, kind=float):
+    """``raw`` converted by ``kind``; anything else, NaN and the infinities
+    included (Python's ``json`` accepts ``NaN`` and ``Infinity``), is a
+    usage error naming ``flag``."""
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise UsageError(f"{flag}: expected {what}, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{flag}: must be finite, got {raw!r}")
+    return value
+
+
 def _parse_populations(raw, flag: str) -> tuple[float, float]:
     if isinstance(raw, str):
         parts = raw.split(",")
@@ -140,12 +154,11 @@ def _parse_populations(raw, flag: str) -> tuple[float, float]:
         raise UsageError(f"{flag}: expected two comma-separated numbers")
     if len(parts) != 2:
         raise UsageError(f"{flag}: expected exactly two populations")
+    p0, p1 = (_number(flag, part) for part in parts)
     try:
-        p0, p1 = float(parts[0]), float(parts[1])
-    except (TypeError, ValueError):
-        raise UsageError(f"{flag}: populations must be numbers") from None
-    if p0 < 0.0 or p1 < 0.0 or abs(p0 + p1 - 1.0) > 1e-12:
-        raise UsageError(f"{flag}: populations must be >= 0 and sum to 1")
+        classical_mixture(p0, p1)
+    except ValueError:
+        raise UsageError(f"{flag}: populations must be >= 0 and sum to 1") from None
     return p0, p1
 
 
@@ -195,19 +208,19 @@ def parse_config(argv: list[str], environ=None) -> RunConfig:
     for name in _DEFAULTS:
         values[name], supplied[name] = pick(name)
 
-    try:
-        degrees = bool(values["degrees"])
-        theta_min = float(values["theta_min"])
-        theta_max = float(values["theta_max"])
-        steps = int(values["steps"])
-        epsilon = float(values["epsilon"])
-        t2_probe = float(values["t2_probe"])
-        t2_system = float(values["t2_system"])
-        duration = float(values["duration"])
-        noise_sigma = float(values["noise_sigma"])
-        seed = int(values["seed"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad numeric value in configuration: {exc}") from None
+    def number(name, kind=float):
+        return _number("--" + name.replace("_", "-"), values[name], kind)
+
+    degrees = bool(values["degrees"])
+    theta_min = number("theta_min")
+    theta_max = number("theta_max")
+    steps = number("steps", int)
+    epsilon = number("epsilon")
+    t2_probe = number("t2_probe")
+    t2_system = number("t2_system")
+    duration = number("duration")
+    noise_sigma = number("noise_sigma")
+    seed = number("seed", int)
     populations = _parse_populations(values["populations"], "--populations")
 
     # --degrees converts user-supplied angles only; the defaults are radians.
@@ -287,10 +300,10 @@ def _compute(cfg: RunConfig):
     if cfg.command == "sweep":
         results = _sweep_results(cfg)
         header = ["theta", "c12", "c23", "c13", "k", "k_analytic", "abs_error"]
+        exact = [analytic_k(r.theta) for r in results]
         rows = [
-            [r.theta, r.c12, r.c23, r.c13, r.k, analytic_k(r.theta),
-             abs(r.k - analytic_k(r.theta))]
-            for r in results
+            [r.theta, r.c12, r.c23, r.c13, r.k, k, abs(r.k - k)]
+            for r, k in zip(results, exact)
         ]
         return header, rows, results
 

@@ -22,6 +22,10 @@ TRACE_TOL = 1e-12
 # accumulated by 4x4 products).
 POSITIVITY_TOL = 1e-10
 
+# Smallest stack ``_product`` hands to its stacked kernels (the crossover
+# against numpy's per-matrix ``@`` lies between 8 and 64 matrices).
+_STACK_KERNEL_MIN = 32
+
 IDENTITY_2 = np.eye(2, dtype=complex)
 IDENTITY_4 = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -57,7 +61,7 @@ def unitary(entries) -> np.ndarray:
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
     """Raise unless every matrix of the stack ``u`` is unitary to 1e-12."""
-    residual = np.max(np.abs(u @ dagger(u) - np.eye(u.shape[-1])))
+    residual = np.max(np.abs(_product(u, dagger(u)) - np.eye(u.shape[-1])))
     if not residual <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (|UU+ - I| = {residual:.3e})")
     return u
@@ -97,6 +101,52 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return a @ b
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for matrices or stacks of matrices whose leading axes broadcast.
+
+    numpy's ``@`` on a stack calls BLAS once per matrix, which at 2x2 and 4x4
+    costs far more than the arithmetic.  Here a single matrix against a stack
+    is one gemm: on the rows of the stack when the single matrix is on the
+    right, on the stack laid out contraction index first when it is on the
+    left.  Two stacks accumulate over the contraction index with the stack
+    as the innermost, contiguous axis.  Single matrices and stacks of fewer
+    than ``_STACK_KERNEL_MIN`` matrices, where the fixed cost of these
+    kernels exceeds the per-matrix calls, use ``@``.  Stacked results may be
+    strided views in either layout.
+    """
+    if max(a.size, b.size) < _STACK_KERNEL_MIN * a.shape[-1] * b.shape[-1]:
+        return a @ b
+    if b.ndim == 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+    if a.ndim == 2:
+        bt = b.transpose(_matrix_axes_first(b.ndim))
+        out = (a @ bt.reshape(bt.shape[0], -1)).reshape(a.shape[:1] + bt.shape[1:])
+        return out.transpose(_matrix_axes_last(out.ndim))
+    # pad both stacks to one rank so their trailing (stack) axes broadcast
+    rank = max(a.ndim, b.ndim)
+    at = a.reshape((1,) * (rank - a.ndim) + a.shape).transpose(_matrix_axes_first(rank))
+    bt = b.reshape((1,) * (rank - b.ndim) + b.shape).transpose(_matrix_axes_first(rank))
+    # No copies of the operands, and the only temporary is one row of the
+    # result: fresh stack-sized temporaries cost more in page faults than
+    # the arithmetic does.
+    out = np.multiply(at[:, 0, None], bt[None, 0], order="C")
+    term = np.empty_like(out[0])
+    for i, row in enumerate(out):
+        for k in range(1, at.shape[1]):
+            row += np.multiply(at[i, k], bt[k], out=term)
+    return out.transpose(_matrix_axes_last(rank))
+
+
+def _matrix_axes_first(ndim: int) -> tuple[int, ...]:
+    """Axis order that moves the two matrix axes of a stack to the front."""
+    return (ndim - 2, ndim - 1, *range(ndim - 2))
+
+
+def _matrix_axes_last(ndim: int) -> tuple[int, ...]:
+    """The inverse of ``_matrix_axes_first``."""
+    return (*range(2, ndim), 0, 1)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

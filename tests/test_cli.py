@@ -1,5 +1,6 @@
 """Flag parsing, precedence, serialization formats, and exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -120,6 +121,60 @@ class TestParseConfig:
     def test_usage_errors_name_the_flag(self, args, fragment):
         with pytest.raises(UsageError, match=fragment.replace("-", "[-]")):
             parse_config(args, environ={})
+
+
+class TestNonFiniteValues:
+    """NaN and the infinities are usage errors that name the flag, whether
+    they come from a flag or from a config file (``json`` parses ``NaN``,
+    ``Infinity`` and ``-Infinity``)."""
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (["noise-check", "--t2-probe", "nan"], "--t2-probe"),
+            (["noise-check", "--t2-system", "nan"], "--t2-system"),
+            (["noise-check", "--duration", "nan"], "--duration"),
+            (["noise-check", "--t2-probe", "inf"], "--t2-probe"),
+            (["tomography", "--noise-sigma", "nan"], "--noise-sigma"),
+            (["sweep", "--theta-max", "inf"], "--theta-max"),
+            (["sweep", "--theta-min=-inf"], "--theta-min"),
+            (["sweep", "--theta-max", "nan", "--degrees"], "--theta-max"),
+            (["sweep", "--epsilon", "nan"], "--epsilon"),
+            (["sweep", "--populations", "0.5,nan"], "--populations"),
+            (["sweep", "--populations", "inf,0.5"], "--populations"),
+        ],
+    )
+    def test_flag_exits_2_naming_the_flag(self, args, flag, capsys):
+        assert main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text,flag",
+        [
+            ('{"epsilon": NaN}', "--epsilon"),
+            ('{"theta_max": Infinity}', "--theta-max"),
+            ('{"theta-min": -Infinity}', "--theta-min"),
+            ('{"t2_system": NaN}', "--t2-system"),
+            ('{"duration": Infinity}', "--duration"),
+            ('{"noise_sigma": NaN}', "--noise-sigma"),
+            ('{"populations": [0.5, NaN]}', "--populations"),
+            ('{"steps": Infinity}', "--steps"),
+            ('{"seed": NaN}', "--seed"),
+        ],
+    )
+    def test_config_file_exits_2_naming_the_flag(self, text, flag, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(text)
+        assert main(["sweep", "--config", str(cfg_file)]) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", ["0.3,0.6", "-0.5,1.5"])
+    def test_bad_populations_keep_their_message(self, pair):
+        with pytest.raises(UsageError) as info:
+            parse_config(["sweep", f"--populations={pair}"], environ={})
+        assert str(info.value) == "--populations: populations must be >= 0 and sum to 1"
 
 
 class TestMainExitCodes:
@@ -306,3 +361,57 @@ class TestSvgOutput:
         _, first = run_cli(args, tmp_path, "a.svg")
         _, second = run_cli(args, tmp_path, "b.svg")
         assert first == second
+
+
+# SHA-256 of each output, recorded before stacked products stopped going
+# through numpy's per-matrix ``@``.  The kernels sum in a different order, so
+# a value printed with 9 decimals could flip; these digests catch that.  CSV
+# and JSON go to stdout (the JSON config holds the output path), SVG to a file.
+_NON_DEFAULT_SWEEP = ("--epsilon", "0.37", "--populations", "0.2,0.8",
+                      "--theta-min", "0.3", "--theta-max", "5.1")
+GOLDEN_SHA256 = [
+    (("sweep", "--format", "csv"),
+     "451f10b5e6e8ff62e73ad72a058c96d78d2ab9c9e70b75fb6421d852150a029c"),
+    (("sweep", "--format", "json"),
+     "21ea291f3a83f6bd936496b1e33e282f046661b71f36f4a231dc20d6814ebee0"),
+    (("correlations", "--format", "csv"),
+     "378b3bbfdb25d7b8e7aaa1ef5ef38809b3cc879e1990cce773a009da923bf08e"),
+    (("correlations", "--format", "json"),
+     "928c8aa0bc5eb270bcb63a658b31293c24ffc733fce79c5665a09b19dae95c23"),
+    (("noninvasive-check", "--format", "csv"),
+     "366bada9b4735db0e311952b47a1526473389c41e79822ba2e77ee56a96ce6b9"),
+    (("noninvasive-check", "--format", "json"),
+     "c5c356cd83b65de29d00052699b1fd9d0b3cc94f33107c2cdf46cf54c7e0b9cc"),
+    (("tomography", "--format", "csv"),
+     "b341a485805ed8197cc53c688e91cdf2e100da55431d8ceb0e533862d62c3c03"),
+    (("tomography", "--format", "json"),
+     "f5b1fcb8e1b38e7afbf2b7493c73d3624c11632bc71af1c7ad3b4c637d725b27"),
+    (("noise-check", "--format", "csv"),
+     "cc3d6d988aba17f1a0aaf3536609d6f50a494777c6d3ae1557cba293d8eb7c8b"),
+    (("noise-check", "--format", "json"),
+     "225b99e1d4e98922c44e01955c6cee6d356fd3d6abf51826d7eb7def5a12cf08"),
+    (("sweep", "--format", "svg"),
+     "694a34daa159558915b00c70dbe12c3f056af2a1d6416c184d03a6bcdbc7d329"),
+    (("correlations", "--format", "svg"),
+     "a23bef0587d89d6199e6a0bb0feadd6909e532b7abc6659a95bf06c1a233f42a"),
+    (("sweep", *_NON_DEFAULT_SWEEP, "--format", "csv"),
+     "5526311175ad23f5ff8aba5e6cc8db68915db4fdb83e8610db32ab5f42065e1c"),
+    (("sweep", *_NON_DEFAULT_SWEEP, "--format", "json"),
+     "a8faa14cbe6a0697de20325978776b80298f58e45b2a7ca761212dad92028159"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,digest", GOLDEN_SHA256, ids=[" ".join(args) for args, _ in GOLDEN_SHA256]
+)
+def test_output_matches_recorded_digest(args, digest, tmp_path, capsysbinary,
+                                        monkeypatch):
+    monkeypatch.delenv("LGSIM_SEED", raising=False)
+    if "svg" in args:
+        out = tmp_path / "out.svg"
+        assert main([*args, "--output", str(out)]) == EXIT_OK
+        data = out.read_bytes()
+    else:
+        assert main(list(args)) == EXIT_OK
+        data = capsysbinary.readouterr().out
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -1,6 +1,6 @@
-"""The batched scattering engine: stacks against scalar runs, sweeps against
-per-point calls, drives of any omega against the oracle, and how many
-circuits each entry point runs."""
+"""The batched scattering engine: the stacked product against ``np.matmul``,
+stacks against scalar runs, sweeps against per-point calls, drives of any
+omega against the oracle, and how many circuits each entry point runs."""
 
 import math
 
@@ -11,7 +11,20 @@ from hypothesis import strategies as st
 
 import lgsim.circuit
 import lgsim.leggett_garg
-from lgsim.circuit import Circuit, build_scattering_circuit, run, scattering_gates
+from lgsim.circuit import (
+    HADAMARD,
+    PROBE,
+    SYSTEM,
+    Circuit,
+    ControlledU,
+    Evolve,
+    Hadamard,
+    build_scattering_circuit,
+    circuit_unitary,
+    embed,
+    run,
+    scattering_gates,
+)
 from lgsim.leggett_garg import (
     Evolution,
     Schedule,
@@ -22,7 +35,16 @@ from lgsim.leggett_garg import (
     k_value,
     sweep,
 )
-from lgsim.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, kron
+from lgsim.linalg import (
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _check_unitary,
+    _product,
+    expm_hermitian,
+    kron,
+)
 from lgsim.nmr import T2Config, t2_dephase
 from lgsim.states import KET0, classical_mixture, pseudo_pure
 
@@ -56,6 +78,96 @@ def generators(draw):
     """A 2x2 Hermitian a0*I + a.sigma with |a0|, |a_i| <= 2."""
     a0, *a = (draw(st.floats(-2.0, 2.0)) for _ in range(4))
     return a0 * IDENTITY_2 + pauli_vector(a)
+
+
+def broadcastable(shapes) -> bool:
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def product_operands(draw):
+    """Two operands of one dimension (2 or 4) whose leading shapes broadcast:
+    single matrices, stacks, or one of each, some given as transposed views."""
+    dim = draw(st.sampled_from([2, 4]))
+    # small stacks go through ``@``, those of 32 matrices and more through
+    # the stacked kernels
+    leading = st.sampled_from([(), (1,), (3,), (5, 5), (40,), (2, 40), (8, 8)])
+    lead_a, lead_b = draw(st.tuples(leading, leading).filter(broadcastable))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(lead):
+        shape = lead + (dim, dim)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return np.swapaxes(m, -1, -2) if draw(st.booleans()) else m
+
+    return operand(lead_a), operand(lead_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands=product_operands())
+def test_product_equals_matmul(operands):
+    a, b = operands
+    want = np.matmul(a, b)
+    got = _product(a, b)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("lead_a,lead_b", [((), ()), ((40,), ()), ((), (40,)),
+                                           ((40,), (40,)), ((1,), (2, 40)),
+                                           ((3,), (3,)), ((5, 5), ())])
+def test_product_covers_every_operand_pairing(lead_a, lead_b, rng):
+    a = rng.standard_normal(lead_a + (4, 4)) + 0j
+    b = rng.standard_normal(lead_b + (4, 4)) + 0j
+    np.testing.assert_allclose(_product(a, b), a @ b, rtol=0, atol=1e-13)
+
+
+@SETTINGS
+@given(dim=st.sampled_from([2, 4]), index=st.integers(0, 720),
+       entry=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_check_unitary_rejects_one_bad_matrix_in_a_stack(dim, index, entry):
+    stack = expm_hermitian(SIGMA_X + 0.3 * SIGMA_Z, np.linspace(0.0, 6.0, 721))
+    if dim == 4:
+        stack = kron(stack, HADAMARD)
+    assert _check_unitary(stack) is stack
+    bad = stack.copy()
+    bad[(index, entry[0] % dim, entry[1] % dim)] += 1e-9
+    with pytest.raises(ValueError, match="not unitary"):
+        _check_unitary(bad)
+
+
+def test_empty_circuit_raises():
+    with pytest.raises(ValueError, match="empty"):
+        circuit_unitary(Circuit())
+
+
+@pytest.mark.parametrize("gate", [
+    Hadamard(PROBE),
+    Hadamard(SYSTEM),
+    Evolve(SYSTEM, SIGMA_X, 0.7),
+    Evolve(PROBE, SIGMA_Y, np.linspace(0.0, 3.0, 5)),
+    ControlledU(PROBE, SYSTEM, SIGMA_Z),
+    ControlledU(SYSTEM, PROBE, SIGMA_X),
+])
+def test_one_gate_circuit_equals_its_embedding(gate):
+    np.testing.assert_array_equal(circuit_unitary(Circuit((gate,))), embed(gate))
+
+
+@SETTINGS
+@given(h=generators(), obs=direction.map(unit_observable),
+       size=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
+def test_circuit_unitary_equals_ordered_matmul(h, obs, size, seed):
+    t_k, t_m = np.sort(np.random.default_rng(seed).uniform(0.0, 3.0, (2, size)), axis=0)
+    gates = scattering_gates(h, obs, t_k, t_m)
+    want = embed(gates[0])
+    for gate in gates[1:]:
+        want = np.matmul(embed(gate), want)
+    got = circuit_unitary(Circuit(gates))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 @SETTINGS
