@@ -12,8 +12,13 @@ Subcommands
 
 Values flow defaults -> config file (--config, a flat JSON object mirroring
 flag names) -> LGSIM_SEED (for the seed only) -> command-line flags, later
-sources winning.  Output is CSV (default), JSON or SVG, written to --output
-or stdout; identical configuration and seed produce byte-identical files.
+sources winning.  Every value goes through the same conversion, so a config
+value must have its flag's type: integers for steps and seed (an integral
+number such as 11.0 passes, 2.7 and true do not), numbers for the other
+numeric options, JSON true/false for degrees, and strings for output and
+format; a JSON string is read as the same text given to the flag.  Output is
+CSV (default), JSON or SVG, written to --output or stdout; identical
+configuration and seed produce byte-identical files.
 
 Exit codes: 0 success, 1 internal invariant failure, 2 usage error,
 3 I/O error.
@@ -26,7 +31,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -59,22 +64,7 @@ EXIT_IO = 3
 TWO_PI = 2.0 * math.pi
 
 COMMANDS = ("sweep", "correlations", "noninvasive-check", "tomography", "noise-check")
-
-_DEFAULTS = {
-    "theta_min": 0.0,
-    "theta_max": TWO_PI,
-    "steps": 721,
-    "epsilon": 1.0,
-    "populations": (0.5, 0.5),
-    "t2_probe": 3.0,
-    "t2_system": 0.8,
-    "duration": 0.01,
-    "noise_sigma": 0.0,
-    "seed": 42,
-    "output": None,
-    "format": "csv",
-    "degrees": False,
-}
+FORMATS = ("csv", "json", "svg")
 
 
 class UsageError(Exception):
@@ -83,23 +73,59 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated run; each field after ``command`` is one option, named as
+    its flag and set to its default.  Out-of-range values raise UsageError."""
+
     command: str
-    theta_min: float
-    theta_max: float
-    steps: int
-    epsilon: float
-    populations: tuple[float, float]
-    t2_probe: float
-    t2_system: float
-    duration: float
-    noise_sigma: float
-    seed: int
-    output: str | None
-    format: str
-    degrees: bool
+    theta_min: float = 0.0
+    theta_max: float = TWO_PI
+    steps: int = 721
+    epsilon: float = 1.0
+    populations: tuple[float, float] = (0.5, 0.5)
+    t2_probe: float = 3.0
+    t2_system: float = 0.8
+    duration: float = 0.01
+    noise_sigma: float = 0.0
+    seed: int = 42
+    output: str | None = None
+    format: str = "csv"
+    degrees: bool = False
+
+    def __post_init__(self):
+        if self.steps < 2:
+            raise UsageError(f"--steps: must be >= 2, got {self.steps}")
+        if not 0.0 < self.epsilon <= 1.0:
+            raise UsageError(f"--epsilon: must be in (0, 1], got {self.epsilon}")
+        if self.theta_min < 0.0:
+            raise UsageError(f"--theta-min: must be >= 0, got {self.theta_min}")
+        if not self.theta_min < self.theta_max:
+            raise UsageError(
+                "--theta-min/--theta-max: need min < max, "
+                f"got ({self.theta_min}, {self.theta_max})"
+            )
+        if self.t2_probe <= 0.0:
+            raise UsageError(f"--t2-probe: must be > 0, got {self.t2_probe}")
+        if self.t2_system <= 0.0:
+            raise UsageError(f"--t2-system: must be > 0, got {self.t2_system}")
+        if self.duration < 0.0:
+            raise UsageError(f"--duration: must be >= 0, got {self.duration}")
+        if self.noise_sigma < 0.0:
+            raise UsageError(f"--noise-sigma: must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise UsageError(f"--seed: must be >= 0, got {self.seed}")
+        if self.format not in FORMATS:
+            raise UsageError(f"--format: must be csv, json or svg, got {self.format!r}")
+        if self.format == "svg" and self.output is None:
+            raise UsageError("--output: required when --format svg")
+        if self.format == "svg" and self.command not in ("sweep", "correlations"):
+            raise UsageError(f"--format: svg is not defined for {self.command!r}")
+
+
+_OPTIONS = fields(RunConfig)[1:]
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Split the command line into strings; ``_convert`` types them."""
     parser = argparse.ArgumentParser(
         prog="lgsim",
         description=(
@@ -111,41 +137,45 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", metavar="PATH",
                         help="flat JSON file mirroring the flag names")
-    parser.add_argument("--theta-min", type=float, dest="theta_min")
-    parser.add_argument("--theta-max", type=float, dest="theta_max")
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--epsilon", type=float,
-                        help="probe pseudo-pure polarization, in (0, 1]")
+    parser.add_argument("--theta-min", dest="theta_min")
+    parser.add_argument("--theta-max", dest="theta_max")
+    parser.add_argument("--steps")
+    parser.add_argument("--epsilon", help="probe pseudo-pure polarization, in (0, 1]")
     parser.add_argument("--populations", metavar="P0,P1",
                         help="system diagonal mixture, e.g. 0.5,0.5")
-    parser.add_argument("--t2-probe", type=float, dest="t2_probe", metavar="SECONDS")
-    parser.add_argument("--t2-system", type=float, dest="t2_system", metavar="SECONDS")
-    parser.add_argument("--duration", type=float, metavar="SECONDS")
-    parser.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    parser.add_argument("--seed", type=int,
-                        help="readout-noise seed; LGSIM_SEED is the fallback")
+    parser.add_argument("--t2-probe", dest="t2_probe", metavar="SECONDS")
+    parser.add_argument("--t2-system", dest="t2_system", metavar="SECONDS")
+    parser.add_argument("--duration", metavar="SECONDS")
+    parser.add_argument("--noise-sigma", dest="noise_sigma")
+    parser.add_argument("--seed", help="readout-noise seed; LGSIM_SEED is the fallback")
     parser.add_argument("--output", "-o", metavar="PATH")
-    parser.add_argument("--format", choices=("csv", "json", "svg"))
+    parser.add_argument("--format", metavar="{" + ",".join(FORMATS) + "}")
     parser.add_argument("--degrees", action="store_true", default=None,
                         help="interpret supplied theta bounds as degrees")
     return parser
 
 
 def _number(flag: str, raw, kind=float):
-    """``raw`` converted by ``kind``; anything else, NaN and the infinities
-    included (Python's ``json`` accepts ``NaN`` and ``Infinity``), is a
-    usage error naming ``flag``."""
+    """``raw`` converted by ``kind``.  Text is parsed as ``kind`` parses it;
+    a JSON number must already be one (a float passes as an integer only if
+    it is integral).  Booleans, NaN and the infinities (Python's ``json``
+    accepts ``NaN`` and ``Infinity``) and anything else are usage errors
+    naming ``flag``."""
     try:
+        if isinstance(raw, bool) or (
+            kind is int and isinstance(raw, float) and not raw.is_integer()
+        ):
+            raise TypeError
         value = kind(raw)
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise UsageError(f"{flag}: expected {what}, got {raw!r}") from None
     if not math.isfinite(value):
-        raise UsageError(f"{flag}: must be finite, got {raw!r}")
+        raise UsageError(f"{flag}: must be finite, got {value!r}")
     return value
 
 
-def _parse_populations(raw, flag: str) -> tuple[float, float]:
+def _parse_populations(flag: str, raw) -> tuple[float, float]:
     if isinstance(raw, str):
         parts = raw.split(",")
     elif isinstance(raw, (list, tuple)):
@@ -162,6 +192,24 @@ def _parse_populations(raw, flag: str) -> tuple[float, float]:
     return p0, p1
 
 
+def _convert(flag: str, kind: str, raw):
+    """``raw`` (flag text, a ``--config`` JSON value, ``LGSIM_SEED`` or the
+    default) as a value of the RunConfig field type ``kind``, the annotation
+    as written (annotations are deferred here, so it is a string); a value of
+    any other type is a usage error naming ``flag``."""
+    if kind == "bool":
+        if isinstance(raw, bool):
+            return raw
+        raise UsageError(f"{flag}: expected true or false, got {raw!r}")
+    if kind.startswith("str"):
+        if isinstance(raw, str) or (raw is None and kind == "str | None"):
+            return raw
+        raise UsageError(f"{flag}: expected a string, got {raw!r}")
+    if kind.startswith("tuple"):
+        return _parse_populations(flag, raw)
+    return _number(flag, raw, int if kind == "int" else float)
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -172,111 +220,43 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"--config: {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"--config: {path} must hold a flat JSON object")
+    names = {option.name for option in _OPTIONS}
     normalized = {}
     for key, value in data.items():
         dest = str(key).replace("-", "_")
-        if dest not in _DEFAULTS:
+        if dest not in names:
             raise UsageError(f"--config: unknown key {key!r}")
         normalized[dest] = value
     return normalized
 
 
 def parse_config(argv: list[str], environ=None) -> RunConfig:
-    """Resolve flags, config file, environment and defaults into a RunConfig."""
+    """Resolve defaults, config file, environment and flags into a RunConfig.
+
+    Later sources win; the winning raw value goes through ``_convert``
+    whatever its source.
+    """
     environ = os.environ if environ is None else environ
     ns = _build_parser().parse_args(argv)
+    flags = {name: value for name, value in vars(ns).items() if value is not None}
+    env = {"seed": environ["LGSIM_SEED"]} if "LGSIM_SEED" in environ else {}
     file_values = _load_config_file(ns.config) if ns.config else {}
 
-    def pick(name):
-        flag = getattr(ns, name)
-        if flag is not None:
-            return flag, True
-        if name == "seed" and "LGSIM_SEED" in environ:
-            raw = environ["LGSIM_SEED"]
-            try:
-                return int(raw), True
-            except ValueError:
-                raise UsageError(
-                    f"LGSIM_SEED: expected an integer, got {raw!r}"
-                ) from None
-        if name in file_values:
-            return file_values[name], True
-        return _DEFAULTS[name], False
-
     values = {}
-    supplied = {}
-    for name in _DEFAULTS:
-        values[name], supplied[name] = pick(name)
-
-    def number(name, kind=float):
-        return _number("--" + name.replace("_", "-"), values[name], kind)
-
-    degrees = bool(values["degrees"])
-    theta_min = number("theta_min")
-    theta_max = number("theta_max")
-    steps = number("steps", int)
-    epsilon = number("epsilon")
-    t2_probe = number("t2_probe")
-    t2_system = number("t2_system")
-    duration = number("duration")
-    noise_sigma = number("noise_sigma")
-    seed = number("seed", int)
-    populations = _parse_populations(values["populations"], "--populations")
+    for option in _OPTIONS:
+        flag = "--" + option.name.replace("_", "-")
+        label, raw = flag, option.default
+        for where, source in ((flag, file_values), ("LGSIM_SEED", env), (flag, flags)):
+            if option.name in source:
+                label, raw = where, source[option.name]
+        values[option.name] = _convert(label, option.type, raw)
 
     # --degrees converts user-supplied angles only; the defaults are radians.
-    if degrees:
-        if supplied["theta_min"]:
-            theta_min = math.radians(theta_min)
-        if supplied["theta_max"]:
-            theta_max = math.radians(theta_max)
-
-    if steps < 2:
-        raise UsageError(f"--steps: must be >= 2, got {steps}")
-    if not 0.0 < epsilon <= 1.0:
-        raise UsageError(f"--epsilon: must be in (0, 1], got {epsilon}")
-    if theta_min < 0.0:
-        raise UsageError(f"--theta-min: must be >= 0, got {theta_min}")
-    if not theta_min < theta_max:
-        raise UsageError(
-            f"--theta-min/--theta-max: need min < max, got ({theta_min}, {theta_max})"
-        )
-    if t2_probe <= 0.0:
-        raise UsageError(f"--t2-probe: must be > 0, got {t2_probe}")
-    if t2_system <= 0.0:
-        raise UsageError(f"--t2-system: must be > 0, got {t2_system}")
-    if duration < 0.0:
-        raise UsageError(f"--duration: must be >= 0, got {duration}")
-    if noise_sigma < 0.0:
-        raise UsageError(f"--noise-sigma: must be >= 0, got {noise_sigma}")
-    if seed < 0:
-        raise UsageError(f"--seed: must be >= 0, got {seed}")
-    fmt = str(values["format"])
-    if fmt not in ("csv", "json", "svg"):
-        raise UsageError(f"--format: must be csv, json or svg, got {fmt!r}")
-    output = values["output"]
-    if output is not None:
-        output = str(output)
-    if fmt == "svg" and output is None:
-        raise UsageError("--output: required when --format svg")
-    if fmt == "svg" and ns.command not in ("sweep", "correlations"):
-        raise UsageError(f"--format: svg is not defined for {ns.command!r}")
-
-    return RunConfig(
-        command=ns.command,
-        theta_min=theta_min,
-        theta_max=theta_max,
-        steps=steps,
-        epsilon=epsilon,
-        populations=populations,
-        t2_probe=t2_probe,
-        t2_system=t2_system,
-        duration=duration,
-        noise_sigma=noise_sigma,
-        seed=seed,
-        output=output,
-        format=fmt,
-        degrees=degrees,
-    )
+    if values["degrees"]:
+        for name in ("theta_min", "theta_max"):
+            if name in flags or name in file_values:
+                values[name] = math.radians(values[name])
+    return RunConfig(command=ns.command, **values)
 
 
 # --------------------------------------------------------------------------

@@ -59,7 +59,7 @@ class Evolution:
     omega: float
 
     def __post_init__(self):
-        if self.omega < 0.0:
+        if not self.omega >= 0.0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
 
     @property
@@ -104,9 +104,9 @@ class LGResult:
 
     def __post_init__(self):
         for name in ("c12", "c23", "c13"):
-            if abs(getattr(self, name)) > 1.0 + 1e-10:
+            if not abs(getattr(self, name)) <= 1.0 + 1e-10:
                 raise ValueError(f"|{name}| exceeds 1: {getattr(self, name)!r}")
-        if abs(self.k - (self.c12 + self.c23 - self.c13)) > 1e-12:
+        if not abs(self.k - (self.c12 + self.c23 - self.c13)) <= 1e-12:
             raise ValueError("k is inconsistent with c12 + c23 - c13")
 
 
@@ -159,17 +159,24 @@ def correlation_batch(
     if rho_sys.shape[0] != 2:
         raise ValueError("system state must be a single qubit")
     rho_in = kron(pseudo_pure(probe_eps, KET0), rho_sys)
-
-    def signal(t_k, t_m):
-        return expect_probe_z(
-            run(Circuit(scattering_gates(evo.hamiltonian, obs, t_k, t_m)), rho_in)
-        )
-
-    reference = signal(0.0, 0.0)
-    if abs(reference) < _REFERENCE_FLOOR:
-        raise ValueError("reference signal vanished; cannot normalize")
-    raws = [signal(t_k, t_m) for t_k, t_m in pairs]
+    reference = reference_signal(rho_in, obs, evo)
+    raws = [_probe_signal(rho_in, obs, evo, t_k, t_m) for t_k, t_m in pairs]
     return [(raw, raw / reference) for raw in raws]
+
+
+def _probe_signal(rho_in, obs, evo: Evolution, t_k, t_m):
+    gates = scattering_gates(evo.hamiltonian, obs, t_k, t_m)
+    return expect_probe_z(run(Circuit(gates), rho_in))
+
+
+def reference_signal(rho_in, obs, evo: Evolution) -> float:
+    """Probe signal of the zero-time circuit on the register state ``rho_in``,
+    which raw correlators are divided by; raises ValueError when it is too
+    small to divide by (a probe polarization near 0)."""
+    reference = _probe_signal(rho_in, obs, evo, 0.0, 0.0)
+    if not abs(reference) >= _REFERENCE_FLOOR:
+        raise ValueError("reference signal vanished; cannot normalize")
+    return reference
 
 
 def correlation_circuit(

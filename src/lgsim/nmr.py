@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, expect_probe_z, run, scattering_gates
-from .leggett_garg import Evolution, observable_from_state
+from .leggett_garg import Evolution, observable_from_state, reference_signal
 from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, overlap_fidelity
 from .states import KET0, deviation, maximally_mixed, pseudo_pure, pure_density
 
@@ -38,9 +38,11 @@ class T2Config:
     duration: float
 
     def __post_init__(self):
-        if self.t2_probe <= 0.0 or self.t2_system <= 0.0:
-            raise ValueError("T2 times must be positive")
-        if self.duration < 0.0:
+        if not self.t2_probe > 0.0:
+            raise ValueError(f"t2_probe must be positive, got {self.t2_probe}")
+        if not self.t2_system > 0.0:
+            raise ValueError(f"t2_system must be positive, got {self.t2_system}")
+        if not self.duration >= 0.0:
             raise ValueError(f"duration must be >= 0, got {self.duration}")
 
 
@@ -91,9 +93,7 @@ def k_attenuation_check(
     # sweep parameter theta equals gap * dt = 2 * omega * dt.
     half = theta / 2.0
     gates = scattering_gates(h, obs, (0.0, half, 0.0), (half, theta, theta))
-    reference = expect_probe_z(
-        run(Circuit(scattering_gates(h, obs, 0.0, 0.0)), rho_in)
-    )
+    reference = reference_signal(rho_in, obs, evo)
 
     before_readout = run(Circuit(gates[:-1]), rho_in)
     stacked = np.stack((before_readout, t2_dephase(before_readout, cfg)))
@@ -110,7 +110,7 @@ class ReadoutNoise:
     seed: int
 
     def __post_init__(self):
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")

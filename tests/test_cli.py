@@ -3,14 +3,18 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgsim.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    RunConfig,
     UsageError,
     main,
     parse_config,
@@ -177,6 +181,95 @@ class TestNonFiniteValues:
         assert str(info.value) == "--populations: populations must be >= 0 and sum to 1"
 
 
+def outcome(argv, environ=None):
+    """The RunConfig ``argv`` resolves to, or the usage error's message."""
+    try:
+        return parse_config(argv, environ={} if environ is None else environ)
+    except UsageError as exc:
+        return f"usage error: {exc}"
+
+
+# Every option with a text form; --degrees is a switch with no value.
+TEXT_OPTIONS = [f.name for f in fields(RunConfig) if f.name not in ("command", "degrees")]
+OPTION_TEXT = st.one_of(
+    st.integers(-3, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(0.0, 1.0).map(lambda p: f"{p!r},{1.0 - p!r}"),
+    st.sampled_from(["2.7", "3.0", " 7", "1_000", "1e400", "0x10", "true", "",
+                     "csv", "json", "svg", "xml", "0.3,0.7", "out.csv"]),
+    st.text(max_size=6),
+)
+
+
+class TestOneConversionPath:
+    """A flag, a --config value and LGSIM_SEED go through the same
+    conversion: the same text gives the same RunConfig, or the same usage
+    error naming the flag, whichever source it comes from."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(TEXT_OPTIONS), text=OPTION_TEXT)
+    def test_flag_and_config_string_agree(self, name, text, tmp_path_factory):
+        flag = "--" + name.replace("_", "-")
+        # svg output needs a path; keep it out of the comparison.
+        base = ["sweep", "--output=k.svg"] if name == "format" else ["sweep"]
+        cfg_file = tmp_path_factory.getbasetemp() / "flag_vs_config.json"
+        cfg_file.write_text(json.dumps({name: text}))
+        from_flag = outcome([*base, f"{flag}={text}"])
+        assert outcome([*base, "--config", str(cfg_file)]) == from_flag
+        if isinstance(from_flag, str):
+            assert flag in from_flag
+        if name == "seed":
+            from_env = outcome(base, {"LGSIM_SEED": text})
+            if isinstance(from_env, str):
+                from_env = from_env.replace("LGSIM_SEED", "--seed")
+            assert from_env == from_flag
+
+    @pytest.mark.parametrize("extra", [[], ["--theta-min=30", "--theta-max=90"]])
+    def test_degrees_switch_equals_config_true(self, extra, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"degrees": True}))
+        assert (outcome(["sweep", "--degrees", *extra])
+                == outcome(["sweep", "--config", str(cfg_file), *extra]))
+
+    @pytest.mark.parametrize(
+        "text,flag",
+        [
+            ('{"steps": 2.7}', "--steps"),
+            ('{"seed": 3.9}', "--seed"),
+            ('{"degrees": "false"}', "--degrees"),
+            ('{"steps": true}', "--steps"),
+            ('{"output": 5}', "--output"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_exits_2(self, text, flag, tmp_path,
+                                                    capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(text)
+        assert main(["sweep", "--config", str(cfg_file)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"{flag}: expected" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["sweep", "--steps", "2.7"],
+             "error: --steps: expected an integer, got '2.7'"),
+            (["sweep", "--format", "xml"],
+             "error: --format: must be csv, json or svg, got 'xml'"),
+        ],
+    )
+    def test_malformed_flag_message_names_the_flag(self, args, message, capsys):
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_integral_json_number_is_an_integer(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text('{"steps": 11.0, "seed": 3}')
+        cfg = parse_config(["sweep", "--config", str(cfg_file)], environ={})
+        assert (cfg.steps, cfg.seed) == (11, 3)
+
+
 class TestMainExitCodes:
     def test_usage_error_exits_2(self, capsys):
         assert main(["sweep", "--steps", "1"]) == EXIT_USAGE
@@ -195,6 +288,14 @@ class TestMainExitCodes:
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
         code = main(["sweep", "--steps", "3", "--output", str(missing_dir)])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("command", ["sweep", "noise-check"])
+    @pytest.mark.parametrize("eps", ["1e-300", "5e-324"])
+    def test_vanishing_reference_exits_1(self, command, eps, capsys):
+        assert main([command, "--steps", "3", "--epsilon", eps]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert "reference signal vanished" in captured.err
+        assert captured.out == ""
 
     def test_internal_invariant_failure_exits_1(self, monkeypatch, capsys):
         import lgsim.cli as cli_module

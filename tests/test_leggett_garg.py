@@ -54,6 +54,10 @@ class TestEvolution:
         with pytest.raises(ValueError, match="omega"):
             Evolution(-1.0)
 
+    def test_rejects_nan_frequency(self):
+        with pytest.raises(ValueError, match="omega"):
+            Evolution(math.nan)
+
 
 class TestSchedule:
     def test_spacing(self):
@@ -82,6 +86,12 @@ class TestLGResult:
     def test_rejects_out_of_range_correlator(self):
         with pytest.raises(ValueError, match="exceeds"):
             LGResult(theta=1.0, c12=1.5, c23=0.0, c13=0.0, k=1.5)
+
+    @pytest.mark.parametrize("field", ["c12", "c23", "c13", "k"])
+    def test_rejects_nan_naming_the_field(self, field):
+        values = {"c12": 0.5, "c23": 0.5, "c13": -0.5, "k": 1.5, field: math.nan}
+        with pytest.raises(ValueError, match=field):
+            LGResult(theta=1.0, **values)
 
 
 class TestHeisenbergObservable:

@@ -40,6 +40,12 @@ class TestT2Config:
         with pytest.raises(ValueError, match="duration"):
             T2Config(t2_probe=1.0, t2_system=1.0, duration=-0.01)
 
+    @pytest.mark.parametrize("field", ["t2_probe", "t2_system", "duration"])
+    def test_rejects_nan_naming_the_field(self, field):
+        values = {"t2_probe": 1.0, "t2_system": 1.0, "duration": 0.01, field: math.nan}
+        with pytest.raises(ValueError, match=field):
+            T2Config(**values)
+
 
 class TestT2Dephase:
     def test_zero_duration_is_identity(self, rng):
@@ -111,6 +117,11 @@ class TestKAttenuation:
         assert abs(k_noisy - math.exp(-10.0 / 3.0) * k_ideal) <= 1e-12
         assert k_noisy < 0.1 * k_ideal
 
+    @pytest.mark.parametrize("eps", [1e-300, 5e-324])
+    def test_vanishing_reference_is_an_error(self, eps):
+        with pytest.raises(ValueError, match="reference signal vanished"):
+            k_attenuation_check(EXPERIMENT_T2, math.pi / 3, eps)
+
 
 class TestReadoutNoise:
     def test_rejects_negative_sigma(self):
@@ -120,6 +131,10 @@ class TestReadoutNoise:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
             ReadoutNoise(sigma=0.1, seed=-1)
+
+    def test_rejects_nan_sigma(self):
+        with pytest.raises(ValueError, match="sigma"):
+            ReadoutNoise(sigma=math.nan, seed=0)
 
 
 class TestTomograph:
@@ -191,6 +206,10 @@ class TestFidelityExperiment:
         mean = float(np.mean(fids))
         assert 0.98 <= mean <= 1.0
         assert all(0.0 < f < 1.0 + 1e-12 for f in fids)
+
+    def test_nan_noise_is_rejected(self):
+        with pytest.raises(ValueError, match="sigma"):
+            tomography_fidelity_experiment(math.nan, seed=1)
 
     def test_heavy_noise_destroys_fidelity(self):
         fids = [tomography_fidelity_experiment(1.0, seed) for seed in range(5)]
