@@ -31,6 +31,7 @@ from .linalg import (
     SIGMA_Y,
     SIGMA_Z,
     _product,
+    _register,
     dagger,
     dichotomic_observable,
     expm_hermitian,
@@ -192,16 +193,6 @@ def scattering_gates(h: np.ndarray, obs: np.ndarray, theta_k, theta_m):
         ControlledU(PROBE, SYSTEM, obs),
         Hadamard(PROBE),
     )
-
-
-def _register(rho: np.ndarray, what: str) -> np.ndarray:
-    """Coerce a 4x4 register state, or a stack of them, to a complex array."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"{what} expects a 4x4 register state")
-    if not np.isfinite(rho).all():
-        raise ValueError("operator entries must be finite")
-    return rho
 
 
 _PROBE_Z = kron(SIGMA_Z, IDENTITY_2)

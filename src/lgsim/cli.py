@@ -238,9 +238,12 @@ def parse_config(argv: list[str], environ=None) -> RunConfig:
     """
     environ = os.environ if environ is None else environ
     ns = _build_parser().parse_args(argv)
-    flags = {name: value for name, value in vars(ns).items() if value is not None}
+    # Python 3.11's argparse drops the text of "--flag=--" and stores [];
+    # put the "--" back so that it converts like the same config value.
+    given = {name: "--" if value == [] else value for name, value in vars(ns).items()}
+    flags = {name: value for name, value in given.items() if value is not None}
     env = {"seed": environ["LGSIM_SEED"]} if "LGSIM_SEED" in environ else {}
-    file_values = _load_config_file(ns.config) if ns.config else {}
+    file_values = _load_config_file(given["config"]) if given["config"] else {}
 
     values = {}
     for option in _OPTIONS:
@@ -337,8 +340,8 @@ def _max_disturbance(cfg: RunConfig, rho_sys: np.ndarray) -> float:
     phases = np.linspace(cfg.theta_min / 2.0, cfg.theta_max / 2.0, 5)
     a, b = np.meshgrid(phases, phases)
     gates = scattering_gates(evo.hamiltonian, obs, np.minimum(a, b), np.maximum(a, b))
-    out = run(Circuit(gates), rho_in).reshape(-1, 4, 4)
-    return max(trace_distance(partial_trace(state, "system"), rho_sys) for state in out)
+    reduced = partial_trace(run(Circuit(gates), rho_in), "system").reshape(-1, 2, 2)
+    return max(trace_distance(state, rho_sys) for state in reduced)
 
 
 # --------------------------------------------------------------------------

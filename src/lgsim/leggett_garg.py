@@ -25,10 +25,10 @@ from .circuit import Circuit, expect_probe_z, run, scattering_gates
 from .linalg import (
     IDENTITY_2,
     SIGMA_X,
+    density,
     dichotomic_observable,
     expm_hermitian,
     kron,
-    operator,
 )
 from .states import KET0, pseudo_pure, pure_state
 
@@ -103,6 +103,8 @@ class LGResult:
     k: float
 
     def __post_init__(self):
+        if not 0.0 <= self.theta < math.inf:
+            raise ValueError(f"theta must be finite and >= 0, got {self.theta!r}")
         for name in ("c12", "c23", "c13"):
             if not abs(getattr(self, name)) <= 1.0 + 1e-10:
                 raise ValueError(f"|{name}| exceeds 1: {getattr(self, name)!r}")
@@ -131,7 +133,7 @@ def correlation_oracle(
     This is the brute-force route the circuit is checked against; it never
     touches the probe or the circuit machinery.
     """
-    rho_sys = operator(rho_sys)
+    rho_sys = density(rho_sys)
     product = heisenberg_observable(obs, evo, t_m) @ heisenberg_observable(
         obs, evo, t_k
     )
@@ -155,7 +157,7 @@ def correlation_batch(
     because O^2 = I; that reference runs once per call, however many pairs.
     Returns ``(raw, normalized)`` per pair; normalized matches the oracle.
     """
-    rho_sys = operator(rho_sys)
+    rho_sys = density(rho_sys)
     if rho_sys.shape[0] != 2:
         raise ValueError("system state must be a single qubit")
     rho_in = kron(pseudo_pure(probe_eps, KET0), rho_sys)

@@ -50,6 +50,17 @@ def operator(entries) -> np.ndarray:
     return m
 
 
+def _register(rho, what: str, *, stack: bool = True) -> np.ndarray:
+    """Coerce a 4x4 register state, or with ``stack`` a ``(..., 4, 4)`` stack
+    of them, to a complex array with finite entries; ``what`` names the
+    caller in the error."""
+    rho = np.asarray(rho, dtype=complex)
+    shape = rho.shape[-2:] if stack else rho.shape
+    if shape != (4, 4) or not np.isfinite(rho).all():
+        raise ValueError(f"{what} expects a 4x4 register state with finite entries")
+    return rho
+
+
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
@@ -179,19 +190,18 @@ def trace(a: np.ndarray) -> complex:
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Reduced state of one wire of a two-qubit register.
+    """Reduced state of one wire of a two-qubit register, or of each
+    register state of a ``(..., 4, 4)`` stack.
 
     ``keep`` selects the wire whose state is returned: ``"probe"`` is the
     left Kronecker factor, ``"system"`` the right.
     """
-    rho = operator(rho)
-    if rho.shape[0] != 4:
-        raise ValueError("partial_trace expects a 4x4 register state")
-    r = rho.reshape(2, 2, 2, 2)
+    rho = _register(rho, "partial_trace")
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if keep == "probe":
-        return np.einsum("isjs->ij", r)
+        return np.einsum("...isjs->...ij", r)
     if keep == "system":
-        return np.einsum("sisj->ij", r)
+        return np.einsum("...sisj->...ij", r)
     raise ValueError(f"keep must be 'probe' or 'system', got {keep!r}")
 
 

@@ -22,11 +22,14 @@ import numpy as np
 
 from .circuit import Circuit, expect_probe_z, run, scattering_gates
 from .leggett_garg import Evolution, observable_from_state, reference_signal
-from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, overlap_fidelity
+from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _register, kron,
+                     overlap_fidelity)
 from .states import KET0, deviation, maximally_mixed, pseudo_pure, pure_density
 
 PAULI_LABELS = ("I", "x", "y", "z")
-_PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULIS = np.stack((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z))
+# _PAULI_BASIS[i, j] = sigma_i (x) sigma_j, probe Pauli first.
+_PAULI_BASIS = kron(_PAULIS[:, None], _PAULIS[None, :])
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,7 @@ def t2_dephase(rho: np.ndarray, cfg: T2Config) -> np.ndarray:
     duration d equals applying it once with 2d.  A stack of states, shaped
     (..., 4, 4), is dephased state by state.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError("t2_dephase expects a 4x4 register state")
+    rho = _register(rho, "t2_dephase")
     f_probe = math.exp(-cfg.duration / cfg.t2_probe)
     f_system = math.exp(-cfg.duration / cfg.t2_system)
     one = np.array([[1.0, f_probe], [f_probe, 1.0]])
@@ -112,7 +113,7 @@ class ReadoutNoise:
     def __post_init__(self):
         if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not 0 <= self.seed < math.inf or int(self.seed) != self.seed:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
@@ -147,14 +148,11 @@ def tomograph(rho: np.ndarray, noise: ReadoutNoise) -> TomographyRecord:
     ``(seed, i, j)``, so identical (sigma, seed) pairs reproduce the record
     exactly.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("tomograph expects a 4x4 register state")
-    c = np.empty((4, 4), dtype=float)
-    for i, left in enumerate(_PAULIS):
-        for j, right in enumerate(_PAULIS):
-            c[i, j] = np.trace(rho @ np.kron(left, right)).real
-            if noise.sigma > 0.0 and (i, j) != (0, 0):
+    rho = _register(rho, "tomograph", stack=False)
+    c = np.trace(rho @ _PAULI_BASIS, axis1=-2, axis2=-1).real
+    if noise.sigma > 0.0:
+        for i, j in np.ndindex(4, 4):
+            if (i, j) != (0, 0):
                 rng = np.random.default_rng((noise.seed, i, j))
                 c[i, j] += noise.sigma * rng.standard_normal()
     return TomographyRecord(c)
@@ -167,11 +165,7 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     with small negative eigenvalues; it is returned as-is, with no positivity
     repair, exactly as a raw tomography result would be reported.
     """
-    rho = np.zeros((4, 4), dtype=complex)
-    for i, left in enumerate(_PAULIS):
-        for j, right in enumerate(_PAULIS):
-            rho += record.coefficients[i, j] * np.kron(left, right)
-    return rho / 4.0
+    return np.einsum("ij,ijkl->kl", record.coefficients, _PAULI_BASIS) / 4.0
 
 
 def tomography_fidelity_experiment(noise_sigma: float, seed: int) -> float:

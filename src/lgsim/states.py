@@ -17,6 +17,7 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Z,
     TRACE_TOL,
+    dagger,
     density,
     expm_hermitian,
     operator,
@@ -99,9 +100,5 @@ def gradient_dephase_prepare(n_phases: int) -> np.ndarray:
         raise ValueError(f"n_phases must be an integer >= 2, got {n_phases}")
     pulse = expm_hermitian(SIGMA_X / 2.0, math.pi / 2.0)
     rho = pulse @ np.outer(KET0, KET0.conj()) @ pulse.conj().T
-    acc = np.zeros((2, 2), dtype=complex)
-    for j in range(n_phases):
-        phi = 2.0 * math.pi * j / n_phases
-        rot = expm_hermitian(SIGMA_Z / 2.0, phi)
-        acc += rot @ rho @ rot.conj().T
-    return density(acc / n_phases)
+    rot = expm_hermitian(SIGMA_Z / 2.0, 2.0 * math.pi * np.arange(n_phases) / n_phases)
+    return density((rot @ rho @ dagger(rot)).sum(axis=0) / n_phases)

@@ -263,6 +263,18 @@ class TestOneConversionPath:
         assert main(args) == EXIT_USAGE
         assert capsys.readouterr().err == message + "\n"
 
+    @pytest.mark.parametrize("name", ["output", "theta_min", "populations"])
+    def test_double_dash_flag_value_equals_the_config_string(self, name, tmp_path):
+        """argparse stores "--flag=--" as []; the flag still reads as the
+        text "--", as the config value does ("--" is a valid output path)."""
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({name: "--"}))
+        flag = "--" + name.replace("_", "-")
+        from_flag = outcome(["sweep", f"{flag}=--"])
+        assert from_flag == outcome(["sweep", "--config", str(cfg_file)])
+        if name == "output":
+            assert from_flag.output == "--"
+
     def test_integral_json_number_is_an_integer(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text('{"steps": 11.0, "seed": 3}')

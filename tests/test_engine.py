@@ -1,6 +1,8 @@
 """The batched scattering engine: the stacked product against ``np.matmul``,
 stacks against scalar runs, sweeps against per-point calls, drives of any
-omega against the oracle, and how many circuits each entry point runs."""
+omega against the oracle, and how many circuits each entry point runs; the
+one register-state validator and the stack operations of ``nmr``, ``states``
+and the CLI built on it."""
 
 import math
 
@@ -10,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgsim.circuit
+import lgsim.cli
 import lgsim.leggett_garg
+import lgsim.states
+from conftest import random_density
 from lgsim.circuit import (
     HADAMARD,
     PROBE,
@@ -22,6 +27,8 @@ from lgsim.circuit import (
     build_scattering_circuit,
     circuit_unitary,
     embed,
+    expect_probe_y,
+    expect_probe_z,
     run,
     scattering_gates,
 )
@@ -44,9 +51,16 @@ from lgsim.linalg import (
     _product,
     expm_hermitian,
     kron,
+    partial_trace,
 )
-from lgsim.nmr import T2Config, t2_dephase
-from lgsim.states import KET0, classical_mixture, pseudo_pure
+from lgsim.nmr import ReadoutNoise, T2Config, reconstruct, t2_dephase, tomograph
+from lgsim.states import (
+    KET0,
+    classical_mixture,
+    gradient_dephase_prepare,
+    maximally_mixed,
+    pseudo_pure,
+)
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -312,3 +326,159 @@ def test_t2_dephase_rejects_non_register_shapes(shape):
     cfg = T2Config(t2_probe=2.0, t2_system=0.5, duration=0.04)
     with pytest.raises(ValueError, match="4x4"):
         t2_dephase(np.zeros(shape, dtype=complex), cfg)
+
+
+# --------------------------------------------------------------------------
+# register states: one validator, stack operations
+
+
+T2 = T2Config(t2_probe=2.0, t2_system=0.5, duration=0.04)
+NO_NOISE = ReadoutNoise(sigma=0.0, seed=0)
+REGISTER_ENTRY_POINTS = {
+    "run": lambda rho: run(Circuit((Hadamard(PROBE),)), rho),
+    "probe readout": expect_probe_z,
+    "probe readout y": expect_probe_y,
+    "partial_trace": lambda rho: partial_trace(rho, "system"),
+    "t2_dephase": lambda rho: t2_dephase(rho, T2),
+    "tomograph": lambda rho: tomograph(rho, NO_NOISE),
+}
+
+
+def with_entry(value, index=(1, 2)) -> np.ndarray:
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[index] = value
+    return rho
+
+
+@pytest.mark.parametrize("entry", sorted(REGISTER_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [
+    with_entry(math.nan),
+    with_entry(complex(0.0, math.inf), (3, 3)),
+    np.eye(2) / 2.0,
+    np.eye(3) / 3.0,
+    np.ones(4) / 4.0,
+    np.zeros((4, 2)),
+], ids=["nan", "inf", "2x2", "3x3", "vector", "4x2"])
+def test_register_entry_points_reject_bad_states(entry, bad):
+    with pytest.raises(ValueError, match="expects a 4x4 register state"):
+        REGISTER_ENTRY_POINTS[entry](bad)
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 4), (2, 4, 4), (4, 4, 4)])
+def test_tomograph_rejects_a_stack(shape):
+    with pytest.raises(ValueError, match="tomograph expects a 4x4 register state"):
+        tomograph(np.broadcast_to(np.eye(4) / 4.0, shape), NO_NOISE)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reconstruct_inverts_noise_free_tomography(seed):
+    rho = random_density(np.random.default_rng(seed), 4)
+    np.testing.assert_allclose(reconstruct(tomograph(rho, NO_NOISE)), rho,
+                               rtol=0, atol=1e-12)
+
+
+stack_shapes = st.sampled_from([(), (1,), (3,), (2, 3), (40,)])
+
+
+def random_density_stack(seed, lead) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.array([random_density(rng, 4) for _ in range(math.prod(lead))]
+                    ).reshape(lead + (4, 4))
+
+
+@SETTINGS
+@given(lead=stack_shapes, seed=st.integers(0, 2**32 - 1),
+       d1=st.floats(0.0, 2.0), d2=st.floats(0.0, 2.0),
+       t2_probe=st.floats(0.05, 5.0), t2_system=st.floats(0.05, 5.0))
+def test_t2_dephase_is_a_semigroup_on_stacks(lead, seed, d1, d2, t2_probe, t2_system):
+    rho = random_density_stack(seed, lead)
+
+    def channel(duration):
+        return T2Config(t2_probe, t2_system, duration)
+
+    twice = t2_dephase(t2_dephase(rho, channel(d1)), channel(d2))
+    np.testing.assert_allclose(twice, t2_dephase(rho, channel(d1 + d2)),
+                               rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(lead=stack_shapes, seed=st.integers(0, 2**32 - 1),
+       keep=st.sampled_from(["probe", "system"]))
+def test_partial_trace_of_a_stack_equals_per_state_results(lead, seed, keep):
+    rho = random_density_stack(seed, lead)
+    reduced = partial_trace(rho, keep)
+    assert reduced.shape == lead + (2, 2)
+    for index in np.ndindex(lead):
+        np.testing.assert_array_equal(reduced[index], partial_trace(rho[index], keep))
+
+
+PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), sigma=st.sampled_from([0.0, 0.05]))
+def test_tomography_matches_the_per_coefficient_loop(seed, sigma):
+    """Against a loop of one trace per Pauli product: the coefficients are
+    bitwise equal (the same products and sums); the reconstruction may sum
+    its 16 terms in another order."""
+    rho = random_density(np.random.default_rng(seed), 4)
+    record = tomograph(rho, ReadoutNoise(sigma, seed))
+    want = np.array([[np.trace(rho @ np.kron(a, b)).real for b in PAULIS]
+                     for a in PAULIS])
+    if sigma > 0.0:
+        for i, j in list(np.ndindex(4, 4))[1:]:
+            want[i, j] += sigma * np.random.default_rng((seed, i, j)).standard_normal()
+    np.testing.assert_array_equal(record.coefficients, want)
+    rebuilt = sum(want[i, j] * np.kron(a, b) for (i, a) in enumerate(PAULIS)
+                  for (j, b) in enumerate(PAULIS)) / 4.0
+    np.testing.assert_allclose(reconstruct(record), rebuilt, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_phases", range(2, 65))
+def test_gradient_dephase_prepare_gives_the_maximally_mixed_state(n_phases):
+    """Bitwise equal to the ensemble averaged one phase at a time."""
+    pulse = expm_hermitian(SIGMA_X / 2.0, math.pi / 2.0)
+    rho = pulse @ np.outer(KET0, KET0.conj()) @ pulse.conj().T
+    acc = np.zeros((2, 2), dtype=complex)
+    for j in range(n_phases):
+        rot = expm_hermitian(SIGMA_Z / 2.0, 2.0 * math.pi * j / n_phases)
+        acc += rot @ rho @ rot.conj().T
+    prepared = gradient_dephase_prepare(n_phases)
+    np.testing.assert_array_equal(prepared, acc / n_phases)
+    np.testing.assert_allclose(prepared, maximally_mixed(), rtol=0, atol=1e-15)
+
+
+def counting(module, name, monkeypatch) -> list:
+    """Replace ``module.name`` by a wrapper that records each call."""
+    calls, original = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_gradient_dephase_prepare_makes_two_exponential_calls(monkeypatch):
+    calls = counting(lgsim.states, "expm_hermitian", monkeypatch)
+    gradient_dephase_prepare(64)
+    assert len(calls) == 2
+
+
+def test_max_disturbance_takes_one_partial_trace(monkeypatch):
+    calls = counting(lgsim.cli, "partial_trace", monkeypatch)
+    config = lgsim.cli.parse_config(["noninvasive-check"], environ={})
+    lgsim.cli._max_disturbance(config, maximally_mixed())
+    assert len(calls) == 1
+    assert calls[0][0].shape == (5, 5, 4, 4)
+
+
+def test_tomography_builds_no_kronecker_products(monkeypatch, rng):
+    def refuse(*args):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    rho = random_density(rng, 4)
+    reconstruct(tomograph(rho, ReadoutNoise(sigma=0.05, seed=3)))

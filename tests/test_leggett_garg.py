@@ -93,6 +93,11 @@ class TestLGResult:
         with pytest.raises(ValueError, match=field):
             LGResult(theta=1.0, **values)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, -0.1])
+    def test_rejects_bad_theta_naming_the_field(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            LGResult(theta=theta, c12=0.5, c23=0.5, c13=-0.5, k=1.5)
+
 
 class TestHeisenbergObservable:
     def test_no_evolution(self):
@@ -134,6 +139,30 @@ class TestCorrelationOracle:
         """cos(pi/3) = 1/2 at gap * spacing = pi/3."""
         got = correlation_oracle(maximally_mixed(), SZ, EVO, 0.0, math.pi / 6)
         assert abs(got - 0.5) <= 1e-12
+
+
+NON_HERMITIAN = [[2, 1], [0, -1]]
+
+
+@pytest.mark.parametrize("rho_sys, message", [
+    (NON_HERMITIAN, "Hermitian"),
+    (2.0 * maximally_mixed(), "unit trace"),
+    (np.diag([1.5, -0.5]), "negative eigenvalue"),
+])
+def test_correlators_reject_a_system_state_that_is_no_density(rho_sys, message):
+    """Both routes validate the system state as a density matrix; at one time
+    a non-Hermitian matrix gave C = 0.825 and K = 1.288."""
+    with pytest.raises(ValueError, match=message):
+        correlation_oracle(rho_sys, SZ, EVO, 0.1, 0.4)
+    with pytest.raises(ValueError, match=message):
+        correlation_circuit(rho_sys, SZ, EVO, 0.1, 0.4)
+    with pytest.raises(ValueError, match=message):
+        k_value(rho_sys, SZ, EVO, Schedule(0.0, 0.3, 0.6))
+
+
+def test_circuit_correlator_rejects_a_register_as_system_state():
+    with pytest.raises(ValueError, match="single qubit"):
+        correlation_circuit(np.eye(4) / 4.0, SZ, EVO, 0.1, 0.4)
 
 
 class TestCorrelationCircuit:

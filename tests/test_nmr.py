@@ -136,6 +136,11 @@ class TestReadoutNoise:
         with pytest.raises(ValueError, match="sigma"):
             ReadoutNoise(sigma=math.nan, seed=0)
 
+    @pytest.mark.parametrize("seed", [math.nan, math.inf, 1.5])
+    def test_rejects_a_non_integral_seed_naming_it(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ReadoutNoise(sigma=0.1, seed=seed)
+
 
 class TestTomograph:
     def test_probe_system_input_state(self):
