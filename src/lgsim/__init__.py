@@ -23,6 +23,7 @@ from .leggett_garg import (
     Evolution,
     LGResult,
     Schedule,
+    SweepResult,
     analytic_k,
     correlation_batch,
     correlation_circuit,

@@ -177,14 +177,19 @@ def scattering_gates(h: np.ndarray, obs: np.ndarray, theta_k, theta_m):
     ``theta_k`` and ``theta_m`` are numbers or arrays that broadcast against
     each other; the gates then describe one circuit per pair.  ``obs`` is
     validated once (``Evolve`` checks ``h``) and the ordering
-    0 <= theta_k <= theta_m in one vectorised test.
+    0 <= theta_k <= theta_m in one vectorised test on the broadcast pair.
+    Each ``Evolve`` keeps its own phase un-broadcast, so a number (such as
+    the theta_k = 0 of a sweep's C12 and C13) embeds as one 4x4 matrix
+    rather than a stack of equal ones.
     """
     obs = dichotomic_observable(obs)
-    theta_k, theta_m = np.broadcast_arrays(theta_k, theta_m)
-    bad = ~((0.0 <= theta_k) & (theta_k <= theta_m))
+    theta_k = np.asarray(theta_k, dtype=float)
+    theta_m = np.asarray(theta_m, dtype=float)
+    low, high = np.broadcast_arrays(theta_k, theta_m)
+    bad = ~((0.0 <= low) & (low <= high))
     if bad.any():
         raise ValueError(f"need theta_m >= theta_k >= 0, got "
-                         f"({theta_k[bad][0]}, {theta_m[bad][0]})")
+                         f"({low[bad][0]}, {high[bad][0]})")
     return (
         Hadamard(PROBE),
         Evolve(SYSTEM, h, theta_k),

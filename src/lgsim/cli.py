@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .circuit import Circuit, run, scattering_gates
-from .leggett_garg import (Evolution, LGResult, analytic_k, find_violations,
+from .leggett_garg import (Evolution, SweepResult, analytic_k, find_violations,
                            observable_from_state, sweep)
 from .linalg import overlap_fidelity, partial_trace, trace_distance
 from .nmr import (
@@ -266,7 +266,7 @@ def parse_config(argv: list[str], environ=None) -> RunConfig:
 # command implementations
 
 
-def _sweep_results(cfg: RunConfig) -> list[LGResult]:
+def _sweep_results(cfg: RunConfig) -> SweepResult:
     rho_sys = classical_mixture(*cfg.populations)
     return sweep(
         Evolution(omega=1.0),
@@ -283,18 +283,16 @@ def _compute(cfg: RunConfig):
     if cfg.command == "sweep":
         results = _sweep_results(cfg)
         header = ["theta", "c12", "c23", "c13", "k", "k_analytic", "abs_error"]
-        exact = [analytic_k(r.theta) for r in results]
-        rows = [
-            [r.theta, r.c12, r.c23, r.c13, r.k, k, abs(r.k - k)]
-            for r, k in zip(results, exact)
-        ]
-        return header, rows, results
+        exact = analytic_k(results.theta)
+        columns = (results.theta, results.c12, results.c23, results.c13,
+                   results.k, exact, np.abs(results.k - exact))
+        return header, _rows(columns), results
 
     if cfg.command == "correlations":
         results = _sweep_results(cfg)
         header = ["theta", "c12", "c23", "c13"]
-        rows = [[r.theta, r.c12, r.c23, r.c13] for r in results]
-        return header, rows, results
+        columns = (results.theta, results.c12, results.c23, results.c13)
+        return header, _rows(columns), results
 
     if cfg.command == "noninvasive-check":
         header = ["state", "max_trace_distance"]
@@ -330,6 +328,11 @@ def _compute(cfg: RunConfig):
     raise UsageError(f"unknown command {cfg.command!r}")
 
 
+def _rows(columns) -> list[tuple[float, ...]]:
+    """The rows of a table given as equal-length float columns."""
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def _max_disturbance(cfg: RunConfig, rho_sys: np.ndarray) -> float:
     """Worst-case change of the system state over a 5x5 grid of time pairs,
     run as one stack of 25 circuits."""
@@ -340,8 +343,8 @@ def _max_disturbance(cfg: RunConfig, rho_sys: np.ndarray) -> float:
     phases = np.linspace(cfg.theta_min / 2.0, cfg.theta_max / 2.0, 5)
     a, b = np.meshgrid(phases, phases)
     gates = scattering_gates(evo.hamiltonian, obs, np.minimum(a, b), np.maximum(a, b))
-    reduced = partial_trace(run(Circuit(gates), rho_in), "system").reshape(-1, 2, 2)
-    return max(trace_distance(state, rho_sys) for state in reduced)
+    reduced = partial_trace(run(Circuit(gates), rho_in), "system")
+    return float(np.max(trace_distance(reduced, rho_sys)))
 
 
 # --------------------------------------------------------------------------
@@ -360,13 +363,13 @@ def _fmt(value) -> str:
     return f"{_clean(float(value)):.9f}"
 
 
-def emit_csv(header: list[str], rows: list[list]) -> str:
+def emit_csv(header: list[str], rows: list) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def emit_json(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
+def emit_json(cfg: RunConfig, header: list[str], rows: list) -> str:
     def jsonable(value):
         if isinstance(value, str):
             return value
@@ -401,26 +404,23 @@ def _svg_scales(theta_lo, theta_hi, y_lo, y_hi):
     return sx, sy, y_lo, y_hi
 
 
-def emit_svg(cfg: RunConfig, results: list[LGResult]) -> str:
+def emit_svg(cfg: RunConfig, results: SweepResult) -> str:
     """Self-contained SVG of the swept curves.
 
     For ``sweep``: the K(theta) polyline, the dashed classical bound K = 1,
     and one shaded band per violation interval.  For ``correlations``: the
     three correlator polylines.  No external references of any kind.
     """
-    thetas = [r.theta for r in results]
+    thetas = results.theta
     if cfg.command == "sweep":
-        series = [("K", [r.k for r in results])]
+        series = [("K", results.k)]
         bands = find_violations(results)
     else:
-        series = [
-            ("C12", [r.c12 for r in results]),
-            ("C23", [r.c23 for r in results]),
-            ("C13", [r.c13 for r in results]),
-        ]
+        series = [("C12", results.c12), ("C23", results.c23), ("C13", results.c13)]
         bands = []
-    y_all = [v for _, ys in series for v in ys] + [1.0]
-    sx, sy, y_lo, y_hi = _svg_scales(thetas[0], thetas[-1], min(y_all), max(y_all))
+    y_lo = min(1.0, *(ys.min() for _, ys in series))
+    y_hi = max(1.0, *(ys.max() for _, ys in series))
+    sx, sy, y_lo, y_hi = _svg_scales(thetas[0], thetas[-1], y_lo, y_hi)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
@@ -451,9 +451,10 @@ def emit_svg(cfg: RunConfig, results: list[LGResult]) -> str:
         f'x2="{_SVG_W - _SVG_MR}" y2="{sy(1.0):.2f}" stroke="#888888" '
         f'stroke-width="1" stroke-dasharray="6,4"/>'
     )
+    xs = sx(thetas).tolist()
     for (label, values), color in zip(series, _CURVE_COLORS):
         points = " ".join(
-            f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(thetas, values)
+            f"{x:.2f},{y:.2f}" for x, y in zip(xs, sy(values).tolist())
         )
         parts.append(
             f'<polyline class="curve" fill="none" stroke="{color}" '

@@ -6,9 +6,11 @@ reference normalization) and a direct Heisenberg-picture trace that serves as
 the oracle the circuit is validated against.  All circuit correlators run
 through ``correlation_batch``, as stacks of time pairs sharing one reference.
 ``k_value`` assembles K = C12 + C23 - C13 from circuit correlators for an
-equally spaced three-measurement schedule; ``analytic_k`` evaluates the closed-form
-prediction 2 cos(theta) - cos(2 theta), where theta is the dimensionless
-phase (energy gap) x (spacing) accumulated between consecutive measurements.
+equally spaced three-measurement schedule, and ``sweep`` does so over a theta
+grid, returning the curve as the columns of one ``SweepResult``;
+``analytic_k`` evaluates the closed-form prediction 2 cos(theta) - cos(2 theta),
+where theta is the dimensionless phase (energy gap) x (spacing) accumulated
+between consecutive measurements.
 
 hbar = 1 throughout: times, frequencies and energies enter only through
 phases.
@@ -17,7 +19,8 @@ phases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -112,6 +115,55 @@ class LGResult:
             raise ValueError("k is inconsistent with c12 + c23 - c13")
 
 
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """A theta sweep as five read-only float columns of equal length.
+
+    The columns pass ``LGResult``'s checks once, vectorised; the first bad
+    value is named in the error.  ``len``, integer indexing and iteration
+    give ``LGResult`` points, and a slice gives another ``SweepResult``.
+    """
+
+    theta: np.ndarray
+    c12: np.ndarray
+    c23: np.ndarray
+    c13: np.ndarray
+    k: np.ndarray
+
+    def __post_init__(self):
+        for field in fields(self):
+            column = np.array(getattr(self, field.name), dtype=float)
+            if column.ndim != 1 or len(column) != len(self.theta):
+                raise ValueError("sweep columns must be 1-d and of equal length")
+            column.flags.writeable = False
+            object.__setattr__(self, field.name, column)
+        _first_bad("theta must be finite and >= 0, got",
+                   self.theta, (0.0 <= self.theta) & (self.theta < math.inf))
+        for name in ("c12", "c23", "c13"):
+            column = getattr(self, name)
+            _first_bad(f"|{name}| exceeds 1:", column, np.abs(column) <= 1.0 + 1e-10)
+        _first_bad("k is inconsistent with c12 + c23 - c13:", self.k,
+                   np.abs(self.k - (self.c12 + self.c23 - self.c13)) <= 1e-12)
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepResult(*(getattr(self, f.name)[index] for f in fields(self)))
+        return LGResult(*(float(getattr(self, f.name)[index]) for f in fields(self)))
+
+    def __iter__(self):
+        columns = (getattr(self, f.name).tolist() for f in fields(self))
+        return (LGResult(*point) for point in zip(*columns))
+
+
+def _first_bad(message: str, column: np.ndarray, ok: np.ndarray) -> None:
+    """Raise ``message`` with the first value of ``column`` where ``ok`` fails."""
+    if not ok.all():
+        raise ValueError(f"{message} {float(column[np.argmin(ok)])!r}")
+
+
 def heisenberg_observable(obs, evo: Evolution, t: float) -> np.ndarray:
     """O(t) = exp(+iHt) O exp(-iHt); stays Hermitian and dichotomic.
 
@@ -119,7 +171,11 @@ def heisenberg_observable(obs, evo: Evolution, t: float) -> np.ndarray:
     cos(2*omega*t)*sigma_z + sin(2*omega*t)*sigma_y.  The sign of the sigma_y
     term is convention-dependent and drops out of every reported quantity.
     """
-    obs = dichotomic_observable(obs)
+    return _heisenberg(dichotomic_observable(obs), evo, t)
+
+
+def _heisenberg(obs: np.ndarray, evo: Evolution, t: float) -> np.ndarray:
+    """``heisenberg_observable`` for an already validated ``obs``."""
     forward = expm_hermitian(evo.hamiltonian, t)
     backward = expm_hermitian(evo.hamiltonian, -t)
     return backward @ obs @ forward
@@ -131,12 +187,12 @@ def correlation_oracle(
     """Re Tr[rho_sys O(t_m) O(t_k)] computed directly in the Heisenberg picture.
 
     This is the brute-force route the circuit is checked against; it never
-    touches the probe or the circuit machinery.
+    touches the probe or the circuit machinery.  ``obs`` is validated once
+    for both times.
     """
     rho_sys = density(rho_sys)
-    product = heisenberg_observable(obs, evo, t_m) @ heisenberg_observable(
-        obs, evo, t_k
-    )
+    obs = dichotomic_observable(obs)
+    product = _heisenberg(obs, evo, t_m) @ _heisenberg(obs, evo, t_k)
     return float(np.trace(rho_sys @ product).real)
 
 
@@ -193,9 +249,10 @@ def correlation_circuit(
     return correlation_batch(rho_sys, obs, evo, [(t_k, t_m)], probe_eps)[0]
 
 
-def analytic_k(theta: float) -> float:
-    """Closed-form prediction K(theta) = 2 cos(theta) - cos(2 theta)."""
-    return 2.0 * math.cos(theta) - math.cos(2.0 * theta)
+def analytic_k(theta):
+    """Closed-form prediction K(theta) = 2 cos(theta) - cos(2 theta), for a
+    number or elementwise for an array of thetas."""
+    return 2.0 * np.cos(theta) - np.cos(2.0 * theta)
 
 
 def k_value(
@@ -223,21 +280,23 @@ def sweep(
     theta_max: float,
     steps: int,
     obs=None,
-) -> list[LGResult]:
+) -> SweepResult:
     """Evaluate K on a uniform theta grid, endpoints included.
 
     theta is the canonical parameter; the measurement spacing is recovered as
     theta / energy_gap, with measurements taken at times (0, dt, 2*dt).
     ``obs`` defaults to the observable built from |0>, i.e. sigma_z.  Each
     correlator runs as one stack over the whole grid, all three against one
-    reference; results equal per-point ``k_value`` calls.
+    reference; the columns equal per-point ``k_value`` calls.
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    if not theta_min < theta_max:
-        raise ValueError(f"need theta_min < theta_max, got ({theta_min}, {theta_max})")
-    if theta_min < 0.0:
-        raise ValueError(f"theta_min must be >= 0, got {theta_min}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 2:
+        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+    if not 0.0 <= theta_min < math.inf:
+        raise ValueError(f"theta_min must be finite and >= 0, got {theta_min!r}")
+    if not theta_min < theta_max < math.inf:
+        raise ValueError(
+            f"theta_max must be finite and > theta_min, got ({theta_min}, {theta_max})"
+        )
     if evo.omega <= 0.0:
         raise ValueError("sweep needs omega > 0 to map theta onto a time spacing")
     obs = observable_from_state(KET0) if obs is None else obs
@@ -245,50 +304,50 @@ def sweep(
     stacks = correlation_batch(
         rho_sys, obs, evo, [(0.0, dt), (dt, 2.0 * dt), (0.0, 2.0 * dt)], probe_eps
     )
-    c12, c23, c13 = (normalized.tolist() for _, normalized in stacks)
-    return [
-        LGResult(theta=theta, c12=a, c23=b, c13=c, k=a + b - c)
-        for theta, a, b, c in zip((evo.energy_gap * dt).tolist(), c12, c23, c13)
-    ]
+    c12, c23, c13 = (normalized for _, normalized in stacks)
+    return SweepResult(evo.energy_gap * dt, c12, c23, c13, c12 + c23 - c13)
 
 
 def find_violations(
-    results: list[LGResult],
+    results: SweepResult | list[LGResult],
     threshold: float = 1.0,
     k_fn=analytic_k,
 ) -> list[tuple[float, float]]:
     """Maximal theta intervals where K exceeds the classical bound.
 
-    Grid membership uses K > threshold + 1e-12, so the exact K = threshold
-    boundary is never flagged.  Interval endpoints falling between grid
-    points are refined by bisecting ``k_fn`` (the continuation of the swept
-    curve) down to 1e-9.
+    ``results`` is a ``SweepResult`` or a list of ``LGResult`` points, sorted
+    by theta.  Grid membership uses K > threshold + 1e-12, so the exact
+    K = threshold boundary is never flagged.  Interval endpoints falling
+    between grid points are refined by bisecting ``k_fn`` (the continuation
+    of the swept curve) down to 1e-9.
     """
-    if not results:
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
+    if isinstance(results, SweepResult):
+        thetas, ks = results.theta, results.k
+    else:
+        thetas = np.array([r.theta for r in results], dtype=float)
+        ks = np.array([r.k for r in results], dtype=float)
+    if not len(thetas):
         raise ValueError("find_violations needs at least one sweep point")
-    thetas = [r.theta for r in results]
-    if any(b <= a for a, b in zip(thetas, thetas[1:])):
+    if (np.diff(thetas) <= 0.0).any():
         raise ValueError("results must be sorted by strictly increasing theta")
 
-    above = [r.k > threshold + _VIOLATION_GUARD for r in results]
+    # Padded with False on both sides, the mask changes value exactly at the
+    # first index of each run and one past its last.
+    above = np.concatenate(([False], ks > threshold + _VIOLATION_GUARD, [False]))
+    edges = np.flatnonzero(np.diff(above)).tolist()
+    thetas = thetas.tolist()
+    n = len(thetas)
     intervals: list[tuple[float, float]] = []
-    i = 0
-    n = len(results)
-    while i < n:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and above[j + 1]:
-            j += 1
-        lo = thetas[i]
-        if i > 0:
-            lo = _bisect_crossing(k_fn, threshold, thetas[i - 1], thetas[i])
-        hi = thetas[j]
-        if j + 1 < n:
-            hi = _bisect_crossing(k_fn, threshold, thetas[j + 1], thetas[j])
+    for first, stop in zip(edges[::2], edges[1::2]):
+        lo = thetas[first]
+        if first > 0:
+            lo = _bisect_crossing(k_fn, threshold, thetas[first - 1], lo)
+        hi = thetas[stop - 1]
+        if stop < n:
+            hi = _bisect_crossing(k_fn, threshold, thetas[stop], hi)
         intervals.append((lo, hi))
-        i = j + 1
     return intervals
 
 

@@ -33,18 +33,19 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def operator(entries) -> np.ndarray:
-    """Coerce ``entries`` to a square complex matrix of dimension 2 or 4.
+def operator(entries, *, stack: bool = False) -> np.ndarray:
+    """Coerce ``entries`` to a square complex matrix of dimension 2 or 4, or
+    with ``stack`` to a ``(..., n, n)`` stack of such matrices.
 
     Rejects non-square shapes, dimensions other than 2 and 4 (the register
     here is never larger than one probe plus one system qubit) and non-finite
     entries.
     """
     m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
-    if m.shape[0] not in (2, 4):
-        raise ValueError(f"operator dimension must be 2 or 4, got {m.shape[0]}")
+    if m.shape[-1] not in (2, 4):
+        raise ValueError(f"operator dimension must be 2 or 4, got {m.shape[-1]}")
     if not np.isfinite(m).all():
         raise ValueError("operator entries must be finite")
     return m
@@ -62,7 +63,8 @@ def _register(rho, what: str, *, stack: bool = True) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    """Whether the matrix, or every matrix of the stack, ``m`` is Hermitian."""
+    return bool(np.max(np.abs(m - dagger(m))) <= tol)
 
 
 def unitary(entries) -> np.ndarray:
@@ -250,13 +252,21 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the sum of |eigenvalues| of (a - b); in [0, 1] for states."""
-    a, b = operator(a), operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    evals, _ = eig_hermitian(a - b)
-    return 0.5 * float(np.sum(np.abs(evals)))
+def trace_distance(a: np.ndarray, b: np.ndarray):
+    """Half the sum of |eigenvalues| of (a - b); in [0, 1] for states.
+
+    ``a`` and ``b`` may be ``(..., n, n)`` stacks whose leading axes
+    broadcast: the result is then an array over those axes, from one
+    eigenvalue call.  A single pair gives a float.
+    """
+    a, b = operator(a, stack=True), operator(b, stack=True)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    diff = a - b
+    if not is_hermitian(diff):
+        raise ValueError("trace_distance requires Hermitian inputs")
+    distance = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    return float(distance) if distance.ndim == 0 else distance
 
 
 def overlap_fidelity(a: np.ndarray, b: np.ndarray) -> float:

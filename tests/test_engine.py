@@ -34,6 +34,7 @@ from lgsim.circuit import (
 )
 from lgsim.leggett_garg import (
     Evolution,
+    LGResult,
     Schedule,
     analytic_k,
     correlation_batch,
@@ -52,6 +53,7 @@ from lgsim.linalg import (
     expm_hermitian,
     kron,
     partial_trace,
+    trace_distance,
 )
 from lgsim.nmr import ReadoutNoise, T2Config, reconstruct, t2_dephase, tomograph
 from lgsim.states import (
@@ -60,6 +62,7 @@ from lgsim.states import (
     gradient_dephase_prepare,
     maximally_mixed,
     pseudo_pure,
+    pure_density,
 )
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -264,6 +267,35 @@ def test_sweep_equals_per_point_k_value(omega, p0, eps, bounds):
             assert abs(getattr(r, name) - getattr(want, name)) <= 1e-12, name
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    omega=omegas,
+    p0=st.floats(0.0, 1.0),
+    eps=epsilons,
+    obs=direction.map(unit_observable),
+    bounds=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.01, 2 * math.pi)),
+    steps=st.integers(2, 80),
+)
+def test_sweep_points_equal_the_point_list_of_a_fully_stacked_engine(
+        omega, p0, eps, obs, bounds, steps):
+    """The points of a ``SweepResult`` equal, bitwise, the ``LGResult`` list
+    built point by point from correlators whose zero times are stacks too,
+    as every time pair was before scalar times stayed scalar."""
+    evo = Evolution(omega)
+    rho_sys = classical_mixture(p0, 1.0 - p0)
+    theta_min, width = bounds
+    results = sweep(evo, rho_sys, eps, theta_min, theta_min + width, steps, obs)
+    dt = np.linspace(theta_min, theta_min + width, steps) / evo.energy_gap
+    zero = np.zeros_like(dt)
+    stacks = correlation_batch(rho_sys, obs, evo,
+                               [(zero, dt), (dt, 2.0 * dt), (zero, 2.0 * dt)], eps)
+    c12, c23, c13 = (normalized.tolist() for _, normalized in stacks)
+    want = [LGResult(theta=theta, c12=a, c23=b, c13=c, k=a + b - c)
+            for theta, a, b, c in zip((evo.energy_gap * dt).tolist(), c12, c23, c13)]
+    assert list(results) == want
+    assert [results[i] for i in range(-steps, steps)] == want + want
+
+
 @pytest.mark.parametrize("omega", [0.25, 0.7, 2.0, 4.0])
 def test_sweep_reproduces_the_analytic_curve_away_from_unit_omega(omega):
     results = sweep(Evolution(omega), classical_mixture(0.3, 0.7), 0.6,
@@ -303,6 +335,26 @@ def test_default_sweep_runs_at_most_four_circuit_stacks(run_calls):
                     0.0, 2 * math.pi, 721)
     assert len(results) == 721
     assert 1 <= len(run_calls) <= 4
+
+
+def test_default_sweep_stacks_only_the_angles_that_vary(monkeypatch):
+    """Four circuits of two free evolutions each: the reference and the
+    zero theta_k of C12 and C13 stay single 2x2 exponentials."""
+    calls = counting(lgsim.circuit, "expm_hermitian", monkeypatch)
+    sweep(Evolution(1.0), classical_mixture(0.5, 0.5), 1.0, 0.0, 2 * math.pi, 721)
+    assert len(calls) == 8
+    assert [np.ndim(angle) for _, angle in calls].count(1) == 4
+    assert all(np.shape(angle) in ((), (721,)) for _, angle in calls)
+
+
+def test_scattering_gates_keep_each_phase_unbroadcast():
+    t_m = np.linspace(0.0, 1.0, 5)
+    gates = scattering_gates(SIGMA_X, SIGMA_Z, 0.0, t_m)
+    assert np.shape(gates[1].phase) == ()
+    assert np.shape(gates[3].phase) == (5,)
+    assert embed(gates[1]).shape == (4, 4)
+    with pytest.raises(ValueError, match=r"theta_k >= 0, got \(0.5, 0.0\)"):
+        scattering_gates(SIGMA_X, SIGMA_Z, 0.5, t_m)
 
 
 def test_k_value_and_correlator_run_one_stack_and_one_reference(run_calls):
@@ -473,6 +525,48 @@ def test_max_disturbance_takes_one_partial_trace(monkeypatch):
     lgsim.cli._max_disturbance(config, maximally_mixed())
     assert len(calls) == 1
     assert calls[0][0].shape == (5, 5, 4, 4)
+
+
+def test_max_disturbance_takes_one_trace_distance(monkeypatch):
+    calls = counting(lgsim.cli, "trace_distance", monkeypatch)
+    config = lgsim.cli.parse_config(["noninvasive-check"], environ={})
+    lgsim.cli._max_disturbance(config, pure_density(KET0))
+    assert len(calls) == 1
+    assert calls[0][0].shape == (5, 5, 2, 2)
+
+
+@SETTINGS
+@given(lead=stack_shapes, seed=st.integers(0, 2**32 - 1),
+       dim=st.sampled_from([2, 4]), single=st.booleans())
+def test_trace_distance_of_a_stack_equals_per_state_results(lead, seed, dim, single):
+    """A stack against a stack, or against one state, gives the per-pair
+    floats."""
+    rng = np.random.default_rng(seed)
+    n = math.prod(lead)
+    a = np.array([random_density(rng, dim) for _ in range(n)]).reshape(lead + (dim, dim))
+    b = random_density(rng, dim) if single else np.array(
+        [random_density(rng, dim) for _ in range(n)]).reshape(lead + (dim, dim))
+    got = trace_distance(a, b)
+    if not lead:
+        assert type(got) is float
+    assert np.shape(got) == lead
+    for index in np.ndindex(lead):
+        want = trace_distance(a[index], b if single else b[index])
+        assert abs(np.asarray(got)[index] - want) <= 1e-15
+
+
+def test_trace_distance_rejects_a_non_hermitian_stack_member():
+    stack = np.broadcast_to(np.eye(2) / 2.0, (3, 2, 2)).astype(complex)
+    stack[2, 0, 1] = 0.25
+    with pytest.raises(ValueError, match="Hermitian"):
+        trace_distance(stack, np.eye(2) / 2.0)
+
+
+def test_correlation_oracle_validates_the_observable_once(monkeypatch):
+    calls = counting(lgsim.leggett_garg, "dichotomic_observable", monkeypatch)
+    value = correlation_oracle(maximally_mixed(), SIGMA_Z, Evolution(1.3), 0.2, 0.9)
+    assert len(calls) == 1
+    assert abs(value - math.cos(2 * 1.3 * 0.7)) <= 1e-12
 
 
 def test_tomography_builds_no_kronecker_products(monkeypatch, rng):

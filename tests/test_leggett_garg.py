@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 from conftest import random_density
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgsim.leggett_garg import (
     Evolution,
     LGResult,
     Schedule,
+    SweepResult,
     analytic_k,
     correlation_circuit,
     correlation_oracle,
@@ -312,6 +315,103 @@ class TestSweep:
         with pytest.raises(ValueError, match="omega"):
             sweep(Evolution(0.0), maximally_mixed(), 1.0, 0.0, 1.0, 10)
 
+    @pytest.mark.parametrize("theta_min,theta_max,name", [
+        (0.0, math.inf, "theta_max"),
+        (0.0, math.nan, "theta_max"),
+        (1.0, 0.5, "theta_max"),
+        (math.inf, math.inf, "theta_min"),
+        (math.nan, 1.0, "theta_min"),
+        (-0.1, 1.0, "theta_min"),
+    ])
+    def test_rejects_bad_bounds_naming_the_argument(self, theta_min, theta_max, name):
+        """Checked before any arithmetic: no RuntimeWarning (an error in these
+        tests) and no message about the circuit's time pairs."""
+        with pytest.raises(ValueError, match=name):
+            sweep(EVO, maximally_mixed(), 1.0, theta_min, theta_max, 10)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, "10", None, 1, -4])
+    def test_rejects_steps_that_are_not_an_integer_of_at_least_two(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            sweep(EVO, maximally_mixed(), 1.0, 0.0, 1.0, steps)
+
+    def test_accepts_a_numpy_integer_step_count(self):
+        assert len(sweep(EVO, maximally_mixed(), 1.0, 0.0, 1.0, np.int64(5))) == 5
+
+    def test_returns_read_only_columns(self):
+        results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 2 * math.pi, 9)
+        assert isinstance(results, SweepResult)
+        for name in ("theta", "c12", "c23", "c13", "k"):
+            column = getattr(results, name)
+            assert column.shape == (9,) and column.dtype == float
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+
+
+def columns(n, **overrides):
+    """Valid sweep columns of length ``n`` (K = 1.5 throughout), with
+    ``overrides`` replacing whole columns."""
+    values = {"theta": np.linspace(0.0, 1.0, n), "c12": np.full(n, 0.5),
+              "c23": np.full(n, 0.5), "c13": np.full(n, -0.5), "k": np.full(n, 1.5)}
+    values.update(overrides)
+    return values
+
+
+class TestSweepResult:
+    def test_points_are_lg_results(self):
+        results = SweepResult(**columns(4))
+        assert len(results) == 4
+        assert results[1] == LGResult(theta=1 / 3, c12=0.5, c23=0.5, c13=-0.5, k=1.5)
+        assert results[-1].theta == 1.0
+        assert list(results) == [results[i] for i in range(4)]
+        assert all(type(field) is float for field in vars(results[0]).values())
+
+    def test_slices_are_sweep_results(self):
+        results = SweepResult(**columns(7))
+        part = results[::3]
+        assert isinstance(part, SweepResult)
+        np.testing.assert_array_equal(part.theta, results.theta[::3])
+        assert list(part) == list(results)[::3]
+
+    @pytest.mark.parametrize("name,column,message", [
+        ("theta", [0.0, math.nan, 1.0], "theta must be finite and >= 0, got nan"),
+        ("theta", [0.0, 0.5, math.inf], "theta must be finite and >= 0, got inf"),
+        ("theta", [-1e-3, 0.5, 1.0], "theta must be finite and >= 0, got -0.001"),
+        ("c12", [0.5, 1.25, 0.5], r"\|c12\| exceeds 1: 1.25"),
+        ("c23", [0.5, 0.5, math.nan], r"\|c23\| exceeds 1: nan"),
+        ("c13", [-1.5, -0.5, -0.5], r"\|c13\| exceeds 1: -1.5"),
+        ("k", [1.5, 1.0, 1.5], "k is inconsistent with c12 \\+ c23 - c13: 1.0"),
+        ("k", [1.5, 1.5, math.nan], "k is inconsistent"),
+    ])
+    def test_rejects_a_bad_column_naming_field_and_first_value(self, name, column,
+                                                               message):
+        with pytest.raises(ValueError, match=message):
+            SweepResult(**columns(3, **{name: column}))
+
+    def test_k_tolerance_matches_lg_result(self):
+        SweepResult(**columns(3, k=np.full(3, 1.5 + 5e-13)))
+        LGResult(theta=0.0, c12=0.5, c23=0.5, c13=-0.5, k=1.5 + 5e-13)
+
+    @pytest.mark.parametrize("override", [{"k": np.full(2, 1.5)},
+                                          {"theta": np.zeros((3, 1))}])
+    def test_rejects_ragged_or_stacked_columns(self, override):
+        with pytest.raises(ValueError, match="1-d and of equal length"):
+            SweepResult(**columns(3, **override))
+
+    def test_columns_are_read_only_copies(self):
+        theta = np.linspace(0.0, 1.0, 3)
+        results = SweepResult(**columns(3, theta=theta))
+        theta[0] = 5.0
+        assert results.theta[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            results.k[0] = 0.0
+        with pytest.raises(AttributeError):
+            results.k = np.zeros(3)
+
+    def test_exported_from_the_package(self):
+        import lgsim
+
+        assert lgsim.SweepResult is SweepResult
+
 
 class TestFindViolations:
     def test_full_cycle_has_two_regions(self):
@@ -343,6 +443,34 @@ class TestFindViolations:
         with pytest.raises(ValueError, match="sorted"):
             find_violations([a, b])
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_threshold(self, threshold):
+        results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 2 * math.pi, 11)
+        with pytest.raises(ValueError, match="threshold"):
+            find_violations(results, threshold=threshold)
+
+    def test_columns_and_points_agree(self):
+        results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 2 * math.pi, 181)
+        assert find_violations(results) == find_violations(list(results))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask=st.lists(st.booleans(), min_size=1, max_size=40),
+           steps=st.lists(st.floats(0.01, 1.0), min_size=40, max_size=40),
+           threshold=st.sampled_from([0.5, 1.0]))
+    def test_equals_the_point_loop_on_any_mask(self, mask, steps, threshold):
+        """Runs anywhere, including those that touch either end of the grid."""
+        n = len(mask)
+        thetas = np.cumsum(steps[:n])
+        ks = np.where(mask, threshold + 0.25, threshold - 0.25)
+        results = SweepResult(thetas, ks / 2, ks / 2, np.zeros(n), ks)
+
+        def k_fn(theta):  # a continuation crossing the threshold in each gap
+            return threshold + 0.25 * math.cos(7.0 * theta)
+
+        want = point_loop_violations(list(results), threshold, k_fn)
+        assert find_violations(results, threshold, k_fn) == want
+        assert find_violations(list(results), threshold, k_fn) == want
+
     def test_boundary_point_not_flagged(self):
         """K = 1 exactly (theta = 0) sits on the bound, not above it.
 
@@ -351,3 +479,30 @@ class TestFindViolations:
         """
         results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 1e-9, 2)
         assert find_violations(results) == []
+
+
+def point_loop_violations(results, threshold, k_fn):
+    """``find_violations`` as a walk over the points, one run at a time: the
+    reference the columnar version is checked against."""
+    from lgsim.leggett_garg import _bisect_crossing
+
+    thetas = [r.theta for r in results]
+    above = [r.k > threshold + 1e-12 for r in results]
+    intervals = []
+    i, n = 0, len(results)
+    while i < n:
+        if not above[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and above[j + 1]:
+            j += 1
+        lo = thetas[i]
+        if i > 0:
+            lo = _bisect_crossing(k_fn, threshold, thetas[i - 1], thetas[i])
+        hi = thetas[j]
+        if j + 1 < n:
+            hi = _bisect_crossing(k_fn, threshold, thetas[j + 1], thetas[j])
+        intervals.append((lo, hi))
+        i = j + 1
+    return intervals
