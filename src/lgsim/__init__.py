@@ -37,7 +37,6 @@ from .leggett_garg import (
 )
 from .linalg import (
     IDENTITY_2,
-    IDENTITY_4,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -46,11 +45,9 @@ from .linalg import (
     eig_hermitian,
     expm_hermitian,
     kron,
-    matmul,
     operator,
     overlap_fidelity,
     partial_trace,
-    trace,
     trace_distance,
     unitary,
 )

@@ -5,7 +5,10 @@ left Kronecker factor) and ``system``.  A circuit is an ordered list of gates
 drawn from three kinds: a Hadamard on one wire, a free evolution
 exp(-i*phase*h) on one wire, and a controlled unitary between the wires.
 Running a circuit conjugates the input density matrix by the ordered product
-of the embedded 4x4 gate unitaries.
+of the embedded 4x4 gate unitaries.  Gates validate on construction and keep
+the checked operator: an ``Evolve`` its one-wire exponential, a
+``ControlledU`` the array ``unitary`` returns.  ``embed``, ``circuit_unitary``
+and ``run`` trust them and check nothing again.
 
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
 then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
@@ -35,9 +38,7 @@ from .linalg import (
     dagger,
     dichotomic_observable,
     expm_hermitian,
-    is_hermitian,
     kron,
-    operator,
     unitary,
 )
 
@@ -67,21 +68,26 @@ class Hadamard:
 @dataclass(frozen=True)
 class Evolve:
     """Free evolution exp(-i * phase * hamiltonian) on one wire (``phase``
-    may be an array: a stack of gates)."""
+    may be an array: a stack of gates).  ``one_wire`` is that exponential,
+    made, and ``hamiltonian`` and ``phase`` checked, by ``expm_hermitian``
+    on construction."""
 
     wire: str
     hamiltonian: np.ndarray
     phase: float | np.ndarray
+    one_wire: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_wire(self.wire)
-        h = operator(self.hamiltonian)
-        if h.shape[0] != 2 or not is_hermitian(h):
-            raise ValueError("Evolve needs a 2x2 Hermitian generator")
+        object.__setattr__(self, "one_wire",
+                           expm_hermitian(self.hamiltonian, self.phase))
 
 
 @dataclass(frozen=True)
 class ControlledU:
+    """U on ``target`` when ``control`` is |1>; ``u`` is kept as the array
+    ``unitary`` returns."""
+
     control: str
     target: str
     u: np.ndarray
@@ -91,7 +97,7 @@ class ControlledU:
         _check_wire(self.target)
         if self.control == self.target:
             raise ValueError("control and target must be distinct wires")
-        unitary(self.u)
+        object.__setattr__(self, "u", unitary(self.u))
 
 
 Gate = Hadamard | Evolve | ControlledU
@@ -111,22 +117,20 @@ def embed(gate: Gate) -> np.ndarray:
 
     Single-wire gates are tensored with the identity on the other wire; a
     controlled gate becomes |0><0|_c (x) I + |1><1|_c (x) U with the factor
-    order fixed by probe = left.
+    order fixed by probe = left.  The gates' operators were checked when the
+    gates were built, so nothing is validated here.
     """
+    if isinstance(gate, ControlledU):
+        if gate.control == PROBE:
+            return kron(_P0, IDENTITY_2) + kron(_P1, gate.u)
+        return kron(IDENTITY_2, _P0) + kron(gate.u, _P1)
     if isinstance(gate, Hadamard):
         one_wire = HADAMARD
-        wire = gate.wire
     elif isinstance(gate, Evolve):
-        one_wire = expm_hermitian(gate.hamiltonian, gate.phase)
-        wire = gate.wire
-    elif isinstance(gate, ControlledU):
-        u = np.asarray(gate.u, dtype=complex)
-        if gate.control == PROBE:
-            return kron(_P0, IDENTITY_2) + kron(_P1, u)
-        return kron(IDENTITY_2, _P0) + kron(u, _P1)
+        one_wire = gate.one_wire
     else:
         raise TypeError(f"unknown gate kind: {gate!r}")
-    if wire == PROBE:
+    if gate.wire == PROBE:
         return kron(one_wire, IDENTITY_2)
     return kron(IDENTITY_2, one_wire)
 
@@ -176,26 +180,28 @@ def scattering_gates(h: np.ndarray, obs: np.ndarray, theta_k, theta_m):
 
     ``theta_k`` and ``theta_m`` are numbers or arrays that broadcast against
     each other; the gates then describe one circuit per pair.  ``obs`` is
-    validated once (``Evolve`` checks ``h``) and the ordering
-    0 <= theta_k <= theta_m in one vectorised test on the broadcast pair.
-    Each ``Evolve`` keeps its own phase un-broadcast, so a number (such as
-    the theta_k = 0 of a sweep's C12 and C13) embeds as one 4x4 matrix
-    rather than a stack of equal ones.
+    validated once, into the one ``ControlledU`` both controlled slots hold
+    (each ``Evolve`` checks ``h``), and the ordering
+    0 <= theta_k <= theta_m < inf in one vectorised test on the broadcast
+    pair.  Each ``Evolve`` keeps its own phase un-broadcast, so a number
+    (such as the theta_k = 0 of a sweep's C12 and C13) embeds as one 4x4
+    matrix rather than a stack of equal ones.
     """
     obs = dichotomic_observable(obs)
     theta_k = np.asarray(theta_k, dtype=float)
     theta_m = np.asarray(theta_m, dtype=float)
     low, high = np.broadcast_arrays(theta_k, theta_m)
-    bad = ~((0.0 <= low) & (low <= high))
+    bad = ~((0.0 <= low) & (low <= high) & (high < math.inf))
     if bad.any():
-        raise ValueError(f"need theta_m >= theta_k >= 0, got "
+        raise ValueError(f"need inf > theta_m >= theta_k >= 0, got "
                          f"({low[bad][0]}, {high[bad][0]})")
+    controlled = ControlledU(PROBE, SYSTEM, obs)
     return (
         Hadamard(PROBE),
         Evolve(SYSTEM, h, theta_k),
-        ControlledU(PROBE, SYSTEM, obs),
+        controlled,
         Evolve(SYSTEM, h, theta_m - theta_k),
-        ControlledU(PROBE, SYSTEM, obs),
+        controlled,
         Hadamard(PROBE),
     )
 

@@ -62,8 +62,8 @@ class Evolution:
     omega: float
 
     def __post_init__(self):
-        if not self.omega >= 0.0:
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
+        if not 0.0 <= self.omega < math.inf:
+            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
 
     @property
     def hamiltonian(self) -> np.ndarray:
@@ -83,6 +83,9 @@ class Schedule:
     t3: float
 
     def __post_init__(self):
+        for name in ("t1", "t2", "t3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.t1 <= self.t2 <= self.t3:
             raise ValueError(
                 f"need t1 <= t2 <= t3, got ({self.t1}, {self.t2}, {self.t3})"

@@ -2,10 +2,12 @@
 
 Everything in this package is a plain ``numpy`` array of ``complex`` entries;
 states, gates and observables are 2x2 or 4x4 matrices.  The constructors
-``operator``, ``unitary``, ``density`` and ``dichotomic_observable`` validate
-the respective invariants once, on entry into the library; the algebraic
-operations below then assume valid inputs and stay pure.  All values are
-immutable by convention, so the whole module is safe for concurrent use.
+``operator``, ``unitary``, ``density`` and ``dichotomic_observable``, and
+``expm_hermitian`` for its generator, validate the respective invariants once,
+on entry into the library; Hermitian operands all pass the one private
+``_hermitian`` check.  The algebraic operations below then assume valid
+inputs and stay pure.  All values are immutable by convention, so the whole
+module is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ POSITIVITY_TOL = 1e-10
 _STACK_KERNEL_MIN = 32
 
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -62,6 +63,16 @@ def _register(rho, what: str, *, stack: bool = True) -> np.ndarray:
     return rho
 
 
+def _hermitian(entries, what: str, dim: int | None = None) -> np.ndarray:
+    """Coerce ``entries`` with ``operator`` and raise unless it is Hermitian,
+    and of dimension ``dim`` when given; ``what`` names the operand."""
+    m = operator(entries)
+    if (dim is not None and m.shape[0] != dim) or not is_hermitian(m):
+        size = f"{dim}x{dim} " if dim else ""
+        raise ValueError(f"{what} must be {size}Hermitian")
+    return m
+
+
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """Whether the matrix, or every matrix of the stack, ``m`` is Hermitian."""
     return bool(np.max(np.abs(m - dagger(m))) <= tol)
@@ -86,9 +97,7 @@ def density(entries) -> np.ndarray:
     Positivity is checked with slack ``-1e-10`` on the smallest eigenvalue to
     absorb round-off from repeated 4x4 products.
     """
-    rho = operator(entries)
-    if not is_hermitian(rho):
-        raise ValueError("density matrix must be Hermitian")
+    rho = _hermitian(entries, "density matrix")
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {tr:.12g}")
@@ -100,20 +109,10 @@ def density(entries) -> np.ndarray:
 
 def dichotomic_observable(entries) -> np.ndarray:
     """Validate a 2x2 Hermitian observable with O^2 = I (eigenvalues +-1)."""
-    obs = operator(entries)
-    if obs.shape[0] != 2 or not is_hermitian(obs):
-        raise ValueError("observable must be 2x2 Hermitian")
+    obs = _hermitian(entries, "observable", 2)
     if np.max(np.abs(obs @ obs - IDENTITY_2)) > HERMITIAN_TOL:
         raise ValueError("observable must be dichotomic (square to the identity)")
     return obs
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two equal-dimension operators."""
-    a, b = operator(a), operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,11 +185,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.asarray(a, dtype=complex), -1, -2).conj()
 
 
-def trace(a: np.ndarray) -> complex:
-    """Sum of diagonal entries."""
-    return complex(np.trace(np.asarray(a, dtype=complex)))
-
-
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     """Reduced state of one wire of a two-qubit register, or of each
     register state of a ``(..., 4, 4)`` stack.
@@ -217,11 +211,7 @@ def expm_hermitian(h: np.ndarray, angle) -> np.ndarray:
     which is exact for a single qubit; no series or scaling-and-squaring is
     involved.
     """
-    h = operator(h)
-    if h.shape[0] != 2:
-        raise ValueError("expm_hermitian is defined for 2x2 generators only")
-    if not is_hermitian(h):
-        raise ValueError("expm_hermitian requires a Hermitian generator")
+    h = _hermitian(h, "generator", 2)
     angle = np.asarray(angle, dtype=float)[..., None, None]
     if not np.isfinite(angle).all():
         raise ValueError("expm_hermitian requires finite angles")
@@ -245,11 +235,7 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ascending order and the matching eigenvectors as columns of a unitary
     matrix.
     """
-    h = operator(h)
-    if not is_hermitian(h):
-        raise ValueError("eig_hermitian requires a Hermitian matrix")
-    evals, evecs = np.linalg.eigh(h)
-    return evals, evecs
+    return np.linalg.eigh(_hermitian(h, "eig_hermitian matrix"))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray):
@@ -276,11 +262,9 @@ def overlap_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     traceless deviation matrices where state fidelities do not apply.  The
     value lies in [-1, 1].
     """
-    a, b = operator(a), operator(b)
+    a, b = _hermitian(a, "overlap_fidelity a"), _hermitian(b, "overlap_fidelity b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if not is_hermitian(a) or not is_hermitian(b):
-        raise ValueError("overlap_fidelity requires Hermitian inputs")
     na = np.trace(a @ a).real
     nb = np.trace(b @ b).real
     if na <= 0.0 or nb <= 0.0:

@@ -111,8 +111,8 @@ class ReadoutNoise:
     seed: int
 
     def __post_init__(self):
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0 <= self.seed < math.inf or int(self.seed) != self.seed:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 

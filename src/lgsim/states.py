@@ -96,7 +96,7 @@ def gradient_dephase_prepare(n_phases: int) -> np.ndarray:
     ensemble state is I/2 to machine precision.  Skipping the averaging (a
     single phase) would leave a pure equator state instead.
     """
-    if int(n_phases) != n_phases or n_phases < 2:
+    if not 2 <= n_phases < math.inf or int(n_phases) != n_phases:
         raise ValueError(f"n_phases must be an integer >= 2, got {n_phases}")
     pulse = expm_hermitian(SIGMA_X / 2.0, math.pi / 2.0)
     rho = pulse @ np.outer(KET0, KET0.conj()) @ pulse.conj().T

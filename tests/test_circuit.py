@@ -20,10 +20,10 @@ from lgsim.circuit import (
     expect_probe_y,
     expect_probe_z,
     run,
+    scattering_gates,
 )
 from lgsim.linalg import (
     IDENTITY_2,
-    IDENTITY_4,
     SIGMA_X,
     SIGMA_Z,
     eig_hermitian,
@@ -72,14 +72,14 @@ class TestEmbed:
         np.testing.assert_allclose(got, expected, atol=0)
 
     def test_zero_phase_evolution_is_identity(self):
-        np.testing.assert_allclose(embed(Evolve(SYSTEM, SIGMA_X, 0.0)), IDENTITY_4,
+        np.testing.assert_allclose(embed(Evolve(SYSTEM, SIGMA_X, 0.0)), np.eye(4),
                                    atol=0)
 
     def test_embedded_gates_are_unitary(self, rng):
         for _ in range(10):
             gate = Evolve(SYSTEM, SIGMA_X, rng.uniform(0, 10))
             u = embed(gate)
-            np.testing.assert_allclose(u @ u.conj().T, IDENTITY_4, atol=1e-12)
+            np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
 
 class TestGateValidation:
@@ -99,6 +99,14 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="unitary"):
             ControlledU(PROBE, SYSTEM, 2.0 * SIGMA_X)
 
+    def test_non_finite_phase_rejected_on_construction(self):
+        with pytest.raises(ValueError, match="finite angles"):
+            Evolve(SYSTEM, SIGMA_X, [0.0, math.nan])
+
+    def test_infinite_measurement_time_rejected(self):
+        with pytest.raises(ValueError, match=r"theta_k >= 0, got \(0.0, inf\)"):
+            scattering_gates(SIGMA_X, SIGMA_Z, 0.0, math.inf)
+
 
 class TestRun:
     def test_no_effect_circuit(self, rng):
@@ -114,7 +122,7 @@ class TestRun:
 
     def test_empty_circuit_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            run(Circuit(()), IDENTITY_4 / 4.0)
+            run(Circuit(()), np.eye(4) / 4.0)
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="4x4"):
@@ -256,7 +264,7 @@ class TestCircuitUnitary:
     def test_product_is_unitary(self):
         circ = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.3, 0.9)
         v = circuit_unitary(circ)
-        np.testing.assert_allclose(v @ v.conj().T, IDENTITY_4, atol=1e-12)
+        np.testing.assert_allclose(v @ v.conj().T, np.eye(4), atol=1e-12)
 
     def test_order_matters(self):
         forward = circuit_unitary(

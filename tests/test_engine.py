@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 import lgsim.circuit
 import lgsim.cli
 import lgsim.leggett_garg
+import lgsim.linalg
 import lgsim.states
 from conftest import random_density
 from lgsim.circuit import (
     HADAMARD,
     PROBE,
     SYSTEM,
+    WIRES,
     Circuit,
     ControlledU,
     Evolve,
@@ -576,3 +578,62 @@ def test_tomography_builds_no_kronecker_products(monkeypatch, rng):
     monkeypatch.setattr(np, "kron", refuse)
     rho = random_density(rng, 4)
     reconstruct(tomograph(rho, ReadoutNoise(sigma=0.05, seed=3)))
+
+
+@SETTINGS
+@given(h=generators(), wire=st.sampled_from(WIRES),
+       phase=st.one_of(st.floats(-10.0, 10.0),
+                       st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
+                       st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6)
+                       .map(lambda v: np.reshape(v, (2, 3)))))
+def test_evolve_embeds_as_the_kronecker_product_of_its_exponential(h, wire, phase):
+    one_wire = expm_hermitian(h, phase)
+    want = kron(one_wire, IDENTITY_2) if wire == PROBE else kron(IDENTITY_2, one_wire)
+    np.testing.assert_array_equal(embed(Evolve(wire, h, phase)), want)
+
+
+@SETTINGS
+@given(h=generators(), angle=st.floats(-10.0, 10.0), control=st.sampled_from(WIRES))
+def test_controlled_gate_from_a_nested_list_embeds_as_from_the_array(h, angle, control):
+    u = expm_hermitian(h, angle)
+    target = SYSTEM if control == PROBE else PROBE
+    np.testing.assert_array_equal(embed(ControlledU(control, target, u.tolist())),
+                                  embed(ControlledU(control, target, u)))
+
+
+def test_scattering_gates_validate_each_operand_once(monkeypatch):
+    counts = {name: counting(lgsim.circuit, name, monkeypatch)
+              for name in ("dichotomic_observable", "unitary", "expm_hermitian")}
+    gates = scattering_gates(SIGMA_X, SIGMA_Z, 0.0, np.linspace(0.0, 1.0, 5))
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "dichotomic_observable": 1, "unitary": 1, "expm_hermitian": 2}
+    assert gates[2] is gates[4]
+
+
+def test_default_sweep_validation_counts(monkeypatch):
+    """One ``unitary`` per ``scattering_gates`` call (8 when each controlled
+    slot had its own gate), and 15 ``is_hermitian`` (23 when ``embed``
+    validated the generator again)."""
+    rho = classical_mixture(0.5, 0.5)
+    unitary_calls = counting(lgsim.circuit, "unitary", monkeypatch)
+    hermitian_calls = counting(lgsim.linalg, "is_hermitian", monkeypatch)
+    sweep(Evolution(1.0), rho, 1.0, 0.0, 2 * math.pi, 721)
+    assert len(unitary_calls) <= 4
+    assert len(hermitian_calls) <= 15
+
+
+def test_built_gates_run_without_validation(monkeypatch):
+    gates = scattering_gates(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, 0.2,
+                             np.linspace(0.2, 2.0, 7))
+    gates += (Evolve(PROBE, SIGMA_Y, 0.4), ControlledU(SYSTEM, PROBE, SIGMA_X))
+    rho = kron(pseudo_pure(0.5, KET0), maximally_mixed())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation ran on built gates")
+
+    for name in ("operator", "is_hermitian", "unitary", "expm_hermitian",
+                 "dichotomic_observable"):
+        for module in (lgsim.linalg, lgsim.circuit):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    circuit_unitary(Circuit(gates))
+    assert run(Circuit(gates), rho).shape == (7, 4, 4)

@@ -61,6 +61,10 @@ class TestEvolution:
         with pytest.raises(ValueError, match="omega"):
             Evolution(math.nan)
 
+    def test_rejects_infinite_frequency(self):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            Evolution(math.inf)
+
 
 class TestSchedule:
     def test_spacing(self):
@@ -76,6 +80,15 @@ class TestSchedule:
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError, match="t1 <= t2"):
             Schedule(0.5, 0.3, 0.1)
+
+    @pytest.mark.parametrize("times,name", [
+        ((0.0, math.inf, math.inf), "t2"),
+        ((-math.inf, 0.0, math.inf), "t1"),
+        ((0.0, 0.5, math.nan), "t3"),
+    ])
+    def test_rejects_non_finite_times_naming_the_first(self, times, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Schedule(*times)
 
 
 class TestLGResult:

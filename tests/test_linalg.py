@@ -8,7 +8,6 @@ from conftest import random_density, random_hermitian
 
 from lgsim.linalg import (
     IDENTITY_2,
-    IDENTITY_4,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -17,11 +16,9 @@ from lgsim.linalg import (
     eig_hermitian,
     expm_hermitian,
     kron,
-    matmul,
     operator,
     overlap_fidelity,
     partial_trace,
-    trace,
     trace_distance,
     unitary,
 )
@@ -32,22 +29,6 @@ BELL_PHI_PLUS = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0
 
 
 class TestProducts:
-    def test_pauli_involution(self):
-        """sigma_x . sigma_x = I."""
-        np.testing.assert_allclose(matmul(SIGMA_X, SIGMA_X), IDENTITY_2, atol=1e-15)
-
-    def test_pauli_algebra(self):
-        """sigma_x . sigma_y = i sigma_z."""
-        np.testing.assert_allclose(matmul(SIGMA_X, SIGMA_Y), 1j * SIGMA_Z, atol=1e-15)
-
-    def test_identity_neutral(self, rng):
-        a = random_hermitian(rng, 2)
-        np.testing.assert_allclose(matmul(IDENTITY_2, a), a, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(SIGMA_X, IDENTITY_4)
-
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
             operator(np.eye(3))
@@ -63,7 +44,7 @@ class TestKron:
         np.testing.assert_allclose(got, np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-15)
 
     def test_identity(self):
-        np.testing.assert_allclose(kron(IDENTITY_2, IDENTITY_2), IDENTITY_4, atol=0)
+        np.testing.assert_allclose(kron(IDENTITY_2, IDENTITY_2), np.eye(4), atol=0)
 
     def test_zz(self):
         np.testing.assert_allclose(
@@ -78,14 +59,14 @@ class TestKron:
 
     def test_rejects_more_than_two_qubits(self):
         with pytest.raises(ValueError, match="register"):
-            kron(IDENTITY_4, IDENTITY_2)
+            kron(np.eye(4), IDENTITY_2)
 
     def test_trace_factorizes(self, rng):
         """Tr(A (x) B) = Tr(A) Tr(B)."""
         for _ in range(20):
             a = random_hermitian(rng, 2)
             b = random_hermitian(rng, 2)
-            assert abs(trace(kron(a, b)) - trace(a) * trace(b)) <= 1e-12
+            assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) <= 1e-12
 
 
 class TestDaggerTrace:
@@ -99,11 +80,6 @@ class TestDaggerTrace:
     def test_involution(self, rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         np.testing.assert_allclose(dagger(dagger(a)), a, atol=0)
-
-    def test_trace_values(self):
-        assert trace(IDENTITY_4) == 4.0
-        assert trace(SIGMA_X) == 0.0
-        assert abs(trace(kron(KET0_PROJ, IDENTITY_2 / 2.0)) - 1.0) < 1e-15
 
 
 class TestPartialTrace:
@@ -246,7 +222,7 @@ class TestTraceDistance:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            trace_distance(KET0_PROJ, IDENTITY_4 / 4.0)
+            trace_distance(KET0_PROJ, np.eye(4) / 4.0)
 
 
 class TestOverlapFidelity:

@@ -136,6 +136,10 @@ class TestReadoutNoise:
         with pytest.raises(ValueError, match="sigma"):
             ReadoutNoise(sigma=math.nan, seed=0)
 
+    def test_rejects_infinite_sigma(self):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            ReadoutNoise(sigma=math.inf, seed=0)
+
     @pytest.mark.parametrize("seed", [math.nan, math.inf, 1.5])
     def test_rejects_a_non_integral_seed_naming_it(self, seed):
         with pytest.raises(ValueError, match="seed"):
