@@ -6,8 +6,8 @@ drawn from three kinds: a Hadamard on one wire, a free evolution
 exp(-i*phase*h) on one wire, and a controlled unitary between the wires.
 Running a circuit conjugates the input density matrix by the ordered product
 of the embedded 4x4 gate unitaries.  Gates validate on construction and keep
-the checked operator: an ``Evolve`` its one-wire exponential, a
-``ControlledU`` the array ``unitary`` returns.  ``embed``, ``circuit_unitary``
+the checked operator, read-only: an ``Evolve`` its one-wire exponential, a
+``ControlledU`` a copy of its unitary.  ``embed``, ``circuit_unitary``
 and ``run`` trust them and check nothing again.
 
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
@@ -70,7 +70,7 @@ class Evolve:
     """Free evolution exp(-i * phase * hamiltonian) on one wire (``phase``
     may be an array: a stack of gates).  ``one_wire`` is that exponential,
     made, and ``hamiltonian`` and ``phase`` checked, by ``expm_hermitian``
-    on construction."""
+    on construction, and kept read-only."""
 
     wire: str
     hamiltonian: np.ndarray
@@ -79,14 +79,16 @@ class Evolve:
 
     def __post_init__(self):
         _check_wire(self.wire)
-        object.__setattr__(self, "one_wire",
-                           expm_hermitian(self.hamiltonian, self.phase))
+        one_wire = expm_hermitian(self.hamiltonian, self.phase)
+        one_wire.flags.writeable = False
+        object.__setattr__(self, "one_wire", one_wire)
 
 
 @dataclass(frozen=True)
 class ControlledU:
-    """U on ``target`` when ``control`` is |1>; ``u`` is kept as the array
-    ``unitary`` returns."""
+    """U on ``target`` when ``control`` is |1>; ``u`` is kept as a read-only
+    copy, checked by ``unitary``, so later writes to the caller's array
+    cannot reach the gate."""
 
     control: str
     target: str
@@ -97,7 +99,9 @@ class ControlledU:
         _check_wire(self.target)
         if self.control == self.target:
             raise ValueError("control and target must be distinct wires")
-        object.__setattr__(self, "u", unitary(self.u))
+        u = unitary(np.array(self.u, dtype=complex))
+        u.flags.writeable = False
+        object.__setattr__(self, "u", u)
 
 
 Gate = Hadamard | Evolve | ControlledU

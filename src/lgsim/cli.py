@@ -18,7 +18,9 @@ number such as 11.0 passes, 2.7 and true do not), numbers for the other
 numeric options, JSON true/false for degrees, and strings for output and
 format; a JSON string is read as the same text given to the flag.  Output is
 CSV (default), JSON or SVG, written to --output or stdout; identical
-configuration and seed produce byte-identical files.
+configuration and seed produce byte-identical files.  CSV and JSON print
+each number rounded to 9 decimals, with no negative zero (CSV in fixed
+notation, JSON as the same rounded numbers); a NaN or infinite value exits 1.
 
 Exit codes: 0 success, 1 internal invariant failure, 2 usage error,
 3 I/O error.
@@ -266,71 +268,45 @@ def parse_config(argv: list[str], environ=None) -> RunConfig:
 # command implementations
 
 
-def _sweep_results(cfg: RunConfig) -> SweepResult:
-    rho_sys = classical_mixture(*cfg.populations)
-    return sweep(
-        Evolution(omega=1.0),
-        rho_sys,
-        cfg.epsilon,
-        cfg.theta_min,
-        cfg.theta_max,
-        cfg.steps,
-    )
-
-
 def _compute(cfg: RunConfig):
-    """Return (header, rows, sweep_results_or_None) for the command."""
-    if cfg.command == "sweep":
-        results = _sweep_results(cfg)
-        header = ["theta", "c12", "c23", "c13", "k", "k_analytic", "abs_error"]
-        exact = analytic_k(results.theta)
-        columns = (results.theta, results.c12, results.c23, results.c13,
-                   results.k, exact, np.abs(results.k - exact))
-        return header, _rows(columns), results
-
-    if cfg.command == "correlations":
-        results = _sweep_results(cfg)
+    """Return (header, columns, sweep_results_or_None) for the command: one
+    column per header name, a sequence of numbers or of str labels."""
+    if cfg.command in ("sweep", "correlations"):
+        results = sweep(Evolution(omega=1.0), classical_mixture(*cfg.populations),
+                        cfg.epsilon, cfg.theta_min, cfg.theta_max, cfg.steps)
         header = ["theta", "c12", "c23", "c13"]
-        columns = (results.theta, results.c12, results.c23, results.c13)
-        return header, _rows(columns), results
+        columns = [results.theta, results.c12, results.c23, results.c13]
+        if cfg.command == "sweep":
+            exact = analytic_k(results.theta)
+            header += ["k", "k_analytic", "abs_error"]
+            columns += [results.k, exact, np.abs(results.k - exact)]
+        return header, columns, results
 
     if cfg.command == "noninvasive-check":
+        distances = [_max_disturbance(cfg, rho)
+                     for rho in (maximally_mixed(), pure_density(KET0))]
         header = ["state", "max_trace_distance"]
-        rows = [
-            ["mixed", _max_disturbance(cfg, maximally_mixed())],
-            ["pure_zero", _max_disturbance(cfg, pure_density(KET0))],
-        ]
-        return header, rows, None
+        return header, [["mixed", "pure_zero"], distances], None
 
     if cfg.command == "tomography":
         rho = np.kron(pseudo_pure(cfg.epsilon, KET0), maximally_mixed())
         record = tomograph(rho, ReadoutNoise(sigma=cfg.noise_sigma, seed=cfg.seed))
-        header = ["name", "value"]
-        rows = [
-            [f"c_{PAULI_LABELS[i]}{PAULI_LABELS[j]}", float(record.coefficients[i, j])]
-            for i in range(4)
-            for j in range(4)
-        ]
+        names = [f"c_{a}{b}" for a in PAULI_LABELS for b in PAULI_LABELS]
         fidelity = overlap_fidelity(
             deviation(reconstruct(record)), deviation(rho)
         )
-        rows.append(["fidelity", fidelity])
-        return header, rows, None
+        values = np.append(record.coefficients.ravel(), fidelity)
+        return ["name", "value"], [names + ["fidelity"], values], None
 
     if cfg.command == "noise-check":
         t2 = T2Config(t2_probe=cfg.t2_probe, t2_system=cfg.t2_system,
                       duration=cfg.duration)
         k_ideal, k_noisy = k_attenuation_check(t2, math.pi / 3.0, cfg.epsilon)
         header = ["theta", "k_ideal", "k_noisy", "ratio"]
-        rows = [[math.pi / 3.0, k_ideal, k_noisy, k_noisy / k_ideal]]
-        return header, rows, None
+        row = [math.pi / 3.0, k_ideal, k_noisy, k_noisy / k_ideal]
+        return header, [[value] for value in row], None
 
     raise UsageError(f"unknown command {cfg.command!r}")
-
-
-def _rows(columns) -> list[tuple[float, ...]]:
-    """The rows of a table given as equal-length float columns."""
-    return list(zip(*(column.tolist() for column in columns)))
 
 
 def _max_disturbance(cfg: RunConfig, rho_sys: np.ndarray) -> float:
@@ -351,33 +327,40 @@ def _max_disturbance(cfg: RunConfig, rho_sys: np.ndarray) -> float:
 # serialization
 
 
-def _clean(value: float) -> float:
-    # Round to the printed 9 decimals first, then normalize -0.0, so that
-    # round-off noise such as -1e-17 cannot print as a negative zero.
-    return round(value, 9) + 0.0
+def _printed(header: list[str], columns) -> list[list]:
+    """Each column as the values the CSV and JSON outputs print.
+
+    Labels stay as they are.  Numbers are rounded to the 9 printed decimals
+    first and the sign of zero is then dropped, so that round-off noise such
+    as -1e-17 cannot print as a negative zero.  A NaN or an infinity raises
+    ValueError naming its column.
+    """
+    printed = []
+    for name, column in zip(header, columns):
+        values = np.asarray(column)
+        if values.dtype.kind == "U":
+            printed.append(values.tolist())
+            continue
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"column {name!r} is not finite: {bad[0]}")
+        printed.append([round(v, 9) + 0.0 for v in values.tolist()])
+    return printed
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return f"{_clean(float(value)):.9f}"
-
-
-def emit_csv(header: list[str], rows: list) -> str:
+def emit_csv(header: list[str], columns) -> str:
+    printed = _printed(header, columns)
+    row = ",".join("%s" if isinstance(c[0], str) else "%.9f" for c in printed)
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(row % values for values in zip(*printed))
     return "\n".join(lines) + "\n"
 
 
-def emit_json(cfg: RunConfig, header: list[str], rows: list) -> str:
-    def jsonable(value):
-        if isinstance(value, str):
-            return value
-        return _clean(float(value))
-
+def emit_json(cfg: RunConfig, header: list[str], columns) -> str:
     payload = {
         "config": asdict(cfg),
-        "rows": [dict(zip(header, (jsonable(v) for v in row))) for row in rows],
+        "rows": [dict(zip(header, values))
+                 for values in zip(*_printed(header, columns))],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -500,16 +483,16 @@ def _write_output(path: str | None, payload: str) -> None:
 
 def run_command(cfg: RunConfig) -> int:
     try:
-        header, rows, results = _compute(cfg)
+        header, columns, results = _compute(cfg)
+        if cfg.format == "csv":
+            payload = emit_csv(header, columns)
+        elif cfg.format == "json":
+            payload = emit_json(cfg, header, columns)
+        else:
+            payload = emit_svg(cfg, results)
     except (ValueError, ArithmeticError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    if cfg.format == "csv":
-        payload = emit_csv(header, rows)
-    elif cfg.format == "json":
-        payload = emit_json(cfg, header, rows)
-    else:
-        payload = emit_svg(cfg, results)
     try:
         _write_output(cfg.output, payload)
     except OSError as exc:

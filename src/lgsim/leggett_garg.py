@@ -322,7 +322,8 @@ def find_violations(
     by theta.  Grid membership uses K > threshold + 1e-12, so the exact
     K = threshold boundary is never flagged.  Interval endpoints falling
     between grid points are refined by bisecting ``k_fn`` (the continuation
-    of the swept curve) down to 1e-9.
+    of the swept curve) down to 1e-9, or down to adjacent floats where those
+    are farther apart.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
@@ -359,6 +360,8 @@ def _bisect_crossing(k_fn, threshold: float, outside: float, inside: float) -> f
     a, b = outside, inside
     while abs(b - a) > _BISECT_TOL:
         mid = 0.5 * (a + b)
+        if mid in (a, b):
+            break
         if k_fn(mid) > threshold:
             b = mid
         else:

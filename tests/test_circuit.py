@@ -107,6 +107,20 @@ class TestGateValidation:
         with pytest.raises(ValueError, match=r"theta_k >= 0, got \(0.0, inf\)"):
             scattering_gates(SIGMA_X, SIGMA_Z, 0.0, math.inf)
 
+    def test_controlled_gate_keeps_no_reference_to_the_callers_array(self):
+        u = SIGMA_X.copy()
+        gate = ControlledU(PROBE, SYSTEM, u)
+        u[:] = 2 * np.eye(2)
+        v = circuit_unitary(Circuit((gate,)))
+        np.testing.assert_allclose(v @ v.conj().T, np.eye(4), atol=1e-15)
+
+    def test_gate_operators_are_read_only(self):
+        gates = (ControlledU(PROBE, SYSTEM, SIGMA_X.copy()),
+                 Evolve(SYSTEM, SIGMA_X, 1.0))
+        for array in (gates[0].u, gates[1].one_wire):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 2.0
+
 
 class TestRun:
     def test_no_effect_circuit(self, rng):

@@ -3,8 +3,9 @@
 import hashlib
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from lgsim.cli import (
     EXIT_USAGE,
     RunConfig,
     UsageError,
+    emit_csv,
+    emit_json,
     main,
     parse_config,
 )
@@ -319,6 +322,21 @@ class TestMainExitCodes:
         assert main(["sweep", "--steps", "3"]) == EXIT_INVARIANT
         assert "invariant" in capsys.readouterr().err
 
+    # numpy warns on the overflow (2 theta, 1e200 squared) that makes the NaN.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("args,message", [
+        (["sweep", "--steps", "3", "--theta-max", "1e308"],
+         "column 'k_analytic' is not finite: nan"),
+        (["tomography", "--noise-sigma", "1e200"],
+         "column 'value' is not finite: nan"),
+    ])
+    def test_non_finite_output_value_exits_1(self, args, message, fmt, capsys):
+        assert main([*args, "--format", fmt]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.err == f"invariant failure: {message}\n"
+        assert captured.out == ""
+
 
 class TestSweepOutput:
     def test_csv_shape_and_header(self, tmp_path):
@@ -393,6 +411,74 @@ class TestSweepOutput:
         k_base = [line.split(",")[4] for line in base.splitlines()[1:]]
         k_other = [line.split(",")[4] for line in other.splitlines()[1:]]
         assert k_base == k_other
+
+
+def reference_clean(value: float) -> float:
+    """The printing rule as it was applied one value at a time: round to the
+    9 printed decimals, then drop the sign of zero."""
+    return round(value, 9) + 0.0
+
+
+def reference_fmt(value) -> str:
+    if isinstance(value, str):
+        return value
+    return f"{reference_clean(float(value)):.9f}"
+
+
+def printing_cases(rng, size):
+    """Values from every corner of the printing rule: ``size`` each of random
+    magnitudes, small negatives and decimal ties, then the signed zeros and
+    1e300, shuffled."""
+    magnitudes = 10.0 ** rng.uniform(-12.0, 3.0, size)
+    signs = rng.choice([-1.0, 1.0], size)
+    # n/1e9 + 5e-10 lies a binary hair above or below the decimal tie
+    ties = (rng.integers(-10**12, 10**12, size) + 0.5) / 1e9
+    return rng.permutation(np.concatenate([
+        signs * magnitudes,
+        -5e-10 * rng.uniform(0.0, 1.0, size),
+        ties,
+        np.repeat([0.0, -0.0, 1e300, -1e300], 25),
+    ]))
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, reporting the first differing line rather than a diff
+    of the whole text."""
+    pairs = zip(got.split("\n"), want.split("\n"))
+    assert next(((a, b) for a, b in pairs if a != b), None) is None
+    assert got == want
+
+
+class TestPrinting:
+    """CSV and JSON print every number as the one-value-at-a-time rule did."""
+
+    HEADER = ["name", "a", "b", "c", "d"]
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        values = printing_cases(np.random.default_rng(8), 34_000)
+        columns = list(values.reshape(4, -1))
+        labels = [f"row{i}" for i in range(len(columns[0]))]
+        rows = list(zip(labels, *(column.tolist() for column in columns)))
+        assert values.size >= 10**5
+        return [labels, *columns], rows
+
+    def test_csv_equals_the_reference(self, table):
+        columns, rows = table
+        want = "\n".join([",".join(self.HEADER)]
+                         + [",".join(map(reference_fmt, row)) for row in rows]) + "\n"
+        assert_same_text(emit_csv(self.HEADER, columns), want)
+
+    def test_json_equals_the_reference(self, table):
+        columns, rows = table
+        cfg = RunConfig(command="sweep")
+        want = json.dumps({
+            "config": asdict(cfg),
+            "rows": [dict(zip(self.HEADER, (v if isinstance(v, str)
+                                           else reference_clean(v) for v in row)))
+                     for row in rows],
+        }, indent=2) + "\n"
+        assert_same_text(emit_json(cfg, self.HEADER, columns), want)
 
 
 class TestOtherCommands:

@@ -1,7 +1,7 @@
 """The demo scripts print the same bytes as when their digests were recorded.
 
 Each demo runs in a fresh interpreter with numpy RuntimeWarnings raised as
-errors, as in CI; the SHA-256 of its standard output is compared with the
+errors, as the tests run; the SHA-256 of its standard output is compared with the
 digest recorded before sweeps returned columns and before scalar gate times
 stayed scalar.  Several printed values (``max |K_circuit - K_analytic|``,
 the disturbance of I/2) are round-off sized, so a change in the arithmetic

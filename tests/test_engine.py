@@ -305,6 +305,24 @@ def test_sweep_reproduces_the_analytic_curve_away_from_unit_omega(omega):
     assert max(abs(r.k - analytic_k(r.theta)) for r in results) <= 1e-9
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    rho_sys=qubit_states(),
+    obs=direction.map(unit_observable),
+    omega=omegas,
+    eps=epsilons,
+    bounds=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.01, 2 * math.pi)),
+)
+def test_k_obeys_the_luders_bound(rho_sys, obs, omega, eps, bounds):
+    """-3 <= K <= 3/2 for any qubit state, dichotomic observable, omega and
+    epsilon: the quantum bounds of Budroni & Emary, PRL 113, 050401 (2014)."""
+    theta_min, width = bounds
+    results = sweep(Evolution(omega), rho_sys, eps, theta_min, theta_min + width,
+                    61, obs)
+    assert results.k.min() >= -3.0 - 1e-9
+    assert results.k.max() <= 1.5 + 1e-9
+
+
 def test_batch_rejects_a_reversed_pair_anywhere_in_a_stack():
     rho = classical_mixture(0.5, 0.5)
     t_k, t_m = np.array([0.0, 0.5, 0.2]), np.array([0.1, 0.4, 0.3])

@@ -493,6 +493,26 @@ class TestFindViolations:
         results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 1e-9, 2)
         assert find_violations(results) == []
 
+    def test_refinement_stops_at_adjacent_floats(self):
+        """Near theta = 1e7 adjacent floats lie about 1.9e-9 apart, farther
+        than the 1e-9 tolerance, so bisection ends at an adjacent pair."""
+        results = sweep(EVO, maximally_mixed(), 1.0, 1e7, 1e7 + 10, 721)
+        calls = 0
+
+        def k_fn(theta):
+            nonlocal calls
+            calls += 1
+            if calls > 500:
+                raise RuntimeError("bisection does not terminate")
+            return analytic_k(theta)
+
+        intervals = find_violations(results, k_fn=k_fn)
+        assert intervals
+        for lo, hi in intervals:
+            for end in (lo, hi):
+                if end not in (results.theta[0], results.theta[-1]):
+                    assert abs(analytic_k(end) - 1.0) < 1e-7
+
 
 def point_loop_violations(results, threshold, k_fn):
     """``find_violations`` as a walk over the points, one run at a time: the
