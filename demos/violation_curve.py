@@ -31,13 +31,11 @@ for r in results[::90]:
     print(f"{r.theta:10.4f} {r.c12:9.4f} {r.c23:9.4f} {r.c13:9.4f} "
           f"{r.k:9.4f} {analytic_k(r.theta):10.4f}")
 
-worst = max(abs(r.k - analytic_k(r.theta)) for r in results)
+worst = np.max(np.abs(results.k - analytic_k(results.theta)))
 print(f"\nmax |K_circuit - K_analytic| over the grid: {worst:.2e}")
 
-ks = np.array([r.k for r in results])
-thetas = np.array([r.theta for r in results])
-top = thetas[ks >= ks.max() - 1e-12]
-print(f"grid maxima K = {ks.max():.9f} at theta = "
+top = results.theta[results.k >= results.k.max() - 1e-12]
+print(f"grid maxima K = {results.k.max():.9f} at theta = "
       + ", ".join(f"{t:.6f}" for t in top)
       + f"  (pi/3 = {math.pi/3:.6f}, 5pi/3 = {5*math.pi/3:.6f})")
 

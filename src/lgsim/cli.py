@@ -20,7 +20,8 @@ format; a JSON string is read as the same text given to the flag.  Output is
 CSV (default), JSON or SVG, written to --output or stdout; identical
 configuration and seed produce byte-identical files.  CSV and JSON print
 each number rounded to 9 decimals, with no negative zero (CSV in fixed
-notation, JSON as the same rounded numbers); a NaN or infinite value exits 1.
+notation, JSON as the same rounded numbers); a NaN or infinite value, or an
+SVG coordinate that overflows, exits 1 and writes nothing.
 
 Exit codes: 0 success, 1 internal invariant failure, 2 usage error,
 3 I/O error.
@@ -38,8 +39,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .circuit import Circuit, run, scattering_gates
-from .leggett_garg import (Evolution, SweepResult, analytic_k, find_violations,
-                           observable_from_state, sweep)
+from .leggett_garg import (Evolution, SweepResult, _first_bad, analytic_k,
+                           find_violations, observable_from_state, sweep)
 from .linalg import overlap_fidelity, partial_trace, trace_distance
 from .nmr import (
     PAULI_LABELS,
@@ -277,7 +278,9 @@ def _compute(cfg: RunConfig):
         header = ["theta", "c12", "c23", "c13"]
         columns = [results.theta, results.c12, results.c23, results.c13]
         if cfg.command == "sweep":
-            exact = analytic_k(results.theta)
+            # NaN past theta ~ 9e307, where 2 theta overflows; _printed reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                exact = analytic_k(results.theta)
             header += ["k", "k_analytic", "abs_error"]
             columns += [results.k, exact, np.abs(results.k - exact)]
         return header, columns, results
@@ -341,9 +344,7 @@ def _printed(header: list[str], columns) -> list[list]:
         if values.dtype.kind == "U":
             printed.append(values.tolist())
             continue
-        bad = values[~np.isfinite(values)]
-        if bad.size:
-            raise ValueError(f"column {name!r} is not finite: {bad[0]}")
+        _first_bad(f"column {name!r} is not finite:", values, np.isfinite(values))
         printed.append([round(v, 9) + 0.0 for v in values.tolist()])
     return printed
 
@@ -379,7 +380,8 @@ def _svg_scales(theta_lo, theta_hi, y_lo, y_hi):
     plot_h = _SVG_H - _SVG_MT - _SVG_MB
 
     def sx(theta):
-        return _SVG_ML + plot_w * (theta - theta_lo) / (theta_hi - theta_lo)
+        with np.errstate(over="ignore"):
+            return _SVG_ML + plot_w * (theta - theta_lo) / (theta_hi - theta_lo)
 
     def sy(value):
         return _SVG_MT + plot_h * (y_hi - value) / (y_hi - y_lo)
@@ -392,26 +394,33 @@ def emit_svg(cfg: RunConfig, results: SweepResult) -> str:
 
     For ``sweep``: the K(theta) polyline, the dashed classical bound K = 1,
     and one shaded band per violation interval.  For ``correlations``: the
-    three correlator polylines.  No external references of any kind.
+    three correlator polylines.  No external references of any kind.  An x
+    coordinate of a curve point or band edge that is not finite (theta near
+    the float limit) raises ValueError.
     """
     thetas = results.theta
     if cfg.command == "sweep":
         series = [("K", results.k)]
-        bands = find_violations(results)
+        # bisecting past theta ~ 9e307 meets NaN and inf; the x check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            bands = find_violations(results)
     else:
         series = [("C12", results.c12), ("C23", results.c23), ("C13", results.c13)]
         bands = []
     y_lo = min(1.0, *(ys.min() for _, ys in series))
     y_hi = max(1.0, *(ys.max() for _, ys in series))
     sx, sy, y_lo, y_hi = _svg_scales(thetas[0], thetas[-1], y_lo, y_hi)
+    xs = sx(thetas)
+    band_xs = [(sx(lo), sx(hi)) for lo, hi in bands]
+    every_x = np.append(xs, band_xs)
+    _first_bad("SVG x coordinate is not finite:", every_x, np.isfinite(every_x))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
         f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="#ffffff"/>',
     ]
-    for lo, hi in bands:
-        x0, x1 = sx(lo), sx(hi)
+    for x0, x1 in band_xs:
         parts.append(
             f'<rect class="violation" x="{x0:.2f}" y="{_SVG_MT}" '
             f'width="{max(x1 - x0, 0.0):.2f}" '
@@ -434,7 +443,7 @@ def emit_svg(cfg: RunConfig, results: SweepResult) -> str:
         f'x2="{_SVG_W - _SVG_MR}" y2="{sy(1.0):.2f}" stroke="#888888" '
         f'stroke-width="1" stroke-dasharray="6,4"/>'
     )
-    xs = sx(thetas).tolist()
+    xs = xs.tolist()
     for (label, values), color in zip(series, _CURVE_COLORS):
         points = " ".join(
             f"{x:.2f},{y:.2f}" for x, y in zip(xs, sy(values).tolist())

@@ -100,7 +100,8 @@ class Schedule:
 
 @dataclass(frozen=True)
 class LGResult:
-    """One sweep point: theta = gap * spacing, the three correlators, and K."""
+    """A plain row of a ``SweepResult``, which checked its values: theta =
+    gap * spacing, the three correlators, and K."""
 
     theta: float
     c12: float
@@ -108,23 +109,14 @@ class LGResult:
     c13: float
     k: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.theta < math.inf:
-            raise ValueError(f"theta must be finite and >= 0, got {self.theta!r}")
-        for name in ("c12", "c23", "c13"):
-            if not abs(getattr(self, name)) <= 1.0 + 1e-10:
-                raise ValueError(f"|{name}| exceeds 1: {getattr(self, name)!r}")
-        if not abs(self.k - (self.c12 + self.c23 - self.c13)) <= 1e-12:
-            raise ValueError("k is inconsistent with c12 + c23 - c13")
-
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """A theta sweep as five read-only float columns of equal length.
-
-    The columns pass ``LGResult``'s checks once, vectorised; the first bad
-    value is named in the error.  ``len``, integer indexing and iteration
-    give ``LGResult`` points, and a slice gives another ``SweepResult``.
+    """K over theta as five read-only float columns of equal length, the one
+    validated record of every K the library returns: theta finite and >= 0,
+    |c| <= 1 + 1e-10 and k = c12 + c23 - c13 to 1e-12, checked once and
+    vectorised, naming the first bad value.  ``len``, integer indexing and
+    iteration give ``LGResult`` rows; a slice gives another ``SweepResult``.
     """
 
     theta: np.ndarray
@@ -265,14 +257,15 @@ def k_value(
     schedule: Schedule,
     probe_eps: float = 1.0,
 ) -> LGResult:
-    """K = C12 + C23 - C13 from normalized circuit correlators."""
+    """K = C12 + C23 - C13 from normalized circuit correlators, as the row of
+    a one-point ``SweepResult``."""
     t1, t2, t3 = schedule.t1, schedule.t2, schedule.t3
     [(_, normalized)] = correlation_batch(
         rho_sys, obs, evo, [((t1, t2, t1), (t2, t3, t3))], probe_eps
     )
-    c12, c23, c13 = normalized.tolist()
-    theta = evo.energy_gap * schedule.dt
-    return LGResult(theta=theta, c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13)
+    c12, c23, c13 = normalized[:, None]
+    theta = [evo.energy_gap * schedule.dt]
+    return SweepResult(theta, c12, c23, c13, c12 + c23 - c13)[0]
 
 
 def sweep(
@@ -312,14 +305,14 @@ def sweep(
 
 
 def find_violations(
-    results: SweepResult | list[LGResult],
+    results: SweepResult,
     threshold: float = 1.0,
     k_fn=analytic_k,
 ) -> list[tuple[float, float]]:
     """Maximal theta intervals where K exceeds the classical bound.
 
-    ``results`` is a ``SweepResult`` or a list of ``LGResult`` points, sorted
-    by theta.  Grid membership uses K > threshold + 1e-12, so the exact
+    Reads the ``theta`` and ``k`` columns of ``results``, which must be
+    sorted by theta.  Grid membership uses K > threshold + 1e-12, so the exact
     K = threshold boundary is never flagged.  Interval endpoints falling
     between grid points are refined by bisecting ``k_fn`` (the continuation
     of the swept curve) down to 1e-9, or down to adjacent floats where those
@@ -327,11 +320,7 @@ def find_violations(
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
-    if isinstance(results, SweepResult):
-        thetas, ks = results.theta, results.k
-    else:
-        thetas = np.array([r.theta for r in results], dtype=float)
-        ks = np.array([r.k for r in results], dtype=float)
+    thetas, ks = results.theta, results.k
     if not len(thetas):
         raise ValueError("find_violations needs at least one sweep point")
     if (np.diff(thetas) <= 0.0).any():

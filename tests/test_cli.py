@@ -322,20 +322,40 @@ class TestMainExitCodes:
         assert main(["sweep", "--steps", "3"]) == EXIT_INVARIANT
         assert "invariant" in capsys.readouterr().err
 
-    # numpy warns on the overflow (2 theta, 1e200 squared) that makes the NaN.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # Warnings are errors here, so the sweep case shows that the overflow of
+    # 2 theta that makes the NaN leaves stderr to the invariant line.  The
+    # tomography case still warns: overlap_fidelity overflows in 1e200 squared,
+    # and below 1e200 that warning is the only sign of a wrong fidelity.
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("args,message", [
         (["sweep", "--steps", "3", "--theta-max", "1e308"],
          "column 'k_analytic' is not finite: nan"),
-        (["tomography", "--noise-sigma", "1e200"],
-         "column 'value' is not finite: nan"),
+        pytest.param(["tomography", "--noise-sigma", "1e200"],
+                     "column 'value' is not finite: nan",
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     ])
     def test_non_finite_output_value_exits_1(self, args, message, fmt, capsys):
         assert main([*args, "--format", fmt]) == EXIT_INVARIANT
         captured = capsys.readouterr()
         assert captured.err == f"invariant failure: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--steps", "3", "--theta-max", "1e308"],
+        ["correlations", "--steps", "3", "--theta-max", "1e308"],
+        # the curve fits, but bisecting past 9e307 overflows a band edge
+        ["sweep", "--steps", "9", "--theta-min", "9.5e307", "--theta-max", "9.51e307"],
+    ])
+    def test_non_finite_svg_coordinate_exits_1_and_writes_no_file(
+            self, args, tmp_path, capsys):
+        """Near the float limit the x scale overflows; numpy's warnings are
+        errors under the test settings, so stderr holds only the one line."""
+        out = tmp_path / "x.svg"
+        code = main([*args, "--format", "svg", "--output", str(out)])
+        assert code == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.err == "invariant failure: SVG x coordinate is not finite: inf\n"
+        assert not out.exists()
 
 
 class TestSweepOutput:

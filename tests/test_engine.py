@@ -1,8 +1,9 @@
 """The batched scattering engine: the stacked product against ``np.matmul``,
 stacks against scalar runs, sweeps against per-point calls, drives of any
-omega against the oracle, and how many circuits each entry point runs; the
-one register-state validator and the stack operations of ``nmr``, ``states``
-and the CLI built on it."""
+omega against the oracle, and how many circuits each entry point runs;
+properties of K, of the raw probe signal and of ``run`` over random inputs;
+the one register-state validator and the stack operations of ``nmr``,
+``states`` and the CLI built on it."""
 
 import math
 
@@ -323,6 +324,47 @@ def test_k_obeys_the_luders_bound(rho_sys, obs, omega, eps, bounds):
     assert results.k.max() <= 1.5 + 1e-9
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    p0=st.floats(0.0, 1.0),
+    obs=direction.map(unit_observable),
+    omega=omegas,
+    eps=epsilons,
+    bounds=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.01, 2 * math.pi)),
+)
+def test_k_does_not_depend_on_the_diagonal_populations(p0, obs, omega, eps, bounds):
+    """Re Tr[rho O(t)O(s)] is the same for every qubit state, so a sweep on
+    any classical mixture of |0> and |1> equals the one on I/2."""
+    evo = Evolution(omega)
+    theta_min, width = bounds
+    mixed, diagonal = (
+        sweep(evo, rho, eps, theta_min, theta_min + width, 41, obs)
+        for rho in (maximally_mixed(), classical_mixture(p0, 1.0 - p0))
+    )
+    for name in ("c12", "c23", "c13", "k"):
+        np.testing.assert_allclose(getattr(diagonal, name), getattr(mixed, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
+@SETTINGS
+@given(
+    rho_sys=qubit_states(),
+    obs=direction.map(unit_observable),
+    omega=omegas,
+    pairs=st.lists(times, min_size=1, max_size=12),
+    eps_pair=st.tuples(epsilons, epsilons),
+)
+def test_raw_probe_signal_is_linear_in_epsilon(rho_sys, obs, omega, pairs, eps_pair):
+    """The I/2 part of the pseudo-pure probe reads 0, so raw / eps is the
+    same for any two polarizations."""
+    t_k, t_m = np.array(pairs).T
+    first, second = (
+        correlation_batch(rho_sys, obs, Evolution(omega), [(t_k, t_m)], eps)[0][0] / eps
+        for eps in eps_pair
+    )
+    np.testing.assert_allclose(first, second, rtol=0, atol=1e-12)
+
+
 def test_batch_rejects_a_reversed_pair_anywhere_in_a_stack():
     rho = classical_mixture(0.5, 0.5)
     t_k, t_m = np.array([0.0, 0.5, 0.2]), np.array([0.1, 0.4, 0.3])
@@ -457,6 +499,27 @@ def random_density_stack(seed, lead) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return np.array([random_density(rng, 4) for _ in range(math.prod(lead))]
                     ).reshape(lead + (4, 4))
+
+
+@SETTINGS
+@given(
+    h=generators(),
+    obs=direction.map(unit_observable),
+    pairs=st.lists(times, min_size=1, max_size=12),
+    lead=stack_shapes,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_preserves_trace_and_positivity(h, obs, pairs, lead, seed):
+    """Each output of a stacked circuit on a register state is again a state:
+    unit trace, Hermitian, no eigenvalue below -1e-12."""
+    t_k, t_m = np.array(pairs).T
+    rho_in = random_density_stack(seed, lead)[..., None, :, :]
+    out = run(Circuit(scattering_gates(h, obs, t_k, t_m)), rho_in)
+    assert out.shape == lead + (len(pairs), 4, 4)
+    np.testing.assert_allclose(np.trace(out, axis1=-2, axis2=-1), 1.0,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, np.swapaxes(out, -1, -2).conj(), rtol=0, atol=1e-12)
+    assert np.linalg.eigvalsh(out).min() >= -1e-12
 
 
 @SETTINGS

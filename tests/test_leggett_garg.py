@@ -92,27 +92,10 @@ class TestSchedule:
 
 
 class TestLGResult:
+    """A plain row: the checks are ``SweepResult``'s (``TestSweepResult``)."""
+
     def test_consistent_record(self):
         LGResult(theta=1.0, c12=0.5, c23=0.5, c13=-0.5, k=1.5)
-
-    def test_rejects_inconsistent_k(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            LGResult(theta=1.0, c12=0.5, c23=0.5, c13=-0.5, k=1.0)
-
-    def test_rejects_out_of_range_correlator(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            LGResult(theta=1.0, c12=1.5, c23=0.0, c13=0.0, k=1.5)
-
-    @pytest.mark.parametrize("field", ["c12", "c23", "c13", "k"])
-    def test_rejects_nan_naming_the_field(self, field):
-        values = {"c12": 0.5, "c23": 0.5, "c13": -0.5, "k": 1.5, field: math.nan}
-        with pytest.raises(ValueError, match=field):
-            LGResult(theta=1.0, **values)
-
-    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, -0.1])
-    def test_rejects_bad_theta_naming_the_field(self, theta):
-        with pytest.raises(ValueError, match="theta"):
-            LGResult(theta=theta, c12=0.5, c23=0.5, c13=-0.5, k=1.5)
 
 
 class TestHeisenbergObservable:
@@ -394,6 +377,9 @@ class TestSweepResult:
         ("c13", [-1.5, -0.5, -0.5], r"\|c13\| exceeds 1: -1.5"),
         ("k", [1.5, 1.0, 1.5], "k is inconsistent with c12 \\+ c23 - c13: 1.0"),
         ("k", [1.5, 1.5, math.nan], "k is inconsistent"),
+        ("theta", [0.0, -math.inf, 1.0], "theta must be finite and >= 0, got -inf"),
+        ("c12", [math.nan, 0.5, 0.5], r"\|c12\| exceeds 1: nan"),
+        ("c13", [-0.5, math.nan, -0.5], r"\|c13\| exceeds 1: nan"),
     ])
     def test_rejects_a_bad_column_naming_field_and_first_value(self, name, column,
                                                                message):
@@ -401,8 +387,10 @@ class TestSweepResult:
             SweepResult(**columns(3, **{name: column}))
 
     def test_k_tolerance_matches_lg_result(self):
+        """k may differ from c12 + c23 - c13 by round-off, up to 1e-12."""
         SweepResult(**columns(3, k=np.full(3, 1.5 + 5e-13)))
-        LGResult(theta=0.0, c12=0.5, c23=0.5, c13=-0.5, k=1.5 + 5e-13)
+        with pytest.raises(ValueError, match="inconsistent"):
+            SweepResult(**columns(3, k=np.full(3, 1.5 + 2e-12)))
 
     @pytest.mark.parametrize("override", [{"k": np.full(2, 1.5)},
                                           {"theta": np.zeros((3, 1))}])
@@ -442,29 +430,23 @@ class TestFindViolations:
         assert find_violations(results) == []
 
     def test_single_point_gives_degenerate_interval(self):
-        point = LGResult(theta=math.pi / 3, c12=0.5, c23=0.5, c13=-0.5, k=1.5)
-        intervals = find_violations([point])
+        point = SweepResult(**columns(1, theta=[math.pi / 3]))
+        intervals = find_violations(point)
         assert intervals == [(math.pi / 3, math.pi / 3)]
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="at least one"):
-            find_violations([])
+            find_violations(SweepResult(**columns(0)))
 
     def test_rejects_unsorted_input(self):
-        a = LGResult(theta=1.0, c12=0.5, c23=0.5, c13=-0.5, k=1.5)
-        b = LGResult(theta=0.5, c12=0.5, c23=0.5, c13=-0.5, k=1.5)
         with pytest.raises(ValueError, match="sorted"):
-            find_violations([a, b])
+            find_violations(SweepResult(**columns(2, theta=[1.0, 0.5])))
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_rejects_a_non_finite_threshold(self, threshold):
         results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 2 * math.pi, 11)
         with pytest.raises(ValueError, match="threshold"):
             find_violations(results, threshold=threshold)
-
-    def test_columns_and_points_agree(self):
-        results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 2 * math.pi, 181)
-        assert find_violations(results) == find_violations(list(results))
 
     @settings(max_examples=200, deadline=None)
     @given(mask=st.lists(st.booleans(), min_size=1, max_size=40),
@@ -482,7 +464,6 @@ class TestFindViolations:
 
         want = point_loop_violations(list(results), threshold, k_fn)
         assert find_violations(results, threshold, k_fn) == want
-        assert find_violations(list(results), threshold, k_fn) == want
 
     def test_boundary_point_not_flagged(self):
         """K = 1 exactly (theta = 0) sits on the bound, not above it.
