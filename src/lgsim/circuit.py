@@ -69,8 +69,8 @@ class Hadamard:
 class Evolve:
     """Free evolution exp(-i * phase * hamiltonian) on one wire (``phase``
     may be an array: a stack of gates).  ``one_wire`` is that exponential,
-    made, and ``hamiltonian`` and ``phase`` checked, by ``expm_hermitian``
-    on construction, and kept read-only."""
+    made by ``expm_hermitian`` on construction, which checks ``hamiltonian``
+    and ``phase`` and no unitarity; it is kept read-only."""
 
     wire: str
     hamiltonian: np.ndarray

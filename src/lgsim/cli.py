@@ -41,7 +41,7 @@ import numpy as np
 from .circuit import Circuit, run, scattering_gates
 from .leggett_garg import (Evolution, SweepResult, _first_bad, analytic_k,
                            find_violations, observable_from_state, sweep)
-from .linalg import overlap_fidelity, partial_trace, trace_distance
+from .linalg import kron, overlap_fidelity, partial_trace, trace_distance
 from .nmr import (
     PAULI_LABELS,
     ReadoutNoise,
@@ -317,9 +317,8 @@ def _max_disturbance(cfg: RunConfig, rho_sys: np.ndarray) -> float:
     run as one stack of 25 circuits."""
     evo = Evolution(omega=1.0)
     obs = observable_from_state(KET0)
-    probe = pseudo_pure(cfg.epsilon, KET0)
-    rho_in = np.kron(probe, rho_sys)
-    phases = np.linspace(cfg.theta_min / 2.0, cfg.theta_max / 2.0, 5)
+    rho_in = kron(pseudo_pure(cfg.epsilon, KET0), rho_sys)
+    phases = np.linspace(cfg.theta_min, cfg.theta_max, 5) / evo.energy_gap
     a, b = np.meshgrid(phases, phases)
     gates = scattering_gates(evo.hamiltonian, obs, np.minimum(a, b), np.maximum(a, b))
     reduced = partial_trace(run(Circuit(gates), rho_in), "system")
@@ -401,8 +400,8 @@ def emit_svg(cfg: RunConfig, results: SweepResult) -> str:
     thetas = results.theta
     if cfg.command == "sweep":
         series = [("K", results.k)]
-        # bisecting past theta ~ 9e307 meets NaN and inf; the x check reports it
-        with np.errstate(over="ignore", invalid="ignore"):
+        # bisecting analytic_k past theta ~ 9e307 meets NaN; find_violations reports it
+        with np.errstate(invalid="ignore"):
             bands = find_violations(results)
     else:
         series = [("C12", results.c12), ("C23", results.c23), ("C13", results.c13)]

@@ -49,7 +49,7 @@ def observable_from_state(psi0) -> np.ndarray:
     has left it.  For |0> this is sigma_z, for |1> it is -sigma_z.
     """
     psi0 = pure_state(psi0)
-    return dichotomic_observable(2.0 * np.outer(psi0, psi0.conj()) - IDENTITY_2)
+    return 2.0 * np.outer(psi0, psi0.conj()) - IDENTITY_2
 
 
 @dataclass(frozen=True)
@@ -348,11 +348,11 @@ def _bisect_crossing(k_fn, threshold: float, outside: float, inside: float) -> f
     """Locate K = threshold between a non-violating and a violating point."""
     a, b = outside, inside
     while abs(b - a) > _BISECT_TOL:
-        mid = 0.5 * (a + b)
+        mid = 0.5 * a + 0.5 * b  # a + b would overflow past about 9e307
         if mid in (a, b):
             break
-        if k_fn(mid) > threshold:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
+        k = k_fn(mid)
+        if not math.isfinite(k):
+            raise ValueError(f"k_fn is not finite at theta = {mid!r}: {float(k)!r}")
+        a, b = (a, mid) if k > threshold else (mid, b)
+    return 0.5 * a + 0.5 * b

@@ -3,11 +3,11 @@
 Everything in this package is a plain ``numpy`` array of ``complex`` entries;
 states, gates and observables are 2x2 or 4x4 matrices.  The constructors
 ``operator``, ``unitary``, ``density`` and ``dichotomic_observable``, and
-``expm_hermitian`` for its generator, validate the respective invariants once,
-on entry into the library; Hermitian operands all pass the one private
-``_hermitian`` check.  The algebraic operations below then assume valid
-inputs and stay pure.  All values are immutable by convention, so the whole
-module is safe for concurrent use.
+``expm_hermitian`` for its generator and phases, validate once, on entry into
+the library; Hermitian operands all pass the one private ``_hermitian`` check.
+What is built from checked inputs, the exponential included, is not checked
+again, and the operations below assume valid inputs and stay pure.  All values
+are immutable by convention, so the whole module is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -73,19 +73,15 @@ def _hermitian(entries, what: str, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     """Whether the matrix, or every matrix of the stack, ``m`` is Hermitian."""
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
+    return bool(np.max(np.abs(m - dagger(m))) <= HERMITIAN_TOL)
 
 
 def unitary(entries) -> np.ndarray:
     """Validate that ``entries`` is unitary (U U+ = I entrywise to 1e-12)."""
-    return _check_unitary(operator(entries))
-
-
-def _check_unitary(u: np.ndarray) -> np.ndarray:
-    """Raise unless every matrix of the stack ``u`` is unitary to 1e-12."""
-    residual = np.max(np.abs(_product(u, dagger(u)) - np.eye(u.shape[-1])))
+    u = operator(entries)
+    residual = np.max(np.abs(u @ dagger(u) - np.eye(len(u))))
     if not residual <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (|UU+ - I| = {residual:.3e})")
     return u
@@ -204,28 +200,28 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
 def expm_hermitian(h: np.ndarray, angle) -> np.ndarray:
     """exp(-i * angle * h) for a 2x2 Hermitian generator, in closed form.
 
-    ``angle`` is a number or an array of angles; an array of shape S gives
-    the stack of shape S + (2, 2), checked for unitarity in one reduction.
-    Writing h = a0*I + a.sigma, the exponential is
+    ``angle`` is a number, or an array of shape S giving a stack of shape
+    S + (2, 2).  Writing h = a0*I + a.sigma, the exponential is
     exp(-i*angle*a0) * (cos(angle*|a|) I - i sin(angle*|a|) (a/|a|).sigma),
     which is exact for a single qubit; no series or scaling-and-squaring is
-    involved.
+    involved.  The phases angle*|a| and angle*a0 must be finite; |a| is taken
+    by ``math.hypot``, so the result is unitary to round-off and not checked.
     """
     h = _hermitian(h, "generator", 2)
     angle = np.asarray(angle, dtype=float)[..., None, None]
-    if not np.isfinite(angle).all():
-        raise ValueError("expm_hermitian requires finite angles")
-    a0 = (h[0, 0].real + h[1, 1].real) / 2.0
-    ax = h[0, 1].real
-    ay = -h[0, 1].imag
-    az = (h[0, 0].real - h[1, 1].real) / 2.0
-    norm = math.sqrt(ax * ax + ay * ay + az * az)
-    phase = np.cos(angle * a0) - 1j * np.sin(angle * a0)
+    ax, ay = h[0, 1].real, -h[0, 1].imag
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range
+        a0 = (h[0, 0].real + h[1, 1].real) / 2.0
+        az = (h[0, 0].real - h[1, 1].real) / 2.0
+        norm = math.hypot(ax, ay, az)
+        turn, shift = angle * norm, angle * a0
+    if not (np.isfinite(turn).all() and np.isfinite(shift).all()):
+        raise ValueError("expm_hermitian needs finite angles, angle*|a| and angle*a0")
+    phase = np.cos(shift) - 1j * np.sin(shift)
     if norm == 0.0:
-        return _check_unitary(phase * IDENTITY_2)
-    axis = (ax * SIGMA_X + ay * SIGMA_Y + az * SIGMA_Z) / norm
-    u = np.cos(angle * norm) * IDENTITY_2 - 1j * np.sin(angle * norm) * axis
-    return _check_unitary(phase * u)
+        return phase * IDENTITY_2
+    axis = (ax / norm) * SIGMA_X + (ay / norm) * SIGMA_Y + (az / norm) * SIGMA_Z
+    return phase * (np.cos(turn) * IDENTITY_2 - 1j * np.sin(turn) * axis)
 
 
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,8 +261,11 @@ def overlap_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     a, b = _hermitian(a, "overlap_fidelity a"), _hermitian(b, "overlap_fidelity b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    na = np.trace(a @ a).real
-    nb = np.trace(b @ b).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        na, nb = np.trace(a @ a).real, np.trace(b @ b).real
+        squares = float(na * nb)
+    if not math.isfinite(squares):
+        raise ValueError(f"overlap_fidelity overflows: Tr(a^2) Tr(b^2) = {squares!r}")
     if na <= 0.0 or nb <= 0.0:
         raise ValueError("overlap_fidelity is undefined for a zero matrix")
-    return float(np.trace(a @ b).real / math.sqrt(na * nb))
+    return float(np.trace(a @ b).real / math.sqrt(squares))

@@ -87,13 +87,11 @@ def k_attenuation_check(
     """
     evo = Evolution(omega=1.0)
     obs = observable_from_state(KET0)
-    rho_in = np.kron(pseudo_pure(probe_eps, KET0), maximally_mixed())
-    h = evo.hamiltonian
+    rho_in = kron(pseudo_pure(probe_eps, KET0), maximally_mixed())
+    h, dt = evo.hamiltonian, theta / evo.energy_gap
 
-    # Times for the three correlators of the (0, dt, 2dt) schedule; the
-    # sweep parameter theta equals gap * dt = 2 * omega * dt.
-    half = theta / 2.0
-    gates = scattering_gates(h, obs, (0.0, half, 0.0), (half, theta, theta))
+    # the three correlators of the (0, dt, 2dt) schedule, theta = gap * dt
+    gates = scattering_gates(h, obs, (0.0, dt, 0.0), (dt, 2.0 * dt, 2.0 * dt))
     reference = reference_signal(rho_in, obs, evo)
 
     before_readout = run(Circuit(gates[:-1]), rho_in)

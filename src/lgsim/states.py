@@ -4,6 +4,8 @@ Covers pure states and their projectors, classical diagonal mixtures, the
 maximally mixed state (both directly and through a simulated gradient-crusher
 preparation), the pseudo-pure probe states that model low spin polarization,
 and the traceless deviation matrices that tomography actually reports.
+Constructors check their arguments and return what they build unchecked;
+``pure_state`` normalizes, so states built from any vector it accepts are valid.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ from .linalg import (
     SIGMA_Z,
     TRACE_TOL,
     dagger,
-    density,
     expm_hermitian,
     operator,
 )
+from .linalg import density  # noqa: F401  (still importable from here)
 
 
 def pure_state(amplitudes) -> np.ndarray:
-    """Validate a single-qubit state vector (two amplitudes, unit norm)."""
+    """Validate a single-qubit state vector (two amplitudes, unit norm to
+    1e-12); return it normalized."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if psi.shape != (2,):
         raise ValueError(f"pure state needs exactly 2 amplitudes, got {psi.shape}")
@@ -34,7 +37,7 @@ def pure_state(amplitudes) -> np.ndarray:
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > TRACE_TOL:
         raise ValueError(f"state vector must be normalized, got norm {norm:.12g}")
-    return psi
+    return psi / norm
 
 
 KET0 = pure_state([1.0, 0.0])
@@ -44,21 +47,21 @@ KET1 = pure_state([0.0, 1.0])
 def pure_density(psi) -> np.ndarray:
     """Projector |psi><psi| of a normalized single-qubit state."""
     psi = pure_state(psi)
-    return density(np.outer(psi, psi.conj()))
+    return np.outer(psi, psi.conj())
 
 
 def maximally_mixed() -> np.ndarray:
     """The single-qubit infinite-temperature state I/2."""
-    return density(IDENTITY_2 / 2.0)
+    return IDENTITY_2 / 2.0
 
 
 def classical_mixture(p0: float, p1: float) -> np.ndarray:
     """Diagonal mixture p0 |0><0| + p1 |1><1|."""
-    if p0 < 0.0 or p1 < 0.0:
+    if not (p0 >= 0.0 and p1 >= 0.0):
         raise ValueError(f"populations must be non-negative, got ({p0}, {p1})")
     if abs(p0 + p1 - 1.0) > TRACE_TOL:
         raise ValueError(f"populations must sum to 1, got {p0 + p1!r}")
-    return density(np.diag([p0, p1]).astype(complex))
+    return np.diag([p0, p1]).astype(complex)
 
 
 def pseudo_pure(epsilon: float, psi) -> np.ndarray:
@@ -71,8 +74,7 @@ def pseudo_pure(epsilon: float, psi) -> np.ndarray:
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     psi = pure_state(psi)
-    rho = (1.0 - epsilon) * IDENTITY_2 / 2.0 + epsilon * np.outer(psi, psi.conj())
-    return density(rho)
+    return (1.0 - epsilon) * IDENTITY_2 / 2.0 + epsilon * np.outer(psi, psi.conj())
 
 
 def deviation(rho) -> np.ndarray:
@@ -101,4 +103,4 @@ def gradient_dephase_prepare(n_phases: int) -> np.ndarray:
     pulse = expm_hermitian(SIGMA_X / 2.0, math.pi / 2.0)
     rho = pulse @ np.outer(KET0, KET0.conj()) @ pulse.conj().T
     rot = expm_hermitian(SIGMA_Z / 2.0, 2.0 * math.pi * np.arange(n_phases) / n_phases)
-    return density((rot @ rho @ dagger(rot)).sum(axis=0) / n_phases)
+    return (rot @ rho @ dagger(rot)).sum(axis=0) / n_phases

@@ -322,17 +322,17 @@ class TestMainExitCodes:
         assert main(["sweep", "--steps", "3"]) == EXIT_INVARIANT
         assert "invariant" in capsys.readouterr().err
 
-    # Warnings are errors here, so the sweep case shows that the overflow of
-    # 2 theta that makes the NaN leaves stderr to the invariant line.  The
-    # tomography case still warns: overlap_fidelity overflows in 1e200 squared,
-    # and below 1e200 that warning is the only sign of a wrong fidelity.
+    # Warnings are errors here, so each case shows that the overflow behind
+    # the bad value leaves stderr to the invariant line: 2 theta in the sweep,
+    # the squared norms of overlap_fidelity past noise of about 1e154.
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("args,message", [
         (["sweep", "--steps", "3", "--theta-max", "1e308"],
          "column 'k_analytic' is not finite: nan"),
-        pytest.param(["tomography", "--noise-sigma", "1e200"],
-                     "column 'value' is not finite: nan",
-                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        (["tomography", "--noise-sigma", "1e200"],
+         "overlap_fidelity overflows: Tr(a^2) Tr(b^2) = nan"),
+        (["tomography", "--noise-sigma", "1e154"],
+         "overlap_fidelity overflows: Tr(a^2) Tr(b^2) = inf"),
     ])
     def test_non_finite_output_value_exits_1(self, args, message, fmt, capsys):
         assert main([*args, "--format", fmt]) == EXIT_INVARIANT
@@ -343,7 +343,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("args", [
         ["sweep", "--steps", "3", "--theta-max", "1e308"],
         ["correlations", "--steps", "3", "--theta-max", "1e308"],
-        # the curve fits, but bisecting past 9e307 overflows a band edge
+        # the curve fits, but bisecting analytic_k past 9e307 meets NaN
         ["sweep", "--steps", "9", "--theta-min", "9.5e307", "--theta-max", "9.51e307"],
     ])
     def test_non_finite_svg_coordinate_exits_1_and_writes_no_file(
@@ -354,7 +354,9 @@ class TestMainExitCodes:
         code = main([*args, "--format", "svg", "--output", str(out)])
         assert code == EXIT_INVARIANT
         captured = capsys.readouterr()
-        assert captured.err == "invariant failure: SVG x coordinate is not finite: inf\n"
+        message = ("k_fn is not finite at theta = 9.505625e+307: nan" if "9.5e307" in args
+                   else "SVG x coordinate is not finite: inf")
+        assert captured.err == f"invariant failure: {message}\n"
         assert not out.exists()
 
 

@@ -6,10 +6,11 @@ the one register-state validator and the stack operations of ``nmr``,
 ``states`` and the CLI built on it."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lgsim.circuit
@@ -44,6 +45,7 @@ from lgsim.leggett_garg import (
     correlation_circuit,
     correlation_oracle,
     k_value,
+    observable_from_state,
     sweep,
 )
 from lgsim.linalg import (
@@ -51,12 +53,14 @@ from lgsim.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _check_unitary,
     _product,
+    density,
+    dichotomic_observable,
     expm_hermitian,
     kron,
     partial_trace,
     trace_distance,
+    unitary,
 )
 from lgsim.nmr import ReadoutNoise, T2Config, reconstruct, t2_dephase, tomograph
 from lgsim.states import (
@@ -66,6 +70,7 @@ from lgsim.states import (
     maximally_mixed,
     pseudo_pure,
     pure_density,
+    pure_state,
 )
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -147,17 +152,42 @@ def test_product_covers_every_operand_pairing(lead_a, lead_b, rng):
 
 
 @SETTINGS
-@given(dim=st.sampled_from([2, 4]), index=st.integers(0, 720),
+@given(dim=st.sampled_from([2, 4]), angle=st.floats(0.0, 6.0),
        entry=st.tuples(st.integers(0, 3), st.integers(0, 3)))
-def test_check_unitary_rejects_one_bad_matrix_in_a_stack(dim, index, entry):
-    stack = expm_hermitian(SIGMA_X + 0.3 * SIGMA_Z, np.linspace(0.0, 6.0, 721))
+def test_unitary_rejects_one_bad_entry(dim, angle, entry):
+    u = expm_hermitian(SIGMA_X + 0.3 * SIGMA_Z, angle)
     if dim == 4:
-        stack = kron(stack, HADAMARD)
-    assert _check_unitary(stack) is stack
-    bad = stack.copy()
-    bad[(index, entry[0] % dim, entry[1] % dim)] += 1e-9
+        u = kron(u, HADAMARD)
+    assert unitary(u) is u
+    bad = u.copy()
+    bad[entry[0] % dim, entry[1] % dim] += 1e-9
     with pytest.raises(ValueError, match="not unitary"):
-        _check_unitary(bad)
+        unitary(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a0=st.floats(-2.0, 2.0), axis=direction, scale_exp=st.floats(-300.0, 150.0),
+       angle_exp=st.floats(-300.0, 300.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_expm_hermitian_is_unitary_wherever_its_phases_are_finite(
+        a0, axis, scale_exp, angle_exp, sign):
+    """h = s (a0 I + n.sigma) with log-uniform scale s and angle: unitary to
+    1e-14 while |angle| s < 1e307 (so |angle a0 s| < 2e307), a ValueError
+    once it passes 1e309, and never a numpy warning."""
+    h = 10.0 ** scale_exp * (a0 * IDENTITY_2 + unit_observable(axis))
+    angle = sign * 10.0 ** angle_exp
+    phase_exp = scale_exp + angle_exp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if phase_exp > 309.0:
+            with pytest.raises(ValueError, match="finite angles"):
+                expm_hermitian(h, angle)
+            return
+        try:
+            u = expm_hermitian(h, angle)
+        except ValueError:
+            assert phase_exp >= 307.0
+            return
+    assert np.max(np.abs(u @ u.conj().T - IDENTITY_2)) <= 1e-14
 
 
 def test_empty_circuit_raises():
@@ -584,15 +614,27 @@ def test_gradient_dephase_prepare_gives_the_maximally_mixed_state(n_phases):
     np.testing.assert_allclose(prepared, maximally_mixed(), rtol=0, atol=1e-15)
 
 
-def counting(module, name, monkeypatch) -> list:
-    """Replace ``module.name`` by a wrapper that records each call."""
-    calls, original = [], getattr(module, name)
+def counting(module, name, monkeypatch, calls=None) -> list:
+    """Replace ``module.name`` by a wrapper that records each call, in
+    ``calls`` when given."""
+    calls = [] if calls is None else calls
+    original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def counting_everywhere(name, monkeypatch) -> list:
+    """``counting`` of ``name`` in each lgsim module that holds it, into one
+    list."""
+    calls = []
+    for module in (lgsim.linalg, lgsim.states, lgsim.circuit, lgsim.leggett_garg):
+        if hasattr(module, name):
+            counting(module, name, monkeypatch, calls)
     return calls
 
 
@@ -692,15 +734,43 @@ def test_scattering_gates_validate_each_operand_once(monkeypatch):
 
 
 def test_default_sweep_validation_counts(monkeypatch):
-    """One ``unitary`` per ``scattering_gates`` call (8 when each controlled
-    slot had its own gate), and 15 ``is_hermitian`` (23 when ``embed``
-    validated the generator again)."""
+    """Per default sweep: one ``unitary`` per ``scattering_gates`` call (8
+    when each controlled slot had its own gate), 13 ``is_hermitian`` (23 when
+    ``embed`` validated the generator again), one ``density`` and one
+    ``dichotomic_observable`` per ``scattering_gates`` call (2 and 5 when the
+    built probe state and observable were checked again), and 7 ``_product``
+    per circuit stack (40 in all when each exponential was checked for
+    unitarity)."""
     rho = classical_mixture(0.5, 0.5)
-    unitary_calls = counting(lgsim.circuit, "unitary", monkeypatch)
-    hermitian_calls = counting(lgsim.linalg, "is_hermitian", monkeypatch)
+    names = ("unitary", "is_hermitian", "density", "dichotomic_observable", "_product")
+    calls = {name: counting_everywhere(name, monkeypatch) for name in names}
     sweep(Evolution(1.0), rho, 1.0, 0.0, 2 * math.pi, 721)
-    assert len(unitary_calls) <= 4
-    assert len(hermitian_calls) <= 15
+    bounds = {"unitary": 4, "is_hermitian": 13, "density": 1,
+              "dichotomic_observable": 4, "_product": 28}
+    for name, bound in bounds.items():
+        assert len(calls[name]) <= bound, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(amplitudes=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+           lambda v: math.hypot(*v) > 1e-3),
+       excess=st.floats(0.5e-12, 1e-12), sign=st.sampled_from([-1.0, 1.0]),
+       eps=epsilons)
+def test_states_from_any_accepted_vector_pass_the_later_checks(amplitudes, excess,
+                                                               sign, eps):
+    """A vector whose norm is near the edge of ``pure_state``'s tolerance
+    gives a projector, a pseudo-pure state and an observable that ``density``
+    and ``dichotomic_observable`` accept."""
+    re0, im0, re1, im1 = amplitudes
+    psi = np.array([re0 + 1j * im0, re1 + 1j * im1])
+    psi = psi / np.linalg.norm(psi) * (1.0 + sign * excess)
+    try:
+        pure_state(psi)
+    except ValueError:
+        assume(False)
+    density(pure_density(psi))
+    density(pseudo_pure(eps, psi))
+    dichotomic_observable(observable_from_state(psi))
 
 
 def test_built_gates_run_without_validation(monkeypatch):

@@ -448,6 +448,23 @@ class TestFindViolations:
         with pytest.raises(ValueError, match="threshold"):
             find_violations(results, threshold=threshold)
 
+    def test_bisects_to_finite_edges_near_the_float_limit(self):
+        """The midpoint is halved before the sum, which overflows past 9e307."""
+        results = sweep(EVO, maximally_mixed(), 1.0, 9.5e307, 9.51e307, 9)
+
+        def k_fn(theta):  # crosses between the last violating grid point and the next
+            return 2.0 if theta < 9.5058e307 else 0.0
+
+        [(lo, hi)] = find_violations(results, k_fn=k_fn)
+        assert lo == 9.5e307
+        assert hi == pytest.approx(9.5058e307, rel=1e-15)
+
+    def test_rejects_a_non_finite_continuation(self):
+        results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 2 * math.pi, 11)
+        message = r"k_fn is not finite at theta = 0\.3141592653589793: nan"
+        with pytest.raises(ValueError, match=message):
+            find_violations(results, k_fn=lambda theta: math.nan)
+
     @settings(max_examples=200, deadline=None)
     @given(mask=st.lists(st.booleans(), min_size=1, max_size=40),
            steps=st.lists(st.floats(0.01, 1.0), min_size=40, max_size=40),
