@@ -42,7 +42,6 @@ from .linalg import (
     SIGMA_Z,
     dagger,
     density,
-    eig_hermitian,
     expm_hermitian,
     kron,
     operator,

@@ -13,7 +13,14 @@ and ``run`` trust them and check nothing again.
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
 then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
 S + (4, 4) and the readouts shape S, so N circuits cost a few products of
-whole stacks (``linalg._product``).
+whole stacks (``linalg._product``).  A stack of at least
+``linalg._STACK_KERNEL_MIN`` matrices executes in a workspace that lives for
+one call: each ``circuit_unitary`` or ``run`` call allocates one block of
+three stack-sized buffers and writes the stacked embeddings, the products
+and, in ``run``, the conjugate of the circuit unitary into them in turn, in
+place of a fresh stack-sized array per step.  What a call returns is a view
+of its own block, which no later call writes; smaller stacks and single
+circuits take ``@`` and allocate as it does.
 
 The probe readout of the interferometer built by ``build_scattering_circuit``
 returns Re Tr[rho_sys O(t_m) O(t_k)]: a Hadamard splits the probe, the two
@@ -24,12 +31,15 @@ Hadamard maps the accumulated relative phase onto <sigma_z> of the probe.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
+    _STACK_KERNEL_MIN,
     IDENTITY_2,
     SIGMA_Y,
     SIGMA_Z,
@@ -124,6 +134,12 @@ def embed(gate: Gate) -> np.ndarray:
     order fixed by probe = left.  The gates' operators were checked when the
     gates were built, so nothing is validated here.
     """
+    return _embed(gate, None)
+
+
+def _embed(gate: Gate, out: np.ndarray | None) -> np.ndarray:
+    """``embed``, writing the stack of an ``Evolve`` with an array of phases
+    into the 1-d buffer ``out`` when one is given."""
     if isinstance(gate, ControlledU):
         if gate.control == PROBE:
             return kron(_P0, IDENTITY_2) + kron(_P1, gate.u)
@@ -134,20 +150,46 @@ def embed(gate: Gate) -> np.ndarray:
         one_wire = gate.one_wire
     else:
         raise TypeError(f"unknown gate kind: {gate!r}")
+    if one_wire.ndim == 2:
+        out = None
     if gate.wire == PROBE:
-        return kron(one_wire, IDENTITY_2)
-    return kron(IDENTITY_2, one_wire)
+        return kron(one_wire, IDENTITY_2, out=out)
+    return kron(IDENTITY_2, one_wire, out=out)
+
+
+def _buffers(circuit: Circuit, *states: np.ndarray) -> Iterator[np.ndarray | None]:
+    """Where executing ``circuit`` on ``states`` writes its stacks, one buffer
+    per ``next``: the three 1-d buffers of one block in turn, each with room
+    for the circuit's stack of 4x4 matrices broadcast against the stacks of
+    ``states``, so the next buffer is never one of the last two, which hold
+    the operands of the next write.  None forever when that stack is smaller
+    than ``_STACK_KERNEL_MIN`` and its products take ``@``."""
+    lead = np.broadcast_shapes(
+        *(g.one_wire.shape[:-2] for g in circuit.gates if isinstance(g, Evolve)),
+        *(rho.shape[:-2] for rho in states),
+    )
+    size = math.prod(lead)
+    if size < _STACK_KERNEL_MIN:
+        return itertools.repeat(None)
+    return itertools.cycle(np.empty((3, 16 * size), dtype=complex))
+
+
+def _unitary(circuit: Circuit, buffers: Iterator[np.ndarray | None]) -> np.ndarray:
+    """``circuit_unitary``, with each stacked embedding and product written
+    into the next of ``buffers``."""
+    if not circuit.gates:
+        raise ValueError("cannot execute an empty circuit")
+    first, *rest = circuit.gates
+    v = _embed(first, next(buffers))
+    for gate in rest:
+        u = _embed(gate, next(buffers))
+        v = _product(u, v, out=next(buffers))
+    return v
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Ordered product of the embedded gates (first gate acts first)."""
-    if not circuit.gates:
-        raise ValueError("cannot execute an empty circuit")
-    first, *rest = circuit.gates
-    v = embed(first)
-    for gate in rest:
-        v = _product(embed(gate), v)
-    return v
+    return _unitary(circuit, _buffers(circuit))
 
 
 def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
@@ -158,8 +200,16 @@ def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
     exactly, up to round-off in the products.
     """
     rho_in = _register(rho_in, "run")
-    v = circuit_unitary(circuit)
-    return _product(_product(v, rho_in), dagger(v))
+    buffers = _buffers(circuit, rho_in)
+    v = _unitary(circuit, buffers)
+    half = _product(v, rho_in, out=next(buffers))
+    out = next(buffers)
+    if out is None:
+        return _product(half, dagger(v))
+    # v is not read again, so its own buffer takes the conjugate that the
+    # transposed view below turns into V+ without dagger's copy
+    np.conj(v, out=v)
+    return _product(half, np.swapaxes(v, -1, -2), out=out)
 
 
 def build_scattering_circuit(

@@ -172,8 +172,7 @@ def heisenberg_observable(obs, evo: Evolution, t: float) -> np.ndarray:
 def _heisenberg(obs: np.ndarray, evo: Evolution, t: float) -> np.ndarray:
     """``heisenberg_observable`` for an already validated ``obs``."""
     forward = expm_hermitian(evo.hamiltonian, t)
-    backward = expm_hermitian(evo.hamiltonian, -t)
-    return backward @ obs @ forward
+    return forward.conj().T @ obs @ forward
 
 
 def correlation_oracle(

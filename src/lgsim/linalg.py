@@ -8,11 +8,15 @@ the library; Hermitian operands all pass the one private ``_hermitian`` check.
 What is built from checked inputs, the exponential included, is not checked
 again, and the operations below assume valid inputs and stay pure.  All values
 are immutable by convention, so the whole module is safe for concurrent use.
+``kron`` and the stacked kernels of ``_product`` can write their result into
+a buffer the caller passes as ``out``; the caller owns that workspace for the
+length of one call (``circuit.run``), and this module keeps no buffer of its own.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -111,7 +115,8 @@ def dichotomic_observable(entries) -> np.ndarray:
     return obs
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray, *,
+             out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` for matrices or stacks of matrices whose leading axes broadcast.
 
     numpy's ``@`` on a stack calls BLAS once per matrix, which at 2x2 and 4x4
@@ -123,15 +128,24 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     than ``_STACK_KERNEL_MIN`` matrices, where the fixed cost of these
     kernels exceeds the per-matrix calls, use ``@``.  Stacked results may be
     strided views in either layout.
+
+    ``out`` is an optional 1-d complex buffer with room for the result: the
+    stacked kernels write the result into its start, in their own layout, and
+    return a view of it, so a caller that owns the buffer allocates no result
+    per product.  ``@`` leaves it unused.
     """
     if max(a.size, b.size) < _STACK_KERNEL_MIN * a.shape[-1] * b.shape[-1]:
         return a @ b
     if b.ndim == 2:
-        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+        rows = a.reshape(-1, a.shape[-1])
+        res = np.matmul(rows, b, out=_view(out, (rows.shape[0], b.shape[-1])))
+        return res.reshape(a.shape[:-1] + b.shape[-1:])
     if a.ndim == 2:
         bt = b.transpose(_matrix_axes_first(b.ndim))
-        out = (a @ bt.reshape(bt.shape[0], -1)).reshape(a.shape[:1] + bt.shape[1:])
-        return out.transpose(_matrix_axes_last(out.ndim))
+        cols = bt.reshape(bt.shape[0], -1)  # copies b unless laid out so already
+        res = np.matmul(a, cols, out=_view(out, (a.shape[0], cols.shape[1])))
+        res = res.reshape(a.shape[:1] + bt.shape[1:])
+        return res.transpose(_matrix_axes_last(res.ndim))
     # pad both stacks to one rank so their trailing (stack) axes broadcast
     rank = max(a.ndim, b.ndim)
     at = a.reshape((1,) * (rank - a.ndim) + a.shape).transpose(_matrix_axes_first(rank))
@@ -139,12 +153,20 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # No copies of the operands, and the only temporary is one row of the
     # result: fresh stack-sized temporaries cost more in page faults than
     # the arithmetic does.
-    out = np.multiply(at[:, 0, None], bt[None, 0], order="C")
-    term = np.empty_like(out[0])
-    for i, row in enumerate(out):
+    lead = np.broadcast_shapes(at.shape[2:], bt.shape[2:])
+    res = np.multiply(at[:, 0, None], bt[None, 0], order="C",
+                      out=_view(out, at.shape[:1] + bt.shape[1:2] + lead))
+    term = np.empty_like(res[0])
+    for i, row in enumerate(res):
         for k in range(1, at.shape[1]):
             row += np.multiply(at[i, k], bt[k], out=term)
-    return out.transpose(_matrix_axes_last(rank))
+    return res.transpose(_matrix_axes_last(rank))
+
+
+def _view(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The start of the 1-d buffer ``out`` as a C-ordered array of ``shape``
+    (None for no buffer)."""
+    return None if out is None else out[:math.prod(shape)].reshape(shape)
 
 
 def _matrix_axes_first(ndim: int) -> tuple[int, ...]:
@@ -157,12 +179,13 @@ def _matrix_axes_last(ndim: int) -> tuple[int, ...]:
     return (*range(2, ndim), 0, 1)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Kronecker product with ``a`` as the left (probe-side) factor.
 
     Either factor may be a stack of matrices; leading axes broadcast.  The
     register is capped at two qubits, so the result may not exceed
-    dimension 4.
+    dimension 4.  ``out`` is an optional 1-d complex buffer with room for the
+    result, which is then written into its start and returned as a view.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -171,9 +194,12 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"kron result dimension {n} exceeds the two-qubit register"
         )
+    if out is not None:
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = _view(out, lead + (a.shape[-2], b.shape[-2], a.shape[-1], b.shape[-1]))
     # einsum beats np.kron by a wide margin at these fixed small sizes
-    out = np.einsum("...ij,...kl->...ikjl", a, b)
-    return out.reshape(out.shape[:-4] + (n, n))
+    res = np.einsum("...ij,...kl->...ikjl", a, b, out=out)
+    return res.reshape(res.shape[:-4] + (n, n))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -224,16 +250,6 @@ def expm_hermitian(h: np.ndarray, angle) -> np.ndarray:
     return phase * (np.cos(turn) * IDENTITY_2 - 1j * np.sin(turn) * axis)
 
 
-def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian 2x2 or 4x4 matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in
-    ascending order and the matching eigenvectors as columns of a unitary
-    matrix.
-    """
-    return np.linalg.eigh(_hermitian(h, "eig_hermitian matrix"))
-
-
 def trace_distance(a: np.ndarray, b: np.ndarray):
     """Half the sum of |eigenvalues| of (a - b); in [0, 1] for states.
 
@@ -268,4 +284,8 @@ def overlap_fidelity(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"overlap_fidelity overflows: Tr(a^2) Tr(b^2) = {squares!r}")
     if na <= 0.0 or nb <= 0.0:
         raise ValueError("overlap_fidelity is undefined for a zero matrix")
-    return float(np.trace(a @ b).real / math.sqrt(squares))
+    if squares >= sys.float_info.min:
+        norm = math.sqrt(squares)
+    else:  # the product underflowed (lost digits or became 0), the factors not
+        norm = math.sqrt(na) * math.sqrt(nb)
+    return float(np.trace(a @ b).real / norm)

@@ -5,8 +5,13 @@ properties of K, of the raw probe signal and of ``run`` over random inputs;
 the one register-state validator and the stack operations of ``nmr``,
 ``states`` and the CLI built on it."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +70,7 @@ from lgsim.linalg import (
 from lgsim.nmr import ReadoutNoise, T2Config, reconstruct, t2_dephase, tomograph
 from lgsim.states import (
     KET0,
+    KET1,
     classical_mixture,
     gradient_dephase_prepare,
     maximally_mixed,
@@ -140,6 +146,9 @@ def test_product_equals_matmul(operands):
     got = _product(a, b)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    # written into a caller's buffer, with room to spare, the same bits
+    np.testing.assert_array_equal(
+        _product(a, b, out=np.empty(want.size + 3, dtype=complex)), got)
 
 
 @pytest.mark.parametrize("lead_a,lead_b", [((), ()), ((40,), ()), ((), (40,)),
@@ -788,3 +797,97 @@ def test_built_gates_run_without_validation(monkeypatch):
             monkeypatch.setattr(module, name, refuse, raising=False)
     circuit_unitary(Circuit(gates))
     assert run(Circuit(gates), rho).shape == (7, 4, 4)
+
+
+# SHA-256 of the five columns' bytes (theta, c12, c23, c13, k), recorded
+# before the engine wrote its stacks into a per-run workspace.
+SWEEP_COLUMN_SHA256 = {
+    "default": "6534b827692ab8cd6d2f9d23b8e53ddfedf3e9e03d54cf91dc90062fe9970c31",
+    "eps-0.3-ket1-subrange":
+        "08530d27c2eae8064450b715bca1298c7ff5b38d0bad10ce774e628c0dcdfef7",
+    "mixture-97-steps":
+        "b747e2305e6becd6f7a3e97d04233651a9c161ad56c756fda0df4ba4f709a1c2",
+}
+
+SWEEP_CASES = {
+    "default": lambda: sweep(Evolution(1.0), classical_mixture(0.5, 0.5), 1.0,
+                             0.0, 2 * math.pi, 721),
+    "eps-0.3-ket1-subrange": lambda: sweep(Evolution(1.0), classical_mixture(0.5, 0.5),
+                                           0.3, 0.7, 3.1, 721,
+                                           observable_from_state(KET1)),
+    "mixture-97-steps": lambda: sweep(Evolution(1.0), classical_mixture(0.2, 0.8), 1.0,
+                                      0.0, 2 * math.pi, 97),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_columns_match_their_recorded_digest(case):
+    results = SWEEP_CASES[case]()
+    digest = hashlib.sha256()
+    for name in ("theta", "c12", "c23", "c13", "k"):
+        digest.update(getattr(results, name).tobytes())
+    assert digest.hexdigest() == SWEEP_COLUMN_SHA256[case]
+
+
+FAULTS_PER_SWEEP = """
+import math, resource
+from lgsim import Evolution, classical_mixture, sweep
+rho = classical_mixture(0.5, 0.5)
+for i in range(23):
+    if i == 3:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sweep(Evolution(1.0), rho, 1.0, 0.0, 2 * math.pi, 721)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux reports them")
+def test_default_sweep_takes_almost_no_page_faults():
+    """A sweep that allocated fresh stack-sized temporaries took 470-710
+    minor faults, as the allocator handed their pages back between uses.
+    The child runs with the allocator's own defaults."""
+    root = Path(__file__).resolve().parent.parent
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", FAULTS_PER_SWEEP],
+                          capture_output=True, env=env, timeout=120, text=True)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 100
+
+
+@pytest.mark.parametrize("size", [721, 64])
+def test_stacked_results_survive_later_engine_calls(size):
+    """States from ``run`` and unitaries from ``circuit_unitary`` live in
+    their own call's workspace; later calls, the inputs and the gates are
+    left alone."""
+    t = np.linspace(0.0, 3.0, size)
+    obs = observable_from_state(KET0)
+    circuit = Circuit(scattering_gates(SIGMA_X, obs, 0.5 * t, t))
+    rho_in = kron(pseudo_pure(0.7, KET0), classical_mixture(0.3, 0.7))
+    rho_in.flags.writeable = False
+    state, v = run(circuit, rho_in), circuit_unitary(circuit)
+    kept = state.copy(), v.copy()
+
+    other = Circuit(scattering_gates(SIGMA_X + SIGMA_Z, obs, t, 2.0 * t))
+    run(other, rho_in)
+    circuit_unitary(other)
+    correlation_batch(classical_mixture(0.9, 0.1), obs, Evolution(1.3),
+                      [(0.0, t), (t, 2.0 * t)], 0.4)
+    np.testing.assert_array_equal(state, kept[0])
+    np.testing.assert_array_equal(v, kept[1])
+    np.testing.assert_array_equal(run(circuit, rho_in), kept[0])
+    np.testing.assert_array_equal(circuit_unitary(circuit), kept[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega=st.floats(0.0, 4.0), v=direction, t=st.floats(-10.0, 10.0))
+def test_heisenberg_conjugates_by_the_adjoint_of_one_exponential(omega, v, t):
+    """exp(iHt) is taken as the adjoint of exp(-iHt): exactly the entries of
+    a second exponential at -t (a zero entry may differ in sign)."""
+    obs, evo = unit_observable(v), Evolution(omega)
+    forward = expm_hermitian(evo.hamiltonian, t)
+    want = expm_hermitian(evo.hamiltonian, -t) @ obs @ forward
+    np.testing.assert_array_equal(lgsim.leggett_garg._heisenberg(obs, evo, t), want)

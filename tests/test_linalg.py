@@ -1,4 +1,4 @@
-"""Core linear algebra: products, partial traces, exponentials, eigensolver."""
+"""Core linear algebra: products, partial traces, exponentials, fidelities."""
 
 import math
 
@@ -13,7 +13,6 @@ from lgsim.linalg import (
     SIGMA_Z,
     dagger,
     density,
-    eig_hermitian,
     expm_hermitian,
     kron,
     operator,
@@ -56,6 +55,14 @@ class TestKron:
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             np.testing.assert_allclose(kron(a, b), np.kron(a, b), atol=1e-14)
+
+    def test_writes_a_stack_into_the_start_of_a_buffer(self, rng):
+        a = rng.normal(size=(40, 2, 2)) + 1j * rng.normal(size=(40, 2, 2))
+        buffer = np.full(16 * 40 + 5, np.nan, dtype=complex)
+        got = kron(IDENTITY_2, a, out=buffer)
+        np.testing.assert_array_equal(got, kron(IDENTITY_2, a))
+        assert np.shares_memory(got, buffer)
+        assert np.isnan(buffer[16 * 40:]).all()
 
     def test_rejects_more_than_two_qubits(self):
         with pytest.raises(ValueError, match="register"):
@@ -155,49 +162,6 @@ class TestExpmHermitian:
         np.testing.assert_allclose(u, np.exp(-0.4j) * IDENTITY_2, atol=1e-15)
 
 
-class TestEigHermitian:
-    def test_sigma_z(self):
-        evals, _ = eig_hermitian(SIGMA_Z)
-        np.testing.assert_allclose(evals, [-1.0, 1.0], atol=1e-14)
-
-    def test_sigma_x_eigenvectors(self):
-        evals, evecs = eig_hermitian(SIGMA_X)
-        np.testing.assert_allclose(evals, [-1.0, 1.0], atol=1e-14)
-        for idx, val in enumerate(evals):
-            resid = SIGMA_X @ evecs[:, idx] - val * evecs[:, idx]
-            assert np.linalg.norm(resid) <= 1e-10
-
-    def test_degenerate(self):
-        evals, _ = eig_hermitian(IDENTITY_2 / 2.0)
-        np.testing.assert_allclose(evals, [0.5, 0.5], atol=0)
-
-    def test_reconstruction_and_residual(self, rng):
-        """V diag(lambda) V+ = h, per-pair residual below 1e-10."""
-        for dim in (2, 4):
-            for _ in range(25):
-                h = random_hermitian(rng, dim)
-                evals, evecs = eig_hermitian(h)
-                assert np.all(np.diff(evals) >= -1e-14)
-                recon = evecs @ np.diag(evals) @ evecs.conj().T
-                np.testing.assert_allclose(recon, h, atol=1e-10)
-                np.testing.assert_allclose(
-                    evecs @ evecs.conj().T, np.eye(dim), atol=1e-12
-                )
-                for idx in range(dim):
-                    resid = h @ evecs[:, idx] - evals[idx] * evecs[:, idx]
-                    assert np.linalg.norm(resid) <= 1e-10
-
-    def test_agrees_with_numpy(self, rng):
-        for _ in range(25):
-            h = random_hermitian(rng, 4)
-            evals, _ = eig_hermitian(h)
-            np.testing.assert_allclose(evals, np.linalg.eigvalsh(h), atol=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            eig_hermitian(np.array([[0, 1], [2, 0]], dtype=complex))
-
-
 class TestTraceDistance:
     def test_self_distance(self, rng):
         rho = random_density(rng, 4)
@@ -239,6 +203,14 @@ class TestOverlapFidelity:
     def test_rejects_zero_matrix(self):
         with pytest.raises(ValueError, match="zero"):
             overlap_fidelity(np.zeros((2, 2)), SIGMA_Z)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-100, 1e-78, 1e-160])
+    def test_tiny_matrices_whose_squared_norms_underflow_in_product(self, scale):
+        """Tr(a^2) Tr(b^2) is 0 or subnormal while each factor is positive."""
+        a = scale * SIGMA_Z
+        assert abs(overlap_fidelity(a, a) - 1.0) <= 1e-15
+        assert abs(overlap_fidelity(a, -a) + 1.0) <= 1e-15
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
