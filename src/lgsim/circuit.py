@@ -16,11 +16,11 @@ S + (4, 4) and the readouts shape S, so N circuits cost a few products of
 whole stacks (``linalg._product``).  A stack of at least
 ``linalg._STACK_KERNEL_MIN`` matrices executes in a workspace that lives for
 one call: each ``circuit_unitary`` or ``run`` call allocates one block of
-three stack-sized buffers and writes the stacked embeddings, the products
-and, in ``run``, the conjugate of the circuit unitary into them in turn, in
-place of a fresh stack-sized array per step.  What a call returns is a view
-of its own block, which no later call writes; smaller stacks and single
-circuits take ``@`` and allocate as it does.
+three stack-sized buffers and writes the stacked embeddings and the
+products into them in turn, in place of a fresh stack-sized array per step.
+What a call returns is a view of its own block, which no later call writes.
+``run`` conjugates the circuit unitary in place for every stack; only the
+products of smaller stacks and of single circuits take ``@`` and allocate.
 
 The probe readout of the interferometer built by ``build_scattering_circuit``
 returns Re Tr[rho_sys O(t_m) O(t_k)]: a Hadamard splits the probe, the two
@@ -45,7 +45,6 @@ from .linalg import (
     SIGMA_Z,
     _product,
     _register,
-    dagger,
     dichotomic_observable,
     expm_hermitian,
     kron,
@@ -203,13 +202,9 @@ def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
     buffers = _buffers(circuit, rho_in)
     v = _unitary(circuit, buffers)
     half = _product(v, rho_in, out=next(buffers))
-    out = next(buffers)
-    if out is None:
-        return _product(half, dagger(v))
-    # v is not read again, so its own buffer takes the conjugate that the
-    # transposed view below turns into V+ without dagger's copy
+    # v is this call's own array, read no more: conjugated, its transpose is V+
     np.conj(v, out=v)
-    return _product(half, np.swapaxes(v, -1, -2), out=out)
+    return _product(half, np.swapaxes(v, -1, -2), out=next(buffers))
 
 
 def build_scattering_circuit(

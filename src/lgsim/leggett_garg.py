@@ -35,8 +35,8 @@ from .linalg import (
 )
 from .states import KET0, pseudo_pure, pure_state
 
-# Guard band for strict threshold comparisons, so the exact K = 1 boundary at
-# theta = 0 is never flagged as a violation.
+# Guard band above the bound K = 1, so the exact K = 1 boundary at theta = 0
+# is never flagged as a violation.
 _VIOLATION_GUARD = 1e-12
 _BISECT_TOL = 1e-9
 _REFERENCE_FLOOR = 1e-15
@@ -90,7 +90,9 @@ class Schedule:
             raise ValueError(
                 f"need t1 <= t2 <= t3, got ({self.t1}, {self.t2}, {self.t3})"
             )
-        if abs((self.t2 - self.t1) - (self.t3 - self.t2)) > 1e-12:
+        # t1 + dt rounds on the scale of the times, so the tolerance does too
+        tol = 1e-12 * max(1.0, abs(self.t1), abs(self.t3))
+        if abs((self.t2 - self.t1) - (self.t3 - self.t2)) > tol:
             raise ValueError("schedule spacing must be equal: t2-t1 != t3-t2")
 
     @property
@@ -304,21 +306,17 @@ def sweep(
 
 
 def find_violations(
-    results: SweepResult,
-    threshold: float = 1.0,
-    k_fn=analytic_k,
+    results: SweepResult, *, k_fn=analytic_k
 ) -> list[tuple[float, float]]:
-    """Maximal theta intervals where K exceeds the classical bound.
+    """Maximal theta intervals where K exceeds the classical bound 1.
 
     Reads the ``theta`` and ``k`` columns of ``results``, which must be
-    sorted by theta.  Grid membership uses K > threshold + 1e-12, so the exact
-    K = threshold boundary is never flagged.  Interval endpoints falling
-    between grid points are refined by bisecting ``k_fn`` (the continuation
-    of the swept curve) down to 1e-9, or down to adjacent floats where those
-    are farther apart.
+    sorted by theta.  Grid membership uses K > 1 + 1e-12, so the exact K = 1
+    boundary is never flagged.  Interval endpoints falling between grid
+    points are refined by bisecting ``k_fn`` (the continuation of the swept
+    curve) down to 1e-9, or down to adjacent floats where those are farther
+    apart.
     """
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
     thetas, ks = results.theta, results.k
     if not len(thetas):
         raise ValueError("find_violations needs at least one sweep point")
@@ -327,7 +325,7 @@ def find_violations(
 
     # Padded with False on both sides, the mask changes value exactly at the
     # first index of each run and one past its last.
-    above = np.concatenate(([False], ks > threshold + _VIOLATION_GUARD, [False]))
+    above = np.concatenate(([False], ks > 1.0 + _VIOLATION_GUARD, [False]))
     edges = np.flatnonzero(np.diff(above)).tolist()
     thetas = thetas.tolist()
     n = len(thetas)
@@ -335,16 +333,16 @@ def find_violations(
     for first, stop in zip(edges[::2], edges[1::2]):
         lo = thetas[first]
         if first > 0:
-            lo = _bisect_crossing(k_fn, threshold, thetas[first - 1], lo)
+            lo = _bisect_crossing(k_fn, thetas[first - 1], lo)
         hi = thetas[stop - 1]
         if stop < n:
-            hi = _bisect_crossing(k_fn, threshold, thetas[stop], hi)
+            hi = _bisect_crossing(k_fn, thetas[stop], hi)
         intervals.append((lo, hi))
     return intervals
 
 
-def _bisect_crossing(k_fn, threshold: float, outside: float, inside: float) -> float:
-    """Locate K = threshold between a non-violating and a violating point."""
+def _bisect_crossing(k_fn, outside: float, inside: float) -> float:
+    """Locate K = 1 between a non-violating and a violating point."""
     a, b = outside, inside
     while abs(b - a) > _BISECT_TOL:
         mid = 0.5 * a + 0.5 * b  # a + b would overflow past about 9e307
@@ -353,5 +351,5 @@ def _bisect_crossing(k_fn, threshold: float, outside: float, inside: float) -> f
         k = k_fn(mid)
         if not math.isfinite(k):
             raise ValueError(f"k_fn is not finite at theta = {mid!r}: {float(k)!r}")
-        a, b = (a, mid) if k > threshold else (mid, b)
+        a, b = (a, mid) if k > 1.0 else (mid, b)
     return 0.5 * a + 0.5 * b

@@ -22,8 +22,8 @@ import numpy as np
 
 from .circuit import Circuit, expect_probe_z, run, scattering_gates
 from .leggett_garg import Evolution, observable_from_state, reference_signal
-from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _register, kron,
-                     overlap_fidelity)
+from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _register,
+                     is_hermitian, kron, overlap_fidelity)
 from .states import KET0, deviation, maximally_mixed, pseudo_pure, pure_density
 
 PAULI_LABELS = ("I", "x", "y", "z")
@@ -45,8 +45,8 @@ class T2Config:
             raise ValueError(f"t2_probe must be positive, got {self.t2_probe}")
         if not self.t2_system > 0.0:
             raise ValueError(f"t2_system must be positive, got {self.t2_system}")
-        if not self.duration >= 0.0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
 
 
 def t2_dephase(rho: np.ndarray, cfg: T2Config) -> np.ndarray:
@@ -85,6 +85,8 @@ def k_attenuation_check(
 
     Returns ``(k_ideal, k_noisy)``.
     """
+    if not 0.0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
     evo = Evolution(omega=1.0)
     obs = observable_from_state(KET0)
     rho_in = kron(pseudo_pure(probe_eps, KET0), maximally_mixed())
@@ -130,6 +132,8 @@ class TomographyRecord:
         c = np.asarray(self.coefficients, dtype=float)
         if c.shape != (4, 4):
             raise ValueError("tomography record needs a 4x4 coefficient table")
+        if not np.isfinite(c).all():
+            raise ValueError("tomography coefficients must be finite")
         object.__setattr__(self, "coefficients", c)
 
     def coefficient(self, probe_label: str, system_label: str) -> float:
@@ -147,6 +151,8 @@ def tomograph(rho: np.ndarray, noise: ReadoutNoise) -> TomographyRecord:
     exactly.
     """
     rho = _register(rho, "tomograph", stack=False)
+    if not is_hermitian(rho):
+        raise ValueError("tomograph expects a Hermitian register state")
     c = np.trace(rho @ _PAULI_BASIS, axis1=-2, axis2=-1).real
     if noise.sigma > 0.0:
         for i, j in np.ndindex(4, 4):

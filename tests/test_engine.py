@@ -59,6 +59,7 @@ from lgsim.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     _product,
+    dagger,
     density,
     dichotomic_observable,
     expm_hermitian,
@@ -799,6 +800,30 @@ def test_built_gates_run_without_validation(monkeypatch):
     assert run(Circuit(gates), rho).shape == (7, 4, 4)
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (5, 5), (31,), (32,), (64,), (721,)])
+def test_run_equals_the_conjugation_by_the_circuit_unitary_bit_for_bit(shape, rng):
+    """``run`` conjugates in place on every stack; the bits are those of
+    V rho V+ with ``dagger``, the sign of zero included."""
+    t_k, t_m = np.sort(rng.uniform(0.0, 3.0, (2,) + shape), axis=0)
+    circuit = Circuit(scattering_gates(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, t_k, t_m))
+    rho = random_density(rng, 4)
+    v = circuit_unitary(circuit)
+    want = _product(_product(v, rho), dagger(v))
+    got = run(circuit, rho)
+    assert got.shape == want.shape == shape + (4, 4)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_one_gate_run_on_a_stack_of_states_is_bit_for_bit_the_conjugation():
+    circuit = Circuit((Evolve(PROBE, SIGMA_Y, 0.4),))
+    rho = random_density_stack(7, (2, 3))
+    v = circuit_unitary(circuit)
+    want = _product(_product(v, rho), dagger(v))
+    got = run(circuit, rho)
+    assert got.shape == want.shape == (2, 3, 4, 4)
+    assert got.tobytes() == want.tobytes()
+
+
 # SHA-256 of the five columns' bytes (theta, c12, c23, c13, k), recorded
 # before the engine wrote its stacks into a per-run workspace.
 SWEEP_COLUMN_SHA256 = {
@@ -826,7 +851,9 @@ def test_sweep_columns_match_their_recorded_digest(case):
     digest = hashlib.sha256()
     for name in ("theta", "c12", "c23", "c13", "k"):
         digest.update(getattr(results, name).tobytes())
-    assert digest.hexdigest() == SWEEP_COLUMN_SHA256[case]
+    assert digest.hexdigest() == SWEEP_COLUMN_SHA256[case], (
+        "digests recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on its SkylakeX "
+        "and Haswell kernels; other BLAS kernels may round the last bits apart")
 
 
 FAULTS_PER_SWEEP = """

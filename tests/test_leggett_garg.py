@@ -77,6 +77,23 @@ class TestSchedule:
         with pytest.raises(ValueError, match="spacing"):
             Schedule(0.0, 0.3, 0.7)
 
+    @pytest.mark.parametrize("t1", [1e5, 1e6, 1e7])
+    def test_equal_spacing_late_in_the_evolution(self, t1):
+        """t1 + dt rounds on the scale of t1, so the spacing check does too;
+        K there agrees with the oracle."""
+        dt = 0.1
+        schedule = Schedule(t1, t1 + dt, t1 + 2 * dt)
+        oracle = [correlation_oracle(maximally_mixed(), SZ, EVO, a, b)
+                  for a, b in ((schedule.t1, schedule.t2), (schedule.t2, schedule.t3),
+                               (schedule.t1, schedule.t3))]
+        k = k_value(maximally_mixed(), SZ, EVO, schedule).k
+        assert abs(k - (oracle[0] + oracle[1] - oracle[2])) <= 1e-14
+
+    @pytest.mark.parametrize("times", [(0.0, 1.0, 2.5), (1e5, 1e5 + 0.1, 1e5 + 0.2001)])
+    def test_rejects_unequal_spacing_at_any_scale(self, times):
+        with pytest.raises(ValueError, match="spacing"):
+            Schedule(*times)
+
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError, match="t1 <= t2"):
             Schedule(0.5, 0.3, 0.1)
@@ -442,12 +459,6 @@ class TestFindViolations:
         with pytest.raises(ValueError, match="sorted"):
             find_violations(SweepResult(**columns(2, theta=[1.0, 0.5])))
 
-    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
-    def test_rejects_a_non_finite_threshold(self, threshold):
-        results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 2 * math.pi, 11)
-        with pytest.raises(ValueError, match="threshold"):
-            find_violations(results, threshold=threshold)
-
     def test_bisects_to_finite_edges_near_the_float_limit(self):
         """The midpoint is halved before the sum, which overflows past 9e307."""
         results = sweep(EVO, maximally_mixed(), 1.0, 9.5e307, 9.51e307, 9)
@@ -467,20 +478,25 @@ class TestFindViolations:
 
     @settings(max_examples=200, deadline=None)
     @given(mask=st.lists(st.booleans(), min_size=1, max_size=40),
-           steps=st.lists(st.floats(0.01, 1.0), min_size=40, max_size=40),
-           threshold=st.sampled_from([0.5, 1.0]))
-    def test_equals_the_point_loop_on_any_mask(self, mask, steps, threshold):
+           steps=st.lists(st.floats(0.01, 1.0), min_size=40, max_size=40))
+    def test_equals_the_point_loop_on_any_mask(self, mask, steps):
         """Runs anywhere, including those that touch either end of the grid."""
         n = len(mask)
         thetas = np.cumsum(steps[:n])
-        ks = np.where(mask, threshold + 0.25, threshold - 0.25)
+        ks = np.where(mask, 1.25, 0.75)
         results = SweepResult(thetas, ks / 2, ks / 2, np.zeros(n), ks)
 
-        def k_fn(theta):  # a continuation crossing the threshold in each gap
-            return threshold + 0.25 * math.cos(7.0 * theta)
+        def k_fn(theta):  # a continuation crossing the bound in each gap
+            return 1.0 + 0.25 * math.cos(7.0 * theta)
 
-        want = point_loop_violations(list(results), threshold, k_fn)
-        assert find_violations(results, threshold, k_fn) == want
+        want = point_loop_violations(list(results), k_fn)
+        assert find_violations(results, k_fn=k_fn) == want
+
+    def test_takes_the_continuation_by_keyword_only(self):
+        """A stale positional threshold raises rather than pass as ``k_fn``."""
+        results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 2 * math.pi, 11)
+        with pytest.raises(TypeError):
+            find_violations(results, 1.0)
 
     def test_boundary_point_not_flagged(self):
         """K = 1 exactly (theta = 0) sits on the bound, not above it.
@@ -512,13 +528,13 @@ class TestFindViolations:
                     assert abs(analytic_k(end) - 1.0) < 1e-7
 
 
-def point_loop_violations(results, threshold, k_fn):
+def point_loop_violations(results, k_fn):
     """``find_violations`` as a walk over the points, one run at a time: the
     reference the columnar version is checked against."""
     from lgsim.leggett_garg import _bisect_crossing
 
     thetas = [r.theta for r in results]
-    above = [r.k > threshold + 1e-12 for r in results]
+    above = [r.k > 1.0 + 1e-12 for r in results]
     intervals = []
     i, n = 0, len(results)
     while i < n:
@@ -530,10 +546,10 @@ def point_loop_violations(results, threshold, k_fn):
             j += 1
         lo = thetas[i]
         if i > 0:
-            lo = _bisect_crossing(k_fn, threshold, thetas[i - 1], thetas[i])
+            lo = _bisect_crossing(k_fn, thetas[i - 1], thetas[i])
         hi = thetas[j]
         if j + 1 < n:
-            hi = _bisect_crossing(k_fn, threshold, thetas[j + 1], thetas[j])
+            hi = _bisect_crossing(k_fn, thetas[j + 1], thetas[j])
         intervals.append((lo, hi))
         i = j + 1
     return intervals

@@ -46,6 +46,11 @@ class TestT2Config:
         with pytest.raises(ValueError, match=field):
             T2Config(**values)
 
+    def test_rejects_an_infinite_duration(self):
+        """With an infinite T2 too, duration / t2 would be NaN."""
+        with pytest.raises(ValueError, match="duration must be finite and >= 0"):
+            T2Config(t2_probe=math.inf, t2_system=math.inf, duration=math.inf)
+
 
 class TestT2Dephase:
     def test_zero_duration_is_identity(self, rng):
@@ -117,6 +122,11 @@ class TestKAttenuation:
         assert abs(k_noisy - math.exp(-10.0 / 3.0) * k_ideal) <= 1e-12
         assert k_noisy < 0.1 * k_ideal
 
+    @pytest.mark.parametrize("theta", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_bad_theta_naming_it(self, theta):
+        with pytest.raises(ValueError, match=f"theta must be finite and >= 0, got {theta}"):
+            k_attenuation_check(EXPERIMENT_T2, theta)
+
     @pytest.mark.parametrize("eps", [1e-300, 5e-324])
     def test_vanishing_reference_is_an_error(self, eps):
         with pytest.raises(ValueError, match="reference signal vanished"):
@@ -185,6 +195,21 @@ class TestTomograph:
     def test_record_shape_validated(self):
         with pytest.raises(ValueError, match="4x4"):
             TomographyRecord(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_record_rejects_non_finite_coefficients(self, value):
+        c = np.zeros((4, 4))
+        c[0, 0], c[2, 3] = 1.0, value
+        with pytest.raises(ValueError, match="finite"):
+            TomographyRecord(c)
+
+    def test_rejects_a_non_hermitian_matrix(self):
+        """Its coefficients would lose their imaginary parts, and the
+        reconstruction land 0.5 away from the input."""
+        rho = np.zeros((4, 4))
+        rho[0, 1] = 1.0
+        with pytest.raises(ValueError, match="tomograph expects a Hermitian"):
+            tomograph(rho, NO_NOISE)
 
 
 class TestReconstruct:
