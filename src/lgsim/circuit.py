@@ -6,21 +6,21 @@ drawn from three kinds: a Hadamard on one wire, a free evolution
 exp(-i*phase*h) on one wire, and a controlled unitary between the wires.
 Running a circuit conjugates the input density matrix by the ordered product
 of the embedded 4x4 gate unitaries.  Gates validate on construction and keep
-the checked operator, read-only: an ``Evolve`` its one-wire exponential, a
-``ControlledU`` a copy of its unitary.  ``embed``, ``circuit_unitary``
-and ``run`` trust them and check nothing again.
+what they built from the checked operands, read-only: a ``ControlledU`` a
+copy of its unitary, every gate its embedding as ``terms``.  ``embed``,
+``circuit_unitary`` and ``run`` trust them and check nothing again.
 
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
 then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
-S + (4, 4) and the readouts shape S, so N circuits cost a few products of
-whole stacks (``linalg._product``).  A stack of at least
-``linalg._STACK_KERNEL_MIN`` matrices executes in a workspace that lives for
-one call: each ``circuit_unitary`` or ``run`` call allocates one block of
-three stack-sized buffers and writes the stacked embeddings and the
-products into them in turn, in place of a fresh stack-sized array per step.
-What a call returns is a view of its own block, which no later call writes.
-``run`` conjugates the circuit unitary in place for every stack; only the
-products of smaller stacks and of single circuits take ``@`` and allocate.
+S + (4, 4) and the readouts shape S.  No stack of matrices is multiplied.
+Each gate keeps its embedding as ``terms``, a weighted sum of fixed 4x4
+matrices: a stacked ``Evolve`` has two weight columns over I and n.sigma
+(``linalg._expm_terms``), every other gate one fixed matrix of weight 1.
+A circuit is then the sum over products of one term per gate, whose B <= 16
+fixed matrices are multiplied once each whatever the stack size, and whose
+weights are products of columns; ``circuit_unitary`` is one
+(S, B) x (B, 16) gemm and ``run`` one (S, B^2) x (B^2, 16) gemm.  A single
+circuit is the case B = 1 of the same code.
 
 The probe readout of the interferometer built by ``build_scattering_circuit``
 returns Re Tr[rho_sys O(t_m) O(t_k)]: a Hadamard splits the probe, the two
@@ -31,20 +31,19 @@ Hadamard maps the accumulated relative phase onto <sigma_z> of the probe.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
-    _STACK_KERNEL_MIN,
     IDENTITY_2,
     SIGMA_Y,
     SIGMA_Z,
-    _product,
+    _expm_terms,
     _register,
+    dagger,
     dichotomic_observable,
     expm_hermitian,
     kron,
@@ -60,37 +59,74 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
+# The weight of a gate that is not stacked: its one fixed matrix as it stands.
+_ONE = np.ones(1)
+# The 16 matrix units of the 4x4 operator space, as fixed matrices.
+_UNITS = np.eye(16, dtype=complex).reshape(16, 4, 4)
+
 
 def _check_wire(wire: str) -> None:
     if wire not in WIRES:
         raise ValueError(f"unknown wire {wire!r}; expected one of {WIRES}")
 
 
+def _on_wire(wire: str, one_wire: np.ndarray) -> np.ndarray:
+    """One-wire operators (or a stack of them) tensored with I on the other wire."""
+    if wire == PROBE:
+        return kron(one_wire, IDENTITY_2)
+    return kron(IDENTITY_2, one_wire)
+
+
+_HADAMARD_ON = {wire: _on_wire(wire, HADAMARD[None]) for wire in WIRES}
+
+
+def _keep(gate, weights: np.ndarray, fixed: np.ndarray) -> None:
+    """Set the gate's ``terms``, read-only: its embedding is
+    sum_b weights[..., b] fixed[b], weights of the gate's stack shape
+    S + (B,) over B fixed 4x4 matrices."""
+    for array in (weights, fixed):
+        array.flags.writeable = False
+    object.__setattr__(gate, "terms", (weights, fixed))
+
+
 @dataclass(frozen=True)
 class Hadamard:
     wire: str
+    terms: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_wire(self.wire)
+        _keep(self, _ONE, _HADAMARD_ON[self.wire])
 
 
 @dataclass(frozen=True)
 class Evolve:
     """Free evolution exp(-i * phase * hamiltonian) on one wire (``phase``
-    may be an array: a stack of gates).  ``one_wire`` is that exponential,
-    made by ``expm_hermitian`` on construction, which checks ``hamiltonian``
-    and ``phase`` and no unitarity; it is kept read-only."""
+    may be an array: a stack of gates).  Construction checks
+    ``hamiltonian`` and ``phase`` as ``expm_hermitian`` does; a number phase
+    keeps the embedded exponential as its one term, an array the two weight
+    columns of ``linalg._expm_terms`` (one when the generator is a multiple
+    of I).  ``one_wire`` is the exponential that ``expm_hermitian`` returns,
+    made on first read and kept read-only."""
 
     wire: str
     hamiltonian: np.ndarray
     phase: float | np.ndarray
-    one_wire: np.ndarray = field(init=False, repr=False, compare=False)
+    terms: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_wire(self.wire)
+        if np.ndim(self.phase):
+            weights, one_wire = _expm_terms(self.hamiltonian, self.phase)
+        else:
+            weights, one_wire = _ONE, expm_hermitian(self.hamiltonian, self.phase)[None]
+        _keep(self, weights, _on_wire(self.wire, one_wire))
+
+    @cached_property
+    def one_wire(self) -> np.ndarray:
         one_wire = expm_hermitian(self.hamiltonian, self.phase)
         one_wire.flags.writeable = False
-        object.__setattr__(self, "one_wire", one_wire)
+        return one_wire
 
 
 @dataclass(frozen=True)
@@ -102,6 +138,7 @@ class ControlledU:
     control: str
     target: str
     u: np.ndarray
+    terms: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_wire(self.control)
@@ -111,6 +148,11 @@ class ControlledU:
         u = unitary(np.array(self.u, dtype=complex))
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
+        if self.control == PROBE:
+            embedded = kron(_P0, IDENTITY_2) + kron(_P1, u)
+        else:
+            embedded = kron(IDENTITY_2, _P0) + kron(u, _P1)
+        _keep(self, _ONE, embedded[None])
 
 
 Gate = Hadamard | Evolve | ControlledU
@@ -133,78 +175,68 @@ def embed(gate: Gate) -> np.ndarray:
     order fixed by probe = left.  The gates' operators were checked when the
     gates were built, so nothing is validated here.
     """
-    return _embed(gate, None)
+    if isinstance(gate, Evolve):
+        return _on_wire(gate.wire, gate.one_wire)
+    return gate.terms[1][0]
 
 
-def _embed(gate: Gate, out: np.ndarray | None) -> np.ndarray:
-    """``embed``, writing the stack of an ``Evolve`` with an array of phases
-    into the 1-d buffer ``out`` when one is given."""
-    if isinstance(gate, ControlledU):
-        if gate.control == PROBE:
-            return kron(_P0, IDENTITY_2) + kron(_P1, gate.u)
-        return kron(IDENTITY_2, _P0) + kron(gate.u, _P1)
-    if isinstance(gate, Hadamard):
-        one_wire = HADAMARD
-    elif isinstance(gate, Evolve):
-        one_wire = gate.one_wire
-    else:
-        raise TypeError(f"unknown gate kind: {gate!r}")
-    if one_wire.ndim == 2:
-        out = None
-    if gate.wire == PROBE:
-        return kron(one_wire, IDENTITY_2, out=out)
-    return kron(IDENTITY_2, one_wire, out=out)
+def _expand(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """The circuit unitary as ``(weights, fixed)``, in the form of a gate's
+    ``terms``.
 
-
-def _buffers(circuit: Circuit, *states: np.ndarray) -> Iterator[np.ndarray | None]:
-    """Where executing ``circuit`` on ``states`` writes its stacks, one buffer
-    per ``next``: the three 1-d buffers of one block in turn, each with room
-    for the circuit's stack of 4x4 matrices broadcast against the stacks of
-    ``states``, so the next buffer is never one of the last two, which hold
-    the operands of the next write.  None forever when that stack is smaller
-    than ``_STACK_KERNEL_MIN`` and its products take ``@``."""
-    lead = np.broadcast_shapes(
-        *(g.one_wire.shape[:-2] for g in circuit.gates if isinstance(g, Evolve)),
-        *(rho.shape[:-2] for rho in states),
-    )
-    size = math.prod(lead)
-    if size < _STACK_KERNEL_MIN:
-        return itertools.repeat(None)
-    return itertools.cycle(np.empty((3, 16 * size), dtype=complex))
-
-
-def _unitary(circuit: Circuit, buffers: Iterator[np.ndarray | None]) -> np.ndarray:
-    """``circuit_unitary``, with each stacked embedding and product written
-    into the next of ``buffers``."""
+    The product of two gates' sums is the sum over all pairs of terms: the
+    weights multiply, their stacks broadcasting, and the fixed matrices
+    multiply once each, whatever the stack size.  Past 16 terms (the
+    dimension of the 4x4 operator space) the weights are folded into the 16
+    matrix units, so no circuit holds more than 32 terms at a time.
+    """
     if not circuit.gates:
         raise ValueError("cannot execute an empty circuit")
     first, *rest = circuit.gates
-    v = _embed(first, next(buffers))
+    weights, fixed = first.terms
     for gate in rest:
-        u = _embed(gate, next(buffers))
-        v = _product(u, v, out=next(buffers))
-    return v
+        gate_weights, gate_fixed = gate.terms
+        weights = weights[..., :, None] * gate_weights[..., None, :]
+        fixed = (gate_fixed @ fixed[:, None]).reshape(-1, 4, 4)
+        weights = weights.reshape(weights.shape[:-2] + (len(fixed),))
+        if len(fixed) > 16:
+            weights, fixed = _weigh(weights, fixed.reshape(-1, 16)), _UNITS
+    return weights, fixed
+
+
+def _weigh(weights: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """sum_b weights[..., b] fixed[..., b, :] for flattened 4x4 matrices
+    ``fixed``, leading axes broadcast; one gemm over the whole stack when
+    ``fixed`` is one set of matrices."""
+    if fixed.ndim == 2:
+        flat = weights.reshape(-1, weights.shape[-1]) @ fixed
+        return flat.reshape(weights.shape[:-1] + (16,))
+    return np.matmul(weights[..., None, :], fixed)[..., 0, :]
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Ordered product of the embedded gates (first gate acts first)."""
-    return _unitary(circuit, _buffers(circuit))
+    weights, fixed = _expand(circuit)
+    return _weigh(weights, fixed.reshape(-1, 16)).reshape(weights.shape[:-1] + (4, 4))
 
 
 def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
     """Conjugate a 4x4 input state by the circuit unitary.
 
     The input may be a stack of states of shape S + (4, 4); it broadcasts
-    against a stacked circuit.  Trace and positivity of the input carry over
-    exactly, up to round-off in the products.
+    against a stacked circuit.  With V = sum_b w_b M_b, the output
+    V rho V+ = sum_bc w_b conj(w_c) M_b rho M_c+ weighs the B^2 fixed
+    matrices M_b rho M_c+ (a stack of them for a stack of states).  Trace
+    and positivity of the input carry over exactly, up to round-off.
     """
     rho_in = _register(rho_in, "run")
-    buffers = _buffers(circuit, rho_in)
-    v = _unitary(circuit, buffers)
-    half = _product(v, rho_in, out=next(buffers))
-    # v is this call's own array, read no more: conjugated, its transpose is V+
-    np.conj(v, out=v)
-    return _product(half, np.swapaxes(v, -1, -2), out=next(buffers))
+    weights, fixed = _expand(circuit)
+    pairs = weights[..., :, None] * weights.conj()[..., None, :]
+    conjugated = (fixed @ rho_in[..., None, :, :])[..., :, None, :, :] @ dagger(fixed)
+    count = len(fixed) ** 2
+    out = _weigh(pairs.reshape(pairs.shape[:-2] + (count,)),
+                 conjugated.reshape(conjugated.shape[:-4] + (count, 16)))
+    return out.reshape(out.shape[:-1] + (4, 4))
 
 
 def build_scattering_circuit(

@@ -229,7 +229,8 @@ def reference_signal(rho_in, obs, evo: Evolution) -> float:
     small to divide by (a probe polarization near 0)."""
     reference = _probe_signal(rho_in, obs, evo, 0.0, 0.0)
     if not abs(reference) >= _REFERENCE_FLOOR:
-        raise ValueError("reference signal vanished; cannot normalize")
+        raise ValueError(f"reference signal vanished: |signal| = {abs(reference):.3g} "
+                         f"< {_REFERENCE_FLOOR:g}; cannot normalize")
     return reference
 
 

@@ -8,9 +8,9 @@ the library; Hermitian operands all pass the one private ``_hermitian`` check.
 What is built from checked inputs, the exponential included, is not checked
 again, and the operations below assume valid inputs and stay pure.  All values
 are immutable by convention, so the whole module is safe for concurrent use.
-``kron`` and the stacked kernels of ``_product`` can write their result into
-a buffer the caller passes as ``out``; the caller owns that workspace for the
-length of one call (``circuit.run``), and this module keeps no buffer of its own.
+Besides the exponential itself, ``_expm_terms`` gives a stack of exponentials
+as two weight columns over the fixed terms I and n.sigma, the form in which
+``circuit`` executes stacked circuits without multiplying stacks of matrices.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ TRACE_TOL = 1e-12
 # Smallest admissible eigenvalue of a density matrix (round-off slack
 # accumulated by 4x4 products).
 POSITIVITY_TOL = 1e-10
-
-# Smallest stack ``_product`` hands to its stacked kernels (the crossover
-# against numpy's per-matrix ``@`` lies between 8 and 64 matrices).
-_STACK_KERNEL_MIN = 32
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -115,77 +111,12 @@ def dichotomic_observable(entries) -> np.ndarray:
     return obs
 
 
-def _product(a: np.ndarray, b: np.ndarray, *,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b`` for matrices or stacks of matrices whose leading axes broadcast.
-
-    numpy's ``@`` on a stack calls BLAS once per matrix, which at 2x2 and 4x4
-    costs far more than the arithmetic.  Here a single matrix against a stack
-    is one gemm: on the rows of the stack when the single matrix is on the
-    right, on the stack laid out contraction index first when it is on the
-    left.  Two stacks accumulate over the contraction index with the stack
-    as the innermost, contiguous axis.  Single matrices and stacks of fewer
-    than ``_STACK_KERNEL_MIN`` matrices, where the fixed cost of these
-    kernels exceeds the per-matrix calls, use ``@``.  Stacked results may be
-    strided views in either layout.
-
-    ``out`` is an optional 1-d complex buffer with room for the result: the
-    stacked kernels write the result into its start, in their own layout, and
-    return a view of it, so a caller that owns the buffer allocates no result
-    per product.  ``@`` leaves it unused.
-    """
-    if max(a.size, b.size) < _STACK_KERNEL_MIN * a.shape[-1] * b.shape[-1]:
-        return a @ b
-    if b.ndim == 2:
-        rows = a.reshape(-1, a.shape[-1])
-        res = np.matmul(rows, b, out=_view(out, (rows.shape[0], b.shape[-1])))
-        return res.reshape(a.shape[:-1] + b.shape[-1:])
-    if a.ndim == 2:
-        bt = b.transpose(_matrix_axes_first(b.ndim))
-        cols = bt.reshape(bt.shape[0], -1)  # copies b unless laid out so already
-        res = np.matmul(a, cols, out=_view(out, (a.shape[0], cols.shape[1])))
-        res = res.reshape(a.shape[:1] + bt.shape[1:])
-        return res.transpose(_matrix_axes_last(res.ndim))
-    # pad both stacks to one rank so their trailing (stack) axes broadcast
-    rank = max(a.ndim, b.ndim)
-    at = a.reshape((1,) * (rank - a.ndim) + a.shape).transpose(_matrix_axes_first(rank))
-    bt = b.reshape((1,) * (rank - b.ndim) + b.shape).transpose(_matrix_axes_first(rank))
-    # No copies of the operands, and the only temporary is one row of the
-    # result: fresh stack-sized temporaries cost more in page faults than
-    # the arithmetic does.
-    lead = np.broadcast_shapes(at.shape[2:], bt.shape[2:])
-    res = np.multiply(at[:, 0, None], bt[None, 0], order="C",
-                      out=_view(out, at.shape[:1] + bt.shape[1:2] + lead))
-    term = np.empty_like(res[0])
-    for i, row in enumerate(res):
-        for k in range(1, at.shape[1]):
-            row += np.multiply(at[i, k], bt[k], out=term)
-    return res.transpose(_matrix_axes_last(rank))
-
-
-def _view(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The start of the 1-d buffer ``out`` as a C-ordered array of ``shape``
-    (None for no buffer)."""
-    return None if out is None else out[:math.prod(shape)].reshape(shape)
-
-
-def _matrix_axes_first(ndim: int) -> tuple[int, ...]:
-    """Axis order that moves the two matrix axes of a stack to the front."""
-    return (ndim - 2, ndim - 1, *range(ndim - 2))
-
-
-def _matrix_axes_last(ndim: int) -> tuple[int, ...]:
-    """The inverse of ``_matrix_axes_first``."""
-    return (*range(2, ndim), 0, 1)
-
-
-def kron(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with ``a`` as the left (probe-side) factor.
 
     Either factor may be a stack of matrices; leading axes broadcast.  The
     register is capped at two qubits, so the result may not exceed
-    dimension 4.  ``out`` is an optional 1-d complex buffer with room for the
-    result, which is then written into its start and returned as a view.
+    dimension 4.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -194,11 +125,8 @@ def kron(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> np.n
         raise ValueError(
             f"kron result dimension {n} exceeds the two-qubit register"
         )
-    if out is not None:
-        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        out = _view(out, lead + (a.shape[-2], b.shape[-2], a.shape[-1], b.shape[-1]))
-    # einsum beats np.kron by a wide margin at these fixed small sizes
-    res = np.einsum("...ij,...kl->...ikjl", a, b, out=out)
+    # one broadcast product beats np.kron and einsum at these small sizes
+    res = a[..., :, None, :, None] * b[..., None, :, None, :]
     return res.reshape(res.shape[:-4] + (n, n))
 
 
@@ -233,8 +161,36 @@ def expm_hermitian(h: np.ndarray, angle) -> np.ndarray:
     involved.  The phases angle*|a| and angle*a0 must be finite; |a| is taken
     by ``math.hypot``, so the result is unitary to round-off and not checked.
     """
+    phase, cos, sin, axis = _expm_parts(h, angle)
+    phase = phase[..., None, None]
+    if axis is None:
+        return phase * IDENTITY_2
+    return phase * (cos[..., None, None] * IDENTITY_2 - 1j * sin[..., None, None] * axis)
+
+
+def _expm_terms(h: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
+    """``expm_hermitian(h, angle)`` as ``(weights, terms)``: weights of shape
+    S + (B,) over B fixed 2x2 matrices, the exponential being
+    sum_b weights[..., b] terms[b].
+
+    The terms are I and the unit axis (a/|a|).sigma, weighted by
+    exp(-i*angle*a0) cos(angle*|a|) and -i exp(-i*angle*a0) sin(angle*|a|);
+    for |a| = 0 the one term I carries the phase.  The checks are those of
+    ``expm_hermitian``; the sums equal its entries to round-off.
+    """
+    phase, cos, sin, axis = _expm_parts(h, angle)
+    if axis is None:
+        return phase[..., None], IDENTITY_2[None]
+    return np.stack([phase * cos, -1j * phase * sin], axis=-1), np.stack([IDENTITY_2, axis])
+
+
+def _expm_parts(h, angle):
+    """Check a generator and its phases for ``expm_hermitian``: the phase
+    factor exp(-i*angle*a0), cos and sin of angle*|a| (arrays of the shape of
+    ``angle``) and the unit axis (a/|a|).sigma, which is None (and cos and
+    sin with it) when |a| = 0."""
     h = _hermitian(h, "generator", 2)
-    angle = np.asarray(angle, dtype=float)[..., None, None]
+    angle = np.asarray(angle, dtype=float)
     ax, ay = h[0, 1].real, -h[0, 1].imag
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range
         a0 = (h[0, 0].real + h[1, 1].real) / 2.0
@@ -245,9 +201,9 @@ def expm_hermitian(h: np.ndarray, angle) -> np.ndarray:
         raise ValueError("expm_hermitian needs finite angles, angle*|a| and angle*a0")
     phase = np.cos(shift) - 1j * np.sin(shift)
     if norm == 0.0:
-        return phase * IDENTITY_2
+        return phase, None, None, None
     axis = (ax / norm) * SIGMA_X + (ay / norm) * SIGMA_Y + (az / norm) * SIGMA_Z
-    return phase * (np.cos(turn) * IDENTITY_2 - 1j * np.sin(turn) * axis)
+    return phase, np.cos(turn), np.sin(turn), axis
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray):

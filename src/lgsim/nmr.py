@@ -16,6 +16,7 @@ concurrent experiments only need distinct seeds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +114,9 @@ class ReadoutNoise:
     def __post_init__(self):
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if not 0 <= self.seed < math.inf or int(self.seed) != self.seed:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Each demo runs in a fresh interpreter with numpy RuntimeWarnings raised as
 errors, as the tests run; the SHA-256 of its standard output is compared with the
 digest recorded before sweeps returned columns and before scalar gate times
-stayed scalar.  Several printed values (``max |K_circuit - K_analytic|``,
+stayed scalar, ``violation_curve.py``'s since stacked circuits run as weighted
+sums of fixed products (its round-off line then read 8.88e-16, 1.33e-15
+before).  Several printed values (``max |K_circuit - K_analytic|``,
 the disturbance of I/2) are round-off sized, so a change in the arithmetic
 of the engine shows here even when every tolerance test passes.
 """
@@ -20,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DEMO_SHA256 = {
     "violation_curve.py":
-        "49b3b98ec7cf765c50725ae6f9788f2d0fe42cdc4e66df65e879e215a7c3ac7f",
+        "5e41ebcffe0651f1db1ac6898ccd6fa3e1412504bdb48cfdafb7f5390503eef3",
     "noninvasive_probe.py":
         "f952a2f0eb01926796d5a3b211ad3109945dd8a0bb1da19cb668fec66c31999f",
     "tomography_and_t2.py":

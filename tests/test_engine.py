@@ -1,7 +1,7 @@
-"""The batched scattering engine: the stacked product against ``np.matmul``,
-stacks against scalar runs, sweeps against per-point calls, drives of any
-omega against the oracle, and how many circuits each entry point runs;
-properties of K, of the raw probe signal and of ``run`` over random inputs;
+"""The batched scattering engine: stacked circuits against a per-circuit loop
+of ``embed`` and ``@``, stacks against scalar runs, sweeps against per-point
+calls, drives of any omega against the oracle, and how many circuits each
+entry point runs; properties of K, of the raw probe signal and of ``run`` over random inputs;
 the one register-state validator and the stack operations of ``nmr``,
 ``states`` and the CLI built on it."""
 
@@ -58,8 +58,7 @@ from lgsim.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _product,
-    dagger,
+    _expm_terms,
     density,
     dichotomic_observable,
     expm_hermitian,
@@ -110,55 +109,6 @@ def generators(draw):
     """A 2x2 Hermitian a0*I + a.sigma with |a0|, |a_i| <= 2."""
     a0, *a = (draw(st.floats(-2.0, 2.0)) for _ in range(4))
     return a0 * IDENTITY_2 + pauli_vector(a)
-
-
-def broadcastable(shapes) -> bool:
-    try:
-        np.broadcast_shapes(*shapes)
-    except ValueError:
-        return False
-    return True
-
-
-@st.composite
-def product_operands(draw):
-    """Two operands of one dimension (2 or 4) whose leading shapes broadcast:
-    single matrices, stacks, or one of each, some given as transposed views."""
-    dim = draw(st.sampled_from([2, 4]))
-    # small stacks go through ``@``, those of 32 matrices and more through
-    # the stacked kernels
-    leading = st.sampled_from([(), (1,), (3,), (5, 5), (40,), (2, 40), (8, 8)])
-    lead_a, lead_b = draw(st.tuples(leading, leading).filter(broadcastable))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def operand(lead):
-        shape = lead + (dim, dim)
-        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return np.swapaxes(m, -1, -2) if draw(st.booleans()) else m
-
-    return operand(lead_a), operand(lead_b)
-
-
-@settings(max_examples=200, deadline=None)
-@given(operands=product_operands())
-def test_product_equals_matmul(operands):
-    a, b = operands
-    want = np.matmul(a, b)
-    got = _product(a, b)
-    assert got.shape == want.shape
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-    # written into a caller's buffer, with room to spare, the same bits
-    np.testing.assert_array_equal(
-        _product(a, b, out=np.empty(want.size + 3, dtype=complex)), got)
-
-
-@pytest.mark.parametrize("lead_a,lead_b", [((), ()), ((40,), ()), ((), (40,)),
-                                           ((40,), (40,)), ((1,), (2, 40)),
-                                           ((3,), (3,)), ((5, 5), ())])
-def test_product_covers_every_operand_pairing(lead_a, lead_b, rng):
-    a = rng.standard_normal(lead_a + (4, 4)) + 0j
-    b = rng.standard_normal(lead_b + (4, 4)) + 0j
-    np.testing.assert_allclose(_product(a, b), a @ b, rtol=0, atol=1e-13)
 
 
 @SETTINGS
@@ -441,12 +391,13 @@ def test_default_sweep_runs_at_most_four_circuit_stacks(run_calls):
 
 def test_default_sweep_stacks_only_the_angles_that_vary(monkeypatch):
     """Four circuits of two free evolutions each: the reference and the
-    zero theta_k of C12 and C13 stay single 2x2 exponentials."""
-    calls = counting(lgsim.circuit, "expm_hermitian", monkeypatch)
+    zero theta_k of C12 and C13 stay single 2x2 exponentials, and the four
+    stacked phases become weight columns."""
+    single = counting(lgsim.circuit, "expm_hermitian", monkeypatch)
+    stacked = counting(lgsim.circuit, "_expm_terms", monkeypatch)
     sweep(Evolution(1.0), classical_mixture(0.5, 0.5), 1.0, 0.0, 2 * math.pi, 721)
-    assert len(calls) == 8
-    assert [np.ndim(angle) for _, angle in calls].count(1) == 4
-    assert all(np.shape(angle) in ((), (721,)) for _, angle in calls)
+    assert [np.shape(angle) for _, angle in single] == [()] * 4
+    assert [np.shape(angle) for _, angle in stacked] == [(721,)] * 4
 
 
 def test_scattering_gates_keep_each_phase_unbroadcast():
@@ -735,11 +686,12 @@ def test_controlled_gate_from_a_nested_list_embeds_as_from_the_array(h, angle, c
 
 
 def test_scattering_gates_validate_each_operand_once(monkeypatch):
-    counts = {name: counting(lgsim.circuit, name, monkeypatch)
-              for name in ("dichotomic_observable", "unitary", "expm_hermitian")}
+    names = ("dichotomic_observable", "unitary", "expm_hermitian", "_expm_terms")
+    counts = {name: counting(lgsim.circuit, name, monkeypatch) for name in names}
     gates = scattering_gates(SIGMA_X, SIGMA_Z, 0.0, np.linspace(0.0, 1.0, 5))
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "dichotomic_observable": 1, "unitary": 1, "expm_hermitian": 2}
+        "dichotomic_observable": 1, "unitary": 1, "expm_hermitian": 1,
+        "_expm_terms": 1}
     assert gates[2] is gates[4]
 
 
@@ -748,15 +700,13 @@ def test_default_sweep_validation_counts(monkeypatch):
     when each controlled slot had its own gate), 13 ``is_hermitian`` (23 when
     ``embed`` validated the generator again), one ``density`` and one
     ``dichotomic_observable`` per ``scattering_gates`` call (2 and 5 when the
-    built probe state and observable were checked again), and 7 ``_product``
-    per circuit stack (40 in all when each exponential was checked for
-    unitarity)."""
+    built probe state and observable were checked again)."""
     rho = classical_mixture(0.5, 0.5)
-    names = ("unitary", "is_hermitian", "density", "dichotomic_observable", "_product")
+    names = ("unitary", "is_hermitian", "density", "dichotomic_observable")
     calls = {name: counting_everywhere(name, monkeypatch) for name in names}
     sweep(Evolution(1.0), rho, 1.0, 0.0, 2 * math.pi, 721)
     bounds = {"unitary": 4, "is_hermitian": 13, "density": 1,
-              "dichotomic_observable": 4, "_product": 28}
+              "dichotomic_observable": 4}
     for name, bound in bounds.items():
         assert len(calls[name]) <= bound, name
 
@@ -793,45 +743,110 @@ def test_built_gates_run_without_validation(monkeypatch):
         raise AssertionError("validation ran on built gates")
 
     for name in ("operator", "is_hermitian", "unitary", "expm_hermitian",
-                 "dichotomic_observable"):
+                 "_expm_terms", "dichotomic_observable"):
         for module in (lgsim.linalg, lgsim.circuit):
             monkeypatch.setattr(module, name, refuse, raising=False)
     circuit_unitary(Circuit(gates))
     assert run(Circuit(gates), rho).shape == (7, 4, 4)
 
 
-@pytest.mark.parametrize("shape", [(), (3,), (5, 5), (31,), (32,), (64,), (721,)])
-def test_run_equals_the_conjugation_by_the_circuit_unitary_bit_for_bit(shape, rng):
-    """``run`` conjugates in place on every stack; the bits are those of
-    V rho V+ with ``dagger``, the sign of zero included."""
+def loop_run(gates, rho) -> tuple[np.ndarray, np.ndarray]:
+    """The circuit unitaries and V rho V+, one circuit of the stack at a
+    time, from each gate's ``embed`` and ``@``."""
+    embedded = [embed(gate) for gate in gates]
+    lead = np.broadcast_shapes(*(m.shape[:-2] for m in embedded), rho.shape[:-2])
+    unitaries = np.empty(lead + (4, 4), dtype=complex)
+    states = np.empty(lead + (4, 4), dtype=complex)
+    for index in np.ndindex(lead):
+        v = np.eye(4, dtype=complex)
+        for m in embedded:
+            v = np.broadcast_to(m, lead + (4, 4))[index] @ v
+        unitaries[index] = v
+        states[index] = v @ np.broadcast_to(rho, lead + (4, 4))[index] @ v.conj().T
+    return unitaries, states
+
+
+def assert_matches_the_loop(gates, rho, shape):
+    want_v, want_rho = loop_run(gates, rho)
+    got_v, got_rho = circuit_unitary(Circuit(gates)), run(Circuit(gates), rho)
+    assert got_v.shape == got_rho.shape == shape + (4, 4)
+    np.testing.assert_allclose(got_v, want_v, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(got_rho, want_rho, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3,), (5, 5), (31,), (32,), (64,), (721,)])
+def test_stacked_circuits_equal_the_per_circuit_loop(shape, rng):
     t_k, t_m = np.sort(rng.uniform(0.0, 3.0, (2,) + shape), axis=0)
+    gates = scattering_gates(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, t_k, t_m)
+    assert_matches_the_loop(gates, random_density(rng, 4), shape)
+
+
+def test_stacked_evolve_of_a_multiple_of_the_identity_is_one_term(rng):
+    gate = Evolve(SYSTEM, 0.7 * IDENTITY_2, rng.uniform(-3.0, 3.0, 9))
+    weights, fixed = gate.terms
+    assert weights.shape == (9, 1) and fixed.shape == (1, 4, 4)
+    gates = (Hadamard(PROBE), gate, ControlledU(PROBE, SYSTEM, SIGMA_X), gate)
+    assert_matches_the_loop(gates, random_density(rng, 4), (9,))
+
+
+def test_many_stacked_evolves_fold_into_the_matrix_units(rng):
+    """Five stacked (two-term) evolutions on both wires make 32 products of
+    terms, folded into the 16 matrix units; twice as many gates still
+    leave 16 terms."""
+    def evolve(wire, shape):
+        h = np.tensordot(rng.standard_normal(4),
+                         np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]), 1)
+        return Evolve(wire, h, rng.uniform(-3.0, 3.0, shape))
+
+    gates = (evolve(PROBE, (4, 1)), Hadamard(SYSTEM), evolve(SYSTEM, (3,)),
+             ControlledU(SYSTEM, PROBE, SIGMA_Y), evolve(PROBE, (4, 3)),
+             evolve(SYSTEM, ()), evolve(SYSTEM, (3,)), evolve(PROBE, (1, 3)))
+    assert len(lgsim.circuit._expand(Circuit(gates[:5]))[1]) == 8
+    assert len(lgsim.circuit._expand(Circuit(gates[:7]))[1]) == 16
+    assert len(lgsim.circuit._expand(Circuit(gates + gates))[1]) == 16
+    assert_matches_the_loop(gates, random_density(rng, 4), (4, 3))
+    assert_matches_the_loop(gates + gates, random_density(rng, 4), (4, 3))
+
+
+def test_stacked_circuit_broadcasts_against_a_stack_of_states(rng):
+    t_k, t_m = np.sort(rng.uniform(0.0, 3.0, (2, 4, 1)), axis=0)
+    gates = scattering_gates(SIGMA_X - 0.4 * SIGMA_Y, SIGMA_Z, t_k, t_m)
+    rho = random_density_stack(7, (3,))
+    want = loop_run(gates, rho)[1]
+    got = run(Circuit(gates), rho)
+    assert got.shape == (4, 3, 4, 4)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    one_gate = (Evolve(PROBE, SIGMA_Y, 0.4),)
+    rho = random_density_stack(7, (2, 3))
+    np.testing.assert_allclose(run(Circuit(one_gate), rho), loop_run(one_gate, rho)[1],
+                               rtol=0, atol=1e-14)
+
+
+def test_two_identical_calls_give_identical_bytes(rng):
+    t_k, t_m = np.sort(rng.uniform(0.0, 3.0, (2, 721)), axis=0)
     circuit = Circuit(scattering_gates(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, t_k, t_m))
     rho = random_density(rng, 4)
-    v = circuit_unitary(circuit)
-    want = _product(_product(v, rho), dagger(v))
-    got = run(circuit, rho)
-    assert got.shape == want.shape == shape + (4, 4)
-    assert got.tobytes() == want.tobytes()
+    assert run(circuit, rho).tobytes() == run(circuit, rho).tobytes()
+    assert circuit_unitary(circuit).tobytes() == circuit_unitary(circuit).tobytes()
 
 
-def test_one_gate_run_on_a_stack_of_states_is_bit_for_bit_the_conjugation():
-    circuit = Circuit((Evolve(PROBE, SIGMA_Y, 0.4),))
-    rho = random_density_stack(7, (2, 3))
-    v = circuit_unitary(circuit)
-    want = _product(_product(v, rho), dagger(v))
-    got = run(circuit, rho)
-    assert got.shape == want.shape == (2, 3, 4, 4)
-    assert got.tobytes() == want.tobytes()
+@SETTINGS
+@given(h=generators(), angles=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12))
+def test_expm_terms_sum_to_the_exponential(h, angles):
+    weights, terms = _expm_terms(h, np.array(angles))
+    assert weights.shape == (len(angles), len(terms))
+    np.testing.assert_allclose(np.einsum("...b,bij->...ij", weights, terms),
+                               expm_hermitian(h, np.array(angles)), rtol=0, atol=1e-14)
 
 
 # SHA-256 of the five columns' bytes (theta, c12, c23, c13, k), recorded
-# before the engine wrote its stacks into a per-run workspace.
+# when stacked circuits became weighted sums of fixed products.
 SWEEP_COLUMN_SHA256 = {
-    "default": "6534b827692ab8cd6d2f9d23b8e53ddfedf3e9e03d54cf91dc90062fe9970c31",
+    "default": "1bfcb0a116a90ccee893e1a03132fd28eec44e0620af563280f2f1b96e513896",
     "eps-0.3-ket1-subrange":
-        "08530d27c2eae8064450b715bca1298c7ff5b38d0bad10ce774e628c0dcdfef7",
+        "28f12a94dea919169af849bb8670befc18ec6f65bacd54a85ed6d606df0065b6",
     "mixture-97-steps":
-        "b747e2305e6becd6f7a3e97d04233651a9c161ad56c756fda0df4ba4f709a1c2",
+        "3030ba6482ca6de415fa97e0a4916ea4c2dd95c32fa9c683e77a55e5e044fa7c",
 }
 
 SWEEP_CASES = {
@@ -887,9 +902,9 @@ def test_default_sweep_takes_almost_no_page_faults():
 
 @pytest.mark.parametrize("size", [721, 64])
 def test_stacked_results_survive_later_engine_calls(size):
-    """States from ``run`` and unitaries from ``circuit_unitary`` live in
-    their own call's workspace; later calls, the inputs and the gates are
-    left alone."""
+    """States from ``run`` and unitaries from ``circuit_unitary`` are
+    their own call's arrays; later calls leave them, the inputs and the
+    gates' read-only terms alone."""
     t = np.linspace(0.0, 3.0, size)
     obs = observable_from_state(KET0)
     circuit = Circuit(scattering_gates(SIGMA_X, obs, 0.5 * t, t))

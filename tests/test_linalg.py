@@ -56,13 +56,13 @@ class TestKron:
             b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             np.testing.assert_allclose(kron(a, b), np.kron(a, b), atol=1e-14)
 
-    def test_writes_a_stack_into_the_start_of_a_buffer(self, rng):
-        a = rng.normal(size=(40, 2, 2)) + 1j * rng.normal(size=(40, 2, 2))
-        buffer = np.full(16 * 40 + 5, np.nan, dtype=complex)
-        got = kron(IDENTITY_2, a, out=buffer)
-        np.testing.assert_array_equal(got, kron(IDENTITY_2, a))
-        assert np.shares_memory(got, buffer)
-        assert np.isnan(buffer[16 * 40:]).all()
+    def test_broadcasts_stacks_as_numpy_kron_per_matrix(self, rng):
+        a = rng.normal(size=(3, 1, 2, 2)) + 1j * rng.normal(size=(3, 1, 2, 2))
+        b = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        got = kron(a, b)
+        assert got.shape == (3, 5, 4, 4)
+        for i, j in np.ndindex(3, 5):
+            np.testing.assert_array_equal(got[i, j], np.kron(a[i, 0], b[j]))
 
     def test_rejects_more_than_two_qubits(self):
         with pytest.raises(ValueError, match="register"):

@@ -150,10 +150,19 @@ class TestReadoutNoise:
         with pytest.raises(ValueError, match="sigma must be finite"):
             ReadoutNoise(sigma=math.inf, seed=0)
 
-    @pytest.mark.parametrize("seed", [math.nan, math.inf, 1.5])
+    @pytest.mark.parametrize("seed", [math.nan, math.inf, 1.5, 3.0, True, -1])
     def test_rejects_a_non_integral_seed_naming_it(self, seed):
-        with pytest.raises(ValueError, match="seed"):
+        """Floats (3.0 included), bools and negative ints are refused on
+        construction, before ``tomograph`` hands the seed to numpy."""
+        with pytest.raises(ValueError, match=r"seed must be a non-negative integer"):
             ReadoutNoise(sigma=0.1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 3, np.int64(3)])
+    def test_accepts_an_int_seed(self, seed):
+        assert ReadoutNoise(sigma=0.1, seed=seed).seed == seed
+        np.testing.assert_array_equal(
+            tomograph(BELL_PHI_PLUS, ReadoutNoise(0.1, seed)).coefficients,
+            tomograph(BELL_PHI_PLUS, ReadoutNoise(0.1, int(seed))).coefficients)
 
 
 class TestTomograph:
