@@ -25,7 +25,6 @@ from .leggett_garg import (
     Schedule,
     SweepResult,
     analytic_k,
-    correlation_batch,
     correlation_circuit,
     correlation_oracle,
     dichotomic_observable,

@@ -7,7 +7,7 @@ exp(-i*phase*h) on one wire, and a controlled unitary between the wires.
 Running a circuit conjugates the input density matrix by the ordered product
 of the embedded 4x4 gate unitaries.  Gates validate on construction and keep
 what they built from the checked operands, read-only: a ``ControlledU`` a
-copy of its unitary, every gate its embedding as ``terms``.  ``embed``,
+copy of its unitary, every gate its embedding as ``terms``.
 ``circuit_unitary`` and ``run`` trust them and check nothing again.
 
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -106,8 +105,7 @@ class Evolve:
     ``hamiltonian`` and ``phase`` as ``expm_hermitian`` does; a number phase
     keeps the embedded exponential as its one term, an array the two weight
     columns of ``linalg._expm_terms`` (one when the generator is a multiple
-    of I).  ``one_wire`` is the exponential that ``expm_hermitian`` returns,
-    made on first read and kept read-only."""
+    of I)."""
 
     wire: str
     hamiltonian: np.ndarray
@@ -121,12 +119,6 @@ class Evolve:
         else:
             weights, one_wire = _ONE, expm_hermitian(self.hamiltonian, self.phase)[None]
         _keep(self, weights, _on_wire(self.wire, one_wire))
-
-    @cached_property
-    def one_wire(self) -> np.ndarray:
-        one_wire = expm_hermitian(self.hamiltonian, self.phase)
-        one_wire.flags.writeable = False
-        return one_wire
 
 
 @dataclass(frozen=True)
@@ -172,11 +164,12 @@ def embed(gate: Gate) -> np.ndarray:
 
     Single-wire gates are tensored with the identity on the other wire; a
     controlled gate becomes |0><0|_c (x) I + |1><1|_c (x) U with the factor
-    order fixed by probe = left.  The gates' operators were checked when the
-    gates were built, so nothing is validated here.
+    order fixed by probe = left.  An ``Evolve`` embeds the exponential
+    ``expm_hermitian`` makes anew, not its ``terms``, so ``embed`` stays a
+    reference independent of the engine; other gates give their one term.
     """
     if isinstance(gate, Evolve):
-        return _on_wire(gate.wire, gate.one_wire)
+        return _on_wire(gate.wire, expm_hermitian(gate.hamiltonian, gate.phase))
     return gate.terms[1][0]
 
 

@@ -39,9 +39,10 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .circuit import Circuit, run, scattering_gates
-from .leggett_garg import (Evolution, SweepResult, _first_bad, analytic_k,
-                           find_violations, observable_from_state, sweep)
-from .linalg import kron, overlap_fidelity, partial_trace, trace_distance
+from .leggett_garg import (Evolution, SweepResult, _first_bad, _probe_register,
+                           analytic_k, find_violations, observable_from_state,
+                           sweep)
+from .linalg import overlap_fidelity, partial_trace, trace_distance
 from .nmr import (
     PAULI_LABELS,
     ReadoutNoise,
@@ -55,7 +56,6 @@ from .states import (
     classical_mixture,
     deviation,
     maximally_mixed,
-    pseudo_pure,
     pure_density,
 )
 
@@ -292,7 +292,7 @@ def _compute(cfg: RunConfig):
         return header, [["mixed", "pure_zero"], distances], None
 
     if cfg.command == "tomography":
-        rho = np.kron(pseudo_pure(cfg.epsilon, KET0), maximally_mixed())
+        rho = _probe_register(maximally_mixed(), cfg.epsilon)
         record = tomograph(rho, ReadoutNoise(sigma=cfg.noise_sigma, seed=cfg.seed))
         names = [f"c_{a}{b}" for a in PAULI_LABELS for b in PAULI_LABELS]
         fidelity = overlap_fidelity(
@@ -317,7 +317,7 @@ def _max_disturbance(cfg: RunConfig, rho_sys: np.ndarray) -> float:
     run as one stack of 25 circuits."""
     evo = Evolution(omega=1.0)
     obs = observable_from_state(KET0)
-    rho_in = kron(pseudo_pure(cfg.epsilon, KET0), rho_sys)
+    rho_in = _probe_register(rho_sys, cfg.epsilon)
     phases = np.linspace(cfg.theta_min, cfg.theta_max, 5) / evo.energy_gap
     a, b = np.meshgrid(phases, phases)
     gates = scattering_gates(evo.hamiltonian, obs, np.minimum(a, b), np.maximum(a, b))

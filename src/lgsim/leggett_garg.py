@@ -3,8 +3,10 @@
 Correlators are available through two independent routes: the scattering
 circuit (the simulated experiment, including the pseudo-pure probe and its
 reference normalization) and a direct Heisenberg-picture trace that serves as
-the oracle the circuit is validated against.  All circuit correlators run
-through ``correlation_batch``, as stacks of time pairs sharing one reference.
+the oracle the circuit is validated against; the oracle takes its propagator
+from an eigendecomposition of H and shares no code with the circuit.  The
+one circuit correlator is ``correlation_circuit``, for a time pair or a stack
+of them; ``_probe_register`` builds the register every circuit runs on.
 ``k_value`` assembles K = C12 + C23 - C13 from circuit correlators for an
 equally spaced three-measurement schedule, and ``sweep`` does so over a theta
 grid, returning the curve as the columns of one ``SweepResult``;
@@ -25,14 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .circuit import Circuit, expect_probe_z, run, scattering_gates
-from .linalg import (
-    IDENTITY_2,
-    SIGMA_X,
-    density,
-    dichotomic_observable,
-    expm_hermitian,
-    kron,
-)
+from .linalg import IDENTITY_2, SIGMA_X, dagger, density, dichotomic_observable, kron
 from .states import KET0, pseudo_pure, pure_state
 
 # Guard band above the bound K = 1, so the exact K = 1 boundary at theta = 0
@@ -171,51 +166,43 @@ def heisenberg_observable(obs, evo: Evolution, t: float) -> np.ndarray:
     return _heisenberg(dichotomic_observable(obs), evo, t)
 
 
-def _heisenberg(obs: np.ndarray, evo: Evolution, t: float) -> np.ndarray:
-    """``heisenberg_observable`` for an already validated ``obs``."""
-    forward = expm_hermitian(evo.hamiltonian, t)
-    return forward.conj().T @ obs @ forward
+def _heisenberg(obs: np.ndarray, evo: Evolution, times) -> np.ndarray:
+    """``heisenberg_observable`` for an already validated ``obs``, at a time
+    or at each of an array of times, from one ``eigh`` H = V E V+:
+    exp(-iHt) = I + V (exp(-iEt) - 1) V+, exactly I at t = 0.  Raises
+    ValueError naming the first time whose phases E*t are not finite."""
+    energies, vectors = np.linalg.eigh(evo.hamiltonian)
+    times = np.asarray(times, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range
+        phases = times[..., None] * energies
+    bad = ~np.isfinite(phases).all(axis=-1)
+    if bad.any():
+        raise ValueError(f"the oracle needs finite phases omega*t, got t = "
+                         f"{float(times[bad][0])!r}")
+    turns = np.expm1(-1j * phases)[..., None, :]
+    forward = IDENTITY_2 + (vectors * turns) @ dagger(vectors)
+    return dagger(forward) @ obs @ forward
 
 
-def correlation_oracle(
-    rho_sys, obs, evo: Evolution, t_k: float, t_m: float
-) -> float:
+def correlation_oracle(rho_sys, obs, evo: Evolution, t_k: float, t_m: float) -> float:
     """Re Tr[rho_sys O(t_m) O(t_k)] computed directly in the Heisenberg picture.
 
     This is the brute-force route the circuit is checked against; it never
     touches the probe or the circuit machinery.  ``obs`` is validated once
-    for both times.
+    and H diagonalized once for both times.
     """
     rho_sys = density(rho_sys)
-    obs = dichotomic_observable(obs)
-    product = _heisenberg(obs, evo, t_m) @ _heisenberg(obs, evo, t_k)
-    return float(np.trace(rho_sys @ product).real)
+    later, earlier = _heisenberg(dichotomic_observable(obs), evo, (t_m, t_k))
+    return float(np.trace(rho_sys @ (later @ earlier)).real)
 
 
-def correlation_batch(
-    rho_sys,
-    obs,
-    evo: Evolution,
-    pairs,
-    probe_eps: float = 1.0,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Two-time correlators measured through the scattering circuit, in stacks.
-
-    ``pairs`` holds ``(t_k, t_m)`` times under H = omega*sigma_x, numbers or
-    arrays that broadcast together; each pair runs as one stack.  The probe
-    enters as the pseudo-pure state (1-eps) I/2 + eps |0><0|, so the raw
-    signal is scaled by eps.  As in the experiment, raw values are normalized
-    to the signal of the zero-time circuit, whose correlator is exactly 1
-    because O^2 = I; that reference runs once per call, however many pairs.
-    Returns ``(raw, normalized)`` per pair; normalized matches the oracle.
-    """
+def _probe_register(rho_sys, probe_eps: float) -> np.ndarray:
+    """The register state every correlator circuit runs on: the pseudo-pure
+    probe (1-eps) I/2 + eps |0><0| (x) the checked single-qubit ``rho_sys``."""
     rho_sys = density(rho_sys)
     if rho_sys.shape[0] != 2:
         raise ValueError("system state must be a single qubit")
-    rho_in = kron(pseudo_pure(probe_eps, KET0), rho_sys)
-    reference = reference_signal(rho_in, obs, evo)
-    raws = [_probe_signal(rho_in, obs, evo, t_k, t_m) for t_k, t_m in pairs]
-    return [(raw, raw / reference) for raw in raws]
+    return kron(pseudo_pure(probe_eps, KET0), rho_sys)
 
 
 def _probe_signal(rho_in, obs, evo: Evolution, t_k, t_m):
@@ -234,16 +221,23 @@ def reference_signal(rho_in, obs, evo: Evolution) -> float:
     return reference
 
 
-def correlation_circuit(
-    rho_sys,
-    obs,
-    evo: Evolution,
-    t_k: float,
-    t_m: float,
-    probe_eps: float = 1.0,
-) -> tuple[float, float]:
-    """``correlation_batch`` for the single pair ``(t_k, t_m)``."""
-    return correlation_batch(rho_sys, obs, evo, [(t_k, t_m)], probe_eps)[0]
+def correlation_circuit(rho_sys, obs, evo: Evolution, t_k, t_m,
+                        probe_eps: float = 1.0):
+    """Two-time correlators measured through the scattering circuit.
+
+    ``t_k`` and ``t_m`` are times under H = omega*sigma_x, numbers or arrays
+    that broadcast together; arrays run as one stack of circuits.  The probe
+    enters as the pseudo-pure state (1-eps) I/2 + eps |0><0|, so the raw
+    signal is scaled by eps.  As in the experiment, raw values are normalized
+    to the signal of the zero-time circuit, whose correlator is exactly 1
+    because O^2 = I; that reference runs once per call.  Returns
+    ``(raw, normalized)``, floats for number times and arrays of the
+    broadcast shape otherwise; normalized matches the oracle.
+    """
+    rho_in = _probe_register(rho_sys, probe_eps)
+    reference = reference_signal(rho_in, obs, evo)
+    raw = _probe_signal(rho_in, obs, evo, t_k, t_m)
+    return raw, raw / reference
 
 
 def analytic_k(theta):
@@ -262,8 +256,8 @@ def k_value(
     """K = C12 + C23 - C13 from normalized circuit correlators, as the row of
     a one-point ``SweepResult``."""
     t1, t2, t3 = schedule.t1, schedule.t2, schedule.t3
-    [(_, normalized)] = correlation_batch(
-        rho_sys, obs, evo, [((t1, t2, t1), (t2, t3, t3))], probe_eps
+    _, normalized = correlation_circuit(
+        rho_sys, obs, evo, (t1, t2, t1), (t2, t3, t3), probe_eps
     )
     c12, c23, c13 = normalized[:, None]
     theta = [evo.energy_gap * schedule.dt]
@@ -299,10 +293,10 @@ def sweep(
         raise ValueError("sweep needs omega > 0 to map theta onto a time spacing")
     obs = observable_from_state(KET0) if obs is None else obs
     dt = np.linspace(theta_min, theta_max, steps) / evo.energy_gap
-    stacks = correlation_batch(
-        rho_sys, obs, evo, [(0.0, dt), (dt, 2.0 * dt), (0.0, 2.0 * dt)], probe_eps
-    )
-    c12, c23, c13 = (normalized for _, normalized in stacks)
+    rho_in = _probe_register(rho_sys, probe_eps)
+    reference = reference_signal(rho_in, obs, evo)
+    c12, c23, c13 = (_probe_signal(rho_in, obs, evo, t_k, t_m) / reference
+                     for t_k, t_m in ((0.0, dt), (dt, 2.0 * dt), (0.0, 2.0 * dt)))
     return SweepResult(evo.energy_gap * dt, c12, c23, c13, c12 + c23 - c13)
 
 

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, expect_probe_z, run, scattering_gates
-from .leggett_garg import Evolution, observable_from_state, reference_signal
+from .leggett_garg import (Evolution, _probe_register, observable_from_state,
+                           reference_signal)
 from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _register,
                      is_hermitian, kron, overlap_fidelity)
-from .states import KET0, deviation, maximally_mixed, pseudo_pure, pure_density
+from .states import KET0, deviation, maximally_mixed, pure_density
 
 PAULI_LABELS = ("I", "x", "y", "z")
 _PAULIS = np.stack((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z))
@@ -90,7 +91,7 @@ def k_attenuation_check(
         raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
     evo = Evolution(omega=1.0)
     obs = observable_from_state(KET0)
-    rho_in = kron(pseudo_pure(probe_eps, KET0), maximally_mixed())
+    rho_in = _probe_register(maximally_mixed(), probe_eps)
     h, dt = evo.hamiltonian, theta / evo.energy_gap
 
     # the three correlators of the (0, dt, 2dt) schedule, theta = gap * dt

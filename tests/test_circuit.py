@@ -116,7 +116,7 @@ class TestGateValidation:
     def test_gate_operators_are_read_only(self):
         gates = (ControlledU(PROBE, SYSTEM, SIGMA_X.copy()),
                  Evolve(SYSTEM, SIGMA_X, 1.0))
-        for array in (gates[0].u, gates[1].one_wire, *gates[0].terms, *gates[1].terms):
+        for array in (gates[0].u, *gates[0].terms, *gates[1].terms):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 2.0
 

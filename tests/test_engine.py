@@ -8,6 +8,7 @@ the one register-state validator and the stack operations of ``nmr``,
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -46,7 +47,6 @@ from lgsim.leggett_garg import (
     LGResult,
     Schedule,
     analytic_k,
-    correlation_batch,
     correlation_circuit,
     correlation_oracle,
     k_value,
@@ -213,17 +213,22 @@ def test_stack_equals_scalar_runs(h, obs, rho_sys, eps, pairs):
     obs=direction.map(unit_observable),
     omega=omegas,
     pair=times,
+    others=st.lists(times, min_size=5, max_size=5),
     eps=epsilons,
 )
-def test_size_one_batch_equals_correlation_circuit(rho_sys, obs, omega, pair, eps):
+def test_a_number_call_is_an_entry_of_any_stack(rho_sys, obs, omega, pair, others, eps):
+    """Number times give two floats; stacks of shapes (1,), (3,) and (2, 3)
+    whose last pair is the same give arrays of that shape, ending in them."""
     evo = Evolution(omega)
-    [(raw, normalized)] = correlation_batch(
-        rho_sys, obs, evo, [(np.array(pair[:1]), np.array(pair[1:]))], eps
-    )
     single = correlation_circuit(rho_sys, obs, evo, *pair, eps)
-    assert raw.shape == normalized.shape == (1,)
-    assert abs(raw[0] - single[0]) <= 1e-12
-    assert abs(normalized[0] - single[1]) <= 1e-12
+    assert [type(value) for value in single] == [float, float]
+    for shape in [(1,), (3,), (2, 3)]:
+        t_k, t_m = np.array(others[:math.prod(shape) - 1] + [pair]).T
+        stacked = correlation_circuit(rho_sys, obs, evo, t_k.reshape(shape),
+                                      t_m.reshape(shape), eps)
+        for got, want in zip(stacked, single):
+            assert got.shape == shape
+            assert abs(got.flat[-1] - want) <= 1e-12
 
 
 @SETTINGS
@@ -280,9 +285,8 @@ def test_sweep_points_equal_the_point_list_of_a_fully_stacked_engine(
     results = sweep(evo, rho_sys, eps, theta_min, theta_min + width, steps, obs)
     dt = np.linspace(theta_min, theta_min + width, steps) / evo.energy_gap
     zero = np.zeros_like(dt)
-    stacks = correlation_batch(rho_sys, obs, evo,
-                               [(zero, dt), (dt, 2.0 * dt), (zero, 2.0 * dt)], eps)
-    c12, c23, c13 = (normalized.tolist() for _, normalized in stacks)
+    c12, c23, c13 = (correlation_circuit(rho_sys, obs, evo, t_k, t_m, eps)[1].tolist()
+                     for t_k, t_m in [(zero, dt), (dt, 2.0 * dt), (zero, 2.0 * dt)])
     want = [LGResult(theta=theta, c12=a, c23=b, c13=c, k=a + b - c)
             for theta, a, b, c in zip((evo.energy_gap * dt).tolist(), c12, c23, c13)]
     assert list(results) == want
@@ -349,7 +353,7 @@ def test_raw_probe_signal_is_linear_in_epsilon(rho_sys, obs, omega, pairs, eps_p
     same for any two polarizations."""
     t_k, t_m = np.array(pairs).T
     first, second = (
-        correlation_batch(rho_sys, obs, Evolution(omega), [(t_k, t_m)], eps)[0][0] / eps
+        correlation_circuit(rho_sys, obs, Evolution(omega), t_k, t_m, eps)[0] / eps
         for eps in eps_pair
     )
     np.testing.assert_allclose(first, second, rtol=0, atol=1e-12)
@@ -359,13 +363,13 @@ def test_batch_rejects_a_reversed_pair_anywhere_in_a_stack():
     rho = classical_mixture(0.5, 0.5)
     t_k, t_m = np.array([0.0, 0.5, 0.2]), np.array([0.1, 0.4, 0.3])
     with pytest.raises(ValueError, match="theta_m"):
-        correlation_batch(rho, SIGMA_Z, Evolution(1.0), [(t_k, t_m)])
+        correlation_circuit(rho, SIGMA_Z, Evolution(1.0), t_k, t_m)
 
 
 def test_batch_rejects_a_non_dichotomic_observable():
     with pytest.raises(ValueError, match="dichotomic"):
-        correlation_batch(classical_mixture(0.5, 0.5), 0.5 * SIGMA_Z,
-                          Evolution(1.0), [(0.0, 1.0)])
+        correlation_circuit(classical_mixture(0.5, 0.5), 0.5 * SIGMA_Z,
+                            Evolution(1.0), 0.0, 1.0)
 
 
 @pytest.fixture
@@ -916,8 +920,9 @@ def test_stacked_results_survive_later_engine_calls(size):
     other = Circuit(scattering_gates(SIGMA_X + SIGMA_Z, obs, t, 2.0 * t))
     run(other, rho_in)
     circuit_unitary(other)
-    correlation_batch(classical_mixture(0.9, 0.1), obs, Evolution(1.3),
-                      [(0.0, t), (t, 2.0 * t)], 0.4)
+    for t_k, t_m in [(0.0, t), (t, 2.0 * t)]:
+        correlation_circuit(classical_mixture(0.9, 0.1), obs, Evolution(1.3),
+                            t_k, t_m, 0.4)
     np.testing.assert_array_equal(state, kept[0])
     np.testing.assert_array_equal(v, kept[1])
     np.testing.assert_array_equal(run(circuit, rho_in), kept[0])
@@ -925,11 +930,41 @@ def test_stacked_results_survive_later_engine_calls(size):
 
 
 @settings(max_examples=200, deadline=None)
-@given(omega=st.floats(0.0, 4.0), v=direction, t=st.floats(-10.0, 10.0))
-def test_heisenberg_conjugates_by_the_adjoint_of_one_exponential(omega, v, t):
-    """exp(iHt) is taken as the adjoint of exp(-iHt): exactly the entries of
-    a second exponential at -t (a zero entry may differ in sign)."""
+@given(omega=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 4.0)),
+       v=direction, t=st.floats(-10.0, 10.0))
+def test_heisenberg_agrees_with_the_closed_form_exponential(omega, v, t):
+    """The oracle's exp(-iHt), from an eigendecomposition of H, conjugates
+    as the circuit's closed-form exponential does, to round-off."""
     obs, evo = unit_observable(v), Evolution(omega)
-    forward = expm_hermitian(evo.hamiltonian, t)
-    want = expm_hermitian(evo.hamiltonian, -t) @ obs @ forward
-    np.testing.assert_array_equal(lgsim.leggett_garg._heisenberg(obs, evo, t), want)
+    want = (expm_hermitian(evo.hamiltonian, -t) @ obs
+            @ expm_hermitian(evo.hamiltonian, t))
+    np.testing.assert_allclose(lgsim.leggett_garg._heisenberg(obs, evo, t), want,
+                               rtol=0, atol=1e-14)
+
+
+def test_oracle_runs_without_the_circuit_exponentials(monkeypatch):
+    """The oracle is the independent check of the circuit: it still gives
+    its values with every closed-form exponential of the package broken."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle used a circuit exponential")
+
+    for name in ("expm_hermitian", "_expm_terms", "_expm_parts"):
+        for module in (lgsim.linalg, lgsim.states, lgsim.circuit,
+                       lgsim.leggett_garg, lgsim.nmr, lgsim.cli):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    value = correlation_oracle(maximally_mixed(), SIGMA_Z, Evolution(1.3), 0.2, 0.9)
+    assert abs(value - math.cos(2 * 1.3 * 0.7)) <= 1e-12
+    rotated = lgsim.leggett_garg.heisenberg_observable(SIGMA_Z, Evolution(0.5), 1.0)
+    np.testing.assert_allclose(rotated, math.cos(1.0) * SIGMA_Z + math.sin(1.0) * SIGMA_Y,
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308])
+def test_oracle_rejects_a_time_without_finite_phases(t):
+    """1e308 is finite, but omega*t overflows at omega = 4."""
+    evo = Evolution(4.0)
+    message = re.escape(f"finite phases omega*t, got t = {t!r}")
+    with pytest.raises(ValueError, match=message):
+        lgsim.leggett_garg.heisenberg_observable(SIGMA_Z, evo, t)
+    with pytest.raises(ValueError, match=message):
+        correlation_oracle(maximally_mixed(), SIGMA_Z, evo, 0.1, t)
