@@ -98,7 +98,7 @@ class Hadamard:
         _keep(self, _ONE, _HADAMARD_ON[self.wire])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Evolve:
     """Free evolution exp(-i * phase * hamiltonian) on one wire (``phase``
     may be an array: a stack of gates).  Construction checks
@@ -110,7 +110,7 @@ class Evolve:
     wire: str
     hamiltonian: np.ndarray
     phase: float | np.ndarray
-    terms: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    terms: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_wire(self.wire)
@@ -121,7 +121,7 @@ class Evolve:
         _keep(self, weights, _on_wire(self.wire, one_wire))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlledU:
     """U on ``target`` when ``control`` is |1>; ``u`` is kept as a read-only
     copy, checked by ``unitary``, so later writes to the caller's array
@@ -130,7 +130,7 @@ class ControlledU:
     control: str
     target: str
     u: np.ndarray
-    terms: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    terms: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_wire(self.control)
@@ -150,7 +150,7 @@ class ControlledU:
 Gate = Hadamard | Evolve | ControlledU
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 

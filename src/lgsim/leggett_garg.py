@@ -6,7 +6,8 @@ reference normalization) and a direct Heisenberg-picture trace that serves as
 the oracle the circuit is validated against; the oracle takes its propagator
 from an eigendecomposition of H and shares no code with the circuit.  The
 one circuit correlator is ``correlation_circuit``, for a time pair or a stack
-of them; ``_probe_register`` builds the register every circuit runs on.
+of them; ``_probe_register`` builds the register every circuit runs on, and
+``reference_signal`` reads the zero-time reference off the gates it runs.
 ``k_value`` assembles K = C12 + C23 - C13 from circuit correlators for an
 equally spaced three-measurement schedule, and ``sweep`` does so over a theta
 grid, returning the curve as the columns of one ``SweepResult``;
@@ -34,7 +35,9 @@ from .states import KET0, pseudo_pure, pure_state
 # is never flagged as a violation.
 _VIOLATION_GUARD = 1e-12
 _BISECT_TOL = 1e-9
-_REFERENCE_FLOOR = 1e-15
+# Normalized correlators carry round-off of about 2.5e-16 / |reference|: the
+# floor keeps it below 5e-10 and passes eps = 1e-6 (references just under 1e-6).
+_REFERENCE_FLOOR = 5e-7
 
 
 def observable_from_state(psi0) -> np.ndarray:
@@ -205,16 +208,15 @@ def _probe_register(rho_sys, probe_eps: float) -> np.ndarray:
     return kron(pseudo_pure(probe_eps, KET0), rho_sys)
 
 
-def _probe_signal(rho_in, obs, evo: Evolution, t_k, t_m):
-    gates = scattering_gates(evo.hamiltonian, obs, t_k, t_m)
+def _probe_signal(rho_in, gates):
     return expect_probe_z(run(Circuit(gates), rho_in))
 
 
-def reference_signal(rho_in, obs, evo: Evolution) -> float:
-    """Probe signal of the zero-time circuit on the register state ``rho_in``,
-    which raw correlators are divided by; raises ValueError when it is too
-    small to divide by (a probe polarization near 0)."""
-    reference = _probe_signal(rho_in, obs, evo, 0.0, 0.0)
+def reference_signal(rho_in, gates) -> float:
+    """Probe signal on ``rho_in`` of the six ``scattering_gates`` ``gates`` at
+    zero time (the free evolutions, exactly I there, left out), which raw
+    correlators are divided by; raises ValueError when it is too small."""
+    reference = _probe_signal(rho_in, (gates[0], gates[2], gates[4], gates[5]))
     if not abs(reference) >= _REFERENCE_FLOOR:
         raise ValueError(f"reference signal vanished: |signal| = {abs(reference):.3g} "
                          f"< {_REFERENCE_FLOOR:g}; cannot normalize")
@@ -230,14 +232,14 @@ def correlation_circuit(rho_sys, obs, evo: Evolution, t_k, t_m,
     enters as the pseudo-pure state (1-eps) I/2 + eps |0><0|, so the raw
     signal is scaled by eps.  As in the experiment, raw values are normalized
     to the signal of the zero-time circuit, whose correlator is exactly 1
-    because O^2 = I; that reference runs once per call.  Returns
+    because O^2 = I; it runs once per call, on the same gates.  Returns
     ``(raw, normalized)``, floats for number times and arrays of the
     broadcast shape otherwise; normalized matches the oracle.
     """
     rho_in = _probe_register(rho_sys, probe_eps)
-    reference = reference_signal(rho_in, obs, evo)
-    raw = _probe_signal(rho_in, obs, evo, t_k, t_m)
-    return raw, raw / reference
+    gates = scattering_gates(evo.hamiltonian, obs, t_k, t_m)
+    raw = _probe_signal(rho_in, gates)
+    return raw, raw / reference_signal(rho_in, gates)
 
 
 def analytic_k(theta):
@@ -294,9 +296,10 @@ def sweep(
     obs = observable_from_state(KET0) if obs is None else obs
     dt = np.linspace(theta_min, theta_max, steps) / evo.energy_gap
     rho_in = _probe_register(rho_sys, probe_eps)
-    reference = reference_signal(rho_in, obs, evo)
-    c12, c23, c13 = (_probe_signal(rho_in, obs, evo, t_k, t_m) / reference
-                     for t_k, t_m in ((0.0, dt), (dt, 2.0 * dt), (0.0, 2.0 * dt)))
+    stacks = [scattering_gates(evo.hamiltonian, obs, t_k, t_m)
+              for t_k, t_m in ((0.0, dt), (dt, 2.0 * dt), (0.0, 2.0 * dt))]
+    reference = reference_signal(rho_in, stacks[0])
+    c12, c23, c13 = (_probe_signal(rho_in, gates) / reference for gates in stacks)
     return SweepResult(evo.energy_gap * dt, c12, c23, c13, c12 + c23 - c13)
 
 

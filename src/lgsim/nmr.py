@@ -96,7 +96,7 @@ def k_attenuation_check(
 
     # the three correlators of the (0, dt, 2dt) schedule, theta = gap * dt
     gates = scattering_gates(h, obs, (0.0, dt, 0.0), (dt, 2.0 * dt, 2.0 * dt))
-    reference = reference_signal(rho_in, obs, evo)
+    reference = reference_signal(rho_in, gates)
 
     before_readout = run(Circuit(gates[:-1]), rho_in)
     stacked = np.stack((before_readout, t2_dephase(before_readout, cfg)))
@@ -120,7 +120,7 @@ class ReadoutNoise:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomographyRecord:
     """The 16 coefficients c[i, j] = Tr[rho (sigma_i (x) sigma_j)].
 

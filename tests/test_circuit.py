@@ -1,5 +1,6 @@
 """Gate embedding, circuit execution, and the scattering interferometer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from lgsim.linalg import (
     partial_trace,
     trace_distance,
 )
+from lgsim.nmr import TomographyRecord
 from lgsim.states import KET0, maximally_mixed, pure_density
 
 CNOT = np.array(
@@ -119,6 +121,22 @@ class TestGateValidation:
         for array in (gates[0].u, *gates[0].terms, *gates[1].terms):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Evolve(SYSTEM, SIGMA_X, 0.5),
+    lambda: ControlledU(PROBE, SYSTEM, SIGMA_X),
+    lambda: Circuit((Hadamard(PROBE), Evolve(SYSTEM, SIGMA_X, 0.5))),
+    lambda: TomographyRecord(np.eye(4)),
+], ids=["Evolve", "ControlledU", "Circuit", "TomographyRecord"])
+def test_objects_holding_arrays_compare_and_hash_by_identity(make):
+    """Two equal-valued objects are distinct, hashable and still frozen."""
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b}) == 2
+    name = dataclasses.fields(a)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(a, name, getattr(b, name))
 
 
 class TestRun:

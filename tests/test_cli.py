@@ -307,14 +307,16 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("command", ["sweep", "noise-check"])
     @pytest.mark.parametrize("eps,signal", [
         pytest.param(eps, signal, id=eps)
-        for eps, signal in (("1e-300", "0"), ("5e-324", "0"), ("1e-16", "5.55e-17"))])
+        for eps, signal in (("1e-300", "0"), ("5e-324", "0"), ("1e-16", "5.55e-17"),
+                            ("1e-13", "9.99e-14"), ("1e-10", "1e-10"))])
     def test_vanishing_reference_exits_1(self, command, eps, signal, capsys):
         """The message names the signal it could not divide by and the floor
-        (1e-300 is lost against the 1/2 of the probe's mixed part)."""
+        (1e-300 is lost against the 1/2 of the probe's mixed part); at 1e-10
+        and 1e-13 round-off would spoil the normalized values."""
         assert main([command, "--steps", "3", "--epsilon", eps]) == EXIT_INVARIANT
         captured = capsys.readouterr()
         assert captured.err == (f"invariant failure: reference signal vanished: "
-                                f"|signal| = {signal} < 1e-15; cannot normalize\n")
+                                f"|signal| = {signal} < 5e-07; cannot normalize\n")
         assert captured.out == ""
 
     def test_internal_invariant_failure_exits_1(self, monkeypatch, capsys):

@@ -23,6 +23,7 @@ import lgsim.circuit
 import lgsim.cli
 import lgsim.leggett_garg
 import lgsim.linalg
+import lgsim.nmr
 import lgsim.states
 from conftest import random_density
 from lgsim.circuit import (
@@ -51,6 +52,7 @@ from lgsim.leggett_garg import (
     correlation_oracle,
     k_value,
     observable_from_state,
+    reference_signal,
     sweep,
 )
 from lgsim.linalg import (
@@ -67,7 +69,8 @@ from lgsim.linalg import (
     trace_distance,
     unitary,
 )
-from lgsim.nmr import ReadoutNoise, T2Config, reconstruct, t2_dephase, tomograph
+from lgsim.nmr import (ReadoutNoise, T2Config, k_attenuation_check, reconstruct,
+                       t2_dephase, tomograph)
 from lgsim.states import (
     KET0,
     KET1,
@@ -394,13 +397,13 @@ def test_default_sweep_runs_at_most_four_circuit_stacks(run_calls):
 
 
 def test_default_sweep_stacks_only_the_angles_that_vary(monkeypatch):
-    """Four circuits of two free evolutions each: the reference and the
-    zero theta_k of C12 and C13 stay single 2x2 exponentials, and the four
-    stacked phases become weight columns."""
+    """Three circuits of two free evolutions each: the zero theta_k of C12
+    and C13 stay single 2x2 exponentials, and the four stacked phases become
+    weight columns; the reference builds no exponential of its own."""
     single = counting(lgsim.circuit, "expm_hermitian", monkeypatch)
     stacked = counting(lgsim.circuit, "_expm_terms", monkeypatch)
     sweep(Evolution(1.0), classical_mixture(0.5, 0.5), 1.0, 0.0, 2 * math.pi, 721)
-    assert [np.shape(angle) for _, angle in single] == [()] * 4
+    assert [np.shape(angle) for _, angle in single] == [()] * 2
     assert [np.shape(angle) for _, angle in stacked] == [(721,)] * 4
 
 
@@ -420,6 +423,50 @@ def test_k_value_and_correlator_run_one_stack_and_one_reference(run_calls):
     assert len(run_calls) == 2
     correlation_circuit(rho, SIGMA_Z, Evolution(1.0), 0.1, 0.4)
     assert len(run_calls) == 4
+
+
+def test_each_correlator_call_builds_its_gates_once(monkeypatch):
+    """One ``scattering_gates`` call per correlator, k_value and noise check,
+    and one per stack of a sweep: the zero-time reference reuses those gates
+    (2, 2, 2 and 4 calls when it built a circuit of its own)."""
+    calls = []
+    for module in (lgsim, lgsim.circuit, lgsim.leggett_garg, lgsim.nmr, lgsim.cli):
+        if hasattr(module, "scattering_gates"):
+            counting(module, "scattering_gates", monkeypatch, calls)
+    rho = classical_mixture(0.5, 0.5)
+    entry_points = {
+        "correlation_circuit": lambda: correlation_circuit(
+            rho, SIGMA_Z, Evolution(1.0), 0.1, 0.4),
+        "k_value": lambda: k_value(rho, SIGMA_Z, Evolution(1.0),
+                                   Schedule(0.0, 0.3, 0.6)),
+        "k_attenuation_check": lambda: k_attenuation_check(
+            T2Config(0.1, 0.8, 0.002), math.pi / 3),
+        "sweep": lambda: sweep(Evolution(1.0), rho, 1.0, 0.0, 2 * math.pi, 721),
+    }
+    counts = {}
+    for name, call in entry_points.items():
+        calls.clear()
+        call()
+        counts[name] = len(calls)
+    assert counts == {"correlation_circuit": 1, "k_value": 1,
+                      "k_attenuation_check": 1, "sweep": 3}
+
+
+@SETTINGS
+@given(
+    h=generators(),
+    obs=direction.map(unit_observable),
+    rho_sys=qubit_states(),
+    eps=epsilons,
+    pairs=st.one_of(times, st.lists(times, min_size=1, max_size=6)
+                    .map(lambda p: tuple(np.array(p).T))),
+)
+def test_reference_equals_the_six_gate_zero_time_circuit(h, obs, rho_sys, eps, pairs):
+    """The reference read off the gates of any time pair or stack is bitwise
+    the probe signal of the full circuit at zero times."""
+    rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
+    zero_time = expect_probe_z(run(build_scattering_circuit(h, obs, 0.0, 0.0), rho_in))
+    assert reference_signal(rho_in, scattering_gates(h, obs, *pairs)) == zero_time
 
 
 def test_t2_dephase_broadcasts_over_a_stack(rng):
@@ -700,17 +747,19 @@ def test_scattering_gates_validate_each_operand_once(monkeypatch):
 
 
 def test_default_sweep_validation_counts(monkeypatch):
-    """Per default sweep: one ``unitary`` per ``scattering_gates`` call (8
-    when each controlled slot had its own gate), 13 ``is_hermitian`` (23 when
-    ``embed`` validated the generator again), one ``density`` and one
-    ``dichotomic_observable`` per ``scattering_gates`` call (2 and 5 when the
-    built probe state and observable were checked again)."""
+    """Per default sweep: one ``unitary`` per ``scattering_gates`` call, of
+    which there are three (8 ``unitary`` when each controlled slot had its
+    own gate), 10 ``is_hermitian`` (13 when the reference built a fourth
+    circuit, 23 when ``embed`` validated the generator again), one
+    ``density`` and one ``dichotomic_observable`` per ``scattering_gates``
+    call (2 and 5 when the built probe state and observable were checked
+    again)."""
     rho = classical_mixture(0.5, 0.5)
     names = ("unitary", "is_hermitian", "density", "dichotomic_observable")
     calls = {name: counting_everywhere(name, monkeypatch) for name in names}
     sweep(Evolution(1.0), rho, 1.0, 0.0, 2 * math.pi, 721)
-    bounds = {"unitary": 4, "is_hermitian": 13, "density": 1,
-              "dichotomic_observable": 4}
+    bounds = {"unitary": 3, "is_hermitian": 10, "density": 1,
+              "dichotomic_observable": 3}
     for name, bound in bounds.items():
         assert len(calls[name]) <= bound, name
 

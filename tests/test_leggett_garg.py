@@ -208,6 +208,14 @@ class TestCorrelationCircuit:
             correlation_circuit(maximally_mixed(), SZ, EVO, 0.0, 0.1,
                                 probe_eps=1e-20)
 
+    def test_reference_floor_passes_eps_1e_6_and_rejects_1e_7(self):
+        """Round-off of about 2.5e-16 / eps spoils smaller probe polarizations."""
+        rho = classical_mixture(0.3, 0.7)
+        _, normalized = correlation_circuit(rho, SZ, EVO, 0.2, 0.9, probe_eps=1e-6)
+        assert abs(normalized - correlation_oracle(rho, SZ, EVO, 0.2, 0.9)) <= 1e-8
+        with pytest.raises(ValueError, match=r"\|signal\| = 1e-07 < 5e-07"):
+            correlation_circuit(rho, SZ, EVO, 0.2, 0.9, probe_eps=1e-7)
+
     def test_matches_oracle_on_random_cases(self, rng):
         for _ in range(50):
             rho = random_density(rng, 2)
