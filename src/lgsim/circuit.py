@@ -19,8 +19,9 @@ matrices: a stacked ``Evolve`` has two weight columns over I and n.sigma
 A circuit is then the sum over products of one term per gate, whose B <= 16
 fixed matrices are multiplied once each whatever the stack size, and whose
 weights are products of columns; ``circuit_unitary`` is one
-(S, B) x (B, 16) gemm and ``run`` one (S, B^2) x (B^2, 16) gemm.  A single
-circuit is the case B = 1 of the same code.
+(S, B) x (B, 16) gemm, a single circuit the case B = 1.  ``run`` forms the
+output states for the callers that need them; the correlators read the probe
+signal off the terms (``_probe_signal``) and form none.
 
 The probe readout of the interferometer built by ``build_scattering_circuit``
 returns Re Tr[rho_sys O(t_m) O(t_k)]: a Hadamard splits the probe, the two
@@ -36,18 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    IDENTITY_2,
-    SIGMA_Y,
-    SIGMA_Z,
-    _expm_terms,
-    _register,
-    dagger,
-    dichotomic_observable,
-    expm_hermitian,
-    kron,
-    unitary,
-)
+from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _expm_terms, _register, dagger,
+                     dichotomic_observable, expm_hermitian, kron, unitary)
 
 PROBE = "probe"
 SYSTEM = "system"
@@ -179,9 +170,10 @@ def _expand(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
 
     The product of two gates' sums is the sum over all pairs of terms: the
     weights multiply, their stacks broadcasting, and the fixed matrices
-    multiply once each, whatever the stack size.  Past 16 terms (the
-    dimension of the 4x4 operator space) the weights are folded into the 16
-    matrix units, so no circuit holds more than 32 terms at a time.
+    multiply once each, whatever the stack size (a weight ``_ONE`` is not
+    multiplied through).  Past 16 terms (the dimension of the 4x4 operator
+    space) the weights are folded into the 16 matrix units, so no circuit
+    holds more than 32 terms at a time.
     """
     if not circuit.gates:
         raise ValueError("cannot execute an empty circuit")
@@ -189,9 +181,12 @@ def _expand(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     weights, fixed = first.terms
     for gate in rest:
         gate_weights, gate_fixed = gate.terms
-        weights = weights[..., :, None] * gate_weights[..., None, :]
         fixed = (gate_fixed @ fixed[:, None]).reshape(-1, 4, 4)
-        weights = weights.reshape(weights.shape[:-2] + (len(fixed),))
+        if weights is _ONE:
+            weights = gate_weights
+        elif gate_weights is not _ONE:
+            weights = weights[..., :, None] * gate_weights[..., None, :]
+            weights = weights.reshape(weights.shape[:-2] + (len(fixed),))
         if len(fixed) > 16:
             weights, fixed = _weigh(weights, fixed.reshape(-1, 16)), _UNITS
     return weights, fixed
@@ -232,6 +227,17 @@ def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-1] + (4, 4))
 
 
+def _probe_signal(circuit: Circuit, rho_in: np.ndarray):
+    """``expect_probe_z(run(circuit, rho_in))`` for one checked state, with
+    no state formed: Re sum_bc w_b T_bc conj(w_c) for V = sum_b w_b M_b, the
+    B^2 traces T_bc = Tr[(sigma_z (x) I) M_b rho M_c+] being fixed numbers."""
+    weights, fixed = _expand(circuit)
+    probed = (_PROBE_Z @ fixed @ rho_in).reshape(-1, 16)
+    traces = probed @ fixed.reshape(-1, 16).conj().T
+    value = np.einsum("...b,...b->...", weights @ traces, weights.conj()).real
+    return float(value) if value.ndim == 0 else value
+
+
 def build_scattering_circuit(
     h: np.ndarray, obs: np.ndarray, theta_k: float, theta_m: float
 ) -> Circuit:
@@ -258,8 +264,8 @@ def scattering_gates(h: np.ndarray, obs: np.ndarray, theta_k, theta_m):
     (each ``Evolve`` checks ``h``), and the ordering
     0 <= theta_k <= theta_m < inf in one vectorised test on the broadcast
     pair.  Each ``Evolve`` keeps its own phase un-broadcast, so a number
-    (such as the theta_k = 0 of a sweep's C12 and C13) embeds as one 4x4
-    matrix rather than a stack of equal ones.
+    theta_k against a stack of theta_m embeds as one 4x4 matrix rather than
+    a stack of equal ones.
     """
     obs = dichotomic_observable(obs)
     theta_k = np.asarray(theta_k, dtype=float)

@@ -23,8 +23,8 @@ each number rounded to 9 decimals, with no negative zero (CSV in fixed
 notation, JSON as the same rounded numbers); a NaN or infinite value, or an
 SVG coordinate that overflows, exits 1 and writes nothing.
 
-Exit codes: 0 success, 1 internal invariant failure, 2 usage error,
-3 I/O error.
+Exit codes: 0 success, 1 internal invariant failure, 2 usage error (an
+--epsilon too small to normalize by is one), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .circuit import Circuit, run, scattering_gates
-from .leggett_garg import (Evolution, SweepResult, _first_bad, _probe_register,
-                           analytic_k, find_violations, observable_from_state,
-                           sweep)
+from .leggett_garg import (Evolution, ReferenceVanished, SweepResult, _first_bad,
+                           _probe_register, analytic_k, find_violations,
+                           observable_from_state, sweep)
 from .linalg import overlap_fidelity, partial_trace, trace_distance
 from .nmr import (
     PAULI_LABELS,
@@ -498,6 +498,9 @@ def run_command(cfg: RunConfig) -> int:
             payload = emit_json(cfg, header, columns)
         else:
             payload = emit_svg(cfg, results)
+    except ReferenceVanished as exc:
+        print(f"error: --epsilon: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -8,9 +8,10 @@ from an eigendecomposition of H and shares no code with the circuit.  The
 one circuit correlator is ``correlation_circuit``, for a time pair or a stack
 of them; ``_probe_register`` builds the register every circuit runs on, and
 ``reference_signal`` reads the zero-time reference off the gates it runs.
-``k_value`` assembles K = C12 + C23 - C13 from circuit correlators for an
-equally spaced three-measurement schedule, and ``sweep`` does so over a theta
-grid, returning the curve as the columns of one ``SweepResult``;
+Both read the probe signal off the circuit's terms, forming no state.
+``k_value`` assembles K = C12 + C23 - C13 for an equally spaced schedule and
+``sweep`` over a theta grid, each in one ``correlation_circuit`` call on a
+(3, N) stack, returning the curve as the columns of one ``SweepResult``;
 ``analytic_k`` evaluates the closed-form prediction 2 cos(theta) - cos(2 theta),
 where theta is the dimensionless phase (energy gap) x (spacing) accumulated
 between consecutive measurements.
@@ -27,7 +28,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .circuit import Circuit, expect_probe_z, run, scattering_gates
+from .circuit import Circuit, _probe_signal, scattering_gates
+from .circuit import run  # noqa: F401  (still importable from here)
 from .linalg import IDENTITY_2, SIGMA_X, dagger, density, dichotomic_observable, kron
 from .states import KET0, pseudo_pure, pure_state
 
@@ -208,18 +210,19 @@ def _probe_register(rho_sys, probe_eps: float) -> np.ndarray:
     return kron(pseudo_pure(probe_eps, KET0), rho_sys)
 
 
-def _probe_signal(rho_in, gates):
-    return expect_probe_z(run(Circuit(gates), rho_in))
+class ReferenceVanished(ValueError):
+    """The reference is below the floor: the probe's eps is too small."""
 
 
 def reference_signal(rho_in, gates) -> float:
     """Probe signal on ``rho_in`` of the six ``scattering_gates`` ``gates`` at
     zero time (the free evolutions, exactly I there, left out), which raw
-    correlators are divided by; raises ValueError when it is too small."""
-    reference = _probe_signal(rho_in, (gates[0], gates[2], gates[4], gates[5]))
+    correlators are divided by; raises ``ReferenceVanished`` below the floor."""
+    reference = _probe_signal(Circuit((gates[0], gates[2], gates[4], gates[5])), rho_in)
     if not abs(reference) >= _REFERENCE_FLOOR:
-        raise ValueError(f"reference signal vanished: |signal| = {abs(reference):.3g} "
-                         f"< {_REFERENCE_FLOOR:g}; cannot normalize")
+        raise ReferenceVanished(f"reference signal vanished: |signal| = "
+                                f"{abs(reference):.3g} < {_REFERENCE_FLOOR:g}; "
+                                f"cannot normalize")
     return reference
 
 
@@ -238,7 +241,7 @@ def correlation_circuit(rho_sys, obs, evo: Evolution, t_k, t_m,
     """
     rho_in = _probe_register(rho_sys, probe_eps)
     gates = scattering_gates(evo.hamiltonian, obs, t_k, t_m)
-    raw = _probe_signal(rho_in, gates)
+    raw = _probe_signal(Circuit(gates), rho_in)
     return raw, raw / reference_signal(rho_in, gates)
 
 
@@ -248,59 +251,47 @@ def analytic_k(theta):
     return 2.0 * np.cos(theta) - np.cos(2.0 * theta)
 
 
-def k_value(
-    rho_sys,
-    obs,
-    evo: Evolution,
-    schedule: Schedule,
-    probe_eps: float = 1.0,
-) -> LGResult:
+def k_value(rho_sys, obs, evo: Evolution, schedule: Schedule,
+            probe_eps: float = 1.0) -> LGResult:
     """K = C12 + C23 - C13 from normalized circuit correlators, as the row of
     a one-point ``SweepResult``."""
-    t1, t2, t3 = schedule.t1, schedule.t2, schedule.t3
-    _, normalized = correlation_circuit(
-        rho_sys, obs, evo, (t1, t2, t1), (t2, t3, t3), probe_eps
-    )
-    c12, c23, c13 = normalized[:, None]
-    theta = [evo.energy_gap * schedule.dt]
-    return SweepResult(theta, c12, c23, c13, c12 + c23 - c13)[0]
+    times = [[schedule.t1], [schedule.t2], [schedule.t3]]
+    return _k_curve(rho_sys, obs, evo, probe_eps, times)[0]
 
 
-def sweep(
-    evo: Evolution,
-    rho_sys,
-    probe_eps: float,
-    theta_min: float,
-    theta_max: float,
-    steps: int,
-    obs=None,
-) -> SweepResult:
+def _k_curve(rho_sys, obs, evo: Evolution, probe_eps: float, times) -> SweepResult:
+    """K at theta = gap * (t2 - t1) for the measurement times (t1, t2, t3) =
+    ``times``, of shape (3, N), from one ``correlation_circuit`` call on the
+    (3, N) stack of the time pairs of C12, C23 and C13."""
+    times = np.asarray(times, dtype=float)
+    _, (c12, c23, c13) = correlation_circuit(rho_sys, obs, evo, times[[0, 1, 0]],
+                                             times[[1, 2, 2]], probe_eps)
+    theta = evo.energy_gap * (times[1] - times[0])
+    return SweepResult(theta, c12, c23, c13, c12 + c23 - c13)
+
+
+def sweep(evo: Evolution, rho_sys, probe_eps: float, theta_min: float,
+          theta_max: float, steps: int, obs=None) -> SweepResult:
     """Evaluate K on a uniform theta grid, endpoints included.
 
     theta is the canonical parameter; the measurement spacing is recovered as
     theta / energy_gap, with measurements taken at times (0, dt, 2*dt).
-    ``obs`` defaults to the observable built from |0>, i.e. sigma_z.  Each
-    correlator runs as one stack over the whole grid, all three against one
-    reference; the columns equal per-point ``k_value`` calls.
+    ``obs`` defaults to the observable built from |0>, i.e. sigma_z.  As in
+    ``k_value``, the three correlators run as one ``correlation_circuit``
+    call, here on a (3, steps) stack; the columns equal per-point ``k_value``.
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     if not 0.0 <= theta_min < math.inf:
         raise ValueError(f"theta_min must be finite and >= 0, got {theta_min!r}")
     if not theta_min < theta_max < math.inf:
-        raise ValueError(
-            f"theta_max must be finite and > theta_min, got ({theta_min}, {theta_max})"
-        )
+        raise ValueError(f"theta_max must be finite and > theta_min, "
+                         f"got ({theta_min}, {theta_max})")
     if evo.omega <= 0.0:
         raise ValueError("sweep needs omega > 0 to map theta onto a time spacing")
     obs = observable_from_state(KET0) if obs is None else obs
     dt = np.linspace(theta_min, theta_max, steps) / evo.energy_gap
-    rho_in = _probe_register(rho_sys, probe_eps)
-    stacks = [scattering_gates(evo.hamiltonian, obs, t_k, t_m)
-              for t_k, t_m in ((0.0, dt), (dt, 2.0 * dt), (0.0, 2.0 * dt))]
-    reference = reference_signal(rho_in, stacks[0])
-    c12, c23, c13 = (_probe_signal(rho_in, gates) / reference for gates in stacks)
-    return SweepResult(evo.energy_gap * dt, c12, c23, c13, c12 + c23 - c13)
+    return _k_curve(rho_sys, obs, evo, probe_eps, np.array([0.0, 1.0, 2.0])[:, None] * dt)
 
 
 def find_violations(

@@ -308,16 +308,38 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("eps,signal", [
         pytest.param(eps, signal, id=eps)
         for eps, signal in (("1e-300", "0"), ("5e-324", "0"), ("1e-16", "5.55e-17"),
-                            ("1e-13", "9.99e-14"), ("1e-10", "1e-10"))])
+                            ("1e-13", "1e-13"), ("1e-10", "1e-10"))])
     def test_vanishing_reference_exits_1(self, command, eps, signal, capsys):
-        """The message names the signal it could not divide by and the floor
-        (1e-300 is lost against the 1/2 of the probe's mixed part); at 1e-10
-        and 1e-13 round-off would spoil the normalized values."""
-        assert main([command, "--steps", "3", "--epsilon", eps]) == EXIT_INVARIANT
+        """An --epsilon too small for the reference normalization is a usage
+        error naming the flag, exit 2 (it once exited 1 as an invariant
+        failure).  The message names the signal it could not divide by and
+        the floor (1e-300 is lost against the 1/2 of the probe's mixed
+        part); at 1e-10 and 1e-13 round-off would spoil the normalized
+        values."""
+        assert main([command, "--steps", "3", "--epsilon", eps]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err == (f"invariant failure: reference signal vanished: "
+        assert captured.err == (f"error: --epsilon: reference signal vanished: "
                                 f"|signal| = {signal} < 5e-07; cannot normalize\n")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "correlations", "noise-check"])
+    def test_smallest_epsilon_past_the_reference_floor_exits_0(self, command, capsys):
+        """Bisecting --epsilon between 1e-7 (refused) and 1e-6 down to
+        adjacent floats, where round-off in the reference decides: every run
+        exits 0 or 2, never 1, and the smallest value not refused runs to
+        exit 0."""
+        def code(eps):
+            result = main([command, "--steps", "3", "--epsilon", repr(eps)])
+            assert result in (EXIT_OK, EXIT_USAGE), eps
+            return result
+
+        low, high = 1e-7, 1e-6
+        assert (code(low), code(high)) == (EXIT_USAGE, EXIT_OK)
+        while math.nextafter(low, high) < high:
+            mid = 0.5 * (low + high)
+            low, high = (mid, high) if code(mid) == EXIT_USAGE else (low, mid)
+        assert abs(high - 5e-7) <= 1e-15
+        assert "error: --epsilon: reference signal vanished" in capsys.readouterr().err
 
     def test_internal_invariant_failure_exits_1(self, monkeypatch, capsys):
         import lgsim.cli as cli_module

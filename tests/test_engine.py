@@ -35,6 +35,7 @@ from lgsim.circuit import (
     ControlledU,
     Evolve,
     Hadamard,
+    _probe_signal,
     build_scattering_circuit,
     circuit_unitary,
     embed,
@@ -376,35 +377,33 @@ def test_batch_rejects_a_non_dichotomic_observable():
 
 
 @pytest.fixture
-def run_calls(monkeypatch):
-    """Count calls of ``circuit.run`` under every name the package binds it to."""
-    calls = []
-
-    def counting(circuit, rho_in):
-        calls.append(circuit)
-        return run(circuit, rho_in)
-
-    for module in (lgsim.circuit, lgsim.leggett_garg):
-        monkeypatch.setattr(module, "run", counting)
-    return calls
+def engine_calls(monkeypatch):
+    """Calls of ``circuit.run`` and of the correlators' probe readout
+    ``circuit._probe_signal``, each counted under every name the package
+    binds it to."""
+    return {name: counting_everywhere(name, monkeypatch)
+            for name in ("run", "_probe_signal")}
 
 
-def test_default_sweep_runs_at_most_four_circuit_stacks(run_calls):
+def test_default_sweep_runs_at_most_four_circuit_stacks(engine_calls):
+    """One readout of the (3, 721) stack of C12, C23 and C13 and one of the
+    reference; no stack of output states is formed."""
     results = sweep(Evolution(1.0), classical_mixture(0.5, 0.5), 1.0,
                     0.0, 2 * math.pi, 721)
     assert len(results) == 721
-    assert 1 <= len(run_calls) <= 4
+    assert len(engine_calls["run"]) == 0
+    assert len(engine_calls["_probe_signal"]) == 2
 
 
-def test_default_sweep_stacks_only_the_angles_that_vary(monkeypatch):
-    """Three circuits of two free evolutions each: the zero theta_k of C12
-    and C13 stay single 2x2 exponentials, and the four stacked phases become
-    weight columns; the reference builds no exponential of its own."""
+def test_default_sweep_stacks_its_angles_in_two_exponentials(monkeypatch):
+    """One circuit of two free evolutions over the (3, 721) stack: each
+    stacked phase becomes two weight columns, no scalar exponential is
+    built, and the reference builds no exponential of its own."""
     single = counting(lgsim.circuit, "expm_hermitian", monkeypatch)
     stacked = counting(lgsim.circuit, "_expm_terms", monkeypatch)
     sweep(Evolution(1.0), classical_mixture(0.5, 0.5), 1.0, 0.0, 2 * math.pi, 721)
-    assert [np.shape(angle) for _, angle in single] == [()] * 2
-    assert [np.shape(angle) for _, angle in stacked] == [(721,)] * 4
+    assert single == []
+    assert [np.shape(angle) for _, angle in stacked] == [(3, 721)] * 2
 
 
 def test_scattering_gates_keep_each_phase_unbroadcast():
@@ -417,18 +416,23 @@ def test_scattering_gates_keep_each_phase_unbroadcast():
         scattering_gates(SIGMA_X, SIGMA_Z, 0.5, t_m)
 
 
-def test_k_value_and_correlator_run_one_stack_and_one_reference(run_calls):
+def test_k_value_and_correlator_run_one_stack_and_one_reference(engine_calls):
+    """Each reads its stack and its reference off the terms, with no
+    ``run``."""
     rho = classical_mixture(0.5, 0.5)
     k_value(rho, SIGMA_Z, Evolution(1.0), Schedule(0.0, 0.3, 0.6))
-    assert len(run_calls) == 2
+    assert len(engine_calls["_probe_signal"]) == 2
     correlation_circuit(rho, SIGMA_Z, Evolution(1.0), 0.1, 0.4)
-    assert len(run_calls) == 4
+    assert len(engine_calls["_probe_signal"]) == 4
+    assert len(engine_calls["run"]) == 0
 
 
 def test_each_correlator_call_builds_its_gates_once(monkeypatch):
-    """One ``scattering_gates`` call per correlator, k_value and noise check,
-    and one per stack of a sweep: the zero-time reference reuses those gates
-    (2, 2, 2 and 4 calls when it built a circuit of its own)."""
+    """One ``scattering_gates`` call per correlator, k_value, noise check
+    and sweep, whose one (3, steps) stack holds all three correlators: the
+    zero-time reference reuses those gates (2, 2, 2 and 4 calls when it
+    built a circuit of its own, and the sweep 3 when it built a stack per
+    correlator)."""
     calls = []
     for module in (lgsim, lgsim.circuit, lgsim.leggett_garg, lgsim.nmr, lgsim.cli):
         if hasattr(module, "scattering_gates"):
@@ -449,7 +453,7 @@ def test_each_correlator_call_builds_its_gates_once(monkeypatch):
         call()
         counts[name] = len(calls)
     assert counts == {"correlation_circuit": 1, "k_value": 1,
-                      "k_attenuation_check": 1, "sweep": 3}
+                      "k_attenuation_check": 1, "sweep": 1}
 
 
 @SETTINGS
@@ -465,8 +469,31 @@ def test_reference_equals_the_six_gate_zero_time_circuit(h, obs, rho_sys, eps, p
     """The reference read off the gates of any time pair or stack is bitwise
     the probe signal of the full circuit at zero times."""
     rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
-    zero_time = expect_probe_z(run(build_scattering_circuit(h, obs, 0.0, 0.0), rho_in))
+    zero_time = _probe_signal(build_scattering_circuit(h, obs, 0.0, 0.0), rho_in)
     assert reference_signal(rho_in, scattering_gates(h, obs, *pairs)) == zero_time
+
+
+@SETTINGS
+@given(
+    h=generators(),
+    obs=direction.map(unit_observable),
+    rho_sys=qubit_states(),
+    eps=epsilons,
+    pairs=st.one_of(times, st.lists(times, min_size=1, max_size=6)
+                    .map(lambda p: tuple(np.array(p).T)),
+                    st.lists(times, min_size=6, max_size=6)
+                    .map(lambda p: tuple(np.array(p).T.reshape(2, 2, 3)))),
+)
+def test_probe_readout_equals_the_trace_of_the_output_states(h, obs, rho_sys, eps,
+                                                             pairs):
+    """The correlators' readout off the circuit's terms is <sigma_z> of the
+    probe in the states ``run`` forms, for number and stacked time pairs."""
+    rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
+    circuit = Circuit(scattering_gates(h, obs, *pairs))
+    want = expect_probe_z(run(circuit, rho_in))
+    got = _probe_signal(circuit, rho_in)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_t2_dephase_broadcasts_over_a_stack(rng):
@@ -747,21 +774,20 @@ def test_scattering_gates_validate_each_operand_once(monkeypatch):
 
 
 def test_default_sweep_validation_counts(monkeypatch):
-    """Per default sweep: one ``unitary`` per ``scattering_gates`` call, of
-    which there are three (8 ``unitary`` when each controlled slot had its
-    own gate), 10 ``is_hermitian`` (13 when the reference built a fourth
-    circuit, 23 when ``embed`` validated the generator again), one
-    ``density`` and one ``dichotomic_observable`` per ``scattering_gates``
-    call (2 and 5 when the built probe state and observable were checked
-    again)."""
+    """Per default sweep, whose one ``scattering_gates`` call builds one
+    (3, 721) stack: one ``unitary`` (3 with a stack per correlator, 8 when
+    each controlled slot had its own gate), 4 ``is_hermitian`` (the system
+    state, the observable and the generator of each of the two free
+    evolutions; 10 with a stack per correlator, 13 when the reference built
+    a circuit of its own, 23 when ``embed`` validated the generator again),
+    one ``density`` and one ``dichotomic_observable`` (2 and 5 when the
+    built probe state and observable were checked again)."""
     rho = classical_mixture(0.5, 0.5)
     names = ("unitary", "is_hermitian", "density", "dichotomic_observable")
     calls = {name: counting_everywhere(name, monkeypatch) for name in names}
     sweep(Evolution(1.0), rho, 1.0, 0.0, 2 * math.pi, 721)
-    bounds = {"unitary": 3, "is_hermitian": 10, "density": 1,
-              "dichotomic_observable": 3}
-    for name, bound in bounds.items():
-        assert len(calls[name]) <= bound, name
+    assert {name: len(calls[name]) for name in names} == {
+        "unitary": 1, "is_hermitian": 4, "density": 1, "dichotomic_observable": 1}
 
 
 @settings(max_examples=200, deadline=None)
@@ -893,13 +919,13 @@ def test_expm_terms_sum_to_the_exponential(h, angles):
 
 
 # SHA-256 of the five columns' bytes (theta, c12, c23, c13, k), recorded
-# when stacked circuits became weighted sums of fixed products.
+# when the correlators came to read the probe signal off the circuit's terms.
 SWEEP_COLUMN_SHA256 = {
-    "default": "1bfcb0a116a90ccee893e1a03132fd28eec44e0620af563280f2f1b96e513896",
+    "default": "49210c714d31990ba94fb28193516dc3efcd2383676e510902dfa5f392bd2a10",
     "eps-0.3-ket1-subrange":
-        "28f12a94dea919169af849bb8670befc18ec6f65bacd54a85ed6d606df0065b6",
+        "c1ad2ae0354a8de9499e936b59dd9e75dfc923e327a7787f0f1f044bc5bf6c99",
     "mixture-97-steps":
-        "3030ba6482ca6de415fa97e0a4916ea4c2dd95c32fa9c683e77a55e5e044fa7c",
+        "f47e6d396918a6fbb52101eb16cc7058697056a4c6dac23e00c64986462325c0",
 }
 
 SWEEP_CASES = {
