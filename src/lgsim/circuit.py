@@ -12,16 +12,16 @@ copy of its unitary, every gate its embedding as ``terms``.
 
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
 then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
-S + (4, 4) and the readouts shape S.  No stack of matrices is multiplied.
-Each gate keeps its embedding as ``terms``, a weighted sum of fixed 4x4
-matrices: a stacked ``Evolve`` has two weight columns over I and n.sigma
-(``linalg._expm_terms``), every other gate one fixed matrix of weight 1.
-A circuit is then the sum over products of one term per gate, whose B <= 16
-fixed matrices are multiplied once each whatever the stack size, and whose
-weights are products of columns; ``circuit_unitary`` is one
-(S, B) x (B, 16) gemm, a single circuit the case B = 1.  ``run`` forms the
-output states for the callers that need them; the correlators read the probe
-signal off the terms (``_probe_signal``) and form none.
+S + (4, 4) and the readouts shape S.  Each gate keeps its embedding as
+``terms``, a weighted sum of fixed 4x4 matrices: a stacked ``Evolve`` has two
+weight columns over I and n.sigma (``linalg._expm_terms``), every other gate
+one fixed matrix of weight 1.  A circuit is then the sum over products of one
+term per gate, whose B <= 16 fixed matrices are multiplied once each whatever
+the stack size, and whose weights are products of columns;
+``circuit_unitary`` is one (S, B) x (B, 16) gemm, a single circuit the case
+B = 1.  ``run`` conjugates the input by that stacked unitary, for the callers
+that need output states; the correlators multiply no stack: they read the
+probe signal off the terms (``_probe_signal``) and form no state.
 
 The probe readout of the interferometer built by ``build_scattering_circuit``
 returns Re Tr[rho_sys O(t_m) O(t_k)]: a Hadamard splits the probe, the two
@@ -168,63 +168,46 @@ def _expand(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     """The circuit unitary as ``(weights, fixed)``, in the form of a gate's
     ``terms``.
 
-    The product of two gates' sums is the sum over all pairs of terms: the
-    weights multiply, their stacks broadcasting, and the fixed matrices
-    multiply once each, whatever the stack size (a weight ``_ONE`` is not
-    multiplied through).  Past 16 terms (the dimension of the 4x4 operator
-    space) the weights are folded into the 16 matrix units, so no circuit
-    holds more than 32 terms at a time.
+    The product of two gates' sums is the sum of the products of one term
+    from each: the weights multiply, their stacks broadcasting, and the fixed
+    matrices multiply once each, whatever the stack size (a weight ``_ONE``
+    is not multiplied through).  Past 16 terms (the dimension of the 4x4
+    operator space) the weights are folded into the 16 matrix units, so no
+    circuit holds more than 32 terms at a time.
     """
     if not circuit.gates:
         raise ValueError("cannot execute an empty circuit")
     first, *rest = circuit.gates
     weights, fixed = first.terms
     for gate in rest:
-        gate_weights, gate_fixed = gate.terms
-        fixed = (gate_fixed @ fixed[:, None]).reshape(-1, 4, 4)
+        w, m = gate.terms
+        fixed = (m @ fixed[:, None]).reshape(-1, 4, 4)
         if weights is _ONE:
-            weights = gate_weights
-        elif gate_weights is not _ONE:
-            weights = weights[..., :, None] * gate_weights[..., None, :]
+            weights = w
+        elif w is not _ONE:
+            weights = weights[..., :, None] * w[..., None, :]
             weights = weights.reshape(weights.shape[:-2] + (len(fixed),))
         if len(fixed) > 16:
-            weights, fixed = _weigh(weights, fixed.reshape(-1, 16)), _UNITS
+            weights, fixed = weights @ fixed.reshape(-1, 16), _UNITS
     return weights, fixed
-
-
-def _weigh(weights: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """sum_b weights[..., b] fixed[..., b, :] for flattened 4x4 matrices
-    ``fixed``, leading axes broadcast; one gemm over the whole stack when
-    ``fixed`` is one set of matrices."""
-    if fixed.ndim == 2:
-        flat = weights.reshape(-1, weights.shape[-1]) @ fixed
-        return flat.reshape(weights.shape[:-1] + (16,))
-    return np.matmul(weights[..., None, :], fixed)[..., 0, :]
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Ordered product of the embedded gates (first gate acts first)."""
     weights, fixed = _expand(circuit)
-    return _weigh(weights, fixed.reshape(-1, 16)).reshape(weights.shape[:-1] + (4, 4))
+    return (weights @ fixed.reshape(-1, 16)).reshape(weights.shape[:-1] + (4, 4))
 
 
 def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
-    """Conjugate a 4x4 input state by the circuit unitary.
+    """V rho V+ for the circuit unitary V of ``circuit_unitary``.
 
     The input may be a stack of states of shape S + (4, 4); it broadcasts
-    against a stacked circuit.  With V = sum_b w_b M_b, the output
-    V rho V+ = sum_bc w_b conj(w_c) M_b rho M_c+ weighs the B^2 fixed
-    matrices M_b rho M_c+ (a stack of them for a stack of states).  Trace
-    and positivity of the input carry over exactly, up to round-off.
+    against a stacked circuit.  Trace and positivity of the input carry over
+    exactly, up to round-off.
     """
     rho_in = _register(rho_in, "run")
-    weights, fixed = _expand(circuit)
-    pairs = weights[..., :, None] * weights.conj()[..., None, :]
-    conjugated = (fixed @ rho_in[..., None, :, :])[..., :, None, :, :] @ dagger(fixed)
-    count = len(fixed) ** 2
-    out = _weigh(pairs.reshape(pairs.shape[:-2] + (count,)),
-                 conjugated.reshape(conjugated.shape[:-4] + (count, 16)))
-    return out.reshape(out.shape[:-1] + (4, 4))
+    v = circuit_unitary(circuit)
+    return v @ rho_in @ dagger(v)
 
 
 def _probe_signal(circuit: Circuit, rho_in: np.ndarray):
@@ -256,7 +239,7 @@ def build_scattering_circuit(
 
 
 def scattering_gates(h: np.ndarray, obs: np.ndarray, theta_k, theta_m):
-    """The six gates of ``build_scattering_circuit`` for a stack of time pairs.
+    """The six gates of ``build_scattering_circuit`` for a stack of (theta_k, theta_m).
 
     ``theta_k`` and ``theta_m`` are numbers or arrays that broadcast against
     each other; the gates then describe one circuit per pair.  ``obs`` is

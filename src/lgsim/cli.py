@@ -42,19 +42,17 @@ from .circuit import Circuit, run, scattering_gates
 from .leggett_garg import (Evolution, ReferenceVanished, SweepResult, _first_bad,
                            _probe_register, analytic_k, find_violations,
                            observable_from_state, sweep)
-from .linalg import overlap_fidelity, partial_trace, trace_distance
+from .linalg import partial_trace, trace_distance
 from .nmr import (
     PAULI_LABELS,
     ReadoutNoise,
     T2Config,
+    _tomography,
     k_attenuation_check,
-    reconstruct,
-    tomograph,
 )
 from .states import (
     KET0,
     classical_mixture,
-    deviation,
     maximally_mixed,
     pure_density,
 )
@@ -293,11 +291,9 @@ def _compute(cfg: RunConfig):
 
     if cfg.command == "tomography":
         rho = _probe_register(maximally_mixed(), cfg.epsilon)
-        record = tomograph(rho, ReadoutNoise(sigma=cfg.noise_sigma, seed=cfg.seed))
+        record, fidelity = _tomography(
+            rho, ReadoutNoise(sigma=cfg.noise_sigma, seed=cfg.seed))
         names = [f"c_{a}{b}" for a in PAULI_LABELS for b in PAULI_LABELS]
-        fidelity = overlap_fidelity(
-            deviation(reconstruct(record)), deviation(rho)
-        )
         values = np.append(record.coefficients.ravel(), fidelity)
         return ["name", "value"], [names + ["fidelity"], values], None
 

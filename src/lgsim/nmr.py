@@ -26,7 +26,7 @@ from .leggett_garg import (Evolution, _probe_register, observable_from_state,
                            reference_signal)
 from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _register,
                      is_hermitian, kron, overlap_fidelity)
-from .states import KET0, deviation, maximally_mixed, pure_density
+from .states import KET0, deviation, maximally_mixed
 
 PAULI_LABELS = ("I", "x", "y", "z")
 _PAULIS = np.stack((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z))
@@ -175,6 +175,14 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     return np.einsum("ij,ijkl->kl", record.coefficients, _PAULI_BASIS) / 4.0
 
 
+def _tomography(rho: np.ndarray, noise: ReadoutNoise) -> tuple[TomographyRecord, float]:
+    """Tomograph ``rho`` with ``noise`` and reconstruct it: the record and the
+    normalized Hilbert-Schmidt overlap of the measured with the ideal
+    deviation matrix."""
+    record = tomograph(rho, noise)
+    return record, overlap_fidelity(deviation(reconstruct(record)), deviation(rho))
+
+
 def tomography_fidelity_experiment(noise_sigma: float, seed: int) -> float:
     """Fidelity between a tomographed and the ideal input deviation matrix.
 
@@ -183,8 +191,5 @@ def tomography_fidelity_experiment(noise_sigma: float, seed: int) -> float:
     Hilbert-Schmidt overlap between the measured and the ideal deviation
     matrices.  Noise-free runs return exactly 1.
     """
-    rho = np.kron(pure_density(KET0), maximally_mixed())
-    record = tomograph(rho, ReadoutNoise(sigma=noise_sigma, seed=seed))
-    measured = deviation(reconstruct(record))
-    ideal = deviation(rho)
-    return overlap_fidelity(measured, ideal)
+    rho = _probe_register(maximally_mixed(), 1.0)
+    return _tomography(rho, ReadoutNoise(sigma=noise_sigma, seed=seed))[1]

@@ -22,6 +22,7 @@ from lgsim.cli import (
     main,
     parse_config,
 )
+from lgsim.nmr import tomography_fidelity_experiment
 
 
 def run_cli(args, tmp_path, name, monkeypatch=None, env=None):
@@ -567,6 +568,15 @@ class TestOtherCommands:
         assert first == second
         rows = dict(line.split(",") for line in first.splitlines()[1:])
         assert 0.9 < float(rows["fidelity"]) < 1.0
+
+    @pytest.mark.parametrize("sigma, seed", [(0.0, 42), (0.03, 11)])
+    def test_tomography_fidelity_matches_the_library(self, tmp_path, sigma, seed):
+        args = ["tomography", "--epsilon", "1", "--noise-sigma", str(sigma),
+                "--seed", str(seed)]
+        code, text = run_cli(args, tmp_path, "t.csv")
+        assert code == EXIT_OK
+        rows = dict(line.split(",") for line in text.splitlines()[1:])
+        assert rows["fidelity"] == "%.9f" % tomography_fidelity_experiment(sigma, seed)
 
     def test_noise_check_ratio(self, tmp_path):
         code, text = run_cli(["noise-check"], tmp_path, "k.csv")

@@ -899,6 +899,9 @@ def test_stacked_circuit_broadcasts_against_a_stack_of_states(rng):
     rho = random_density_stack(7, (2, 3))
     np.testing.assert_allclose(run(Circuit(one_gate), rho), loop_run(one_gate, rho)[1],
                                rtol=0, atol=1e-14)
+    three = scattering_gates(SIGMA_X, SIGMA_Z, np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError):
+        run(Circuit(three), random_density_stack(7, (2,)))
 
 
 def test_two_identical_calls_give_identical_bytes(rng):
