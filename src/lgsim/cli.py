@@ -24,7 +24,8 @@ notation, JSON as the same rounded numbers); a NaN or infinite value, or an
 SVG coordinate that overflows, exits 1 and writes nothing.
 
 Exit codes: 0 success, 1 internal invariant failure, 2 usage error (an
---epsilon too small to normalize by is one), 3 I/O error.
+--epsilon too small to normalize by is one, and so is a --steps past a
+million), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ TWO_PI = 2.0 * math.pi
 
 COMMANDS = ("sweep", "correlations", "noninvasive-check", "tomography", "noise-check")
 FORMATS = ("csv", "json", "svg")
+# A sweep holds about 0.9 kB per step at its peak, so a million steps (about
+# 0.9 GB) is the largest grid a run may ask for.
+_MAX_STEPS = 1_000_000
 
 
 class UsageError(Exception):
@@ -95,6 +99,8 @@ class RunConfig:
     def __post_init__(self):
         if self.steps < 2:
             raise UsageError(f"--steps: must be >= 2, got {self.steps}")
+        if self.steps > _MAX_STEPS:
+            raise UsageError(f"--steps: must be <= {_MAX_STEPS}, got {self.steps}")
         if not 0.0 < self.epsilon <= 1.0:
             raise UsageError(f"--epsilon: must be in (0, 1], got {self.epsilon}")
         if self.theta_min < 0.0:

@@ -3,14 +3,15 @@
 Everything in this package is a plain ``numpy`` array of ``complex`` entries;
 states, gates and observables are 2x2 or 4x4 matrices.  The constructors
 ``operator``, ``unitary``, ``density`` and ``dichotomic_observable``, and
-``expm_hermitian`` for its generator and phases, validate once, on entry into
+``_expm_terms`` for a generator and its phases, validate once, on entry into
 the library; Hermitian operands all pass the one private ``_hermitian`` check.
 What is built from checked inputs, the exponential included, is not checked
 again, and the operations below assume valid inputs and stay pure.  All values
 are immutable by convention, so the whole module is safe for concurrent use.
-Besides the exponential itself, ``_expm_terms`` gives a stack of exponentials
-as two weight columns over the fixed terms I and n.sigma, the form in which
-``circuit`` executes stacked circuits without multiplying stacks of matrices.
+``_expm_terms`` is the one closed form of the exponential: weight columns
+over the fixed terms I and n.sigma, the form in which ``circuit`` executes
+stacked circuits without multiplying stacks of matrices, and
+``expm_hermitian`` is the sum of those columns.
 """
 
 from __future__ import annotations
@@ -155,17 +156,11 @@ def expm_hermitian(h: np.ndarray, angle) -> np.ndarray:
     """exp(-i * angle * h) for a 2x2 Hermitian generator, in closed form.
 
     ``angle`` is a number, or an array of shape S giving a stack of shape
-    S + (2, 2).  Writing h = a0*I + a.sigma, the exponential is
-    exp(-i*angle*a0) * (cos(angle*|a|) I - i sin(angle*|a|) (a/|a|).sigma),
-    which is exact for a single qubit; no series or scaling-and-squaring is
-    involved.  The phases angle*|a| and angle*a0 must be finite; |a| is taken
-    by ``math.hypot``, so the result is unitary to round-off and not checked.
+    S + (2, 2).  The exponential is the sum of the weighted columns of
+    ``_expm_terms``, which checks the generator and the phases.
     """
-    phase, cos, sin, axis = _expm_parts(h, angle)
-    phase = phase[..., None, None]
-    if axis is None:
-        return phase * IDENTITY_2
-    return phase * (cos[..., None, None] * IDENTITY_2 - 1j * sin[..., None, None] * axis)
+    weights, terms = _expm_terms(h, angle)
+    return (weights @ terms.reshape(-1, 4)).reshape(weights.shape[:-1] + (2, 2))
 
 
 def _expm_terms(h: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
@@ -173,22 +168,15 @@ def _expm_terms(h: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
     S + (B,) over B fixed 2x2 matrices, the exponential being
     sum_b weights[..., b] terms[b].
 
-    The terms are I and the unit axis (a/|a|).sigma, weighted by
-    exp(-i*angle*a0) cos(angle*|a|) and -i exp(-i*angle*a0) sin(angle*|a|);
-    for |a| = 0 the one term I carries the phase.  The checks are those of
-    ``expm_hermitian``; the sums equal its entries to round-off.
+    Writing h = a0*I + a.sigma, the exponential is
+    exp(-i*angle*a0) * (cos(angle*|a|) I - i sin(angle*|a|) (a/|a|).sigma),
+    which is exact for a single qubit; no series or scaling-and-squaring is
+    involved.  So the terms are I and the unit axis (a/|a|).sigma, weighted
+    by exp(-i*angle*a0) cos(angle*|a|) and -i exp(-i*angle*a0) sin(angle*|a|);
+    for |a| = 0 the one term I carries the phase.  The generator must be
+    Hermitian and the phases angle*|a| and angle*a0 finite; |a| is taken by
+    ``math.hypot``, so the result is unitary to round-off and not checked.
     """
-    phase, cos, sin, axis = _expm_parts(h, angle)
-    if axis is None:
-        return phase[..., None], IDENTITY_2[None]
-    return np.stack([phase * cos, -1j * phase * sin], axis=-1), np.stack([IDENTITY_2, axis])
-
-
-def _expm_parts(h, angle):
-    """Check a generator and its phases for ``expm_hermitian``: the phase
-    factor exp(-i*angle*a0), cos and sin of angle*|a| (arrays of the shape of
-    ``angle``) and the unit axis (a/|a|).sigma, which is None (and cos and
-    sin with it) when |a| = 0."""
     h = _hermitian(h, "generator", 2)
     angle = np.asarray(angle, dtype=float)
     ax, ay = h[0, 1].real, -h[0, 1].imag
@@ -199,11 +187,12 @@ def _expm_parts(h, angle):
         turn, shift = angle * norm, angle * a0
     if not (np.isfinite(turn).all() and np.isfinite(shift).all()):
         raise ValueError("expm_hermitian needs finite angles, angle*|a| and angle*a0")
-    phase = np.cos(shift) - 1j * np.sin(shift)
+    phase = np.exp(-1j * shift)
     if norm == 0.0:
-        return phase, None, None, None
+        return phase[..., None], IDENTITY_2[None]
     axis = (ax / norm) * SIGMA_X + (ay / norm) * SIGMA_Y + (az / norm) * SIGMA_Z
-    return phase, np.cos(turn), np.sin(turn), axis
+    weights = np.stack([phase * np.cos(turn), -1j * phase * np.sin(turn)], axis=-1)
+    return weights, np.stack([IDENTITY_2, axis])
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray):

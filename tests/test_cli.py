@@ -291,6 +291,22 @@ class TestMainExitCodes:
         assert main(["sweep", "--steps", "1"]) == EXIT_USAGE
         assert "--steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["1000001", "100000000000", str(10**20)])
+    def test_too_many_steps_exit_2_naming_the_flag(self, steps, tmp_path, capsys):
+        """A grid past a million steps is refused before anything is
+        allocated, from a flag or from a config number (1e20 there)."""
+        assert main(["sweep", "--steps", steps]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"--steps: must be <= 1000000, got {steps}" in captured.err
+        assert captured.out == ""
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"steps": float(steps)}))
+        assert main(["sweep", "--config", str(cfg_file)]) == EXIT_USAGE
+        assert "--steps" in capsys.readouterr().err
+
+    def test_a_million_steps_is_accepted(self):
+        assert parse_config(["sweep", "--steps", "1000000"], environ={}).steps == 1_000_000
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["warble"]) == EXIT_USAGE
 
