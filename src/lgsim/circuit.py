@@ -13,15 +13,14 @@ copy of its unitary, every gate its embedding as ``terms``.
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
 then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
 S + (4, 4) and the readouts shape S.  Each gate keeps its embedding as
-``terms``, a weighted sum of fixed 4x4 matrices: a stacked ``Evolve`` has two
+``terms``, a weighted sum of fixed 4x4 matrices: every ``Evolve`` keeps
 weight columns over I and n.sigma (``linalg._expm_terms``), every other gate
 one fixed matrix of weight 1.  A circuit is then the sum over products of one
 term per gate, whose B <= 16 fixed matrices are multiplied once each whatever
 the stack size, and whose weights are products of columns;
-``circuit_unitary`` is one (S, B) x (B, 16) gemm, a single circuit the case
-B = 1.  ``run`` conjugates the input by that stacked unitary, for the callers
-that need output states; the correlators multiply no stack: they read the
-probe signal off the terms (``_probe_signal``) and form no state.
+``circuit_unitary`` is one (S, B) x (B, 16) gemm.  ``run`` conjugates the
+input by that unitary; the correlators form no state: ``_probe_signal``
+reads the signal and the zero-time reference off one matrix of traces.
 
 The probe readout of the interferometer built by ``build_scattering_circuit``
 returns Re Tr[rho_sys O(t_m) O(t_k)]: a Hadamard splits the probe, the two
@@ -49,7 +48,7 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
-# The weight of a gate that is not stacked: its one fixed matrix as it stands.
+# The weight of a Hadamard or controlled gate: its one fixed matrix as it stands.
 _ONE = np.ones(1)
 # The 16 matrix units of the 4x4 operator space, as fixed matrices.
 _UNITS = np.eye(16, dtype=complex).reshape(16, 4, 4)
@@ -93,10 +92,9 @@ class Hadamard:
 class Evolve:
     """Free evolution exp(-i * phase * hamiltonian) on one wire (``phase``
     may be an array: a stack of gates).  Construction checks
-    ``hamiltonian`` and ``phase`` as ``expm_hermitian`` does; a number phase
-    keeps the embedded exponential as its one term, an array the two weight
-    columns of ``linalg._expm_terms`` (one when the generator is a multiple
-    of I)."""
+    ``hamiltonian`` and ``phase`` as ``expm_hermitian`` does, and keeps the
+    weight columns of ``linalg._expm_terms`` whatever the phase's shape: its
+    term 0 is I."""
 
     wire: str
     hamiltonian: np.ndarray
@@ -105,10 +103,7 @@ class Evolve:
 
     def __post_init__(self):
         _check_wire(self.wire)
-        if np.ndim(self.phase):
-            weights, one_wire = _expm_terms(self.hamiltonian, self.phase)
-        else:
-            weights, one_wire = _ONE, expm_hermitian(self.hamiltonian, self.phase)[None]
+        weights, one_wire = _expm_terms(self.hamiltonian, self.phase)
         _keep(self, weights, _on_wire(self.wire, one_wire))
 
 
@@ -211,14 +206,17 @@ def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
 
 
 def _probe_signal(circuit: Circuit, rho_in: np.ndarray):
-    """``expect_probe_z(run(circuit, rho_in))`` for one checked state, with
-    no state formed: Re sum_bc w_b T_bc conj(w_c) for V = sum_b w_b M_b, the
-    B^2 traces T_bc = Tr[(sigma_z (x) I) M_b rho M_c+] being fixed numbers."""
+    """``(signal, reference)`` for one checked state, with no state formed.
+    The signal ``expect_probe_z(run(circuit, rho_in))`` is Re sum_bc w_b T_bc
+    conj(w_c) for V = sum_b w_b M_b and the fixed B^2 traces
+    T_bc = Tr[(sigma_z (x) I) M_b rho M_c+]; the reference is Re T_00, whose
+    M_0 (each gate's term 0) is the circuit at zero phases when B <= 16.
+    ``einsum`` sums the traces, so T_00 rounds alike on every BLAS kernel."""
     weights, fixed = _expand(circuit)
     probed = (_PROBE_Z @ fixed @ rho_in).reshape(-1, 16)
-    traces = probed @ fixed.reshape(-1, 16).conj().T
+    traces = np.einsum("bi,ci->bc", probed, fixed.reshape(-1, 16).conj())
     value = np.einsum("...b,...b->...", weights @ traces, weights.conj()).real
-    return float(value) if value.ndim == 0 else value
+    return (float(value) if value.ndim == 0 else value), float(traces[0, 0].real)
 
 
 def build_scattering_circuit(

@@ -183,10 +183,14 @@ def _number(flag: str, raw, kind=float):
 
 
 def _parse_populations(flag: str, raw) -> tuple[float, float]:
+    """``"P0,P1"`` text, or a list of two numbers (not text)."""
     if isinstance(raw, str):
         parts = raw.split(",")
     elif isinstance(raw, (list, tuple)):
         parts = list(raw)
+        for part in parts:
+            if isinstance(part, str):
+                raise UsageError(f"{flag}: expected a number, got {part!r}")
     else:
         raise UsageError(f"{flag}: expected two comma-separated numbers")
     if len(parts) != 2:

@@ -6,9 +6,9 @@ reference normalization) and a direct Heisenberg-picture trace that serves as
 the oracle the circuit is validated against; the oracle takes its propagator
 from an eigendecomposition of H and shares no code with the circuit.  The
 one circuit correlator is ``correlation_circuit``, for a time pair or a stack
-of them; ``_probe_register`` builds the register every circuit runs on, and
-``reference_signal`` reads the zero-time reference off the gates it runs.
-Both read the probe signal off the circuit's terms, forming no state.
+of them, on the register ``_probe_register`` builds.  It reads the signal
+and the zero-time reference off one matrix of traces of the circuit's terms
+(``circuit._probe_signal``), forming no state.
 ``k_value`` assembles K = C12 + C23 - C13 for an equally spaced schedule and
 ``sweep`` over a theta grid, each in one ``correlation_circuit`` call on a
 (3, N) stack, returning the curve as the columns of one ``SweepResult``;
@@ -214,11 +214,9 @@ class ReferenceVanished(ValueError):
     """The reference is below the floor: the probe's eps is too small."""
 
 
-def reference_signal(rho_in, gates) -> float:
-    """Probe signal on ``rho_in`` of the six ``scattering_gates`` ``gates`` at
-    zero time (the free evolutions, exactly I there, left out), which raw
-    correlators are divided by; raises ``ReferenceVanished`` below the floor."""
-    reference = _probe_signal(Circuit((gates[0], gates[2], gates[4], gates[5])), rho_in)
+def _check_reference(reference: float) -> float:
+    """``reference``, the zero-time probe signal raw correlators are divided
+    by; raises ``ReferenceVanished`` below the floor."""
     if not abs(reference) >= _REFERENCE_FLOOR:
         raise ReferenceVanished(f"reference signal vanished: |signal| = "
                                 f"{abs(reference):.3g} < {_REFERENCE_FLOOR:g}; "
@@ -235,14 +233,14 @@ def correlation_circuit(rho_sys, obs, evo: Evolution, t_k, t_m,
     enters as the pseudo-pure state (1-eps) I/2 + eps |0><0|, so the raw
     signal is scaled by eps.  As in the experiment, raw values are normalized
     to the signal of the zero-time circuit, whose correlator is exactly 1
-    because O^2 = I; it runs once per call, on the same gates.  Returns
+    because O^2 = I, read off the raw signal's own traces.  Returns
     ``(raw, normalized)``, floats for number times and arrays of the
     broadcast shape otherwise; normalized matches the oracle.
     """
     rho_in = _probe_register(rho_sys, probe_eps)
-    gates = scattering_gates(evo.hamiltonian, obs, t_k, t_m)
-    raw = _probe_signal(Circuit(gates), rho_in)
-    return raw, raw / reference_signal(rho_in, gates)
+    circuit = Circuit(scattering_gates(evo.hamiltonian, obs, t_k, t_m))
+    raw, reference = _probe_signal(circuit, rho_in)
+    return raw, raw / _check_reference(reference)
 
 
 def analytic_k(theta):

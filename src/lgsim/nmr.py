@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, expect_probe_z, run, scattering_gates
-from .leggett_garg import (Evolution, _probe_register, observable_from_state,
-                           reference_signal)
+from .circuit import Circuit, _probe_signal, expect_probe_z, run, scattering_gates
+from .leggett_garg import (Evolution, SweepResult, _check_reference, _probe_register,
+                           observable_from_state)
 from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _register,
                      is_hermitian, kron, overlap_fidelity)
 from .states import KET0, deviation, maximally_mixed
@@ -82,8 +82,9 @@ def k_attenuation_check(
     normalized to the ideal reference, so the noisy/ideal ratio equals the
     probe coherence factor exp(-duration/t2_probe).
 
-    The three pre-readout states run as one stack; the closing Hadamard then
-    acts on the clean and the dephased stack together.
+    The ideal signals and the reference come off the circuit's terms; only
+    the dephased half forms states.  Both K are the ``k`` column of a
+    two-row ``SweepResult``, which checks them.
 
     Returns ``(k_ideal, k_noisy)``.
     """
@@ -96,13 +97,11 @@ def k_attenuation_check(
 
     # the three correlators of the (0, dt, 2dt) schedule, theta = gap * dt
     gates = scattering_gates(h, obs, (0.0, dt, 0.0), (dt, 2.0 * dt, 2.0 * dt))
-    reference = reference_signal(rho_in, gates)
-
-    before_readout = run(Circuit(gates[:-1]), rho_in)
-    stacked = np.stack((before_readout, t2_dephase(before_readout, cfg)))
-    signals = expect_probe_z(run(Circuit(gates[-1:]), stacked)) / reference
-    k_ideal, k_noisy = (signals[:, 0] + signals[:, 1] - signals[:, 2]).tolist()
-    return k_ideal, k_noisy
+    ideal, reference = _probe_signal(Circuit(gates), rho_in)
+    dephased = t2_dephase(run(Circuit(gates[:-1]), rho_in), cfg)
+    noisy = expect_probe_z(run(Circuit(gates[-1:]), dephased))
+    c12, c23, c13 = (np.stack((ideal, noisy)) / _check_reference(reference)).T
+    return tuple(SweepResult((theta, theta), c12, c23, c13, c12 + c23 - c13).k.tolist())
 
 
 @dataclass(frozen=True)

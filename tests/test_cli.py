@@ -178,6 +178,18 @@ class TestNonFiniteValues:
         assert main(["sweep", "--config", str(cfg_file)]) == EXIT_USAGE
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair", ['["0.5", "0.5"]', '[0.5, "0.5"]',
+                                      '["0.5,0.5"]', '[true, false]', '[0, true]'])
+    def test_config_populations_list_must_hold_numbers(self, pair, tmp_path, capsys):
+        """A JSON list must hold numbers; only the "P0,P1" string form is text."""
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(f'{{"populations": {pair}}}')
+        assert main(["sweep", "--config", str(cfg_file)]) == EXIT_USAGE
+        assert "error: --populations: expected a number, got " in capsys.readouterr().err
+        cfg_file.write_text('{"populations": "0.5,0.5"}')
+        assert parse_config(["sweep", "--config", str(cfg_file)],
+                            environ={}).populations == (0.5, 0.5)
+
     @pytest.mark.parametrize("pair", ["0.3,0.6", "-0.5,1.5"])
     def test_bad_populations_keep_their_message(self, pair):
         with pytest.raises(UsageError) as info:
@@ -325,8 +337,8 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("eps,signal", [
         pytest.param(eps, signal, id=eps)
         for eps, signal in (("1e-300", "0"), ("5e-324", "0"), ("1e-16", "5.55e-17"),
-                            ("1e-13", "1e-13"), ("1e-10", "1e-10"))])
-    def test_vanishing_reference_exits_1(self, command, eps, signal, capsys):
+                            ("1e-13", "9.99e-14"), ("1e-10", "1e-10"))])
+    def test_vanishing_reference_exits_2(self, command, eps, signal, capsys):
         """An --epsilon too small for the reference normalization is a usage
         error naming the flag, exit 2 (it once exited 1 as an invariant
         failure).  The message names the signal it could not divide by and

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lgsim.circuit
@@ -53,7 +53,6 @@ from lgsim.leggett_garg import (
     correlation_oracle,
     k_value,
     observable_from_state,
-    reference_signal,
     sweep,
 )
 from lgsim.linalg import (
@@ -400,13 +399,14 @@ def engine_calls(monkeypatch):
 
 
 def test_default_sweep_runs_at_most_four_circuit_stacks(engine_calls):
-    """One readout of the (3, 721) stack of C12, C23 and C13 and one of the
-    reference; no stack of output states is formed."""
+    """One readout of the (3, 721) stack of C12, C23 and C13, whose traces
+    also give the reference (2 when the reference ran a circuit of its own);
+    no stack of output states is formed."""
     results = sweep(Evolution(1.0), classical_mixture(0.5, 0.5), 1.0,
                     0.0, 2 * math.pi, 721)
     assert len(results) == 721
     assert len(engine_calls["run"]) == 0
-    assert len(engine_calls["_probe_signal"]) == 2
+    assert len(engine_calls["_probe_signal"]) == 1
 
 
 def test_default_sweep_stacks_its_angles_in_two_exponentials(monkeypatch):
@@ -431,13 +431,14 @@ def test_scattering_gates_keep_each_phase_unbroadcast():
 
 
 def test_k_value_and_correlator_run_one_stack_and_one_reference(engine_calls):
-    """Each reads its stack and its reference off the terms, with no
-    ``run``."""
+    """Each reads its stack and its reference off the terms of one circuit,
+    in one ``_probe_signal`` call (two when the reference ran a circuit of
+    its own), with no ``run``."""
     rho = classical_mixture(0.5, 0.5)
     k_value(rho, SIGMA_Z, Evolution(1.0), Schedule(0.0, 0.3, 0.6))
-    assert len(engine_calls["_probe_signal"]) == 2
+    assert len(engine_calls["_probe_signal"]) == 1
     correlation_circuit(rho, SIGMA_Z, Evolution(1.0), 0.1, 0.4)
-    assert len(engine_calls["_probe_signal"]) == 4
+    assert len(engine_calls["_probe_signal"]) == 2
     assert len(engine_calls["run"]) == 0
 
 
@@ -479,12 +480,30 @@ def test_each_correlator_call_builds_its_gates_once(monkeypatch):
     pairs=st.one_of(times, st.lists(times, min_size=1, max_size=6)
                     .map(lambda p: tuple(np.array(p).T))),
 )
+@example(h=0.7 * IDENTITY_2, obs=SIGMA_Z, rho_sys=maximally_mixed(), eps=0.5,
+         pairs=(0.3, 1.1))  # a multiple of I: each Evolve keeps one column
+@example(h=Evolution(0.0).hamiltonian, obs=SIGMA_X, rho_sys=classical_mixture(0.2, 0.8),
+         eps=1.0, pairs=(np.array([0.0, 0.4]), np.array([0.5, 2.0])))  # omega = 0
 def test_reference_equals_the_six_gate_zero_time_circuit(h, obs, rho_sys, eps, pairs):
-    """The reference read off the gates of any time pair or stack is bitwise
-    the probe signal of the full circuit at zero times."""
+    """The reference read off the traces of the circuit of any time pair or
+    stack is bitwise the probe signal of the full circuit at zero times."""
     rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
-    zero_time = _probe_signal(build_scattering_circuit(h, obs, 0.0, 0.0), rho_in)
-    assert reference_signal(rho_in, scattering_gates(h, obs, *pairs)) == zero_time
+    zero_time, _ = _probe_signal(build_scattering_circuit(h, obs, 0.0, 0.0), rho_in)
+    _, reference = _probe_signal(Circuit(scattering_gates(h, obs, *pairs)), rho_in)
+    assert reference == zero_time
+
+
+@pytest.mark.parametrize("h,t_k,t_m", [
+    (SIGMA_X, 0.3, 0.8),
+    (SIGMA_X + 0.3 * SIGMA_Z, np.linspace(0.0, 1.0, 4), np.linspace(1.0, 2.0, 4)),
+    (0.0 * SIGMA_X, 0.3, np.array([[0.5, 0.7], [1.0, 2.0]])),
+    (0.7 * IDENTITY_2, 0.0, 0.0),
+])
+def test_scattering_circuits_expand_to_at_most_four_terms(h, t_k, t_m):
+    """Past 16 terms ``_expand`` folds the weights into the matrix units, and
+    term 0 would no longer be the zero-time circuit the reference reads."""
+    _, fixed = lgsim.circuit._expand(Circuit(scattering_gates(h, SIGMA_Z, t_k, t_m)))
+    assert len(fixed) <= 4
 
 
 @SETTINGS
@@ -505,7 +524,7 @@ def test_probe_readout_equals_the_trace_of_the_output_states(h, obs, rho_sys, ep
     rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
     circuit = Circuit(scattering_gates(h, obs, *pairs))
     want = expect_probe_z(run(circuit, rho_in))
-    got = _probe_signal(circuit, rho_in)
+    got, _ = _probe_signal(circuit, rho_in)
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
@@ -782,8 +801,8 @@ def test_scattering_gates_validate_each_operand_once(monkeypatch):
     counts = {name: counting(lgsim.circuit, name, monkeypatch) for name in names}
     gates = scattering_gates(SIGMA_X, SIGMA_Z, 0.0, np.linspace(0.0, 1.0, 5))
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "dichotomic_observable": 1, "unitary": 1, "expm_hermitian": 1,
-        "_expm_terms": 1}
+        "dichotomic_observable": 1, "unitary": 1, "expm_hermitian": 0,
+        "_expm_terms": 2}
     assert gates[2] is gates[4]
 
 
@@ -936,11 +955,12 @@ def test_expm_terms_sum_to_the_exponential(h, angles):
 
 
 # SHA-256 of the five columns' bytes (theta, c12, c23, c13, k), recorded
-# when the correlators came to read the probe signal off the circuit's terms.
+# when the correlators came to read the probe signal off the circuit's terms;
+# "eps-0.3-ket1-subrange" again when the reference came off the same traces.
 SWEEP_COLUMN_SHA256 = {
     "default": "49210c714d31990ba94fb28193516dc3efcd2383676e510902dfa5f392bd2a10",
     "eps-0.3-ket1-subrange":
-        "c1ad2ae0354a8de9499e936b59dd9e75dfc923e327a7787f0f1f044bc5bf6c99",
+        "6f0e7afd9909edfee087137e401979f86a47969006e4fcc64e1c491ed1729de0",
     "mixture-97-steps":
         "f47e6d396918a6fbb52101eb16cc7058697056a4c6dac23e00c64986462325c0",
 }

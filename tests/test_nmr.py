@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import random_density
 
+from lgsim.leggett_garg import SweepResult
 from lgsim.nmr import (
     ReadoutNoise,
     T2Config,
@@ -131,6 +132,22 @@ class TestKAttenuation:
     def test_vanishing_reference_is_an_error(self, eps):
         with pytest.raises(ValueError, match="reference signal vanished"):
             k_attenuation_check(EXPERIMENT_T2, math.pi / 3, eps)
+
+    def test_both_k_are_the_k_column_of_one_checked_record(self, monkeypatch):
+        """The ideal and the dephased K pass the checks of one two-row
+        ``SweepResult`` at (theta, theta), as every K the library returns."""
+        records = []
+        check = SweepResult.__post_init__
+
+        def counted(record):
+            check(record)
+            records.append(record)
+
+        monkeypatch.setattr(SweepResult, "__post_init__", counted)
+        k_ideal, k_noisy = k_attenuation_check(EXPERIMENT_T2, math.pi / 3)
+        assert len(records) == 1
+        assert records[0].theta.tolist() == [math.pi / 3] * 2
+        assert records[0].k.tolist() == [k_ideal, k_noisy]
 
 
 class TestReadoutNoise:
