@@ -6,8 +6,9 @@ drawn from three kinds: a Hadamard on one wire, a free evolution
 exp(-i*phase*h) on one wire, and a controlled unitary between the wires.
 Running a circuit conjugates the input density matrix by the ordered product
 of the embedded 4x4 gate unitaries.  Gates validate on construction and keep
-what they built from the checked operands, read-only: a ``ControlledU`` a
-copy of its unitary, every gate its embedding as ``terms``.
+what they built from the checked operands, read-only: an ``Evolve`` a copy
+of its generator, a ``ControlledU`` of its unitary, every gate its embedding
+as ``terms``.
 ``circuit_unitary`` and ``run`` trust them and check nothing again.
 
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
@@ -36,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _expm_terms, _register, dagger,
-                     dichotomic_observable, expm_hermitian, kron, unitary)
+from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _expm_terms, _generator, _register,
+                     dagger, dichotomic_observable, expm_hermitian, kron, unitary)
 
 PROBE = "probe"
 SYSTEM = "system"
@@ -92,9 +93,10 @@ class Hadamard:
 class Evolve:
     """Free evolution exp(-i * phase * hamiltonian) on one wire (``phase``
     may be an array: a stack of gates).  Construction checks
-    ``hamiltonian`` and ``phase`` as ``expm_hermitian`` does, and keeps the
-    weight columns of ``linalg._expm_terms`` whatever the phase's shape: its
-    term 0 is I."""
+    ``hamiltonian`` and ``phase`` as ``expm_hermitian`` does, keeps the
+    generator as the read-only copy that check returns, so later writes to
+    the caller's array cannot reach the gate, and keeps the weight columns
+    of ``linalg._expm_terms`` whatever the phase's shape: its term 0 is I."""
 
     wire: str
     hamiltonian: np.ndarray
@@ -103,15 +105,17 @@ class Evolve:
 
     def __post_init__(self):
         _check_wire(self.wire)
-        weights, one_wire = _expm_terms(self.hamiltonian, self.phase)
+        h = _generator(self.hamiltonian)[0]
+        object.__setattr__(self, "hamiltonian", h)
+        weights, one_wire = _expm_terms(h, self.phase)
         _keep(self, weights, _on_wire(self.wire, one_wire))
 
 
 @dataclass(frozen=True, eq=False)
 class ControlledU:
-    """U on ``target`` when ``control`` is |1>; ``u`` is kept as a read-only
-    copy, checked by ``unitary``, so later writes to the caller's array
-    cannot reach the gate."""
+    """U on ``target`` when ``control`` is |1>; ``u`` is kept as the
+    read-only copy ``unitary`` returns, so later writes to the caller's
+    array cannot reach the gate."""
 
     control: str
     target: str
@@ -123,8 +127,7 @@ class ControlledU:
         _check_wire(self.target)
         if self.control == self.target:
             raise ValueError("control and target must be distinct wires")
-        u = unitary(np.array(self.u, dtype=complex))
-        u.flags.writeable = False
+        u = unitary(self.u)
         object.__setattr__(self, "u", u)
         if self.control == PROBE:
             embedded = kron(_P0, IDENTITY_2) + kron(_P1, u)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,6 +112,10 @@ class LGResult:
     k: float
 
 
+# The columns of a ``SweepResult``, in field order.
+_COLUMNS = ("theta", "c12", "c23", "c13", "k")
+
+
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """K over theta as five read-only float columns of equal length, the one
@@ -128,12 +132,12 @@ class SweepResult:
     k: np.ndarray
 
     def __post_init__(self):
-        for field in fields(self):
-            column = np.array(getattr(self, field.name), dtype=float)
+        for name in _COLUMNS:
+            column = np.array(getattr(self, name), dtype=float)
             if column.ndim != 1 or len(column) != len(self.theta):
                 raise ValueError("sweep columns must be 1-d and of equal length")
             column.flags.writeable = False
-            object.__setattr__(self, field.name, column)
+            object.__setattr__(self, name, column)
         _first_bad("theta must be finite and >= 0, got",
                    self.theta, (0.0 <= self.theta) & (self.theta < math.inf))
         for name in ("c12", "c23", "c13"):
@@ -147,11 +151,11 @@ class SweepResult:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return SweepResult(*(getattr(self, f.name)[index] for f in fields(self)))
-        return LGResult(*(float(getattr(self, f.name)[index]) for f in fields(self)))
+            return SweepResult(*(getattr(self, name)[index] for name in _COLUMNS))
+        return LGResult(*(float(getattr(self, name)[index]) for name in _COLUMNS))
 
     def __iter__(self):
-        columns = (getattr(self, f.name).tolist() for f in fields(self))
+        columns = (getattr(self, name).tolist() for name in _COLUMNS)
         return (LGResult(*point) for point in zip(*columns))
 
 

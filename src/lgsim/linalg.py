@@ -5,9 +5,16 @@ states, gates and observables are 2x2 or 4x4 matrices.  The constructors
 ``operator``, ``unitary``, ``density`` and ``dichotomic_observable``, and
 ``_expm_terms`` for a generator and its phases, validate once, on entry into
 the library; Hermitian operands all pass the one private ``_hermitian`` check.
+``unitary``, ``density``, ``dichotomic_observable`` and the generator check
+``_generator`` are memoized per process: after ``operator``'s shape and
+finite checks, each keys on the operand's complex bytes and shape in a
+bounded, thread-safe ``functools.lru_cache`` and returns the checked matrix
+as a read-only copy, so an operand passed again is not checked again, and
+one edited in place is checked anew.
 What is built from checked inputs, the exponential included, is not checked
-again, and the operations below assume valid inputs and stay pure.  All values
-are immutable by convention, so the whole module is safe for concurrent use.
+again, and the operations below assume valid inputs and stay pure.  Values
+are immutable by convention (the memoized checks return read-only arrays),
+so the whole module is safe for concurrent use.
 ``_expm_terms`` is the one closed form of the exponential: weight columns
 over the fixed terms I and n.sigma, the form in which ``circuit`` executes
 stacked circuits without multiplying stacks of matrices, and
@@ -16,6 +23,7 @@ stacked circuits without multiplying stacks of matrices, and
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -33,6 +41,12 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# Entries kept by each memoized check: a working set of a few states,
+# observables and generators, not a table that grows with the inputs.
+_MEMO_SIZE = 32
+# The caches of the memoized checks, for ``cache_clear``.
+_MEMOS = []
 
 
 def operator(entries, *, stack: bool = False) -> np.ndarray:
@@ -64,10 +78,31 @@ def _register(rho, what: str, *, stack: bool = True) -> np.ndarray:
     return rho
 
 
-def _hermitian(entries, what: str, dim: int | None = None) -> np.ndarray:
-    """Coerce ``entries`` with ``operator`` and raise unless it is Hermitian,
-    and of dimension ``dim`` when given; ``what`` names the operand."""
-    m = operator(entries)
+def _memo(check):
+    """Run ``check`` once per distinct operand: the wrapper coerces its input
+    with ``operator`` (so a malformed or non-finite input is never hashed
+    and never cached, and raises every time), then looks the operand up by
+    its complex bytes and shape in an ``lru_cache`` of ``_MEMO_SIZE``
+    entries.  ``check`` receives a read-only copy and returns what it
+    checked; an input it rejects is not cached."""
+
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
+    def checked(data: bytes, shape: tuple[int, ...]):
+        return check(np.frombuffer(data, dtype=complex).reshape(shape))
+
+    @functools.wraps(check)
+    def memoized(entries):
+        m = operator(entries)
+        return checked(m.tobytes(), m.shape)
+
+    _MEMOS.append(checked)
+    return memoized
+
+
+def _hermitian(m: np.ndarray, what: str, dim: int | None = None) -> np.ndarray:
+    """Raise unless the operator ``m`` (coerced by ``operator``) is
+    Hermitian, and of dimension ``dim`` when given; ``what`` names the
+    operand."""
     if (dim is not None and m.shape[0] != dim) or not is_hermitian(m):
         size = f"{dim}x{dim} " if dim else ""
         raise ValueError(f"{what} must be {size}Hermitian")
@@ -76,25 +111,28 @@ def _hermitian(entries, what: str, dim: int | None = None) -> np.ndarray:
 
 def is_hermitian(m: np.ndarray) -> bool:
     """Whether the matrix, or every matrix of the stack, ``m`` is Hermitian."""
-    return bool(np.max(np.abs(m - dagger(m))) <= HERMITIAN_TOL)
+    return bool(abs(m - dagger(m)).max() <= HERMITIAN_TOL)
 
 
-def unitary(entries) -> np.ndarray:
-    """Validate that ``entries`` is unitary (U U+ = I entrywise to 1e-12)."""
-    u = operator(entries)
-    residual = np.max(np.abs(u @ dagger(u) - np.eye(len(u))))
+@_memo
+def unitary(u: np.ndarray) -> np.ndarray:
+    """Validate that ``u`` is unitary (U U+ = I entrywise to 1e-12); returns
+    it as a read-only copy."""
+    residual = abs(u @ dagger(u) - np.eye(len(u))).max()
     if not residual <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (|UU+ - I| = {residual:.3e})")
     return u
 
 
-def density(entries) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, positive.
+@_memo
+def density(rho: np.ndarray) -> np.ndarray:
+    """Validate a density matrix: Hermitian, unit trace, positive; returns
+    it as a read-only copy.
 
     Positivity is checked with slack ``-1e-10`` on the smallest eigenvalue to
     absorb round-off from repeated 4x4 products.
     """
-    rho = _hermitian(entries, "density matrix")
+    _hermitian(rho, "density matrix")
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {tr:.12g}")
@@ -104,10 +142,12 @@ def density(entries) -> np.ndarray:
     return rho
 
 
-def dichotomic_observable(entries) -> np.ndarray:
-    """Validate a 2x2 Hermitian observable with O^2 = I (eigenvalues +-1)."""
-    obs = _hermitian(entries, "observable", 2)
-    if np.max(np.abs(obs @ obs - IDENTITY_2)) > HERMITIAN_TOL:
+@_memo
+def dichotomic_observable(obs: np.ndarray) -> np.ndarray:
+    """Validate a 2x2 Hermitian observable with O^2 = I (eigenvalues +-1);
+    returns it as a read-only copy."""
+    _hermitian(obs, "observable", 2)
+    if abs(obs @ obs - IDENTITY_2).max() > HERMITIAN_TOL:
         raise ValueError("observable must be dichotomic (square to the identity)")
     return obs
 
@@ -133,7 +173,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
-    return np.swapaxes(np.asarray(a, dtype=complex), -1, -2).conj()
+    return np.asarray(a, dtype=complex).conj().swapaxes(-1, -2)
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
@@ -176,23 +216,45 @@ def _expm_terms(h: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
     for |a| = 0 the one term I carries the phase.  The generator must be
     Hermitian and the phases angle*|a| and angle*a0 finite; |a| is taken by
     ``math.hypot``, so the result is unitary to round-off and not checked.
+    The generator check, a0, |a| and the read-only terms come from the
+    memoized ``_generator``, once per distinct generator.
     """
-    h = _hermitian(h, "generator", 2)
+    _, a0, norm, terms = _generator(h)
     angle = np.asarray(angle, dtype=float)
-    ax, ay = h[0, 1].real, -h[0, 1].imag
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range
-        a0 = (h[0, 0].real + h[1, 1].real) / 2.0
-        az = (h[0, 0].real - h[1, 1].real) / 2.0
-        norm = math.hypot(ax, ay, az)
         turn, shift = angle * norm, angle * a0
     if not (np.isfinite(turn).all() and np.isfinite(shift).all()):
         raise ValueError("expm_hermitian needs finite angles, angle*|a| and angle*a0")
     phase = np.exp(-1j * shift)
     if norm == 0.0:
-        return phase[..., None], IDENTITY_2[None]
-    axis = (ax / norm) * SIGMA_X + (ay / norm) * SIGMA_Y + (az / norm) * SIGMA_Z
-    weights = np.stack([phase * np.cos(turn), -1j * phase * np.sin(turn)], axis=-1)
-    return weights, np.stack([IDENTITY_2, axis])
+        return phase[..., None], terms
+    weights = np.empty(phase.shape + (2,), dtype=complex)
+    np.multiply(phase, np.cos(turn), out=weights[..., 0])
+    np.multiply(-1j * phase, np.sin(turn), out=weights[..., 1])
+    return weights, terms
+
+
+@_memo
+def _generator(h: np.ndarray):
+    """The checked 2x2 Hermitian generator h = a0*I + a.sigma of
+    ``_expm_terms``, as ``(h, a0, |a|, terms)``: h read-only, and the
+    read-only fixed terms, I and the unit axis (a/|a|).sigma, or I alone
+    for |a| = 0.  a0 or |a| may overflow to inf (the axis is then NaN),
+    which every phase then rejects."""
+    _hermitian(h, "generator", 2)
+    ax, ay = h[0, 1].real, -h[0, 1].imag
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range
+        a0 = (h[0, 0].real + h[1, 1].real) / 2.0
+        az = (h[0, 0].real - h[1, 1].real) / 2.0
+        norm = math.hypot(ax, ay, az)
+        if norm == 0.0:
+            terms = IDENTITY_2[None]
+        else:
+            terms = np.empty((2, 2, 2), dtype=complex)
+            terms[0] = IDENTITY_2
+            terms[1] = (ax / norm) * SIGMA_X + (ay / norm) * SIGMA_Y + (az / norm) * SIGMA_Z
+    terms.flags.writeable = False
+    return h, a0, norm, terms
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray):
@@ -219,7 +281,8 @@ def overlap_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     traceless deviation matrices where state fidelities do not apply.  The
     value lies in [-1, 1].
     """
-    a, b = _hermitian(a, "overlap_fidelity a"), _hermitian(b, "overlap_fidelity b")
+    a = _hermitian(operator(a), "overlap_fidelity a")
+    b = _hermitian(operator(b), "overlap_fidelity b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -125,17 +125,19 @@ class TomographyRecord:
 
     Rows index the probe Pauli, columns the system Pauli, both in the order
     I, x, y, z.  ``c[0, 0]`` is the trace and stays exact even when readout
-    noise is injected.
+    noise is injected.  The table is kept as a read-only copy, so later
+    writes to the caller's array cannot reach the record.
     """
 
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
+        c = np.array(self.coefficients, dtype=float)
         if c.shape != (4, 4):
             raise ValueError("tomography record needs a 4x4 coefficient table")
         if not np.isfinite(c).all():
             raise ValueError("tomography coefficients must be finite")
+        c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
 
     def coefficient(self, probe_label: str, system_label: str) -> float:

@@ -115,10 +115,18 @@ class TestGateValidation:
         v = circuit_unitary(Circuit((gate,)))
         np.testing.assert_allclose(v @ v.conj().T, np.eye(4), atol=1e-15)
 
+    def test_evolve_keeps_no_reference_to_the_callers_generator(self):
+        h = SIGMA_X.copy()
+        gate = Evolve(SYSTEM, h, 0.3)
+        h[:] = SIGMA_Z
+        np.testing.assert_array_equal(embed(gate), circuit_unitary(Circuit((gate,))))
+        np.testing.assert_array_equal(gate.hamiltonian, SIGMA_X)
+
     def test_gate_operators_are_read_only(self):
         gates = (ControlledU(PROBE, SYSTEM, SIGMA_X.copy()),
-                 Evolve(SYSTEM, SIGMA_X, 1.0))
-        for array in (gates[0].u, *gates[0].terms, *gates[1].terms):
+                 Evolve(SYSTEM, SIGMA_X.copy(), 1.0))
+        for array in (gates[0].u, gates[1].hamiltonian, *gates[0].terms,
+                      *gates[1].terms):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 2.0
 

@@ -121,7 +121,9 @@ def test_unitary_rejects_one_bad_entry(dim, angle, entry):
     u = expm_hermitian(SIGMA_X + 0.3 * SIGMA_Z, angle)
     if dim == 4:
         u = kron(u, HADAMARD)
-    assert unitary(u) is u
+    checked = unitary(u)
+    np.testing.assert_array_equal(checked, u)
+    assert checked is not u and not checked.flags.writeable
     bad = u.copy()
     bad[entry[0] % dim, entry[1] % dim] += 1e-9
     with pytest.raises(ValueError, match="not unitary"):
@@ -807,20 +809,37 @@ def test_scattering_gates_validate_each_operand_once(monkeypatch):
 
 
 def test_default_sweep_validation_counts(monkeypatch):
-    """Per default sweep, whose one ``scattering_gates`` call builds one
-    (3, 721) stack: one ``unitary`` (3 with a stack per correlator, 8 when
-    each controlled slot had its own gate), 4 ``is_hermitian`` (the system
-    state, the observable and the generator of each of the two free
-    evolutions; 10 with a stack per correlator, 13 when the reference built
-    a circuit of its own, 23 when ``embed`` validated the generator again),
-    one ``density`` and one ``dichotomic_observable`` (2 and 5 when the
-    built probe state and observable were checked again)."""
+    """Per default sweep on empty memos, whose one ``scattering_gates`` call
+    builds one (3, 721) stack: one ``unitary`` (3 with a stack per
+    correlator, 8 when each controlled slot had its own gate), 3
+    ``is_hermitian`` (the system state, the observable and the generator,
+    which the two free evolutions share; 4 when each evolution checked it,
+    10 with a stack per correlator, 13 when the reference built a circuit of
+    its own, 23 when ``embed`` validated the generator again), one
+    ``density`` and one ``dichotomic_observable`` (2 and 5 when the built
+    probe state and observable were checked again)."""
     rho = classical_mixture(0.5, 0.5)
     names = ("unitary", "is_hermitian", "density", "dichotomic_observable")
     calls = {name: counting_everywhere(name, monkeypatch) for name in names}
     sweep(Evolution(1.0), rho, 1.0, 0.0, 2 * math.pi, 721)
     assert {name: len(calls[name]) for name in names} == {
-        "unitary": 1, "is_hermitian": 4, "density": 1, "dichotomic_observable": 1}
+        "unitary": 1, "is_hermitian": 3, "density": 1, "dichotomic_observable": 1}
+
+
+def test_a_repeated_sweep_checks_no_operand_again(monkeypatch):
+    """The second of two identical sweeps finds the state, the observable,
+    the generator and the controlled unitary in the memos: no
+    ``is_hermitian`` and no unitarity residual, with equal columns."""
+    first = sweep(Evolution(1.0), classical_mixture(0.5, 0.5), 1.0, 0.0,
+                  2 * math.pi, 721)
+    misses = [memo.cache_info().misses for memo in lgsim.linalg._MEMOS]
+    hermitian = counting_everywhere("is_hermitian", monkeypatch)
+    again = sweep(Evolution(1.0), classical_mixture(0.5, 0.5), 1.0, 0.0,
+                  2 * math.pi, 721)
+    assert hermitian == []
+    assert [memo.cache_info().misses for memo in lgsim.linalg._MEMOS] == misses
+    for name in ("theta", "c12", "c23", "c13", "k"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(first, name))
 
 
 @settings(max_examples=200, deadline=None)

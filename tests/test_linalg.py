@@ -1,11 +1,14 @@
 """Core linear algebra: products, partial traces, exponentials, fidelities."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from conftest import random_density, random_hermitian
 
+from lgsim import linalg
 from lgsim.linalg import (
     IDENTITY_2,
     SIGMA_X,
@@ -13,6 +16,7 @@ from lgsim.linalg import (
     SIGMA_Z,
     dagger,
     density,
+    dichotomic_observable,
     expm_hermitian,
     kron,
     operator,
@@ -142,6 +146,14 @@ class TestExpmHermitian:
         with pytest.raises(ValueError, match="Hermitian"):
             expm_hermitian(np.array([[0, 1], [0, 0]]), 1.0)
 
+    @pytest.mark.parametrize("angle", [0.0, 1e-300, 1.0])
+    def test_overflowing_generator_raises_for_every_angle(self, angle):
+        """a0 and |a| of diag(1e308, -1e308) overflow; each phase is then not
+        finite, and the check that says so runs without a numpy warning."""
+        for _ in range(2):
+            with pytest.raises(ValueError, match="needs finite angles"):
+                expm_hermitian(np.diag([1e308, -1e308]), angle)
+
     def test_always_unitary(self, rng):
         for _ in range(30):
             h = random_hermitian(rng, 2)
@@ -241,3 +253,135 @@ class TestConstructors:
     def test_density_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative"):
             density(np.diag([1.5, -0.5]).astype(complex))
+
+
+def _checks(rng):
+    """Each memoized check with an operand it accepts."""
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return (
+        (density, random_density(rng, 4)),
+        (dichotomic_observable, SIGMA_X.copy()),
+        (unitary, np.linalg.qr(z)[0]),
+        (lambda h: expm_hermitian(h, 0.7), random_hermitian(rng, 2)),
+    )
+
+
+@pytest.fixture
+def hermitian_checks(monkeypatch):
+    """The calls of ``is_hermitian`` made inside ``lgsim.linalg``."""
+    calls = []
+    original = linalg.is_hermitian
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "is_hermitian", counted)
+    return calls
+
+
+class TestCheckMemo:
+    def test_equal_bytes_in_a_new_array_are_not_checked_again(self, rng,
+                                                               hermitian_checks):
+        for check, operand in _checks(rng):
+            hermitian_checks.clear()
+            first = check(operand)
+            again = check(operand.copy())
+            from_list = check(operand.tolist())
+            assert len(hermitian_checks) == (check is not unitary)
+            np.testing.assert_array_equal(again, first)
+            np.testing.assert_array_equal(from_list, first)
+
+    def test_two_evolutions_on_one_generator_check_it_once(self, hermitian_checks):
+        expm_hermitian(SIGMA_X + 0.3 * SIGMA_Z, 0.2)
+        expm_hermitian(SIGMA_X + 0.3 * SIGMA_Z, np.linspace(0.0, 1.0, 5))
+        assert len(hermitian_checks) == 1
+
+    def test_an_operand_edited_in_place_is_checked_again(self):
+        rho = np.eye(2, dtype=complex) / 2.0
+        density(rho)
+        rho[0, 1] = 0.25
+        with pytest.raises(ValueError, match="density matrix must be Hermitian"):
+            density(rho)
+        h = SIGMA_X.copy()
+        expm_hermitian(h, 0.3)
+        h[0, 1] = 2.0
+        with pytest.raises(ValueError, match="generator must be 2x2 Hermitian"):
+            expm_hermitian(h, 0.3)
+        obs = SIGMA_Z.copy()
+        dichotomic_observable(obs)
+        obs[1, 1] = 0.5
+        with pytest.raises(ValueError, match="observable must be dichotomic"):
+            dichotomic_observable(obs)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.full((2, 2), math.nan), "operator entries must be finite"),
+        (np.array([[0.5, math.inf], [0.0, 0.5]]), "operator entries must be finite"),
+        (np.eye(3) / 3.0, "operator dimension must be 2 or 4, got 3"),
+        (np.ones((2, 3)), r"operator must be a square matrix, got shape \(2, 3\)"),
+        (np.ones(2), r"operator must be a square matrix, got shape \(2,\)"),
+        (np.eye(4) / 4.0, "observable must be 2x2 Hermitian"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "observable must be 2x2 Hermitian"),
+    ])
+    def test_rejected_inputs_raise_every_time_and_are_not_kept(self, bad, message):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                dichotomic_observable(bad)
+            with pytest.raises(ValueError, match=message.replace("observable", "generator")):
+                expm_hermitian(bad, 0.1)
+        assert all(memo.cache_info().currsize == 0 for memo in linalg._MEMOS)
+
+    def test_results_are_read_only_copies_of_the_same_bits(self, rng):
+        signed_zeros = (dichotomic_observable, np.array([[-0.0, 1.0], [1.0, -0.0]]))
+        for check, operand in (*_checks(rng)[:3], signed_zeros):
+            operand = operand.astype(complex)
+            for _ in range(2):
+                checked = check(operand)
+                assert checked is not operand and not checked.flags.writeable
+                assert checked.tobytes() == operand.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    checked[0, 0] = 0.0
+        _, a0, norm, terms = linalg._generator(SIGMA_X)
+        assert (a0, norm) == (0.0, 1.0) and not terms.flags.writeable
+
+    def test_each_memo_holds_at_most_its_fixed_size(self, rng):
+        for _ in range(3 * linalg._MEMO_SIZE):
+            density(random_density(rng, 2))
+        sizes = [memo.cache_info().currsize for memo in linalg._MEMOS]
+        assert max(sizes) == linalg._MEMO_SIZE
+
+    def test_concurrent_checks_of_more_operands_than_the_memo_holds(self, rng):
+        """Threads that evict each other's entries still get each operand's
+        own checked bits, and every bad operand raises."""
+        goods = [random_density(rng, 2) for _ in range(2 * linalg._MEMO_SIZE)]
+        bads = [g + np.array([[0.0, 1.0], [0.0, 0.0]]) for g in goods[:8]]
+        failures = []
+
+        def work(offset):
+            try:
+                for round_ in range(20):
+                    for i, good in enumerate(goods):
+                        j = (i + offset + round_) % len(goods)
+                        if density(goods[j]).tobytes() != goods[j].tobytes():
+                            failures.append(j)
+                    for bad in bads:
+                        try:
+                            density(bad)
+                        except ValueError:
+                            continue
+                        failures.append("accepted")
+            except Exception as exc:  # reported by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

@@ -222,6 +222,14 @@ class TestTomograph:
         with pytest.raises(ValueError, match="4x4"):
             TomographyRecord(np.zeros((3, 3)))
 
+    def test_record_keeps_no_reference_to_the_callers_table(self):
+        c = np.eye(4)
+        record = TomographyRecord(c)
+        c[1, 1] = 7.0
+        assert record.coefficient("x", "x") == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            record.coefficients[1, 1] = 7.0
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_record_rejects_non_finite_coefficients(self, value):
         c = np.zeros((4, 4))
