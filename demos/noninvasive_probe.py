@@ -18,33 +18,23 @@ import numpy as np
 
 from lgsim import (
     Evolution,
-    build_scattering_circuit,
     correlation_circuit,
     correlation_oracle,
-    kron,
+    max_disturbance,
     maximally_mixed,
     observable_from_state,
-    partial_trace,
     pure_density,
-    run,
-    trace_distance,
     KET0,
 )
 
 evo = Evolution(omega=1.0)
 obs = observable_from_state(KET0)
-probe = pure_density(KET0)
+times = np.linspace(0.0, math.pi, 5)
 
 print("disturbance of the system state, max over a 5x5 grid of time pairs")
 print(f"{'system state':>14} {'max trace distance to input':>30}")
 for label, rho_sys in (("I/2", maximally_mixed()), ("|0><0|", pure_density(KET0))):
-    worst = 0.0
-    for a in np.linspace(0.0, math.pi, 5):
-        for b in np.linspace(0.0, math.pi, 5):
-            lo, hi = sorted((float(a), float(b)))
-            circ = build_scattering_circuit(evo.hamiltonian, obs, lo, hi)
-            out = partial_trace(run(circ, kron(probe, rho_sys)), "system")
-            worst = max(worst, trace_distance(out, rho_sys))
+    worst = max_disturbance(rho_sys, obs, evo, times)  # pure probe: eps = 1
     print(f"{label:>14} {worst:>30.3e}")
 
 print("""

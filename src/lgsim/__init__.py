@@ -31,6 +31,7 @@ from .leggett_garg import (
     find_violations,
     heisenberg_observable,
     k_value,
+    max_disturbance,
     observable_from_state,
     sweep,
 )

@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _expm_terms, _generator, _register,
-                     dagger, dichotomic_observable, expm_hermitian, kron, unitary)
+from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _expm_terms, _generator, _real,
+                     _register, dagger, dichotomic_observable, expm_hermitian, kron,
+                     unitary)
 
 PROBE = "probe"
 SYSTEM = "system"
@@ -94,9 +95,10 @@ class Evolve:
     """Free evolution exp(-i * phase * hamiltonian) on one wire (``phase``
     may be an array: a stack of gates).  Construction checks
     ``hamiltonian`` and ``phase`` as ``expm_hermitian`` does, keeps the
-    generator as the read-only copy that check returns, so later writes to
-    the caller's array cannot reach the gate, and keeps the weight columns
-    of ``linalg._expm_terms`` whatever the phase's shape: its term 0 is I."""
+    generator as the read-only copy that check returns, and an array phase
+    as a read-only float copy, so later writes to the caller's arrays cannot
+    reach the gate; its ``terms`` are the weight columns of
+    ``linalg._expm_terms`` whatever the phase's shape: term 0 is I."""
 
     wire: str
     hamiltonian: np.ndarray
@@ -107,6 +109,9 @@ class Evolve:
         _check_wire(self.wire)
         h = _generator(self.hamiltonian)[0]
         object.__setattr__(self, "hamiltonian", h)
+        if not isinstance(self.phase, (int, float)):  # an array: keep a copy
+            object.__setattr__(self, "phase", np.array(_real(self.phase, "phase")))
+            self.phase.flags.writeable = False
         weights, one_wire = _expm_terms(h, self.phase)
         _keep(self, weights, _on_wire(self.wire, one_wire))
 
@@ -242,18 +247,18 @@ def build_scattering_circuit(
 def scattering_gates(h: np.ndarray, obs: np.ndarray, theta_k, theta_m):
     """The six gates of ``build_scattering_circuit`` for a stack of (theta_k, theta_m).
 
-    ``theta_k`` and ``theta_m`` are numbers or arrays that broadcast against
-    each other; the gates then describe one circuit per pair.  ``obs`` is
-    validated once, into the one ``ControlledU`` both controlled slots hold
-    (each ``Evolve`` checks ``h``), and the ordering
+    ``theta_k`` and ``theta_m`` are real numbers or arrays that broadcast
+    against each other; the gates then describe one circuit per pair.
+    ``obs`` is validated once, into the one ``ControlledU`` both controlled
+    slots hold (each ``Evolve`` checks ``h``), and the ordering
     0 <= theta_k <= theta_m < inf in one vectorised test on the broadcast
     pair.  Each ``Evolve`` keeps its own phase un-broadcast, so a number
     theta_k against a stack of theta_m embeds as one 4x4 matrix rather than
     a stack of equal ones.
     """
     obs = dichotomic_observable(obs)
-    theta_k = np.asarray(theta_k, dtype=float)
-    theta_m = np.asarray(theta_m, dtype=float)
+    theta_k = _real(theta_k, "theta_k")
+    theta_m = _real(theta_m, "theta_m")
     low, high = np.broadcast_arrays(theta_k, theta_m)
     bad = ~((0.0 <= low) & (low <= high) & (high < math.inf))
     if bad.any():

@@ -4,12 +4,13 @@ Subcommands
     sweep              K over a uniform theta grid, with the closed-form
                        prediction and the per-point absolute error
     correlations       the three two-time correlators over the same grid
-    noninvasive-check  max trace distance between the post-circuit reduced
-                       system state and its input, for I/2 and for |0><0|
+    noninvasive-check  ``max_disturbance`` of I/2 and of |0><0| over 5 times
+                       spanning the theta range
     tomography         the 16 Pauli coefficients of the input state and the
                        deviation-matrix fidelity against the ideal
     noise-check        K at theta = pi/3 with and without T2 dephasing
 
+Each subcommand only chooses the parameters of library measurements.
 Values flow defaults -> config file (--config, a flat JSON object mirroring
 flag names) -> LGSIM_SEED (for the seed only) -> command-line flags, later
 sources winning.  Every value goes through the same conversion, so a config
@@ -39,24 +40,11 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .circuit import Circuit, run, scattering_gates
 from .leggett_garg import (Evolution, ReferenceVanished, SweepResult, _first_bad,
-                           _probe_register, analytic_k, find_violations,
+                           analytic_k, find_violations, max_disturbance,
                            observable_from_state, sweep)
-from .linalg import partial_trace, trace_distance
-from .nmr import (
-    PAULI_LABELS,
-    ReadoutNoise,
-    T2Config,
-    _tomography,
-    k_attenuation_check,
-)
-from .states import (
-    KET0,
-    classical_mixture,
-    maximally_mixed,
-    pure_density,
-)
+from .nmr import PAULI_LABELS, ReadoutNoise, T2Config, _tomography, k_attenuation_check
+from .states import KET0, classical_mixture, maximally_mixed, pure_density
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -294,15 +282,16 @@ def _compute(cfg: RunConfig):
         return header, columns, results
 
     if cfg.command == "noninvasive-check":
-        distances = [_max_disturbance(cfg, rho)
+        evo, obs = Evolution(omega=1.0), observable_from_state(KET0)
+        times = np.linspace(cfg.theta_min, cfg.theta_max, 5) / evo.energy_gap
+        distances = [max_disturbance(rho, obs, evo, times, cfg.epsilon)
                      for rho in (maximally_mixed(), pure_density(KET0))]
         header = ["state", "max_trace_distance"]
         return header, [["mixed", "pure_zero"], distances], None
 
     if cfg.command == "tomography":
-        rho = _probe_register(maximally_mixed(), cfg.epsilon)
         record, fidelity = _tomography(
-            rho, ReadoutNoise(sigma=cfg.noise_sigma, seed=cfg.seed))
+            cfg.epsilon, ReadoutNoise(sigma=cfg.noise_sigma, seed=cfg.seed))
         names = [f"c_{a}{b}" for a in PAULI_LABELS for b in PAULI_LABELS]
         values = np.append(record.coefficients.ravel(), fidelity)
         return ["name", "value"], [names + ["fidelity"], values], None
@@ -316,19 +305,6 @@ def _compute(cfg: RunConfig):
         return header, [[value] for value in row], None
 
     raise UsageError(f"unknown command {cfg.command!r}")
-
-
-def _max_disturbance(cfg: RunConfig, rho_sys: np.ndarray) -> float:
-    """Worst-case change of the system state over a 5x5 grid of time pairs,
-    run as one stack of 25 circuits."""
-    evo = Evolution(omega=1.0)
-    obs = observable_from_state(KET0)
-    rho_in = _probe_register(rho_sys, cfg.epsilon)
-    phases = np.linspace(cfg.theta_min, cfg.theta_max, 5) / evo.energy_gap
-    a, b = np.meshgrid(phases, phases)
-    gates = scattering_gates(evo.hamiltonian, obs, np.minimum(a, b), np.maximum(a, b))
-    reduced = partial_trace(run(Circuit(gates), rho_in), "system")
-    return float(np.max(trace_distance(reduced, rho_sys)))
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from an eigendecomposition of H and shares no code with the circuit.  The
 one circuit correlator is ``correlation_circuit``, for a time pair or a stack
 of them, on the register ``_probe_register`` builds.  It reads the signal
 and the zero-time reference off one matrix of traces of the circuit's terms
-(``circuit._probe_signal``), forming no state.
+(``circuit._probe_signal``), forming no state.  ``max_disturbance``, the
+paper's noninvasiveness check, runs a grid of time pairs on that register.
 ``k_value`` assembles K = C12 + C23 - C13 for an equally spaced schedule and
 ``sweep`` over a theta grid, each in one ``correlation_circuit`` call on a
 (3, N) stack, returning the curve as the columns of one ``SweepResult``;
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _probe_signal, scattering_gates
-from .circuit import run  # noqa: F401  (still importable from here)
-from .linalg import IDENTITY_2, SIGMA_X, dagger, density, dichotomic_observable, kron
+from .circuit import Circuit, _probe_signal, run, scattering_gates
+from .linalg import (IDENTITY_2, SIGMA_X, _real, dagger, density, dichotomic_observable,
+                     kron, partial_trace, trace_distance)
 from .states import KET0, pseudo_pure, pure_state
 
 # Guard band above the bound K = 1, so the exact K = 1 boundary at theta = 0
@@ -133,7 +134,7 @@ class SweepResult:
 
     def __post_init__(self):
         for name in _COLUMNS:
-            column = np.array(getattr(self, name), dtype=float)
+            column = np.array(_real(getattr(self, name), name))
             if column.ndim != 1 or len(column) != len(self.theta):
                 raise ValueError("sweep columns must be 1-d and of equal length")
             column.flags.writeable = False
@@ -165,29 +166,26 @@ def _first_bad(message: str, column: np.ndarray, ok: np.ndarray) -> None:
         raise ValueError(f"{message} {float(column[np.argmin(ok)])!r}")
 
 
-def heisenberg_observable(obs, evo: Evolution, t: float) -> np.ndarray:
+def heisenberg_observable(obs, evo: Evolution, t) -> np.ndarray:
     """O(t) = exp(+iHt) O exp(-iHt); stays Hermitian and dichotomic.
+
+    ``t`` is a real time, or an array of them (a stack t.shape + (2, 2)).
+    exp(-iHt) comes from one ``eigh`` H = V E V+ as I + V (exp(-iEt) - 1) V+,
+    exactly I at t = 0.  A time whose phases E*t are not finite is named.
 
     Convention: for O = sigma_z under H = omega*sigma_x this gives
     cos(2*omega*t)*sigma_z + sin(2*omega*t)*sigma_y.  The sign of the sigma_y
     term is convention-dependent and drops out of every reported quantity.
     """
-    return _heisenberg(dichotomic_observable(obs), evo, t)
-
-
-def _heisenberg(obs: np.ndarray, evo: Evolution, times) -> np.ndarray:
-    """``heisenberg_observable`` for an already validated ``obs``, at a time
-    or at each of an array of times, from one ``eigh`` H = V E V+:
-    exp(-iHt) = I + V (exp(-iEt) - 1) V+, exactly I at t = 0.  Raises
-    ValueError naming the first time whose phases E*t are not finite."""
+    obs = dichotomic_observable(obs)
     energies, vectors = np.linalg.eigh(evo.hamiltonian)
-    times = np.asarray(times, dtype=float)
+    t = _real(t, "t")
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range
-        phases = times[..., None] * energies
+        phases = t[..., None] * energies
     bad = ~np.isfinite(phases).all(axis=-1)
     if bad.any():
         raise ValueError(f"the oracle needs finite phases omega*t, got t = "
-                         f"{float(times[bad][0])!r}")
+                         f"{float(t[bad][0])!r}")
     turns = np.expm1(-1j * phases)[..., None, :]
     forward = IDENTITY_2 + (vectors * turns) @ dagger(vectors)
     return dagger(forward) @ obs @ forward
@@ -197,11 +195,11 @@ def correlation_oracle(rho_sys, obs, evo: Evolution, t_k: float, t_m: float) -> 
     """Re Tr[rho_sys O(t_m) O(t_k)] computed directly in the Heisenberg picture.
 
     This is the brute-force route the circuit is checked against; it never
-    touches the probe or the circuit machinery.  ``obs`` is validated once
-    and H diagonalized once for both times.
+    touches the probe or the circuit machinery: one ``heisenberg_observable``
+    call at both times.
     """
     rho_sys = density(rho_sys)
-    later, earlier = _heisenberg(dichotomic_observable(obs), evo, (t_m, t_k))
+    later, earlier = heisenberg_observable(obs, evo, (t_m, t_k))
     return float(np.trace(rho_sys @ (later @ earlier)).real)
 
 
@@ -245,6 +243,21 @@ def correlation_circuit(rho_sys, obs, evo: Evolution, t_k, t_m,
     circuit = Circuit(scattering_gates(evo.hamiltonian, obs, t_k, t_m))
     raw, reference = _probe_signal(circuit, rho_in)
     return raw, raw / _check_reference(reference)
+
+
+def max_disturbance(rho_sys, obs, evo: Evolution, times, probe_eps: float = 1.0) -> float:
+    """The largest trace distance between the system state after the
+    scattering circuit (the probe traced out) and ``rho_sys`` before it, over
+    every pair drawn from ``times`` (the earlier as t_k), run as one stack on
+    the register of ``correlation_circuit``; zero, to round-off, for I/2."""
+    times = _real(times, "times")
+    if not times.size:
+        raise ValueError("max_disturbance needs at least one time in times")
+    rho_in = _probe_register(rho_sys, probe_eps)
+    a, b = np.meshgrid(times, times)
+    gates = scattering_gates(evo.hamiltonian, obs, np.minimum(a, b), np.maximum(a, b))
+    reduced = partial_trace(run(Circuit(gates), rho_in), "system")
+    return float(np.max(trace_distance(reduced, rho_sys)))
 
 
 def analytic_k(theta):

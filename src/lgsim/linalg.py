@@ -4,7 +4,9 @@ Everything in this package is a plain ``numpy`` array of ``complex`` entries;
 states, gates and observables are 2x2 or 4x4 matrices.  The constructors
 ``operator``, ``unitary``, ``density`` and ``dichotomic_observable``, and
 ``_expm_terms`` for a generator and its phases, validate once, on entry into
-the library; Hermitian operands all pass the one private ``_hermitian`` check.
+the library; Hermitian operands pass the one private ``_hermitian`` check,
+real ones (angles, times, tables) the one ``_real`` check, which rejects a
+complex input rather than dropping its imaginary part.
 ``unitary``, ``density``, ``dichotomic_observable`` and the generator check
 ``_generator`` are memoized per process: after ``operator``'s shape and
 finite checks, each keys on the operand's complex bytes and shape in a
@@ -76,6 +78,15 @@ def _register(rho, what: str, *, stack: bool = True) -> np.ndarray:
     if shape != (4, 4) or not np.isfinite(rho).all():
         raise ValueError(f"{what} expects a 4x4 register state with finite entries")
     return rho
+
+
+def _real(values, what: str) -> np.ndarray:
+    """``values`` as a float array; a complex input raises ValueError naming
+    ``what`` rather than losing its imaginary part."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got a {values.dtype} input")
+    return values.astype(float, copy=False)
 
 
 def _memo(check):
@@ -214,13 +225,13 @@ def _expm_terms(h: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
     involved.  So the terms are I and the unit axis (a/|a|).sigma, weighted
     by exp(-i*angle*a0) cos(angle*|a|) and -i exp(-i*angle*a0) sin(angle*|a|);
     for |a| = 0 the one term I carries the phase.  The generator must be
-    Hermitian and the phases angle*|a| and angle*a0 finite; |a| is taken by
-    ``math.hypot``, so the result is unitary to round-off and not checked.
+    Hermitian, the angle real, angle*|a| and angle*a0 finite; |a| is taken
+    by ``math.hypot``, so the result is unitary to round-off, unchecked.
     The generator check, a0, |a| and the read-only terms come from the
     memoized ``_generator``, once per distinct generator.
     """
     _, a0, norm, terms = _generator(h)
-    angle = np.asarray(angle, dtype=float)
+    angle = _real(angle, "angle")
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range
         turn, shift = angle * norm, angle * a0
     if not (np.isfinite(turn).all() and np.isfinite(shift).all()):

@@ -5,8 +5,8 @@ transverse relaxation times; it exists to check that decoherence over the
 protocol duration is negligible against the ideal K.  The tomography half
 measures the 16 two-qubit Pauli coefficients of a register state, optionally
 perturbed by seeded Gaussian readout noise, and reconstructs the state from
-a record, which is how the fidelity between a measured and an ideal input
-deviation matrix is obtained.
+a record; the private ``_tomography`` runs that chain on the register of a
+pseudo-pure probe and I/2, giving the deviation-matrix fidelity.
 
 Randomness is never global: each noisy coefficient draws from a generator
 keyed by (seed, row, column), so records are reproducible bit for bit and
@@ -24,7 +24,7 @@ import numpy as np
 from .circuit import Circuit, _probe_signal, expect_probe_z, run, scattering_gates
 from .leggett_garg import (Evolution, SweepResult, _check_reference, _probe_register,
                            observable_from_state)
-from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _register,
+from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _real, _register,
                      is_hermitian, kron, overlap_fidelity)
 from .states import KET0, deviation, maximally_mixed
 
@@ -132,7 +132,7 @@ class TomographyRecord:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coefficients, dtype=float)
+        c = np.array(_real(self.coefficients, "tomography coefficients"))
         if c.shape != (4, 4):
             raise ValueError("tomography record needs a 4x4 coefficient table")
         if not np.isfinite(c).all():
@@ -176,10 +176,11 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     return np.einsum("ij,ijkl->kl", record.coefficients, _PAULI_BASIS) / 4.0
 
 
-def _tomography(rho: np.ndarray, noise: ReadoutNoise) -> tuple[TomographyRecord, float]:
-    """Tomograph ``rho`` with ``noise`` and reconstruct it: the record and the
-    normalized Hilbert-Schmidt overlap of the measured with the ideal
-    deviation matrix."""
+def _tomography(probe_eps: float, noise: ReadoutNoise) -> tuple[TomographyRecord, float]:
+    """Tomograph (pseudo-pure probe of polarization ``probe_eps``) (x) I/2
+    with ``noise`` and reconstruct it: the record and the normalized
+    Hilbert-Schmidt overlap of the measured with the ideal deviation matrix."""
+    rho = _probe_register(maximally_mixed(), probe_eps)
     record = tomograph(rho, noise)
     return record, overlap_fidelity(deviation(reconstruct(record)), deviation(rho))
 
@@ -192,5 +193,4 @@ def tomography_fidelity_experiment(noise_sigma: float, seed: int) -> float:
     Hilbert-Schmidt overlap between the measured and the ideal deviation
     matrices.  Noise-free runs return exactly 1.
     """
-    rho = _probe_register(maximally_mixed(), 1.0)
-    return _tomography(rho, ReadoutNoise(sigma=noise_sigma, seed=seed))[1]
+    return _tomography(1.0, ReadoutNoise(sigma=noise_sigma, seed=seed))[1]

@@ -14,15 +14,8 @@ import math
 
 import numpy as np
 
-from .linalg import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Z,
-    TRACE_TOL,
-    dagger,
-    expm_hermitian,
-    operator,
-)
+from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Z, TRACE_TOL, dagger, expm_hermitian,
+                     operator)
 from .linalg import density  # noqa: F401  (still importable from here)
 
 

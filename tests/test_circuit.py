@@ -122,6 +122,21 @@ class TestGateValidation:
         np.testing.assert_array_equal(embed(gate), circuit_unitary(Circuit((gate,))))
         np.testing.assert_array_equal(gate.hamiltonian, SIGMA_X)
 
+    def test_evolve_keeps_no_reference_to_the_callers_phases(self):
+        """``embed`` rebuilds the exponential from ``phase``, while the terms
+        were fixed at construction: both must see the phases given."""
+        t = np.array([0.1, 0.2])
+        gate = Evolve(SYSTEM, SIGMA_X, t)
+        t[0] = 1.0
+        np.testing.assert_array_equal(gate.phase, [0.1, 0.2])
+        np.testing.assert_array_equal(embed(gate), circuit_unitary(Circuit((gate,))))
+        with pytest.raises(ValueError, match="read-only"):
+            gate.phase[0] = 1.0
+
+    @pytest.mark.parametrize("phase", [0.3, 2, np.float64(0.3)])
+    def test_evolve_keeps_a_number_phase_as_given(self, phase):
+        assert Evolve(SYSTEM, SIGMA_X, phase).phase is phase
+
     def test_gate_operators_are_read_only(self):
         gates = (ControlledU(PROBE, SYSTEM, SIGMA_X.copy()),
                  Evolve(SYSTEM, SIGMA_X.copy(), 1.0))

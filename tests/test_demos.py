@@ -1,11 +1,11 @@
 """The demo scripts print the same bytes as when their digests were recorded.
 
-Each demo runs in a fresh interpreter with numpy RuntimeWarnings raised as
-errors, as the tests run; the SHA-256 of its standard output is compared with the
-digest recorded before sweeps returned columns and before scalar gate times
-stayed scalar, ``violation_curve.py``'s since stacked circuits run as weighted
-sums of fixed products (its round-off line then read 8.88e-16, 1.33e-15
-before).  Several printed values (``max |K_circuit - K_analytic|``,
+Each demo runs in a fresh interpreter with RuntimeWarnings and
+DeprecationWarnings raised as errors, as the tests run; the SHA-256 of its
+standard output is compared with the digest recorded before sweeps returned
+columns and before scalar gate times stayed scalar, ``violation_curve.py``'s
+since stacked circuits run as weighted sums of fixed products (its round-off
+line then read 8.88e-16, 1.33e-15 before).  Several printed values (``max |K_circuit - K_analytic|``,
 the disturbance of I/2) are round-off sized, so a change in the arithmetic
 of the engine shows here even when every tolerance test passes.
 """
@@ -37,7 +37,8 @@ def test_demo_stdout_matches_recorded_digest(demo):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         str(ROOT / "demos" / demo)],
         capture_output=True, env=env, cwd=ROOT, timeout=120,
     )
     assert done.returncode == 0, done.stderr.decode()

@@ -48,10 +48,13 @@ from lgsim.leggett_garg import (
     Evolution,
     LGResult,
     Schedule,
+    SweepResult,
     analytic_k,
     correlation_circuit,
     correlation_oracle,
+    heisenberg_observable,
     k_value,
+    max_disturbance,
     observable_from_state,
     sweep,
 )
@@ -69,8 +72,8 @@ from lgsim.linalg import (
     trace_distance,
     unitary,
 )
-from lgsim.nmr import (ReadoutNoise, T2Config, k_attenuation_check, reconstruct,
-                       t2_dephase, tomograph)
+from lgsim.nmr import (ReadoutNoise, T2Config, TomographyRecord, k_attenuation_check,
+                       reconstruct, t2_dephase, tomograph)
 from lgsim.states import (
     KET0,
     KET1,
@@ -588,6 +591,39 @@ def test_tomograph_rejects_a_stack(shape):
         tomograph(np.broadcast_to(np.eye(4) / 4.0, shape), NO_NOISE)
 
 
+# Each entry point that takes real numbers: the operand its error names, and
+# a call that hands it ``z``.
+REAL_ENTRY_POINTS = {
+    "expm_hermitian": ("angle", lambda z: expm_hermitian(SIGMA_X, z)),
+    "Evolve": ("phase", lambda z: Evolve(SYSTEM, SIGMA_X, [0.1, z])),
+    "scattering_gates": ("theta_m", lambda z: scattering_gates(SIGMA_X, SIGMA_Z, 0.0, z)),
+    "correlation_circuit": ("theta_k", lambda z: correlation_circuit(
+        maximally_mixed(), SIGMA_Z, Evolution(1.0), z, 0.5, 0.5)),
+    "heisenberg_observable": ("t", lambda z: heisenberg_observable(
+        SIGMA_Z, Evolution(1.0), z)),
+    "correlation_oracle": ("t", lambda z: correlation_oracle(
+        maximally_mixed(), SIGMA_Z, Evolution(1.0), 0.1, z)),
+    "max_disturbance": ("times", lambda z: max_disturbance(
+        maximally_mixed(), SIGMA_Z, Evolution(1.0), [0.1, z])),
+    "SweepResult": ("c23", lambda z: SweepResult(
+        theta=[0.0], c12=[0.5], c23=[z], c13=[-0.5], k=[1.5])),
+    "TomographyRecord": ("tomography coefficients",
+                         lambda z: TomographyRecord(np.eye(4) * z)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+@pytest.mark.parametrize("z", [np.array(0.1 + 0.3j), np.complex128(0.1 + 0.3j),
+                               0.1 + 0.3j, np.array(0.5 + 0j)],
+                         ids=["array", "numpy-scalar", "python", "zero-imaginary"])
+def test_real_entry_points_reject_a_complex_input(entry, z):
+    """A complex input is refused, naming the operand, where numpy's cast
+    would keep the real part with only a ComplexWarning."""
+    name, call = REAL_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be real, got a complex"):
+        call(z)
+
+
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1))
 def test_reconstruct_inverts_noise_free_tomography(seed):
@@ -719,19 +755,17 @@ def test_gradient_dephase_prepare_makes_two_exponential_calls(monkeypatch):
 
 
 def test_max_disturbance_takes_one_partial_trace(monkeypatch):
-    calls = counting(lgsim.cli, "partial_trace", monkeypatch)
-    config = lgsim.cli.parse_config(["noninvasive-check"], environ={})
-    lgsim.cli._max_disturbance(config, maximally_mixed())
-    assert len(calls) == 1
-    assert calls[0][0].shape == (5, 5, 4, 4)
+    """``noninvasive-check`` runs ``max_disturbance`` once per state, on the
+    stack of its 5x5 grid of time pairs."""
+    calls = counting(lgsim.leggett_garg, "partial_trace", monkeypatch)
+    lgsim.cli._compute(lgsim.cli.parse_config(["noninvasive-check"], environ={}))
+    assert [args[0].shape for args in calls] == [(5, 5, 4, 4)] * 2
 
 
 def test_max_disturbance_takes_one_trace_distance(monkeypatch):
-    calls = counting(lgsim.cli, "trace_distance", monkeypatch)
-    config = lgsim.cli.parse_config(["noninvasive-check"], environ={})
-    lgsim.cli._max_disturbance(config, pure_density(KET0))
-    assert len(calls) == 1
-    assert calls[0][0].shape == (5, 5, 2, 2)
+    calls = counting(lgsim.leggett_garg, "trace_distance", monkeypatch)
+    lgsim.cli._compute(lgsim.cli.parse_config(["noninvasive-check"], environ={}))
+    assert [args[0].shape for args in calls] == [(5, 5, 2, 2)] * 2
 
 
 @SETTINGS
@@ -1069,7 +1103,7 @@ def test_heisenberg_agrees_with_the_closed_form_exponential(omega, v, t):
     obs, evo = unit_observable(v), Evolution(omega)
     want = (expm_hermitian(evo.hamiltonian, -t) @ obs
             @ expm_hermitian(evo.hamiltonian, t))
-    np.testing.assert_allclose(lgsim.leggett_garg._heisenberg(obs, evo, t), want,
+    np.testing.assert_allclose(heisenberg_observable(obs, evo, t), want,
                                rtol=0, atol=1e-14)
 
 

@@ -1,4 +1,5 @@
-"""Correlators, the K quantity, the theta sweep, and violation intervals."""
+"""Correlators, the K quantity, the theta sweep, violation intervals, and
+the noninvasiveness check."""
 
 import math
 
@@ -8,6 +9,7 @@ from conftest import random_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgsim.circuit import build_scattering_circuit, run
 from lgsim.leggett_garg import (
     Evolution,
     LGResult,
@@ -20,14 +22,26 @@ from lgsim.leggett_garg import (
     find_violations,
     heisenberg_observable,
     k_value,
+    max_disturbance,
     observable_from_state,
     sweep,
 )
-from lgsim.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
-from lgsim.states import KET0, KET1, classical_mixture, maximally_mixed, pure_density
+from lgsim.linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron, partial_trace,
+                          trace_distance)
+from lgsim.states import (KET0, KET1, classical_mixture, maximally_mixed, pseudo_pure,
+                          pure_density)
 
 EVO = Evolution(omega=1.0)
 SZ = observable_from_state(KET0)
+
+directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: math.hypot(*v) > 1e-3)
+
+
+def pauli(v) -> np.ndarray:
+    """n.sigma for the unit vector n along ``v``."""
+    x, y, z = np.asarray(v) / math.hypot(*v)
+    return x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
 
 
 class TestObservable:
@@ -137,6 +151,16 @@ class TestHeisenbergObservable:
         got = heisenberg_observable(SIGMA_Z, EVO, rng.uniform(0, 5))
         np.testing.assert_allclose(got @ got, np.eye(2), atol=1e-12)
 
+    @settings(max_examples=50, deadline=None)
+    @given(v=directions, omega=st.floats(0.0, 4.0),
+           times=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6))
+    def test_an_array_of_times_equals_one_call_per_time(self, v, omega, times):
+        obs, evo = pauli(v), Evolution(omega)
+        stack = heisenberg_observable(obs, evo, np.reshape(times, (-1, 1)))
+        assert stack.shape == (len(times), 1, 2, 2)
+        for t, got in zip(times, stack[:, 0]):
+            np.testing.assert_array_equal(got, heisenberg_observable(obs, evo, t))
+
 
 class TestCorrelationOracle:
     def test_equal_times_give_unity(self, rng):
@@ -179,6 +203,57 @@ def test_correlators_reject_a_system_state_that_is_no_density(rho_sys, message):
 def test_circuit_correlator_rejects_a_register_as_system_state():
     with pytest.raises(ValueError, match="single qubit"):
         correlation_circuit(np.eye(4) / 4.0, SZ, EVO, 0.1, 0.4)
+
+
+class TestMaxDisturbance:
+    """The noninvasiveness check against the maximum over the per-pair
+    scalar route: one circuit, one ``run`` and one trace distance a pair."""
+
+    @staticmethod
+    def per_pair(rho, obs, evo, times, eps):
+        rho_in = kron(pseudo_pure(eps, KET0), rho)
+        return max(
+            trace_distance(partial_trace(run(build_scattering_circuit(
+                evo.hamiltonian, obs, min(a, b), max(a, b)), rho_in), "system"), rho)
+            for a in times for b in times)
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=st.tuples(directions, st.floats(0.0, 1.0)), v=directions,
+           omega=st.floats(0.0, 4.0), eps=st.floats(0.05, 1.0),
+           times=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=5))
+    def test_equals_the_maximum_over_per_pair_scalar_runs(self, state, v, omega,
+                                                          eps, times):
+        rho = (IDENTITY_2 + state[1] * pauli(state[0])) / 2.0
+        obs, evo = pauli(v), Evolution(omega)
+        got = max_disturbance(rho, obs, evo, times, probe_eps=eps)
+        assert type(got) is float
+        assert abs(got - self.per_pair(rho, obs, evo, times, eps)) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(v=directions, omega=st.floats(0.0, 4.0), eps=st.floats(0.05, 1.0),
+           times=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=6))
+    def test_leaves_the_maximally_mixed_state_alone(self, v, omega, eps, times):
+        assert max_disturbance(maximally_mixed(), pauli(v), Evolution(omega), times,
+                               eps) <= 1e-12
+
+    def test_a_pure_state_is_flipped(self):
+        """At gap * t = pi/2 the circuit takes |0><0| to |1><1|."""
+        times = np.linspace(0.0, math.pi, 5)
+        assert abs(max_disturbance(pure_density(KET0), SZ, EVO, times) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("times", [[], np.zeros(0), np.zeros((2, 0))])
+    def test_empty_times_are_named(self, times):
+        with pytest.raises(ValueError, match="at least one time in times"):
+            max_disturbance(maximally_mixed(), SZ, EVO, times)
+
+    def test_rejects_a_negative_time(self):
+        with pytest.raises(ValueError, match="theta_k >= 0"):
+            max_disturbance(maximally_mixed(), SZ, EVO, [-0.1, 0.5])
+
+    def test_exported_from_the_package(self):
+        import lgsim
+
+        assert lgsim.max_disturbance is max_disturbance
 
 
 class TestCorrelationCircuit:
