@@ -14,7 +14,7 @@ as ``terms``.
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
 then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
 S + (4, 4) and the readouts shape S.  Each gate keeps its embedding as
-``terms``, a weighted sum of fixed 4x4 matrices: every ``Evolve`` keeps
+``terms``, a weighted sum of fixed 4x4 matrices: every ``Evolve`` keeps two
 weight columns over I and n.sigma (``linalg._expm_terms``), every other gate
 one fixed matrix of weight 1.  A circuit is then the sum over products of one
 term per gate, whose B <= 16 fixed matrices are multiplied once each whatever
@@ -97,8 +97,8 @@ class Evolve:
     ``hamiltonian`` and ``phase`` as ``expm_hermitian`` does, keeps the
     generator as the read-only copy that check returns, and an array phase
     as a read-only float copy, so later writes to the caller's arrays cannot
-    reach the gate; its ``terms`` are the weight columns of
-    ``linalg._expm_terms`` whatever the phase's shape: term 0 is I."""
+    reach the gate; its ``terms`` are the two weight columns of
+    ``linalg._expm_terms`` for any phase or generator: I and n.sigma."""
 
     wire: str
     hamiltonian: np.ndarray
@@ -233,7 +233,8 @@ def build_scattering_circuit(
     """Interferometer measuring the two-time correlator of ``obs``.
 
     ``theta_k`` and ``theta_m`` are the earlier and later measurement times
-    against the generator ``h``: the free evolutions are exp(-i*theta*h), so
+    against the generator ``h``, checked as given by ``scattering_gates``:
+    the free evolutions are exp(-i*theta*h), so
     for H = omega*sigma_x they are plain times, not phases omega*t.  The
     controlled two-time operator product is decomposed into free evolutions
     interleaved with two controlled copies of the dichotomic observable; the
@@ -241,7 +242,7 @@ def build_scattering_circuit(
     conjugation acts after the last controlled gate and cannot affect the
     probe readout, so it is dropped.
     """
-    return Circuit(scattering_gates(h, obs, float(theta_k), float(theta_m)))
+    return Circuit(scattering_gates(h, obs, theta_k, theta_m))
 
 
 def scattering_gates(h: np.ndarray, obs: np.ndarray, theta_k, theta_m):

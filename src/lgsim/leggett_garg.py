@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import Circuit, _probe_signal, run, scattering_gates
 from .linalg import (IDENTITY_2, SIGMA_X, _real, dagger, density, dichotomic_observable,
                      kron, partial_trace, trace_distance)
-from .states import KET0, pseudo_pure, pure_state
+from .states import KET0, pseudo_pure, pure_density
 
 # Guard band above the bound K = 1, so the exact K = 1 boundary at theta = 0
 # is never flagged as a violation.
@@ -49,8 +49,7 @@ def observable_from_state(psi0) -> np.ndarray:
     A +1 outcome means the system is still in ``psi0``, a -1 outcome that it
     has left it.  For |0> this is sigma_z, for |1> it is -sigma_z.
     """
-    psi0 = pure_state(psi0)
-    return 2.0 * np.outer(psi0, psi0.conj()) - IDENTITY_2
+    return 2.0 * pure_density(psi0) - IDENTITY_2
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class Evolution:
     omega: float
 
     def __post_init__(self):
-        if not 0.0 <= self.omega < math.inf:
+        if not 0.0 <= _real(self.omega, "omega") < math.inf:
             raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
 
     @property
@@ -85,7 +84,7 @@ class Schedule:
 
     def __post_init__(self):
         for name in ("t1", "t2", "t3"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(_real(getattr(self, name), name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.t1 <= self.t2 <= self.t3:
             raise ValueError(
@@ -113,27 +112,28 @@ class LGResult:
     k: float
 
 
-# The columns of a ``SweepResult``, in field order.
+# The columns of a ``SweepResult``, in field order; all but ``k`` are given.
 _COLUMNS = ("theta", "c12", "c23", "c13", "k")
 
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """K over theta as five read-only float columns of equal length, the one
-    validated record of every K the library returns: theta finite and >= 0,
-    |c| <= 1 + 1e-10 and k = c12 + c23 - c13 to 1e-12, checked once and
-    vectorised, naming the first bad value.  ``len``, integer indexing and
-    iteration give ``LGResult`` rows; a slice gives another ``SweepResult``.
+    validated record of every K the library returns: theta finite and >= 0
+    and |c| <= 1 + 1e-10, checked once and vectorised, naming the first bad
+    value, and k = c12 + c23 - c13, formed here (the one place K is formed)
+    from the checked columns.  ``len``, integer indexing and iteration give
+    ``LGResult`` rows; a slice gives another ``SweepResult``.
     """
 
     theta: np.ndarray
     c12: np.ndarray
     c23: np.ndarray
     c13: np.ndarray
-    k: np.ndarray
+    k: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in _COLUMNS:
+        for name in _COLUMNS[:-1]:
             column = np.array(_real(getattr(self, name), name))
             if column.ndim != 1 or len(column) != len(self.theta):
                 raise ValueError("sweep columns must be 1-d and of equal length")
@@ -144,15 +144,15 @@ class SweepResult:
         for name in ("c12", "c23", "c13"):
             column = getattr(self, name)
             _first_bad(f"|{name}| exceeds 1:", column, np.abs(column) <= 1.0 + 1e-10)
-        _first_bad("k is inconsistent with c12 + c23 - c13:", self.k,
-                   np.abs(self.k - (self.c12 + self.c23 - self.c13)) <= 1e-12)
+        object.__setattr__(self, "k", self.c12 + self.c23 - self.c13)
+        self.k.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.theta)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return SweepResult(*(getattr(self, name)[index] for name in _COLUMNS))
+            return SweepResult(*(getattr(self, name)[index] for name in _COLUMNS[:-1]))
         return LGResult(*(float(getattr(self, name)[index]) for name in _COLUMNS))
 
     def __iter__(self):
@@ -282,7 +282,7 @@ def _k_curve(rho_sys, obs, evo: Evolution, probe_eps: float, times) -> SweepResu
     _, (c12, c23, c13) = correlation_circuit(rho_sys, obs, evo, times[[0, 1, 0]],
                                              times[[1, 2, 2]], probe_eps)
     theta = evo.energy_gap * (times[1] - times[0])
-    return SweepResult(theta, c12, c23, c13, c12 + c23 - c13)
+    return SweepResult(theta, c12, c23, c13)
 
 
 def sweep(evo: Evolution, rho_sys, probe_eps: float, theta_min: float,
@@ -297,9 +297,9 @@ def sweep(evo: Evolution, rho_sys, probe_eps: float, theta_min: float,
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
-    if not 0.0 <= theta_min < math.inf:
+    if not 0.0 <= _real(theta_min, "theta_min") < math.inf:
         raise ValueError(f"theta_min must be finite and >= 0, got {theta_min!r}")
-    if not theta_min < theta_max < math.inf:
+    if not theta_min < _real(theta_max, "theta_max") < math.inf:
         raise ValueError(f"theta_max must be finite and > theta_min, "
                          f"got ({theta_min}, {theta_max})")
     if evo.omega <= 0.0:

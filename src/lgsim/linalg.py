@@ -5,8 +5,8 @@ states, gates and observables are 2x2 or 4x4 matrices.  The constructors
 ``operator``, ``unitary``, ``density`` and ``dichotomic_observable``, and
 ``_expm_terms`` for a generator and its phases, validate once, on entry into
 the library; Hermitian operands pass the one private ``_hermitian`` check,
-real ones (angles, times, tables) the one ``_real`` check, which rejects a
-complex input rather than dropping its imaginary part.
+real ones (angles, times, tables, scalar parameters) the one ``_real``
+check, which rejects a complex input rather than dropping its imaginary part.
 ``unitary``, ``density``, ``dichotomic_observable`` and the generator check
 ``_generator`` are memoized per process: after ``operator``'s shape and
 finite checks, each keys on the operand's complex bytes and shape in a
@@ -17,17 +17,16 @@ What is built from checked inputs, the exponential included, is not checked
 again, and the operations below assume valid inputs and stay pure.  Values
 are immutable by convention (the memoized checks return read-only arrays),
 so the whole module is safe for concurrent use.
-``_expm_terms`` is the one closed form of the exponential: weight columns
-over the fixed terms I and n.sigma, the form in which ``circuit`` executes
-stacked circuits without multiplying stacks of matrices, and
-``expm_hermitian`` is the sum of those columns.
+``_expm_terms`` is the one closed form of the exponential: two weight
+columns over the fixed terms I and n.sigma (zero for a multiple of I), the
+form in which ``circuit`` executes stacked circuits without multiplying
+stacks of matrices, and ``expm_hermitian`` is the sum of those columns.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 
 import numpy as np
 
@@ -177,7 +176,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"kron result dimension {n} exceeds the two-qubit register"
         )
-    # one broadcast product beats np.kron and einsum at these small sizes
+    # one broadcast product beats numpy's kron and einsum at these small sizes
     res = a[..., :, None, :, None] * b[..., None, :, None, :]
     return res.reshape(res.shape[:-4] + (n, n))
 
@@ -216,19 +215,19 @@ def expm_hermitian(h: np.ndarray, angle) -> np.ndarray:
 
 def _expm_terms(h: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
     """``expm_hermitian(h, angle)`` as ``(weights, terms)``: weights of shape
-    S + (B,) over B fixed 2x2 matrices, the exponential being
-    sum_b weights[..., b] terms[b].
+    S + (2,) over the two fixed 2x2 matrices I and n.sigma, the exponential
+    being weights[..., 0] I + weights[..., 1] n.sigma.
 
     Writing h = a0*I + a.sigma, the exponential is
-    exp(-i*angle*a0) * (cos(angle*|a|) I - i sin(angle*|a|) (a/|a|).sigma),
-    which is exact for a single qubit; no series or scaling-and-squaring is
-    involved.  So the terms are I and the unit axis (a/|a|).sigma, weighted
-    by exp(-i*angle*a0) cos(angle*|a|) and -i exp(-i*angle*a0) sin(angle*|a|);
-    for |a| = 0 the one term I carries the phase.  The generator must be
-    Hermitian, the angle real, angle*|a| and angle*a0 finite; |a| is taken
-    by ``math.hypot``, so the result is unitary to round-off, unchecked.
-    The generator check, a0, |a| and the read-only terms come from the
-    memoized ``_generator``, once per distinct generator.
+    exp(-i*angle*a0) * (cos(angle*|a|) I - i sin(angle*|a|) n.sigma) with the
+    unit axis n = a/|a|, which is exact for a single qubit; no series or
+    scaling-and-squaring is involved.  The weights are
+    exp(-i*angle*a0) cos(angle*|a|) and -i exp(-i*angle*a0) sin(angle*|a|);
+    for |a| = 0 the axis term is the zero matrix and its weight zero.  The
+    generator must be Hermitian, the angle real, angle*|a| and angle*a0
+    finite; |a| is taken by ``math.hypot``, so the result is unitary to
+    round-off, unchecked.  The generator check, a0, |a| and the read-only
+    terms come from the memoized ``_generator``, once per distinct generator.
     """
     _, a0, norm, terms = _generator(h)
     angle = _real(angle, "angle")
@@ -237,8 +236,6 @@ def _expm_terms(h: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(turn).all() and np.isfinite(shift).all()):
         raise ValueError("expm_hermitian needs finite angles, angle*|a| and angle*a0")
     phase = np.exp(-1j * shift)
-    if norm == 0.0:
-        return phase[..., None], terms
     weights = np.empty(phase.shape + (2,), dtype=complex)
     np.multiply(phase, np.cos(turn), out=weights[..., 0])
     np.multiply(-1j * phase, np.sin(turn), out=weights[..., 1])
@@ -249,7 +246,7 @@ def _expm_terms(h: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
 def _generator(h: np.ndarray):
     """The checked 2x2 Hermitian generator h = a0*I + a.sigma of
     ``_expm_terms``, as ``(h, a0, |a|, terms)``: h read-only, and the
-    read-only fixed terms, I and the unit axis (a/|a|).sigma, or I alone
+    read-only fixed terms I and the unit axis (a/|a|).sigma, the zero matrix
     for |a| = 0.  a0 or |a| may overflow to inf (the axis is then NaN),
     which every phase then rejects."""
     _hermitian(h, "generator", 2)
@@ -258,12 +255,8 @@ def _generator(h: np.ndarray):
         a0 = (h[0, 0].real + h[1, 1].real) / 2.0
         az = (h[0, 0].real - h[1, 1].real) / 2.0
         norm = math.hypot(ax, ay, az)
-        if norm == 0.0:
-            terms = IDENTITY_2[None]
-        else:
-            terms = np.empty((2, 2, 2), dtype=complex)
-            terms[0] = IDENTITY_2
-            terms[1] = (ax / norm) * SIGMA_X + (ay / norm) * SIGMA_Y + (az / norm) * SIGMA_Z
+        ax, ay, az = (x / (norm or 1.0) for x in (ax, ay, az))
+        terms = np.stack((IDENTITY_2, ax * SIGMA_X + ay * SIGMA_Y + az * SIGMA_Z))
     terms.flags.writeable = False
     return h, a0, norm, terms
 
@@ -290,21 +283,17 @@ def overlap_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
     Defined for any pair of nonzero Hermitian matrices, in particular for
     traceless deviation matrices where state fidelities do not apply.  The
-    value lies in [-1, 1].
+    value lies in [-1, 1] at any scale: Tr(ab) = sum Re a_ij Re b_ij +
+    Im a_ij Im b_ij is taken over the parts of each operand divided by its
+    largest |part|, so each Tr(m^2) lies in [1, 32].
     """
     a = _hermitian(operator(a), "overlap_fidelity a")
     b = _hermitian(operator(b), "overlap_fidelity b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        na, nb = np.trace(a @ a).real, np.trace(b @ b).real
-        squares = float(na * nb)
-    if not math.isfinite(squares):
-        raise ValueError(f"overlap_fidelity overflows: Tr(a^2) Tr(b^2) = {squares!r}")
-    if na <= 0.0 or nb <= 0.0:
+    a, b = (np.ascontiguousarray(m).view(float) for m in (a, b))  # Re, Im pairs
+    scale_a, scale_b = abs(a).max(), abs(b).max()
+    if scale_a == 0.0 or scale_b == 0.0:
         raise ValueError("overlap_fidelity is undefined for a zero matrix")
-    if squares >= sys.float_info.min:
-        norm = math.sqrt(squares)
-    else:  # the product underflowed (lost digits or became 0), the factors not
-        norm = math.sqrt(na) * math.sqrt(nb)
-    return float(np.trace(a @ b).real / norm)
+    a, b = a / scale_a, b / scale_b
+    return float(np.vdot(a, b) / math.sqrt(np.vdot(a, a) * np.vdot(b, b)))

@@ -43,11 +43,11 @@ class T2Config:
     duration: float
 
     def __post_init__(self):
-        if not self.t2_probe > 0.0:
+        if not _real(self.t2_probe, "t2_probe") > 0.0:
             raise ValueError(f"t2_probe must be positive, got {self.t2_probe}")
-        if not self.t2_system > 0.0:
+        if not _real(self.t2_system, "t2_system") > 0.0:
             raise ValueError(f"t2_system must be positive, got {self.t2_system}")
-        if not 0.0 <= self.duration < math.inf:
+        if not 0.0 <= _real(self.duration, "duration") < math.inf:
             raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
 
 
@@ -67,7 +67,7 @@ def t2_dephase(rho: np.ndarray, cfg: T2Config) -> np.ndarray:
     f_system = math.exp(-cfg.duration / cfg.t2_system)
     one = np.array([[1.0, f_probe], [f_probe, 1.0]])
     two = np.array([[1.0, f_system], [f_system, 1.0]])
-    return rho * np.kron(one, two)
+    return rho * kron(one, two)
 
 
 def k_attenuation_check(
@@ -84,7 +84,7 @@ def k_attenuation_check(
 
     The ideal signals and the reference come off the circuit's terms; only
     the dephased half forms states.  Both K are the ``k`` column of a
-    two-row ``SweepResult``, which checks them.
+    two-row ``SweepResult``, formed there from the checked correlators.
 
     Returns ``(k_ideal, k_noisy)``.
     """
@@ -101,7 +101,7 @@ def k_attenuation_check(
     dephased = t2_dephase(run(Circuit(gates[:-1]), rho_in), cfg)
     noisy = expect_probe_z(run(Circuit(gates[-1:]), dephased))
     c12, c23, c13 = (np.stack((ideal, noisy)) / _check_reference(reference)).T
-    return tuple(SweepResult((theta, theta), c12, c23, c13, c12 + c23 - c13).k.tolist())
+    return tuple(SweepResult((theta, theta), c12, c23, c13).k.tolist())
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class ReadoutNoise:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < math.inf:
+        if not 0.0 <= _real(self.sigma, "sigma") < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Z, TRACE_TOL, dagger, expm_hermitian,
-                     operator)
+from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Z, TRACE_TOL, _real, dagger,
+                     expm_hermitian, operator)
 from .linalg import density  # noqa: F401  (still importable from here)
 
 
@@ -25,7 +25,7 @@ def pure_state(amplitudes) -> np.ndarray:
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if psi.shape != (2,):
         raise ValueError(f"pure state needs exactly 2 amplitudes, got {psi.shape}")
-    if not np.all(np.isfinite(psi.real)) or not np.all(np.isfinite(psi.imag)):
+    if not np.isfinite(psi).all():
         raise ValueError("state amplitudes must be finite")
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > TRACE_TOL:
@@ -50,7 +50,7 @@ def maximally_mixed() -> np.ndarray:
 
 def classical_mixture(p0: float, p1: float) -> np.ndarray:
     """Diagonal mixture p0 |0><0| + p1 |1><1|."""
-    if not (p0 >= 0.0 and p1 >= 0.0):
+    if not (_real(p0, "p0") >= 0.0 and _real(p1, "p1") >= 0.0):
         raise ValueError(f"populations must be non-negative, got ({p0}, {p1})")
     if abs(p0 + p1 - 1.0) > TRACE_TOL:
         raise ValueError(f"populations must sum to 1, got {p0 + p1!r}")
@@ -64,10 +64,9 @@ def pseudo_pure(epsilon: float, psi) -> np.ndarray:
     lie in (0, 1]: at 0 the probe carries no signal and every downstream
     normalization would divide by zero.
     """
-    if not 0.0 < epsilon <= 1.0:
+    if not 0.0 < _real(epsilon, "epsilon") <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    psi = pure_state(psi)
-    return (1.0 - epsilon) * IDENTITY_2 / 2.0 + epsilon * np.outer(psi, psi.conj())
+    return (1.0 - epsilon) * IDENTITY_2 / 2.0 + epsilon * pure_density(psi)
 
 
 def deviation(rho) -> np.ndarray:

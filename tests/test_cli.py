@@ -380,23 +380,34 @@ class TestMainExitCodes:
         assert main(["sweep", "--steps", "3"]) == EXIT_INVARIANT
         assert "invariant" in capsys.readouterr().err
 
-    # Warnings are errors here, so each case shows that the overflow behind
-    # the bad value leaves stderr to the invariant line: 2 theta in the sweep,
-    # the squared norms of overlap_fidelity past noise of about 1e154.
+    # Warnings are errors here, so the case shows that the overflow behind
+    # the bad value (2 theta in the sweep) leaves stderr to the invariant line.
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("args,message", [
         (["sweep", "--steps", "3", "--theta-max", "1e308"],
          "column 'k_analytic' is not finite: nan"),
-        (["tomography", "--noise-sigma", "1e200"],
-         "overlap_fidelity overflows: Tr(a^2) Tr(b^2) = nan"),
-        (["tomography", "--noise-sigma", "1e154"],
-         "overlap_fidelity overflows: Tr(a^2) Tr(b^2) = inf"),
     ])
     def test_non_finite_output_value_exits_1(self, args, message, fmt, capsys):
         assert main([*args, "--format", fmt]) == EXIT_INVARIANT
         captured = capsys.readouterr()
         assert captured.err == f"invariant failure: {message}\n"
         assert captured.out == ""
+
+    # Past noise of about 1e154 the squares of the noisy deviation matrix
+    # overflow; the overlap is scale-free, so the fidelity is printed, and
+    # noise this far above the signal gives the same value at every sigma.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("sigma", ["1e154", "1e200", "1e300"])
+    def test_tomography_noise_past_the_float_squares_exits_0(self, sigma, fmt, capsys):
+        assert main(["tomography", "--noise-sigma", sigma, "--format", fmt]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if fmt == "csv":
+            assert captured.out.splitlines()[-1] == "fidelity,-0.315282272"
+        else:
+            [fidelity] = [row["value"] for row in json.loads(captured.out)["rows"]
+                          if row["name"] == "fidelity"]
+            assert fidelity == -0.315282272
 
     @pytest.mark.parametrize("args", [
         ["sweep", "--steps", "3", "--theta-max", "1e308"],

@@ -268,6 +268,18 @@ def test_circuit_matches_oracle_at_any_omega(rho_sys, obs, omega, pair, eps):
     assert abs(normalized - correlation_oracle(rho_sys, obs, evo, *pair)) <= 1e-10
 
 
+@SETTINGS
+@given(rho_sys=qubit_states(), obs=direction.map(unit_observable), pair=times,
+       eps=epsilons)
+def test_circuit_matches_oracle_without_a_drive(rho_sys, obs, pair, eps):
+    """omega = 0 makes each free evolution exp(0) = I, whose axis term is
+    zero: every correlator of a dichotomic observable is then Tr[rho O O] = 1."""
+    evo = Evolution(0.0)
+    _, normalized = correlation_circuit(rho_sys, obs, evo, *pair, eps)
+    assert abs(normalized - correlation_oracle(rho_sys, obs, evo, *pair)) <= 1e-12
+    assert abs(normalized - 1.0) <= 1e-12
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     omega=omegas,
@@ -606,9 +618,19 @@ REAL_ENTRY_POINTS = {
     "max_disturbance": ("times", lambda z: max_disturbance(
         maximally_mixed(), SIGMA_Z, Evolution(1.0), [0.1, z])),
     "SweepResult": ("c23", lambda z: SweepResult(
-        theta=[0.0], c12=[0.5], c23=[z], c13=[-0.5], k=[1.5])),
+        theta=[0.0], c12=[0.5], c23=[z], c13=[-0.5])),
     "TomographyRecord": ("tomography coefficients",
                          lambda z: TomographyRecord(np.eye(4) * z)),
+    "build_scattering_circuit": ("theta_k", lambda z: build_scattering_circuit(
+        SIGMA_X, SIGMA_Z, z, 0.5)),
+    "pseudo_pure": ("epsilon", lambda z: pseudo_pure(z, KET0)),
+    "Evolution": ("omega", lambda z: Evolution(omega=z)),
+    "classical_mixture": ("p1", lambda z: classical_mixture(0.5, z)),
+    "T2Config": ("duration", lambda z: T2Config(3.0, 0.8, z)),
+    "ReadoutNoise": ("sigma", lambda z: ReadoutNoise(sigma=z, seed=1)),
+    "Schedule": ("t2", lambda z: Schedule(0.0, z, 1.0)),
+    "sweep": ("theta_max", lambda z: sweep(Evolution(1.0), maximally_mixed(), 1.0,
+                                           0.0, z, 3)),
 }
 
 
@@ -946,10 +968,15 @@ def test_stacked_circuits_equal_the_per_circuit_loop(shape, rng):
     assert_matches_the_loop(gates, random_density(rng, 4), shape)
 
 
-def test_stacked_evolve_of_a_multiple_of_the_identity_is_one_term(rng):
+def test_stacked_evolve_of_a_multiple_of_the_identity_has_a_zero_axis_term(rng):
+    """A multiple of I keeps the two weight columns of every ``Evolve``: its
+    axis term is the zero matrix, weighted by zero."""
     gate = Evolve(SYSTEM, 0.7 * IDENTITY_2, rng.uniform(-3.0, 3.0, 9))
     weights, fixed = gate.terms
-    assert weights.shape == (9, 1) and fixed.shape == (1, 4, 4)
+    assert weights.shape == (9, 2) and fixed.shape == (2, 4, 4)
+    np.testing.assert_array_equal(fixed[0], np.eye(4))
+    np.testing.assert_array_equal(fixed[1], np.zeros((4, 4)))
+    np.testing.assert_array_equal(weights[:, 1], 0.0)
     gates = (Hadamard(PROBE), gate, ControlledU(PROBE, SYSTEM, SIGMA_X), gate)
     assert_matches_the_loop(gates, random_density(rng, 4), (9,))
 

@@ -447,7 +447,7 @@ def columns(n, **overrides):
     """Valid sweep columns of length ``n`` (K = 1.5 throughout), with
     ``overrides`` replacing whole columns."""
     values = {"theta": np.linspace(0.0, 1.0, n), "c12": np.full(n, 0.5),
-              "c23": np.full(n, 0.5), "c13": np.full(n, -0.5), "k": np.full(n, 1.5)}
+              "c23": np.full(n, 0.5), "c13": np.full(n, -0.5)}
     values.update(overrides)
     return values
 
@@ -475,8 +475,6 @@ class TestSweepResult:
         ("c12", [0.5, 1.25, 0.5], r"\|c12\| exceeds 1: 1.25"),
         ("c23", [0.5, 0.5, math.nan], r"\|c23\| exceeds 1: nan"),
         ("c13", [-1.5, -0.5, -0.5], r"\|c13\| exceeds 1: -1.5"),
-        ("k", [1.5, 1.0, 1.5], "k is inconsistent with c12 \\+ c23 - c13: 1.0"),
-        ("k", [1.5, 1.5, math.nan], "k is inconsistent"),
         ("theta", [0.0, -math.inf, 1.0], "theta must be finite and >= 0, got -inf"),
         ("c12", [math.nan, 0.5, 0.5], r"\|c12\| exceeds 1: nan"),
         ("c13", [-0.5, math.nan, -0.5], r"\|c13\| exceeds 1: nan"),
@@ -486,13 +484,21 @@ class TestSweepResult:
         with pytest.raises(ValueError, match=message):
             SweepResult(**columns(3, **{name: column}))
 
-    def test_k_tolerance_matches_lg_result(self):
-        """k may differ from c12 + c23 - c13 by round-off, up to 1e-12."""
-        SweepResult(**columns(3, k=np.full(3, 1.5 + 5e-13)))
-        with pytest.raises(ValueError, match="inconsistent"):
-            SweepResult(**columns(3, k=np.full(3, 1.5 + 2e-12)))
+    @settings(max_examples=50, deadline=None)
+    @given(c=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_k_is_formed_from_the_correlators(self, c):
+        """k is bitwise c12 + c23 - c13 and read-only; it cannot be passed."""
+        c12, c23, c13 = (np.full(2, value) for value in c)
+        results = SweepResult(np.zeros(2), c12, c23, c13)
+        assert results.k.tobytes() == (c12 + c23 - c13).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            results.k[0] = 0.0
+        with pytest.raises(TypeError):
+            SweepResult(np.zeros(2), c12, c23, c13, k=c12 + c23 - c13)
+        with pytest.raises(TypeError):
+            SweepResult(np.zeros(2), c12, c23, c13, c12 + c23 - c13)
 
-    @pytest.mark.parametrize("override", [{"k": np.full(2, 1.5)},
+    @pytest.mark.parametrize("override", [{"c13": np.full(2, -0.5)},
                                           {"theta": np.zeros((3, 1))}])
     def test_rejects_ragged_or_stacked_columns(self, override):
         with pytest.raises(ValueError, match="1-d and of equal length"):
@@ -567,7 +573,7 @@ class TestFindViolations:
         n = len(mask)
         thetas = np.cumsum(steps[:n])
         ks = np.where(mask, 1.25, 0.75)
-        results = SweepResult(thetas, ks / 2, ks / 2, np.zeros(n), ks)
+        results = SweepResult(thetas, ks / 2, ks / 2, np.zeros(n))
 
         def k_fn(theta):  # a continuation crossing the bound in each gap
             return 1.0 + 0.25 * math.cos(7.0 * theta)

@@ -7,6 +7,8 @@ import threading
 import numpy as np
 import pytest
 from conftest import random_density, random_hermitian
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgsim import linalg
 from lgsim.linalg import (
@@ -227,6 +229,20 @@ class TestOverlapFidelity:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             overlap_fidelity(np.array([[0, 1], [0, 0]]), SIGMA_Z)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]),
+           s=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+           t=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+    def test_is_scale_free(self, seed, dim, s, t):
+        """Each operand is divided by its largest part, so no scale in
+        [1e-300, 1e300] overflows or underflows the squares."""
+        rng = np.random.default_rng(seed)
+        a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        assert abs(overlap_fidelity(s * a, t * b) - overlap_fidelity(a, b)) <= 1e-15
+        assert overlap_fidelity(a, a) == 1.0
+        assert overlap_fidelity(s * a, s * a) == 1.0
 
 
 class TestConstructors:
