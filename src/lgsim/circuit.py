@@ -49,6 +49,8 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+_PROBE_Z = kron(SIGMA_Z, IDENTITY_2)
+_PROBE_Y = kron(SIGMA_Y, IDENTITY_2)
 
 # The weight of a Hadamard or controlled gate: its one fixed matrix as it stands.
 _ONE = np.ones(1)
@@ -213,15 +215,15 @@ def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
     return v @ rho_in @ dagger(v)
 
 
-def _probe_signal(circuit: Circuit, rho_in: np.ndarray):
+def _probe_signal(circuit: Circuit, rho_in: np.ndarray, readout: np.ndarray = _PROBE_Z):
     """``(signal, reference)`` for one checked state, with no state formed.
-    The signal ``expect_probe_z(run(circuit, rho_in))`` is Re sum_bc w_b T_bc
-    conj(w_c) for V = sum_b w_b M_b and the fixed B^2 traces
-    T_bc = Tr[(sigma_z (x) I) M_b rho M_c+]; the reference is Re T_00, whose
-    M_0 (each gate's term 0) is the circuit at zero phases when B <= 16.
-    ``einsum`` sums the traces, so T_00 rounds alike on every BLAS kernel."""
+    The signal Re Tr[readout V rho V+] (``expect_probe_z(run(...))`` for the
+    default sigma_z (x) I) is Re sum_bc w_b T_bc conj(w_c) for V = sum_b w_b M_b
+    and the fixed traces T_bc = Tr[readout M_b rho M_c+]; the reference is
+    Re T_00, the circuit at zero phases when B <= 16 (M_0 is each gate's
+    term 0).  ``einsum`` sums the traces: T_00 rounds alike on every BLAS."""
     weights, fixed = _expand(circuit)
-    probed = (_PROBE_Z @ fixed @ rho_in).reshape(-1, 16)
+    probed = (readout @ fixed @ rho_in).reshape(-1, 16)
     traces = np.einsum("bi,ci->bc", probed, fixed.reshape(-1, 16).conj())
     value = np.einsum("...b,...b->...", weights @ traces, weights.conj()).real
     return (float(value) if value.ndim == 0 else value), float(traces[0, 0].real)
@@ -274,10 +276,6 @@ def scattering_gates(h: np.ndarray, obs: np.ndarray, theta_k, theta_m):
         controlled,
         Hadamard(PROBE),
     )
-
-
-_PROBE_Z = kron(SIGMA_Z, IDENTITY_2)
-_PROBE_Y = kron(SIGMA_Y, IDENTITY_2)
 
 
 def _probe_readout(rho: np.ndarray, probe_pauli: np.ndarray):

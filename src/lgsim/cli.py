@@ -93,11 +93,12 @@ class RunConfig:
             raise UsageError(f"--epsilon: must be in (0, 1], got {self.epsilon}")
         if self.theta_min < 0.0:
             raise UsageError(f"--theta-min: must be >= 0, got {self.theta_min}")
-        if not self.theta_min < self.theta_max:
-            raise UsageError(
-                "--theta-min/--theta-max: need min < max, "
-                f"got ({self.theta_min}, {self.theta_max})"
-            )
+        with np.errstate(over="ignore", invalid="ignore"):  # near the float limit
+            grid = np.linspace(self.theta_min, self.theta_max, self.steps)
+        if not (np.diff(grid) > 0.0).all():
+            raise UsageError("--theta-min/--theta-max: need min < max, with --steps "
+                             "distinct points between them, got "
+                             f"({self.theta_min}, {self.theta_max})")
         if self.t2_probe <= 0.0:
             raise UsageError(f"--t2-probe: must be > 0, got {self.t2_probe}")
         if self.t2_system <= 0.0:

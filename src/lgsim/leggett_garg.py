@@ -305,7 +305,8 @@ def sweep(evo: Evolution, rho_sys, probe_eps: float, theta_min: float,
     if evo.omega <= 0.0:
         raise ValueError("sweep needs omega > 0 to map theta onto a time spacing")
     obs = observable_from_state(KET0) if obs is None else obs
-    dt = np.linspace(theta_min, theta_max, steps) / evo.energy_gap
+    with np.errstate(over="ignore"):  # linspace's step overflows near the float limit
+        dt = np.linspace(theta_min, theta_max, steps) / evo.energy_gap
     return _k_curve(rho_sys, obs, evo, probe_eps, np.array([0.0, 1.0, 2.0])[:, None] * dt)
 
 

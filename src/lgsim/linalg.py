@@ -6,7 +6,7 @@ states, gates and observables are 2x2 or 4x4 matrices.  The constructors
 ``_expm_terms`` for a generator and its phases, validate once, on entry into
 the library; Hermitian operands pass the one private ``_hermitian`` check,
 real ones (angles, times, tables, scalar parameters) the one ``_real``
-check, which rejects a complex input rather than dropping its imaginary part.
+check, which passes only integer and float input, casting nothing else.
 ``unitary``, ``density``, ``dichotomic_observable`` and the generator check
 ``_generator`` are memoized per process: after ``operator``'s shape and
 finite checks, each keys on the operand's complex bytes and shape in a
@@ -79,13 +79,13 @@ def _register(rho, what: str, *, stack: bool = True) -> np.ndarray:
     return rho
 
 
-def _real(values, what: str) -> np.ndarray:
-    """``values`` as a float array; a complex input raises ValueError naming
-    ``what`` rather than losing its imaginary part."""
+def _real(values, what: str):
+    """``values`` as floats, a NumPy float for a number or a 0-d input; any but
+    integer or float input (complex, bool, text) raises ValueError naming ``what``."""
     values = np.asarray(values)
-    if values.dtype.kind == "c":
+    if values.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be real, got a {values.dtype} input")
-    return values.astype(float, copy=False)
+    return values.astype(float, copy=False)[()]
 
 
 def _memo(check):

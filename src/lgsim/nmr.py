@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _probe_signal, expect_probe_z, run, scattering_gates
-from .leggett_garg import (Evolution, SweepResult, _check_reference, _probe_register,
-                           observable_from_state)
+from .circuit import Circuit, _probe_signal, scattering_gates
+from .leggett_garg import SweepResult, _check_reference, _probe_register
 from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _real, _register,
                      is_hermitian, kron, overlap_fidelity)
-from .states import KET0, deviation, maximally_mixed
+from .states import deviation, maximally_mixed
 
 PAULI_LABELS = ("I", "x", "y", "z")
 _PAULIS = np.stack((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z))
@@ -59,8 +58,9 @@ def t2_dephase(rho: np.ndarray, cfg: T2Config) -> np.ndarray:
     exp(-duration/t2_system); elements off-diagonal in both wires pick up the
     product.  Diagonal entries (populations) are untouched, so trace and
     Hermiticity are preserved exactly, and applying the channel twice with
-    duration d equals applying it once with 2d.  A stack of states, shaped
-    (..., 4, 4), is dephased state by state.
+    duration d equals applying it once with 2d.  The factor is real and
+    symmetric, so the channel is its own adjoint, Tr[A D(rho)] = Tr[D(A) rho],
+    and dephases a readout as a state.  A stack (..., 4, 4) is dephased state by state.
     """
     rho = _register(rho, "t2_dephase")
     f_probe = math.exp(-cfg.duration / cfg.t2_probe)
@@ -73,33 +73,33 @@ def t2_dephase(rho: np.ndarray, cfg: T2Config) -> np.ndarray:
 def k_attenuation_check(
     cfg: T2Config, theta: float, probe_eps: float = 1.0
 ) -> tuple[float, float]:
-    """K at one theta point, with and without dephasing before readout.
+    """K at one theta point of H = sigma_x and O = sigma_z (the observable of
+    |0>) on I/2, with and without dephasing before readout.
 
-    The channel is applied to the register state just before the closing
-    probe Hadamard of each correlator circuit, where the signal still lives
-    in the probe coherence; after that Hadamard the signal sits in
-    populations and phase damping could no longer touch it.  Both values are
-    normalized to the ideal reference, so the noisy/ideal ratio equals the
-    probe coherence factor exp(-duration/t2_probe).
+    The channel acts just before the closing probe Hadamard of each correlator
+    circuit, where the signal still lives in the probe coherence; after that
+    Hadamard the signal sits in populations and phase damping could no longer
+    touch it.  Both values are normalized to the ideal reference, so the
+    noisy/ideal ratio equals the probe coherence factor exp(-duration/t2_probe).
 
-    The ideal signals and the reference come off the circuit's terms; only
-    the dephased half forms states.  Both K are the ``k`` column of a
-    two-row ``SweepResult``, formed there from the checked correlators.
+    Both halves are read off the traces of ``circuit._probe_signal``, forming
+    no state: the dephased signals off the first five gates, read by the
+    dephased sigma_x (x) I (the Hadamard turns sigma_z into sigma_x, and the
+    channel is its own adjoint).  Both K are the ``k`` column of a two-row
+    ``SweepResult``, formed there from the checked correlators.
 
     Returns ``(k_ideal, k_noisy)``.
     """
-    if not 0.0 <= theta < math.inf:
+    if not 0.0 <= _real(theta, "theta") < math.inf:
         raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
-    evo = Evolution(omega=1.0)
-    obs = observable_from_state(KET0)
     rho_in = _probe_register(maximally_mixed(), probe_eps)
-    h, dt = evo.hamiltonian, theta / evo.energy_gap
+    dt = theta / 2.0  # the energy gap of sigma_x is 2
 
     # the three correlators of the (0, dt, 2dt) schedule, theta = gap * dt
-    gates = scattering_gates(h, obs, (0.0, dt, 0.0), (dt, 2.0 * dt, 2.0 * dt))
+    gates = scattering_gates(SIGMA_X, SIGMA_Z, (0.0, dt, 0.0), (dt, 2.0 * dt, 2.0 * dt))
     ideal, reference = _probe_signal(Circuit(gates), rho_in)
-    dephased = t2_dephase(run(Circuit(gates[:-1]), rho_in), cfg)
-    noisy = expect_probe_z(run(Circuit(gates[-1:]), dephased))
+    noisy, _ = _probe_signal(Circuit(gates[:-1]), rho_in,
+                             t2_dephase(_PAULI_BASIS[1, 0], cfg))
     c12, c23, c13 = (np.stack((ideal, noisy)) / _check_reference(reference)).T
     return tuple(SweepResult((theta, theta), c12, c23, c13).k.tolist())
 

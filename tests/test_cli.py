@@ -393,6 +393,34 @@ class TestMainExitCodes:
         assert captured.err == f"invariant failure: {message}\n"
         assert captured.out == ""
 
+    # Warnings are errors here, as in CI.  np.linspace(0, 5e-324, 5) is
+    # 0, 0, 0, 5e-324, 5e-324: the SVG scale divided by a zero span, and the
+    # CSV printed repeated theta rows.
+    @pytest.mark.parametrize("command", ["sweep", "correlations"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_a_grid_with_repeated_thetas_exits_2(self, command, fmt, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        args = [command, "--theta-max", "5e-324", "--steps", "5", "--format", fmt]
+        assert main([*args, "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: --theta-min/--theta-max: need min < max, with --steps distinct "
+            "points between them, got (0.0, 5e-324)\n")
+        assert not out.exists()
+
+    # linspace's step overflows on the way to a finite grid up to the float maximum
+    @pytest.mark.parametrize("command", ["sweep", "correlations"])
+    def test_a_grid_up_to_the_float_maximum_warns_nothing(self, command, capsys):
+        args = ["--theta-min", "2", "--theta-max", "1.7976931348623157e308",
+                "--steps", "7"]
+        code = main([command, *args])
+        captured = capsys.readouterr()
+        if command == "correlations":
+            assert (code, captured.err) == (EXIT_OK, "")
+            assert len(captured.out.splitlines()) == 8
+        else:  # 2 theta overflows in k_analytic, as the cli docstring documents
+            assert (code, captured.err) == (
+                EXIT_INVARIANT, "invariant failure: column 'k_analytic' is not finite: nan\n")
+
     # Past noise of about 1e154 the squares of the noisy deviation matrix
     # overflow; the overlap is scale-free, so the fidelity is printed, and
     # noise this far above the signal gives the same value at every sigma.

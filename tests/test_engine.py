@@ -64,6 +64,7 @@ from lgsim.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     _expm_terms,
+    _real,
     density,
     dichotomic_observable,
     expm_hermitian,
@@ -459,6 +460,16 @@ def test_k_value_and_correlator_run_one_stack_and_one_reference(engine_calls):
     assert len(engine_calls["run"]) == 0
 
 
+def test_noise_check_reads_both_halves_off_the_traces(engine_calls):
+    """The ideal signals and reference in one ``_probe_signal`` call, the
+    dephased signals in a second one on the first five gates, read by the
+    dephased sigma_x (x) I; no output state is formed (a ``run`` on those
+    gates and one on the closing Hadamard when the dephased half did)."""
+    k_attenuation_check(T2Config(3.0, 0.8, 0.01), math.pi / 3)
+    assert len(engine_calls["_probe_signal"]) == 2
+    assert len(engine_calls["run"]) == 0
+
+
 def test_each_correlator_call_builds_its_gates_once(monkeypatch):
     """One ``scattering_gates`` call per correlator, k_value, noise check
     and sweep, whose one (3, steps) stack holds all three correlators: the
@@ -546,6 +557,29 @@ def test_probe_readout_equals_the_trace_of_the_output_states(h, obs, rho_sys, ep
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
+@SETTINGS
+@given(t2_probe=st.floats(0.05, 5.0), t2_system=st.floats(0.05, 5.0),
+       duration=st.floats(0.0, 2.0), theta=st.floats(0.0, 2 * math.pi), eps=epsilons)
+def test_dephased_readout_equals_the_dephased_state(t2_probe, t2_system, duration,
+                                                    theta, eps):
+    """The dephased signals read off the first five gates' traces by the
+    dephased sigma_x (x) I equal <sigma_z> of the probe after the closing
+    Hadamard on the dephased states ``run`` forms (the channel is its own
+    adjoint), and ``k_attenuation_check``'s noisy K is theirs."""
+    cfg = T2Config(t2_probe, t2_system, duration)
+    rho_in = kron(pseudo_pure(eps, KET0), maximally_mixed())
+    dt = theta / 2.0
+    gates = scattering_gates(SIGMA_X, SIGMA_Z, (0.0, dt, 0.0), (dt, 2 * dt, 2 * dt))
+    dephased = t2_dephase(run(Circuit(gates[:-1]), rho_in), cfg)
+    want = expect_probe_z(run(Circuit(gates[-1:]), dephased))
+    got, _ = _probe_signal(Circuit(gates[:-1]), rho_in,
+                           t2_dephase(kron(SIGMA_X, IDENTITY_2), cfg))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    c12, c23, c13 = want / _probe_signal(Circuit(gates), rho_in)[1]
+    # the readouts' round-off, about 1e-15, is divided by the reference eps
+    assert abs(k_attenuation_check(cfg, theta, eps)[1] - (c12 + c23 - c13)) <= 1e-14 / eps
+
+
 def test_t2_dephase_broadcasts_over_a_stack(rng):
     cfg = T2Config(t2_probe=2.0, t2_system=0.5, duration=0.04)
     stack = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
@@ -620,13 +654,15 @@ REAL_ENTRY_POINTS = {
     "SweepResult": ("c23", lambda z: SweepResult(
         theta=[0.0], c12=[0.5], c23=[z], c13=[-0.5])),
     "TomographyRecord": ("tomography coefficients",
-                         lambda z: TomographyRecord(np.eye(4) * z)),
+                         lambda z: TomographyRecord(np.diag([1.0, z, z, z]))),
     "build_scattering_circuit": ("theta_k", lambda z: build_scattering_circuit(
         SIGMA_X, SIGMA_Z, z, 0.5)),
     "pseudo_pure": ("epsilon", lambda z: pseudo_pure(z, KET0)),
     "Evolution": ("omega", lambda z: Evolution(omega=z)),
     "classical_mixture": ("p1", lambda z: classical_mixture(0.5, z)),
     "T2Config": ("duration", lambda z: T2Config(3.0, 0.8, z)),
+    "k_attenuation_check": ("theta", lambda z: k_attenuation_check(
+        T2Config(3.0, 0.8, 0.01), z)),
     "ReadoutNoise": ("sigma", lambda z: ReadoutNoise(sigma=z, seed=1)),
     "Schedule": ("t2", lambda z: Schedule(0.0, z, 1.0)),
     "sweep": ("theta_max", lambda z: sweep(Evolution(1.0), maximally_mixed(), 1.0,
@@ -644,6 +680,46 @@ def test_real_entry_points_reject_a_complex_input(entry, z):
     name, call = REAL_ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be real, got a complex"):
         call(z)
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+@pytest.mark.parametrize("z", ["0.5", np.str_("0.5"), np.array("0.5"), b"0.5"],
+                         ids=["python", "numpy-scalar", "array", "bytes"])
+def test_real_entry_points_reject_a_text_input(entry, z):
+    """Text is refused, naming the operand, where numpy's cast would parse
+    it as a number; a door mixing it with floats gets a text array."""
+    name, call = REAL_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be real, got a [<|]?[US]"):
+        call(z)
+
+
+# The doors that hand ``z`` on alone: numpy reads ``[0.1, True]`` and the
+# oracle's time pair ``(True, 0.1)`` as floats, and ``np.diag`` a diagonal
+# of 1.0 and True too.
+SCALAR_DOORS = sorted(set(REAL_ENTRY_POINTS) - {
+    "Evolve", "max_disturbance", "TomographyRecord", "correlation_oracle"})
+
+
+@pytest.mark.parametrize("entry", SCALAR_DOORS)
+@pytest.mark.parametrize("z", [True, np.bool_(False), np.array(True)],
+                         ids=["python", "numpy-scalar", "array"])
+def test_scalar_doors_reject_a_bool(entry, z):
+    name, call = REAL_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be real, got a bool input"):
+        call(z)
+
+
+@pytest.mark.parametrize("z", [1.5, 3, np.array(1.5), np.int64(3), np.float32(1.5)])
+def test_real_gives_a_numpy_float_for_a_number(z):
+    assert type(_real(z, "x")) is np.float64
+    assert _real(z, "x") == z
+
+
+@pytest.mark.parametrize("z", [[0.1, 2], np.arange(3), np.ones((2, 0))])
+def test_real_gives_a_float_array_for_an_array(z):
+    got = _real(z, "x")
+    assert type(got) is np.ndarray and got.dtype == float
+    np.testing.assert_array_equal(got, z)
 
 
 @SETTINGS
@@ -764,7 +840,8 @@ def counting_everywhere(name, monkeypatch) -> list:
     """``counting`` of ``name`` in each lgsim module that holds it, into one
     list."""
     calls = []
-    for module in (lgsim.linalg, lgsim.states, lgsim.circuit, lgsim.leggett_garg):
+    for module in (lgsim.linalg, lgsim.states, lgsim.circuit, lgsim.leggett_garg,
+                   lgsim.nmr):
         if hasattr(module, name):
             counting(module, name, monkeypatch, calls)
     return calls

@@ -596,6 +596,14 @@ class TestFindViolations:
         results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 1e-9, 2)
         assert find_violations(results) == []
 
+    def test_guard_band_spares_a_k_just_above_the_bound(self):
+        """The only K above 1 is 1 + 1e-13, at the last grid point: inside
+        the 1e-12 guard band, so no interval is reported."""
+        c23 = np.array([0.5, 0.4, 0.3, 0.2, 0.5 + 1e-13])
+        results = SweepResult(np.linspace(0.0, 1.0, 5), np.full(5, 0.5), c23, np.zeros(5))
+        assert (results.k[:-1] <= 1.0).all() and results.k[-1] > 1.0
+        assert find_violations(results) == []
+
     def test_refinement_stops_at_adjacent_floats(self):
         """Near theta = 1e7 adjacent floats lie about 1.9e-9 apart, farther
         than the 1e-9 tolerance, so bisection ends at an adjacent pair."""

@@ -270,6 +270,16 @@ class TestConstructors:
         with pytest.raises(ValueError, match="negative"):
             density(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_density_rejects_an_eigenvalue_just_past_the_slack(self):
+        """-1e-8 lies 100x beyond the 1e-10 round-off slack."""
+        with pytest.raises(ValueError, match="negative eigenvalue -1.000e-08"):
+            density(np.diag([1.0 + 1e-8, -1e-8]))
+
+    def test_dichotomic_observable_rejects_a_square_just_off_the_identity(self):
+        """O^2 - I of about 1e-9, 1000x the 1e-12 tolerance."""
+        with pytest.raises(ValueError, match="dichotomic"):
+            dichotomic_observable(np.diag([1.0, -(1.0 + 5e-10)]))
+
 
 def _checks(rng):
     """Each memoized check with an operand it accepts."""
