@@ -7,21 +7,25 @@ exp(-i*phase*h) on one wire, and a controlled unitary between the wires.
 Running a circuit conjugates the input density matrix by the ordered product
 of the embedded 4x4 gate unitaries.  Gates validate on construction and keep
 what they built from the checked operands, read-only: an ``Evolve`` a copy
-of its generator, a ``ControlledU`` of its unitary, every gate its embedding
-as ``terms``.
+of its generator and its checked angles, a ``ControlledU`` of its unitary,
+every gate its embedding as ``terms``.
 ``circuit_unitary`` and ``run`` trust them and check nothing again.
 
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
 then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
 S + (4, 4) and the readouts shape S.  Each gate keeps its embedding as
-``terms``, a weighted sum of fixed 4x4 matrices: every ``Evolve`` keeps two
-weight columns over I and n.sigma (``linalg._expm_terms``), every other gate
-one fixed matrix of weight 1.  A circuit is then the sum over products of one
-term per gate, whose B <= 16 fixed matrices are multiplied once each whatever
-the stack size, and whose weights are products of columns;
-``circuit_unitary`` is one (S, B) x (B, 16) gemm.  ``run`` conjugates the
-input by that unitary; the correlators form no state: ``_probe_signal``
-reads the signal and the zero-time reference off one matrix of traces.
+``terms``, a weighted sum of fixed 4x4 matrices: every ``Evolve`` two
+complex weight columns over I and n.sigma (``linalg._expm_weights``), every
+other gate one fixed matrix of weight 1.  A circuit is then the sum over
+products of one term per gate, whose B <= 16 fixed matrices are multiplied
+once each whatever the stack size, and whose weights are products of
+columns; ``circuit_unitary`` is one (S, B) x (B, 16) gemm.  ``run``
+conjugates the input by that unitary.
+
+The correlators form no state and no product of weights: ``_probe_signal``
+reads each ``Evolve`` through the three real columns of its pair weights
+w_b conj(w_c) (``pairs``), for the scattering circuit by a 3x3 real matrix
+and one real bilinear form over the stacks.
 
 The probe readout of the interferometer built by ``build_scattering_circuit``
 returns Re Tr[rho_sys O(t_m) O(t_k)]: a Hadamard splits the probe, the two
@@ -32,14 +36,15 @@ Hadamard maps the accumulated relative phase onto <sigma_z> of the probe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _expm_terms, _generator, _real,
-                     _register, dagger, dichotomic_observable, expm_hermitian, kron,
-                     unitary)
+from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _expm_weights, _generator,
+                     _pair_weights, _real, _register, _turns, dagger, dichotomic_observable,
+                     expm_hermitian, kron, unitary)
 
 PROBE = "probe"
 SYSTEM = "system"
@@ -56,6 +61,12 @@ _PROBE_Y = kron(SIGMA_Y, IDENTITY_2)
 _ONE = np.ones(1)
 # The 16 matrix units of the 4x4 operator space, as fixed matrices.
 _UNITS = np.eye(16, dtype=complex).reshape(16, 4, 4)
+# The 32 real units E_ij and i E_ij: any 4x4 matrix with real weights.
+_REAL_UNITS = np.concatenate((_UNITS, 1j * _UNITS))
+# An Evolve's pair weights w_b conj(w_c) in its 2-term index (b, c) are
+# sum_a u_a P_a over its real pair columns u (``linalg._pair_weights``) and
+# these P_a; at zero phase u = (1, 0, 0).
+_PAIR_BASIS = np.stack((_P0, _P1, -SIGMA_Y))
 
 
 def _check_wire(wire: str) -> None:
@@ -73,13 +84,12 @@ def _on_wire(wire: str, one_wire: np.ndarray) -> np.ndarray:
 _HADAMARD_ON = {wire: _on_wire(wire, HADAMARD[None]) for wire in WIRES}
 
 
-def _keep(gate, weights: np.ndarray, fixed: np.ndarray) -> None:
-    """Set the gate's ``terms``, read-only: its embedding is
-    sum_b weights[..., b] fixed[b], weights of the gate's stack shape
-    S + (B,) over B fixed 4x4 matrices."""
+def _read_only(weights: np.ndarray, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A gate's ``terms``, read-only: sum_b weights[..., b] fixed[b], weights
+    of the gate's stack shape S + (B,) over B fixed 4x4 matrices."""
     for array in (weights, fixed):
         array.flags.writeable = False
-    object.__setattr__(gate, "terms", (weights, fixed))
+    return weights, fixed
 
 
 @dataclass(frozen=True)
@@ -89,33 +99,50 @@ class Hadamard:
 
     def __post_init__(self):
         _check_wire(self.wire)
-        _keep(self, _ONE, _HADAMARD_ON[self.wire])
+        object.__setattr__(self, "terms", _read_only(_ONE, _HADAMARD_ON[self.wire]))
 
 
 @dataclass(frozen=True, eq=False)
 class Evolve:
     """Free evolution exp(-i * phase * hamiltonian) on one wire (``phase``
     may be an array: a stack of gates).  Construction checks
-    ``hamiltonian`` and ``phase`` as ``expm_hermitian`` does, keeps the
-    generator as the read-only copy that check returns, and an array phase
-    as a read-only float copy, so later writes to the caller's arrays cannot
-    reach the gate; its ``terms`` are the two weight columns of
-    ``linalg._expm_terms`` for any phase or generator: I and n.sigma."""
+    ``hamiltonian`` and ``phase`` (a number too) as ``expm_hermitian`` does,
+    naming ``phase``, and keeps the generator as the read-only copy that
+    check returns and an array phase as a read-only float copy, so later
+    writes to the caller's arrays cannot reach the gate.  Its two fixed
+    terms, I and n.sigma embedded, carry two weightings: ``pairs``, the real
+    columns of ``linalg._pair_weights`` (shape (3,) + S, over
+    ``_PAIR_BASIS``), which the probe readout forms; ``terms``, the complex
+    columns of ``linalg._expm_weights`` (shape S + (2,)), formed when
+    ``_expand`` first asks."""
 
     wire: str
     hamiltonian: np.ndarray
     phase: float | np.ndarray
-    terms: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _angles: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _fixed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_wire(self.wire)
-        h = _generator(self.hamiltonian)[0]
+        h, a0, norm, one_wire = _generator(self.hamiltonian)
         object.__setattr__(self, "hamiltonian", h)
+        phase = _real(self.phase, "phase")
         if not isinstance(self.phase, (int, float)):  # an array: keep a copy
-            object.__setattr__(self, "phase", np.array(_real(self.phase, "phase")))
-            self.phase.flags.writeable = False
-        weights, one_wire = _expm_terms(h, self.phase)
-        _keep(self, weights, _on_wire(self.wire, one_wire))
+            phase = np.array(phase)
+            phase.flags.writeable = False
+            object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "_angles", _turns(phase, a0, norm))
+        fixed = _on_wire(self.wire, one_wire)
+        fixed.flags.writeable = False
+        object.__setattr__(self, "_fixed", fixed)
+
+    @property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return _pair_weights(self._angles[0]), self._fixed
+
+    @functools.cached_property
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        return _read_only(_expm_weights(*self._angles), self._fixed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +167,7 @@ class ControlledU:
             embedded = kron(_P0, IDENTITY_2) + kron(_P1, u)
         else:
             embedded = kron(IDENTITY_2, _P0) + kron(u, _P1)
-        _keep(self, _ONE, embedded[None])
+        object.__setattr__(self, "terms", _read_only(_ONE, embedded[None]))
 
 
 Gate = Hadamard | Evolve | ControlledU
@@ -216,17 +243,90 @@ def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
 
 
 def _probe_signal(circuit: Circuit, rho_in: np.ndarray, readout: np.ndarray = _PROBE_Z):
-    """``(signal, reference)`` for one checked state, with no state formed.
+    """``(signal, reference)`` for one checked state, read off pair weights.
+
     The signal Re Tr[readout V rho V+] (``expect_probe_z(run(...))`` for the
-    default sigma_z (x) I) is Re sum_bc w_b T_bc conj(w_c) for V = sum_b w_b M_b
-    and the fixed traces T_bc = Tr[readout M_b rho M_c+]; the reference is
-    Re T_00, the circuit at zero phases when B <= 16 (M_0 is each gate's
-    term 0).  ``einsum`` sums the traces: T_00 rounds alike on every BLAS."""
-    weights, fixed = _expand(circuit)
-    probed = (readout @ fixed @ rho_in).reshape(-1, 16)
-    traces = np.einsum("bi,ci->bc", probed, fixed.reshape(-1, 16).conj())
-    value = np.einsum("...b,...b->...", weights @ traces, weights.conj()).real
-    return (float(value) if value.ndim == 0 else value), float(traces[0, 0].real)
+    default sigma_z (x) I) is Re sum_bc T_bc w_b conj(w_c) for V = sum_b w_b
+    M_b over the products M_b of one term per gate and the fixed traces
+    T_bc = Tr[readout M_b rho M_c+].  Each ``Evolve`` enters only through
+    its pairs w_b conj(w_c) = sum_a u_a P_a (its real ``pairs`` columns u and
+    ``_PAIR_BASIS``), so T is summed against the P_a once, whatever the stack
+    size, into real traces G, and G against every column in one ``einsum``:
+    for the scattering circuit a 3x3 G and one bilinear form over the stacks,
+    with no product of them formed.  The reference is G_0 = Re T_00, the
+    circuit at zero phases (every u = (1, 0, 0)) while nothing was folded:
+    past 16 products the states sum_bc P_a[b, c] M_b rho M_c+ are folded with
+    their columns into the real units, which then stand for rho.  Traces and
+    stacks are summed by ``einsum``, which rounds alike on every BLAS kernel.
+    """
+    if not circuit.gates:
+        raise ValueError("cannot execute an empty circuit")
+    inputs, fixed, columns = rho_in[None], None, []
+    for gate in circuit.gates:
+        if isinstance(gate, Evolve):
+            if fixed is not None and len(fixed) == len(_UNITS):
+                states = fixed[:, None] @ inputs[:, None, None] @ dagger(fixed)
+                columns = [_fold(columns, _pair_sum(states))]
+                inputs, fixed = _REAL_UNITS, None
+            u, m = gate.pairs
+            columns.append(u)
+        else:
+            m = gate.terms[1]
+        fixed = m if fixed is None else (m @ fixed[:, None]).reshape(-1, 4, 4)
+    probed = (readout @ fixed @ inputs[:, None]).reshape(len(inputs), len(fixed), 16)
+    traces = np.einsum("jbi,ci->jbc", probed, fixed.reshape(-1, 16).conj())
+    traces = _pair_sum(traces).real.ravel()
+    value = _contract(traces, columns)
+    return (float(value) if value.ndim == 0 else value), float(traces[0])
+
+
+def _pair_sum(pairs: np.ndarray) -> np.ndarray:
+    """sum_bc P_a[b, c] pairs[j, b, c, ...] over the 2**n products b and c of
+    one term per gate, a running over one ``_PAIR_BASIS`` index per two-term
+    gate in gate order: shape (J, 3**n, rest) for the trailing axes
+    flattened into one."""
+    inputs, products = pairs.shape[:2]
+    return np.einsum("ax,jxy->jay", _pair_basis(products.bit_length() - 1),
+                     pairs.reshape(inputs, products * products, -1))
+
+
+@functools.cache
+def _pair_basis(n: int) -> np.ndarray:
+    """The ``_PAIR_BASIS`` of n two-term gates, as a (3**n, 4**n) matrix from
+    the pair index a to the pair (b, c) of products, the first gate's the
+    slowest index of each; n <= 4, as the readout folds past 16 products."""
+    basis = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n):
+        a, p, q = basis.shape
+        basis = np.einsum("apq,brs->abprqs", basis, _PAIR_BASIS).reshape(3 * a, 2 * p, 2 * q)
+    basis = basis.reshape(len(basis), -1)
+    basis.flags.writeable = False
+    return basis
+
+
+def _fold(columns: list[np.ndarray], states: np.ndarray) -> np.ndarray:
+    """The weights, of shape (32,) + S, over the 32 real units ``_REAL_UNITS``
+    of sum_k (product of one entry per column) X_k for the flattened states
+    X_k of ``_pair_sum``, k running over the entries of the columns: the
+    columns multiplied out, stacks broadcasting, and contracted with the real
+    and imaginary parts of the X_k."""
+    weights = columns[0]
+    for u in columns[1:]:
+        weights = np.einsum("a...,b...->ab...", weights, u)
+        weights = weights.reshape((-1,) + weights.shape[2:])
+    flat = states.reshape(-1, 16)
+    return np.einsum("k...,kx->x...", weights, np.concatenate((flat.real, flat.imag), 1))
+
+
+def _contract(traces: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
+    """sum_k traces[k] prod_i columns[i][k_i] over the multi-index k of one
+    entry per column (the first column's the slowest), in one ``einsum``:
+    the stacks, which trail each column, broadcast, and no product of them
+    is formed."""
+    operands = [traces.reshape([len(u) for u in columns]), list(range(len(columns)))]
+    for axis, u in enumerate(columns):
+        operands += [u, [axis, ...]]
+    return np.einsum(*operands, [...])
 
 
 def build_scattering_circuit(

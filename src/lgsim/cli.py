@@ -25,8 +25,9 @@ notation, JSON as the same rounded numbers); a NaN or infinite value, or an
 SVG coordinate that overflows, exits 1 and writes nothing.
 
 Exit codes: 0 success, 1 internal invariant failure, 2 usage error (an
---epsilon too small to normalize by is one, and so is a --steps past a
-million), 3 I/O error.
+--epsilon too small to normalize by, or too small for tomography to tell
+the register from I/4, is one, and so is a --steps past a million), 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ import numpy as np
 from .leggett_garg import (Evolution, ReferenceVanished, SweepResult, _first_bad,
                            analytic_k, find_violations, max_disturbance,
                            observable_from_state, sweep)
-from .nmr import PAULI_LABELS, ReadoutNoise, T2Config, _tomography, k_attenuation_check
+from .nmr import (PAULI_LABELS, DeviationVanished, ReadoutNoise, T2Config, _tomography,
+                  k_attenuation_check)
 from .states import KET0, classical_mixture, maximally_mixed, pure_density
 
 EXIT_OK = 0
@@ -481,7 +483,7 @@ def run_command(cfg: RunConfig) -> int:
             payload = emit_json(cfg, header, columns)
         else:
             payload = emit_svg(cfg, results)
-    except ReferenceVanished as exc:
+    except (ReferenceVanished, DeviationVanished) as exc:
         print(f"error: --epsilon: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:

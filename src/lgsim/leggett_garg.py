@@ -196,10 +196,11 @@ def correlation_oracle(rho_sys, obs, evo: Evolution, t_k: float, t_m: float) -> 
 
     This is the brute-force route the circuit is checked against; it never
     touches the probe or the circuit machinery: one ``heisenberg_observable``
-    call at both times.
+    call at both times, each checked as its time ``t`` on its own first.
     """
     rho_sys = density(rho_sys)
-    later, earlier = heisenberg_observable(obs, evo, (t_m, t_k))
+    times = (_real(t_m, "t"), _real(t_k, "t"))
+    later, earlier = heisenberg_observable(obs, evo, times)
     return float(np.trace(rho_sys @ (later @ earlier)).real)
 
 

@@ -21,6 +21,9 @@ so the whole module is safe for concurrent use.
 columns over the fixed terms I and n.sigma (zero for a multiple of I), the
 form in which ``circuit`` executes stacked circuits without multiplying
 stacks of matrices, and ``expm_hermitian`` is the sum of those columns.
+``_turns`` checks a phase against a generator and ``_expm_weights`` gives
+those columns; ``_pair_weights`` gives the real columns of their pairs
+w w+, all a probe readout needs.
 """
 
 from __future__ import annotations
@@ -221,25 +224,49 @@ def _expm_terms(h: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
     Writing h = a0*I + a.sigma, the exponential is
     exp(-i*angle*a0) * (cos(angle*|a|) I - i sin(angle*|a|) n.sigma) with the
     unit axis n = a/|a|, which is exact for a single qubit; no series or
-    scaling-and-squaring is involved.  The weights are
-    exp(-i*angle*a0) cos(angle*|a|) and -i exp(-i*angle*a0) sin(angle*|a|);
-    for |a| = 0 the axis term is the zero matrix and its weight zero.  The
-    generator must be Hermitian, the angle real, angle*|a| and angle*a0
-    finite; |a| is taken by ``math.hypot``, so the result is unitary to
-    round-off, unchecked.  The generator check, a0, |a| and the read-only
-    terms come from the memoized ``_generator``, once per distinct generator.
+    scaling-and-squaring is involved.  The generator check, a0, |a| and the
+    read-only terms come from the memoized ``_generator``, once per distinct
+    generator; ``_turns`` checks the angle and ``_expm_weights`` evaluates
+    the weights.
     """
     _, a0, norm, terms = _generator(h)
-    angle = _real(angle, "angle")
+    return _expm_weights(*_turns(_real(angle, "angle"), a0, norm)), terms
+
+
+def _turns(angle, a0: float, norm: float):
+    """``(angle*|a|, angle*a0)`` for a real ``angle`` (checked by ``_real``)
+    of a generator with a0 and |a|; raises unless both are finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range
         turn, shift = angle * norm, angle * a0
     if not (np.isfinite(turn).all() and np.isfinite(shift).all()):
         raise ValueError("expm_hermitian needs finite angles, angle*|a| and angle*a0")
+    return turn, shift
+
+
+def _expm_weights(turn, shift) -> np.ndarray:
+    """The weights exp(-i*shift) cos(turn) and -i exp(-i*shift) sin(turn) of
+    I and n.sigma for the checked ``_turns``; for |a| = 0 the axis term is
+    the zero matrix, so its weight does not matter.  |a| is taken by
+    ``math.hypot``, so the exponential is unitary to round-off, unchecked."""
     phase = np.exp(-1j * shift)
     weights = np.empty(phase.shape + (2,), dtype=complex)
     np.multiply(phase, np.cos(turn), out=weights[..., 0])
     np.multiply(-1j * phase, np.sin(turn), out=weights[..., 1])
-    return weights, terms
+    return weights
+
+
+def _pair_weights(turn) -> np.ndarray:
+    """The pair weights of the exponential, as real columns of shape (3,) + S,
+    the pair index first.
+
+    For the weights w = exp(-i*shift) (cos(turn), -i sin(turn)) of
+    ``_expm_weights``, w w+ is cos^2(turn) E00 + sin^2(turn) E11 +
+    sin(turn) cos(turn) (-sigma_y) over the two terms: the columns are
+    (cos^2, sin^2, sin cos) of ``turn``, (1, 0, 0) at zero phase, and the
+    phase exp(-i*shift) of a0 drops out.
+    """
+    cos, sin = np.cos(turn), np.sin(turn)
+    return np.array((cos * cos, sin * sin, sin * cos))
 
 
 @_memo

@@ -176,13 +176,25 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     return np.einsum("ij,ijkl->kl", record.coefficients, _PAULI_BASIS) / 4.0
 
 
+class DeviationVanished(ValueError):
+    """A deviation matrix is zero: the probe's eps is too small."""
+
+
 def _tomography(probe_eps: float, noise: ReadoutNoise) -> tuple[TomographyRecord, float]:
     """Tomograph (pseudo-pure probe of polarization ``probe_eps``) (x) I/2
     with ``noise`` and reconstruct it: the record and the normalized
-    Hilbert-Schmidt overlap of the measured with the ideal deviation matrix."""
+    Hilbert-Schmidt overlap of the measured with the ideal deviation matrix.
+    Below an eps of about 1e-16 the register, or without noise its
+    reconstruction, rounds to I/4: a deviation matrix is exactly zero and
+    there is nothing to compare, ``DeviationVanished``."""
     rho = _probe_register(maximally_mixed(), probe_eps)
     record = tomograph(rho, noise)
-    return record, overlap_fidelity(deviation(reconstruct(record)), deviation(rho))
+    measured, ideal = deviation(reconstruct(record)), deviation(rho)
+    if not (measured.any() and ideal.any()):
+        raise DeviationVanished(f"deviation matrix vanished: probe polarization "
+                                f"{probe_eps!r} is lost to round-off in the register; "
+                                f"cannot compare")
+    return record, overlap_fidelity(measured, ideal)
 
 
 def tomography_fidelity_experiment(noise_sigma: float, seed: int) -> float:

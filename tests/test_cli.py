@@ -351,6 +351,23 @@ class TestMainExitCodes:
                                 f"|signal| = {signal} < 5e-07; cannot normalize\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("eps,sigma", [
+        ("1e-17", "0"), ("1e-17", "0.03"), ("1e-16", "0"), ("1e-154", "0.03"),
+        ("5e-324", "0")])
+    def test_tomography_epsilon_lost_to_round_off_exits_2(self, eps, sigma, capsys):
+        """Below an --epsilon of about 6e-17 the register rounds to I/4, and
+        up to about 1e-16 its noise-free reconstruction does: a zero
+        deviation matrix is a usage error naming the flag, exit 2 (it once
+        exited 1 on ``overlap_fidelity is undefined for a zero matrix``)."""
+        args = ["tomography", "--epsilon", eps, "--noise-sigma", sigma]
+        assert main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --epsilon: deviation matrix vanished: probe "
+                                f"polarization {float(eps)!r} is lost to round-off in "
+                                f"the register; cannot compare\n")
+        assert captured.out == ""
+        assert main(["tomography", "--epsilon", "1e-15", "--noise-sigma", sigma]) == EXIT_OK
+
     @pytest.mark.parametrize("command", ["sweep", "correlations", "noise-check"])
     def test_smallest_epsilon_past_the_reference_floor_exits_0(self, command, capsys):
         """Bisecting --epsilon between 1e-7 (refused) and 1e-6 down to

@@ -5,6 +5,7 @@ entry point runs; properties of K, of the raw probe signal and of ``run`` over r
 the one register-state validator and the stack operations of ``nmr``,
 ``states`` and the CLI built on it."""
 
+import decimal
 import hashlib
 import math
 import os
@@ -429,13 +430,15 @@ def test_default_sweep_runs_at_most_four_circuit_stacks(engine_calls):
 
 def test_default_sweep_stacks_its_angles_in_two_exponentials(monkeypatch):
     """One circuit of two free evolutions over the (3, 721) stack: each
-    stacked phase becomes two weight columns, no scalar exponential is
-    built, and the reference builds no exponential of its own."""
-    single = counting(lgsim.circuit, "expm_hermitian", monkeypatch)
-    stacked = counting(lgsim.circuit, "_expm_terms", monkeypatch)
+    stacked phase becomes one stack of real pair columns, read without a
+    complex exponential (2 ``_expm_terms`` calls of shape (3, 721) when the
+    readout took the complex weights), and the reference builds nothing of
+    its own."""
+    names = ("expm_hermitian", "_expm_terms", "_expm_weights", "_pair_weights")
+    calls = {name: counting_everywhere(name, monkeypatch) for name in names}
     sweep(Evolution(1.0), classical_mixture(0.5, 0.5), 1.0, 0.0, 2 * math.pi, 721)
-    assert single == []
-    assert [np.shape(angle) for _, angle in stacked] == [(3, 721)] * 2
+    assert calls["expm_hermitian"] == calls["_expm_terms"] == calls["_expm_weights"] == []
+    assert [np.shape(turn) for turn, in calls["_pair_weights"]] == [(3, 721)] * 2
 
 
 def test_scattering_gates_keep_each_phase_unbroadcast():
@@ -693,11 +696,11 @@ def test_real_entry_points_reject_a_text_input(entry, z):
         call(z)
 
 
-# The doors that hand ``z`` on alone: numpy reads ``[0.1, True]`` and the
-# oracle's time pair ``(True, 0.1)`` as floats, and ``np.diag`` a diagonal
-# of 1.0 and True too.
+# The doors that hand ``z`` on alone: numpy reads ``[0.1, True]`` as floats,
+# and ``np.diag`` a diagonal of 1.0 and True too.  The oracle checks each of
+# its two times on its own (it once packed them as ``(True, 0.1)``).
 SCALAR_DOORS = sorted(set(REAL_ENTRY_POINTS) - {
-    "Evolve", "max_disturbance", "TomographyRecord", "correlation_oracle"})
+    "Evolve", "max_disturbance", "TomographyRecord"})
 
 
 @pytest.mark.parametrize("entry", SCALAR_DOORS)
@@ -707,6 +710,18 @@ def test_scalar_doors_reject_a_bool(entry, z):
     name, call = REAL_ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be real, got a bool input"):
         call(z)
+
+
+@pytest.mark.parametrize("z", [True, np.bool_(False), np.array(True)],
+                         ids=["python", "numpy-scalar", "array"])
+def test_evolve_and_the_oracle_name_a_bool_time_alone(z):
+    """A bool phase is refused naming ``phase`` (a Python bool once passed
+    the number fork and was refused as the exponential's ``angle``), and a
+    bool earlier time naming the oracle's ``t`` (it was read as 1.0)."""
+    with pytest.raises(ValueError, match="^phase must be real, got a bool input"):
+        Evolve(SYSTEM, SIGMA_X, z)
+    with pytest.raises(ValueError, match="^t must be real, got a bool input"):
+        correlation_oracle(maximally_mixed(), SIGMA_Z, Evolution(1.0), z, 0.5)
 
 
 @pytest.mark.parametrize("z", [1.5, 3, np.array(1.5), np.int64(3), np.float32(1.5)])
@@ -932,12 +947,17 @@ def test_controlled_gate_from_a_nested_list_embeds_as_from_the_array(h, angle, c
 
 
 def test_scattering_gates_validate_each_operand_once(monkeypatch):
-    names = ("dichotomic_observable", "unitary", "expm_hermitian", "_expm_terms")
-    counts = {name: counting(lgsim.circuit, name, monkeypatch) for name in names}
+    """One check of the observable and of the controlled unitary; each
+    ``Evolve`` checks its phase and forms no weights until a readout or
+    ``circuit_unitary`` asks (2 ``_expm_terms`` when each formed its complex
+    weights on construction)."""
+    names = ("dichotomic_observable", "unitary", "expm_hermitian", "_expm_terms",
+             "_turns", "_pair_weights", "_expm_weights")
+    counts = {name: counting_everywhere(name, monkeypatch) for name in names}
     gates = scattering_gates(SIGMA_X, SIGMA_Z, 0.0, np.linspace(0.0, 1.0, 5))
     assert {name: len(calls) for name, calls in counts.items()} == {
         "dichotomic_observable": 1, "unitary": 1, "expm_hermitian": 0,
-        "_expm_terms": 2}
+        "_expm_terms": 0, "_turns": 2, "_pair_weights": 0, "_expm_weights": 0}
     assert gates[2] is gates[4]
 
 
@@ -1007,7 +1027,7 @@ def test_built_gates_run_without_validation(monkeypatch):
         raise AssertionError("validation ran on built gates")
 
     for name in ("operator", "is_hermitian", "unitary", "expm_hermitian",
-                 "_expm_terms", "dichotomic_observable"):
+                 "_expm_terms", "_turns", "dichotomic_observable"):
         for module in (lgsim.linalg, lgsim.circuit):
             monkeypatch.setattr(module, name, refuse, raising=False)
     circuit_unitary(Circuit(gates))
@@ -1077,6 +1097,27 @@ def test_many_stacked_evolves_fold_into_the_matrix_units(rng):
     assert_matches_the_loop(gates + gates, random_density(rng, 4), (4, 3))
 
 
+@pytest.mark.parametrize("count", [5, 7, 8, 16])
+def test_probe_readout_folds_many_evolutions(count, rng):
+    """Five or more two-term gates pass 16 products of terms, and the
+    readout folds its pair-weighted states into the real units (twice for 16
+    gates); it still equals <sigma_z> of the probe in the states ``run``
+    forms."""
+    def evolve(wire, shape):
+        h = np.tensordot(rng.standard_normal(4),
+                         np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]), 1)
+        return Evolve(wire, h, rng.uniform(-3.0, 3.0, shape))
+
+    gates = (evolve(PROBE, (4, 1)), Hadamard(SYSTEM), evolve(SYSTEM, (3,)),
+             ControlledU(SYSTEM, PROBE, SIGMA_Y), evolve(PROBE, (4, 3)),
+             evolve(SYSTEM, ()), evolve(SYSTEM, (3,)), evolve(PROBE, (1, 3)))
+    circuit = Circuit((gates + gates)[:count])
+    rho_in = kron(pseudo_pure(0.6, KET0), classical_mixture(0.3, 0.7))
+    got, _ = _probe_signal(circuit, rho_in)
+    np.testing.assert_allclose(got, expect_probe_z(run(circuit, rho_in)),
+                               rtol=0, atol=1e-14)
+
+
 def test_stacked_circuit_broadcasts_against_a_stack_of_states(rng):
     t_k, t_m = np.sort(rng.uniform(0.0, 3.0, (2, 4, 1)), axis=0)
     gates = scattering_gates(SIGMA_X - 0.4 * SIGMA_Y, SIGMA_Z, t_k, t_m)
@@ -1112,14 +1153,13 @@ def test_expm_terms_sum_to_the_exponential(h, angles):
 
 
 # SHA-256 of the five columns' bytes (theta, c12, c23, c13, k), recorded
-# when the correlators came to read the probe signal off the circuit's terms;
-# "eps-0.3-ket1-subrange" again when the reference came off the same traces.
+# when the correlators came to read the probe signal off real pair weights.
 SWEEP_COLUMN_SHA256 = {
-    "default": "49210c714d31990ba94fb28193516dc3efcd2383676e510902dfa5f392bd2a10",
+    "default": "7674fceef4292722211868e37480f1c8a4966b60b188c70fce44805f9fe84840",
     "eps-0.3-ket1-subrange":
-        "6f0e7afd9909edfee087137e401979f86a47969006e4fcc64e1c491ed1729de0",
+        "8dd710bce03c65060e21475aea568838fe41a4da029ff83c6e6136e4422fb096",
     "mixture-97-steps":
-        "f47e6d396918a6fbb52101eb16cc7058697056a4c6dac23e00c64986462325c0",
+        "93d423daee03f7cd1c79ce5a52f538b30590c5726d8b95c1036224ce2cb9c376",
 }
 
 SWEEP_CASES = {
@@ -1142,6 +1182,42 @@ def test_sweep_columns_match_their_recorded_digest(case):
     assert digest.hexdigest() == SWEEP_COLUMN_SHA256[case], (
         "digests recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on its SkylakeX "
         "and Haswell kernels; other BLAS kernels may round the last bits apart")
+
+
+def decimal_cos(x: decimal.Decimal) -> decimal.Decimal:
+    """cos ``x`` to 50 digits, by the Taylor series recipe of the ``decimal``
+    documentation."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x = decimal.Decimal(x)
+        i, last, total, fact, num, sign = 0, 0, 1, 1, 1, 1
+        while total != last:
+            last = total
+            i += 2
+            fact *= i * (i - 1)
+            num *= x * x
+            sign *= -1
+            total += num / fact * sign
+        return total
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_columns_are_accurate_to_1e_15(case):
+    """Each digest case is +-sigma_z on a diagonal state under H = sigma_x,
+    so each correlator is cos(2 (t_m - t_k)) at the float times (0, dt, 2dt)
+    of its row; every column is within 1e-15 of that, evaluated to 50 digits
+    (the errors measured were 1.9e-16 to 4.4e-16)."""
+    results = SWEEP_CASES[case]()
+    dt = results.theta / 2.0
+    times = (0.0 * dt, dt, 2.0 * dt)
+    for name, (k, m) in (("c12", (0, 1)), ("c23", (1, 2)), ("c13", (0, 2))):
+        for got, t_k, t_m in zip(getattr(results, name).tolist(), times[k].tolist(),
+                                 times[m].tolist()):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 50
+                gap = 2 * (decimal.Decimal(t_m) - decimal.Decimal(t_k))
+                error = abs(decimal.Decimal(got) - decimal_cos(gap))
+            assert error <= decimal.Decimal(1e-15), (name, t_k, t_m, float(error))
 
 
 FAULTS_PER_SWEEP = """
