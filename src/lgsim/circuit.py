@@ -17,15 +17,18 @@ S + (4, 4) and the readouts shape S.  Each gate keeps its embedding as
 ``terms``, a weighted sum of fixed 4x4 matrices: every ``Evolve`` two
 complex weight columns over I and n.sigma (``linalg._expm_weights``), every
 other gate one fixed matrix of weight 1.  A circuit is then the sum over
-products of one term per gate, whose B <= 16 fixed matrices are multiplied
-once each whatever the stack size, and whose weights are products of
-columns; ``circuit_unitary`` is one (S, B) x (B, 16) gemm.  ``run``
-conjugates the input by that unitary.
+products of one term per gate, whose fixed matrices are multiplied once
+each whatever the stack size, and whose weights are products of columns;
+past 16 products ``_expand`` folds them into the 16 matrix units, the one
+fold of the package, so any circuit runs.  ``circuit_unitary`` is one
+(S, B) x (B, 16) gemm, B <= 16, and ``run`` conjugates the input by that
+unitary.
 
 The correlators form no state and no product of weights: ``_probe_signal``
 reads each ``Evolve`` through the three real columns of its pair weights
 w_b conj(w_c) (``pairs``), for the scattering circuit by a 3x3 real matrix
-and one real bilinear form over the stacks.
+and one real bilinear form over the stacks.  It folds nothing, so it takes
+at most four free evolutions (16 products); the scattering circuit has two.
 
 The probe readout of the interferometer built by ``build_scattering_circuit``
 returns Re Tr[rho_sys O(t_m) O(t_k)]: a Hadamard splits the probe, the two
@@ -61,8 +64,6 @@ _PROBE_Y = kron(SIGMA_Y, IDENTITY_2)
 _ONE = np.ones(1)
 # The 16 matrix units of the 4x4 operator space, as fixed matrices.
 _UNITS = np.eye(16, dtype=complex).reshape(16, 4, 4)
-# The 32 real units E_ij and i E_ij: any 4x4 matrix with real weights.
-_REAL_UNITS = np.concatenate((_UNITS, 1j * _UNITS))
 # An Evolve's pair weights w_b conj(w_c) in its 2-term index (b, c) are
 # sum_a u_a P_a over its real pair columns u (``linalg._pair_weights``) and
 # these P_a; at zero phase u = (1, 0, 0).
@@ -254,47 +255,37 @@ def _probe_signal(circuit: Circuit, rho_in: np.ndarray, readout: np.ndarray = _P
     size, into real traces G, and G against every column in one ``einsum``:
     for the scattering circuit a 3x3 G and one bilinear form over the stacks,
     with no product of them formed.  The reference is G_0 = Re T_00, the
-    circuit at zero phases (every u = (1, 0, 0)) while nothing was folded:
-    past 16 products the states sum_bc P_a[b, c] M_b rho M_c+ are folded with
-    their columns into the real units, which then stand for rho.  Traces and
-    stacks are summed by ``einsum``, which rounds alike on every BLAS kernel.
+    circuit at zero phases (every u = (1, 0, 0)).  A circuit holds at most
+    four free evolutions (16 products; the paper's holds two), as
+    ``_pair_basis`` bounds; a fifth raises ValueError.  Traces and stacks
+    are summed by ``einsum``, which rounds alike on every BLAS kernel.
     """
     if not circuit.gates:
         raise ValueError("cannot execute an empty circuit")
-    inputs, fixed, columns = rho_in[None], None, []
+    fixed, columns = None, []
     for gate in circuit.gates:
         if isinstance(gate, Evolve):
-            if fixed is not None and len(fixed) == len(_UNITS):
-                states = fixed[:, None] @ inputs[:, None, None] @ dagger(fixed)
-                columns = [_fold(columns, _pair_sum(states))]
-                inputs, fixed = _REAL_UNITS, None
+            if len(columns) == 4:
+                raise ValueError("the probe readout takes at most four free evolutions")
             u, m = gate.pairs
             columns.append(u)
         else:
             m = gate.terms[1]
         fixed = m if fixed is None else (m @ fixed[:, None]).reshape(-1, 4, 4)
-    probed = (readout @ fixed @ inputs[:, None]).reshape(len(inputs), len(fixed), 16)
-    traces = np.einsum("jbi,ci->jbc", probed, fixed.reshape(-1, 16).conj())
-    traces = _pair_sum(traces).real.ravel()
+    probed = (readout @ fixed @ rho_in).reshape(len(fixed), 16)
+    traces = np.einsum("bi,ci->bc", probed, fixed.reshape(-1, 16).conj())
+    # the real part copied contiguous: einsum sums a strided operand in another order
+    traces = np.einsum("ax,x->a", _pair_basis(len(columns)), traces.ravel()).real.copy()
     value = _contract(traces, columns)
     return (float(value) if value.ndim == 0 else value), float(traces[0])
-
-
-def _pair_sum(pairs: np.ndarray) -> np.ndarray:
-    """sum_bc P_a[b, c] pairs[j, b, c, ...] over the 2**n products b and c of
-    one term per gate, a running over one ``_PAIR_BASIS`` index per two-term
-    gate in gate order: shape (J, 3**n, rest) for the trailing axes
-    flattened into one."""
-    inputs, products = pairs.shape[:2]
-    return np.einsum("ax,jxy->jay", _pair_basis(products.bit_length() - 1),
-                     pairs.reshape(inputs, products * products, -1))
 
 
 @functools.cache
 def _pair_basis(n: int) -> np.ndarray:
     """The ``_PAIR_BASIS`` of n two-term gates, as a (3**n, 4**n) matrix from
     the pair index a to the pair (b, c) of products, the first gate's the
-    slowest index of each; n <= 4, as the readout folds past 16 products."""
+    slowest index of each; n <= 4, the free evolutions a probe readout takes
+    (n = 8 would be 6.9 GB)."""
     basis = np.ones((1, 1, 1), dtype=complex)
     for _ in range(n):
         a, p, q = basis.shape
@@ -302,20 +293,6 @@ def _pair_basis(n: int) -> np.ndarray:
     basis = basis.reshape(len(basis), -1)
     basis.flags.writeable = False
     return basis
-
-
-def _fold(columns: list[np.ndarray], states: np.ndarray) -> np.ndarray:
-    """The weights, of shape (32,) + S, over the 32 real units ``_REAL_UNITS``
-    of sum_k (product of one entry per column) X_k for the flattened states
-    X_k of ``_pair_sum``, k running over the entries of the columns: the
-    columns multiplied out, stacks broadcasting, and contracted with the real
-    and imaginary parts of the X_k."""
-    weights = columns[0]
-    for u in columns[1:]:
-        weights = np.einsum("a...,b...->ab...", weights, u)
-        weights = weights.reshape((-1,) + weights.shape[2:])
-    flat = states.reshape(-1, 16)
-    return np.einsum("k...,kx->x...", weights, np.concatenate((flat.real, flat.imag), 1))
 
 
 def _contract(traces: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:

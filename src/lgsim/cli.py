@@ -25,9 +25,9 @@ notation, JSON as the same rounded numbers); a NaN or infinite value, or an
 SVG coordinate that overflows, exits 1 and writes nothing.
 
 Exit codes: 0 success, 1 internal invariant failure, 2 usage error (an
---epsilon too small to normalize by, or too small for tomography to tell
-the register from I/4, is one, and so is a --steps past a million), 3 I/O
-error.
+--epsilon too small to normalize by, or below the 5e-7 floor under which
+round-off spoils tomography, is one, and so is a --steps past a million), 3
+I/O error.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Everything in this package is a plain ``numpy`` array of ``complex`` entries;
 states, gates and observables are 2x2 or 4x4 matrices.  The constructors
 ``operator``, ``unitary``, ``density`` and ``dichotomic_observable``, and
-``_expm_terms`` for a generator and its phases, validate once, on entry into
+``expm_hermitian`` for a generator and its phases, validate once, on entry into
 the library; Hermitian operands pass the one private ``_hermitian`` check,
 real ones (angles, times, tables, scalar parameters) the one ``_real``
 check, which passes only integer and float input, casting nothing else.
@@ -17,13 +17,13 @@ What is built from checked inputs, the exponential included, is not checked
 again, and the operations below assume valid inputs and stay pure.  Values
 are immutable by convention (the memoized checks return read-only arrays),
 so the whole module is safe for concurrent use.
-``_expm_terms`` is the one closed form of the exponential: two weight
-columns over the fixed terms I and n.sigma (zero for a multiple of I), the
-form in which ``circuit`` executes stacked circuits without multiplying
-stacks of matrices, and ``expm_hermitian`` is the sum of those columns.
-``_turns`` checks a phase against a generator and ``_expm_weights`` gives
-those columns; ``_pair_weights`` gives the real columns of their pairs
-w w+, all a probe readout needs.
+``expm_hermitian`` is the checked entry to the one closed form of the
+exponential: ``_generator`` checks a generator, ``_turns`` a phase against
+it, and ``_expm_weights`` gives two weight columns over the fixed terms I
+and n.sigma (zero for a multiple of I), the form in which ``circuit``
+executes stacked circuits without multiplying stacks of matrices;
+``_pair_weights`` gives the real columns of their pairs w w+, all a probe
+readout needs.
 """
 
 from __future__ import annotations
@@ -209,28 +209,17 @@ def expm_hermitian(h: np.ndarray, angle) -> np.ndarray:
     """exp(-i * angle * h) for a 2x2 Hermitian generator, in closed form.
 
     ``angle`` is a number, or an array of shape S giving a stack of shape
-    S + (2, 2).  The exponential is the sum of the weighted columns of
-    ``_expm_terms``, which checks the generator and the phases.
-    """
-    weights, terms = _expm_terms(h, angle)
-    return (weights @ terms.reshape(-1, 4)).reshape(weights.shape[:-1] + (2, 2))
-
-
-def _expm_terms(h: np.ndarray, angle) -> tuple[np.ndarray, np.ndarray]:
-    """``expm_hermitian(h, angle)`` as ``(weights, terms)``: weights of shape
-    S + (2,) over the two fixed 2x2 matrices I and n.sigma, the exponential
-    being weights[..., 0] I + weights[..., 1] n.sigma.
-
-    Writing h = a0*I + a.sigma, the exponential is
+    S + (2, 2).  Writing h = a0*I + a.sigma, the exponential is
     exp(-i*angle*a0) * (cos(angle*|a|) I - i sin(angle*|a|) n.sigma) with the
     unit axis n = a/|a|, which is exact for a single qubit; no series or
     scaling-and-squaring is involved.  The generator check, a0, |a| and the
-    read-only terms come from the memoized ``_generator``, once per distinct
-    generator; ``_turns`` checks the angle and ``_expm_weights`` evaluates
-    the weights.
+    read-only terms I and n.sigma come from the memoized ``_generator``, once
+    per distinct generator; ``_turns`` checks the angle, and the exponential
+    is the sum of the terms weighted by the columns of ``_expm_weights``.
     """
     _, a0, norm, terms = _generator(h)
-    return _expm_weights(*_turns(_real(angle, "angle"), a0, norm)), terms
+    weights = _expm_weights(*_turns(_real(angle, "angle"), a0, norm))
+    return (weights @ terms.reshape(-1, 4)).reshape(weights.shape[:-1] + (2, 2))
 
 
 def _turns(angle, a0: float, norm: float):
@@ -272,7 +261,7 @@ def _pair_weights(turn) -> np.ndarray:
 @_memo
 def _generator(h: np.ndarray):
     """The checked 2x2 Hermitian generator h = a0*I + a.sigma of
-    ``_expm_terms``, as ``(h, a0, |a|, terms)``: h read-only, and the
+    ``expm_hermitian``, as ``(h, a0, |a|, terms)``: h read-only, and the
     read-only fixed terms I and the unit axis (a/|a|).sigma, the zero matrix
     for |a| = 0.  a0 or |a| may overflow to inf (the axis is then NaN),
     which every phase then rejects."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, _probe_signal, scattering_gates
-from .leggett_garg import SweepResult, _check_reference, _probe_register
+from .leggett_garg import _REFERENCE_FLOOR, SweepResult, _check_reference, _probe_register
 from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _real, _register,
                      is_hermitian, kron, overlap_fidelity)
 from .states import deviation, maximally_mixed
@@ -177,24 +177,24 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
 
 
 class DeviationVanished(ValueError):
-    """A deviation matrix is zero: the probe's eps is too small."""
+    """The probe's eps is below the floor, where round-off spoils the
+    deviation matrix."""
 
 
 def _tomography(probe_eps: float, noise: ReadoutNoise) -> tuple[TomographyRecord, float]:
     """Tomograph (pseudo-pure probe of polarization ``probe_eps``) (x) I/2
     with ``noise`` and reconstruct it: the record and the normalized
     Hilbert-Schmidt overlap of the measured with the ideal deviation matrix.
-    Below an eps of about 1e-16 the register, or without noise its
-    reconstruction, rounds to I/4: a deviation matrix is exactly zero and
-    there is nothing to compare, ``DeviationVanished``."""
+    Below the correlators' reference floor, 5e-7, round-off in the register
+    spoils the deviation matrix (noise-free, the fidelity reads below 1 under
+    about 1e-11 and the matrix is zero under about 1e-16), so such an eps
+    raises ``DeviationVanished``."""
     rho = _probe_register(maximally_mixed(), probe_eps)
+    if probe_eps < _REFERENCE_FLOOR:
+        raise DeviationVanished(f"deviation matrix lost to round-off: probe polarization "
+                                f"{probe_eps!r} < {_REFERENCE_FLOOR:g}; cannot compare")
     record = tomograph(rho, noise)
-    measured, ideal = deviation(reconstruct(record)), deviation(rho)
-    if not (measured.any() and ideal.any()):
-        raise DeviationVanished(f"deviation matrix vanished: probe polarization "
-                                f"{probe_eps!r} is lost to round-off in the register; "
-                                f"cannot compare")
-    return record, overlap_fidelity(measured, ideal)
+    return record, overlap_fidelity(deviation(reconstruct(record)), deviation(rho))
 
 
 def tomography_fidelity_experiment(noise_sigma: float, seed: int) -> float:

@@ -353,20 +353,24 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("eps,sigma", [
         ("1e-17", "0"), ("1e-17", "0.03"), ("1e-16", "0"), ("1e-154", "0.03"),
-        ("5e-324", "0")])
+        ("5e-324", "0"), ("1e-12", "0")])
     def test_tomography_epsilon_lost_to_round_off_exits_2(self, eps, sigma, capsys):
-        """Below an --epsilon of about 6e-17 the register rounds to I/4, and
-        up to about 1e-16 its noise-free reconstruction does: a zero
-        deviation matrix is a usage error naming the flag, exit 2 (it once
-        exited 1 on ``overlap_fidelity is undefined for a zero matrix``)."""
+        """Below the floor 5e-7 that the correlators' reference has, an
+        --epsilon is a usage error naming the flag, exit 2: round-off in the
+        register spoils the deviation matrix (noise-free, 1e-15 read
+        fidelity 0.998617829 and 1e-12 0.999999998 with exit 0, and below
+        about 1e-16 the matrix is zero, which once exited 1 on
+        ``overlap_fidelity is undefined for a zero matrix``).  The floor
+        itself runs."""
         args = ["tomography", "--epsilon", eps, "--noise-sigma", sigma]
         assert main(args) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err == (f"error: --epsilon: deviation matrix vanished: probe "
-                                f"polarization {float(eps)!r} is lost to round-off in "
-                                f"the register; cannot compare\n")
+        assert captured.err == (f"error: --epsilon: deviation matrix lost to round-off: "
+                                f"probe polarization {float(eps)!r} < 5e-07; cannot "
+                                f"compare\n")
         assert captured.out == ""
-        assert main(["tomography", "--epsilon", "1e-15", "--noise-sigma", sigma]) == EXIT_OK
+        assert main(["tomography", "--epsilon", "1e-15", "--noise-sigma", sigma]) == EXIT_USAGE
+        assert main(["tomography", "--epsilon", "5e-7", "--noise-sigma", sigma]) == EXIT_OK
 
     @pytest.mark.parametrize("command", ["sweep", "correlations", "noise-check"])
     def test_smallest_epsilon_past_the_reference_floor_exits_0(self, command, capsys):

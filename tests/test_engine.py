@@ -64,7 +64,6 @@ from lgsim.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _expm_terms,
     _real,
     density,
     dichotomic_observable,
@@ -431,13 +430,13 @@ def test_default_sweep_runs_at_most_four_circuit_stacks(engine_calls):
 def test_default_sweep_stacks_its_angles_in_two_exponentials(monkeypatch):
     """One circuit of two free evolutions over the (3, 721) stack: each
     stacked phase becomes one stack of real pair columns, read without a
-    complex exponential (2 ``_expm_terms`` calls of shape (3, 721) when the
+    complex exponential (2 ``_expm_weights`` calls of shape (3, 721) when the
     readout took the complex weights), and the reference builds nothing of
     its own."""
-    names = ("expm_hermitian", "_expm_terms", "_expm_weights", "_pair_weights")
+    names = ("expm_hermitian", "_expm_weights", "_pair_weights")
     calls = {name: counting_everywhere(name, monkeypatch) for name in names}
     sweep(Evolution(1.0), classical_mixture(0.5, 0.5), 1.0, 0.0, 2 * math.pi, 721)
-    assert calls["expm_hermitian"] == calls["_expm_terms"] == calls["_expm_weights"] == []
+    assert calls["expm_hermitian"] == calls["_expm_weights"] == []
     assert [np.shape(turn) for turn, in calls["_pair_weights"]] == [(3, 721)] * 2
 
 
@@ -531,8 +530,10 @@ def test_reference_equals_the_six_gate_zero_time_circuit(h, obs, rho_sys, eps, p
     (0.7 * IDENTITY_2, 0.0, 0.0),
 ])
 def test_scattering_circuits_expand_to_at_most_four_terms(h, t_k, t_m):
-    """Past 16 terms ``_expand`` folds the weights into the matrix units, and
-    term 0 would no longer be the zero-time circuit the reference reads."""
+    """The scattering circuit's two free evolutions give four products of
+    terms, well under the 16 past which ``_expand`` folds the weights into
+    the matrix units, so ``circuit_unitary`` and ``run`` multiply its
+    terms as they stand."""
     _, fixed = lgsim.circuit._expand(Circuit(scattering_gates(h, SIGMA_Z, t_k, t_m)))
     assert len(fixed) <= 4
 
@@ -949,15 +950,15 @@ def test_controlled_gate_from_a_nested_list_embeds_as_from_the_array(h, angle, c
 def test_scattering_gates_validate_each_operand_once(monkeypatch):
     """One check of the observable and of the controlled unitary; each
     ``Evolve`` checks its phase and forms no weights until a readout or
-    ``circuit_unitary`` asks (2 ``_expm_terms`` when each formed its complex
-    weights on construction)."""
-    names = ("dichotomic_observable", "unitary", "expm_hermitian", "_expm_terms",
-             "_turns", "_pair_weights", "_expm_weights")
+    ``circuit_unitary`` asks (2 ``_expm_weights`` when each formed its
+    complex weights on construction)."""
+    names = ("dichotomic_observable", "unitary", "expm_hermitian", "_turns",
+             "_pair_weights", "_expm_weights")
     counts = {name: counting_everywhere(name, monkeypatch) for name in names}
     gates = scattering_gates(SIGMA_X, SIGMA_Z, 0.0, np.linspace(0.0, 1.0, 5))
     assert {name: len(calls) for name, calls in counts.items()} == {
         "dichotomic_observable": 1, "unitary": 1, "expm_hermitian": 0,
-        "_expm_terms": 0, "_turns": 2, "_pair_weights": 0, "_expm_weights": 0}
+        "_turns": 2, "_pair_weights": 0, "_expm_weights": 0}
     assert gates[2] is gates[4]
 
 
@@ -1026,8 +1027,8 @@ def test_built_gates_run_without_validation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validation ran on built gates")
 
-    for name in ("operator", "is_hermitian", "unitary", "expm_hermitian",
-                 "_expm_terms", "_turns", "dichotomic_observable"):
+    for name in ("operator", "is_hermitian", "unitary", "expm_hermitian", "_turns",
+                 "dichotomic_observable"):
         for module in (lgsim.linalg, lgsim.circuit):
             monkeypatch.setattr(module, name, refuse, raising=False)
     circuit_unitary(Circuit(gates))
@@ -1097,12 +1098,12 @@ def test_many_stacked_evolves_fold_into_the_matrix_units(rng):
     assert_matches_the_loop(gates + gates, random_density(rng, 4), (4, 3))
 
 
-@pytest.mark.parametrize("count", [5, 7, 8, 16])
+@pytest.mark.parametrize("count", [5, 6, 7, 8, 16])
 def test_probe_readout_folds_many_evolutions(count, rng):
-    """Five or more two-term gates pass 16 products of terms, and the
-    readout folds its pair-weighted states into the real units (twice for 16
-    gates); it still equals <sigma_z> of the probe in the states ``run``
-    forms."""
+    """Up to four two-term gates (16 products of terms) the readout equals
+    <sigma_z> of the probe in the states ``run`` forms; it folds nothing, so
+    a fifth raises (counts 7, 8 and 16) rather than building a pair basis of
+    3**n x 4**n entries."""
     def evolve(wire, shape):
         h = np.tensordot(rng.standard_normal(4),
                          np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]), 1)
@@ -1113,6 +1114,10 @@ def test_probe_readout_folds_many_evolutions(count, rng):
              evolve(SYSTEM, ()), evolve(SYSTEM, (3,)), evolve(PROBE, (1, 3)))
     circuit = Circuit((gates + gates)[:count])
     rho_in = kron(pseudo_pure(0.6, KET0), classical_mixture(0.3, 0.7))
+    if count > 6:
+        with pytest.raises(ValueError, match="at most four free evolutions"):
+            _probe_signal(circuit, rho_in)
+        return
     got, _ = _probe_signal(circuit, rho_in)
     np.testing.assert_allclose(got, expect_probe_z(run(circuit, rho_in)),
                                rtol=0, atol=1e-14)
@@ -1141,15 +1146,6 @@ def test_two_identical_calls_give_identical_bytes(rng):
     rho = random_density(rng, 4)
     assert run(circuit, rho).tobytes() == run(circuit, rho).tobytes()
     assert circuit_unitary(circuit).tobytes() == circuit_unitary(circuit).tobytes()
-
-
-@SETTINGS
-@given(h=generators(), angles=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12))
-def test_expm_terms_sum_to_the_exponential(h, angles):
-    weights, terms = _expm_terms(h, np.array(angles))
-    assert weights.shape == (len(angles), len(terms))
-    np.testing.assert_allclose(np.einsum("...b,bij->...ij", weights, terms),
-                               expm_hermitian(h, np.array(angles)), rtol=0, atol=1e-14)
 
 
 # SHA-256 of the five columns' bytes (theta, c12, c23, c13, k), recorded
@@ -1293,7 +1289,7 @@ def test_oracle_runs_without_the_circuit_exponentials(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle used a circuit exponential")
 
-    for name in ("expm_hermitian", "_expm_terms"):
+    for name in ("expm_hermitian", "_expm_weights"):
         for module in (lgsim.linalg, lgsim.states, lgsim.circuit,
                        lgsim.leggett_garg, lgsim.nmr, lgsim.cli):
             monkeypatch.setattr(module, name, refuse, raising=False)
