@@ -4,31 +4,25 @@ The register has exactly two named wires: ``probe`` (the ancilla, always the
 left Kronecker factor) and ``system``.  A circuit is an ordered list of gates
 drawn from three kinds: a Hadamard on one wire, a free evolution
 exp(-i*phase*h) on one wire, and a controlled unitary between the wires.
-Running a circuit conjugates the input density matrix by the ordered product
-of the embedded 4x4 gate unitaries.  Gates validate on construction and keep
-what they built from the checked operands, read-only: an ``Evolve`` a copy
-of its generator and its checked angles, a ``ControlledU`` of its unitary,
-every gate its embedding as ``terms``.
-``circuit_unitary`` and ``run`` trust them and check nothing again.
+Gates validate on construction and keep what they built from the checked
+operands, read-only: an ``Evolve`` a copy of its generator and its checked
+angles, a ``ControlledU`` of its unitary, and every gate its ``fixed``
+stack of 4x4 matrices: one for a Hadamard or a controlled gate, the embedded
+I and n.sigma for an ``Evolve``.  Nothing later checks them again.
 
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
 then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
-S + (4, 4) and the readouts shape S.  Each gate keeps its embedding as
-``terms``, a weighted sum of fixed 4x4 matrices: every ``Evolve`` two
-complex weight columns over I and n.sigma (``linalg._expm_weights``), every
-other gate one fixed matrix of weight 1.  A circuit is then the sum over
-products of one term per gate, whose fixed matrices are multiplied once
-each whatever the stack size, and whose weights are products of columns;
-past 16 products ``_expand`` folds them into the 16 matrix units, the one
-fold of the package, so any circuit runs.  ``circuit_unitary`` is one
-(S, B) x (B, 16) gemm, B <= 16, and ``run`` conjugates the input by that
-unitary.
-
-The correlators form no state and no product of weights: ``_probe_signal``
-reads each ``Evolve`` through the three real columns of its pair weights
-w_b conj(w_c) (``pairs``), for the scattering circuit by a 3x3 real matrix
-and one real bilinear form over the stacks.  It folds nothing, so it takes
-at most four free evolutions (16 products); the scattering circuit has two.
+S + (4, 4) and the readouts shape S.  Every measurement of the package is a
+probe readout: ``_probe_signal`` reads Re Tr[R V rho V+] for a readout R,
+or a stack of them, forming no state.  It reads each ``Evolve`` through the
+three real columns of its pair weights w_b conj(w_c) (``pairs``), for the
+scattering circuit by a 3x3 real matrix and one real bilinear form over the
+stacks, and takes at most four free evolutions (16 products); the
+scattering circuit has two.  ``circuit_unitary`` is the plain ordered
+product of ``embed``, which weighs an ``Evolve``'s fixed terms by the
+complex ``linalg._expm_weights``, and ``run`` is V rho V+ of it: the
+reference the readout is tested against, sharing with it only the gates'
+checked operands.  No other library function calls either.
 
 The probe readout of the interferometer built by ``build_scattering_circuit``
 returns Re Tr[rho_sys O(t_m) O(t_k)]: a Hadamard splits the probe, the two
@@ -47,7 +41,7 @@ import numpy as np
 
 from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _expm_weights, _generator,
                      _pair_weights, _real, _register, _turns, dagger, dichotomic_observable,
-                     expm_hermitian, kron, unitary)
+                     kron, unitary)
 
 PROBE = "probe"
 SYSTEM = "system"
@@ -60,10 +54,6 @@ _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 _PROBE_Z = kron(SIGMA_Z, IDENTITY_2)
 _PROBE_Y = kron(SIGMA_Y, IDENTITY_2)
 
-# The weight of a Hadamard or controlled gate: its one fixed matrix as it stands.
-_ONE = np.ones(1)
-# The 16 matrix units of the 4x4 operator space, as fixed matrices.
-_UNITS = np.eye(16, dtype=complex).reshape(16, 4, 4)
 # An Evolve's pair weights w_b conj(w_c) in its 2-term index (b, c) are
 # sum_a u_a P_a over its real pair columns u (``linalg._pair_weights``) and
 # these P_a; at zero phase u = (1, 0, 0).
@@ -85,22 +75,20 @@ def _on_wire(wire: str, one_wire: np.ndarray) -> np.ndarray:
 _HADAMARD_ON = {wire: _on_wire(wire, HADAMARD[None]) for wire in WIRES}
 
 
-def _read_only(weights: np.ndarray, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A gate's ``terms``, read-only: sum_b weights[..., b] fixed[b], weights
-    of the gate's stack shape S + (B,) over B fixed 4x4 matrices."""
-    for array in (weights, fixed):
-        array.flags.writeable = False
-    return weights, fixed
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, which a gate keeps, made read-only."""
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
 class Hadamard:
     wire: str
-    terms: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    fixed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_wire(self.wire)
-        object.__setattr__(self, "terms", _read_only(_ONE, _HADAMARD_ON[self.wire]))
+        object.__setattr__(self, "fixed", _read_only(_HADAMARD_ON[self.wire]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,18 +98,17 @@ class Evolve:
     ``hamiltonian`` and ``phase`` (a number too) as ``expm_hermitian`` does,
     naming ``phase``, and keeps the generator as the read-only copy that
     check returns and an array phase as a read-only float copy, so later
-    writes to the caller's arrays cannot reach the gate.  Its two fixed
+    writes to the caller's arrays cannot reach the gate.  Its ``fixed``
     terms, I and n.sigma embedded, carry two weightings: ``pairs``, the real
     columns of ``linalg._pair_weights`` (shape (3,) + S, over
-    ``_PAIR_BASIS``), which the probe readout forms; ``terms``, the complex
-    columns of ``linalg._expm_weights`` (shape S + (2,)), formed when
-    ``_expand`` first asks."""
+    ``_PAIR_BASIS``), which the probe readout forms, and the complex columns
+    of ``linalg._expm_weights`` (shape S + (2,)), which ``embed`` forms."""
 
     wire: str
     hamiltonian: np.ndarray
     phase: float | np.ndarray
     _angles: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    _fixed: np.ndarray = field(init=False, repr=False)
+    fixed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_wire(self.wire)
@@ -129,21 +116,14 @@ class Evolve:
         object.__setattr__(self, "hamiltonian", h)
         phase = _real(self.phase, "phase")
         if not isinstance(self.phase, (int, float)):  # an array: keep a copy
-            phase = np.array(phase)
-            phase.flags.writeable = False
+            phase = _read_only(np.array(phase))
             object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "_angles", _turns(phase, a0, norm))
-        fixed = _on_wire(self.wire, one_wire)
-        fixed.flags.writeable = False
-        object.__setattr__(self, "_fixed", fixed)
+        object.__setattr__(self, "fixed", _read_only(_on_wire(self.wire, one_wire)))
 
     @property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return _pair_weights(self._angles[0]), self._fixed
-
-    @functools.cached_property
-    def terms(self) -> tuple[np.ndarray, np.ndarray]:
-        return _read_only(_expm_weights(*self._angles), self._fixed)
+    def pairs(self) -> np.ndarray:
+        return _pair_weights(self._angles[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +135,7 @@ class ControlledU:
     control: str
     target: str
     u: np.ndarray
-    terms: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    fixed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_wire(self.control)
@@ -168,7 +148,7 @@ class ControlledU:
             embedded = kron(_P0, IDENTITY_2) + kron(_P1, u)
         else:
             embedded = kron(IDENTITY_2, _P0) + kron(u, _P1)
-        object.__setattr__(self, "terms", _read_only(_ONE, embedded[None]))
+        object.__setattr__(self, "fixed", _read_only(embedded[None]))
 
 
 Gate = Hadamard | Evolve | ControlledU
@@ -188,47 +168,22 @@ def embed(gate: Gate) -> np.ndarray:
 
     Single-wire gates are tensored with the identity on the other wire; a
     controlled gate becomes |0><0|_c (x) I + |1><1|_c (x) U with the factor
-    order fixed by probe = left.  An ``Evolve`` embeds the exponential
-    ``expm_hermitian`` makes anew, not its ``terms``, so ``embed`` stays a
-    reference independent of the engine; other gates give their one term.
+    order fixed by probe = left.  An ``Evolve`` weighs its two ``fixed``
+    terms, I and n.sigma, by the complex ``_expm_weights`` of its checked
+    angles; every other gate gives its one fixed matrix.
     """
     if isinstance(gate, Evolve):
-        return _on_wire(gate.wire, expm_hermitian(gate.hamiltonian, gate.phase))
-    return gate.terms[1][0]
-
-
-def _expand(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    """The circuit unitary as ``(weights, fixed)``, in the form of a gate's
-    ``terms``.
-
-    The product of two gates' sums is the sum of the products of one term
-    from each: the weights multiply, their stacks broadcasting, and the fixed
-    matrices multiply once each, whatever the stack size (a weight ``_ONE``
-    is not multiplied through).  Past 16 terms (the dimension of the 4x4
-    operator space) the weights are folded into the 16 matrix units, so no
-    circuit holds more than 32 terms at a time.
-    """
-    if not circuit.gates:
-        raise ValueError("cannot execute an empty circuit")
-    first, *rest = circuit.gates
-    weights, fixed = first.terms
-    for gate in rest:
-        w, m = gate.terms
-        fixed = (m @ fixed[:, None]).reshape(-1, 4, 4)
-        if weights is _ONE:
-            weights = w
-        elif w is not _ONE:
-            weights = weights[..., :, None] * w[..., None, :]
-            weights = weights.reshape(weights.shape[:-2] + (len(fixed),))
-        if len(fixed) > 16:
-            weights, fixed = weights @ fixed.reshape(-1, 16), _UNITS
-    return weights, fixed
+        weights = _expm_weights(*gate._angles)
+        return (weights @ gate.fixed.reshape(2, 16)).reshape(weights.shape[:-1] + (4, 4))
+    return gate.fixed[0]
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Ordered product of the embedded gates (first gate acts first)."""
-    weights, fixed = _expand(circuit)
-    return (weights @ fixed.reshape(-1, 16)).reshape(weights.shape[:-1] + (4, 4))
+    """The ordered product embed(g_n) @ ... @ embed(g_1) of the gates (the
+    first gate acts first), stacked circuits broadcasting."""
+    if not circuit.gates:
+        raise ValueError("cannot execute an empty circuit")
+    return functools.reduce(lambda v, m: m @ v, map(embed, circuit.gates))
 
 
 def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
@@ -259,6 +214,10 @@ def _probe_signal(circuit: Circuit, rho_in: np.ndarray, readout: np.ndarray = _P
     four free evolutions (16 products; the paper's holds two), as
     ``_pair_basis`` bounds; a fifth raises ValueError.  Traces and stacks
     are summed by ``einsum``, which rounds alike on every BLAS kernel.
+
+    A stack of R readouts (R, 4, 4) shares the M_b and their traces and
+    returns R signals (R,) + S and R references, each bitwise what that
+    readout alone returns; one readout of one circuit returns floats.
     """
     if not circuit.gates:
         raise ValueError("cannot execute an empty circuit")
@@ -267,17 +226,16 @@ def _probe_signal(circuit: Circuit, rho_in: np.ndarray, readout: np.ndarray = _P
         if isinstance(gate, Evolve):
             if len(columns) == 4:
                 raise ValueError("the probe readout takes at most four free evolutions")
-            u, m = gate.pairs
-            columns.append(u)
-        else:
-            m = gate.terms[1]
-        fixed = m if fixed is None else (m @ fixed[:, None]).reshape(-1, 4, 4)
-    probed = (readout @ fixed @ rho_in).reshape(len(fixed), 16)
-    traces = np.einsum("bi,ci->bc", probed, fixed.reshape(-1, 16).conj())
+            columns.append(gate.pairs)
+        fixed = gate.fixed if fixed is None else (gate.fixed @ fixed[:, None]).reshape(-1, 4, 4)
+    lead = readout.shape[:-2]
+    probed = (readout[..., None, :, :] @ fixed @ rho_in).reshape(lead + (len(fixed), 16))
+    traces = np.einsum("...bi,ci->...bc", probed, fixed.reshape(-1, 16).conj())
     # the real part copied contiguous: einsum sums a strided operand in another order
-    traces = np.einsum("ax,x->a", _pair_basis(len(columns)), traces.ravel()).real.copy()
-    value = _contract(traces, columns)
-    return (float(value) if value.ndim == 0 else value), float(traces[0])
+    traces = np.einsum("ax,...x->...a", _pair_basis(len(columns)),
+                       traces.reshape(lead + (-1,))).real.copy()
+    signal, reference = _contract(traces, columns), traces[..., 0]
+    return tuple(value if value.ndim else float(value) for value in (signal, reference))
 
 
 @functools.cache
@@ -296,14 +254,18 @@ def _pair_basis(n: int) -> np.ndarray:
 
 
 def _contract(traces: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
-    """sum_k traces[k] prod_i columns[i][k_i] over the multi-index k of one
-    entry per column (the first column's the slowest), in one ``einsum``:
-    the stacks, which trail each column, broadcast, and no product of them
-    is formed."""
-    operands = [traces.reshape([len(u) for u in columns]), list(range(len(columns)))]
+    """sum_k traces[..., k] prod_i columns[i][k_i] over the multi-index k of
+    one entry per column (the first column's the slowest), in one
+    ``einsum``: a lead axis of ``traces`` (one per readout) leads the result,
+    the stacks, which trail each column, broadcast after it, and no product
+    of them is formed."""
+    n = len(columns)
+    lead = list(range(n, traces.ndim - 1 + n))
+    operands = [traces.reshape(traces.shape[:-1] + tuple(len(u) for u in columns)),
+                lead + list(range(n))]
     for axis, u in enumerate(columns):
         operands += [u, [axis, ...]]
-    return np.einsum(*operands, [...])
+    return np.einsum(*operands, lead + [...])
 
 
 def build_scattering_circuit(

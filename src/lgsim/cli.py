@@ -26,8 +26,9 @@ SVG coordinate that overflows, exits 1 and writes nothing.
 
 Exit codes: 0 success, 1 internal invariant failure, 2 usage error (an
 --epsilon too small to normalize by, or below the 5e-7 floor under which
-round-off spoils tomography, is one, and so is a --steps past a million), 3
-I/O error.
+round-off spoils tomography, is one, and so are a --steps past a million and
+a --noise-sigma whose noise overflows a tomography coefficient), 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ import numpy as np
 from .leggett_garg import (Evolution, ReferenceVanished, SweepResult, _first_bad,
                            analytic_k, find_violations, max_disturbance,
                            observable_from_state, sweep)
-from .nmr import (PAULI_LABELS, DeviationVanished, ReadoutNoise, T2Config, _tomography,
-                  k_attenuation_check)
+from .nmr import (PAULI_LABELS, DeviationVanished, NoiseOverflow, ReadoutNoise, T2Config,
+                  _tomography, k_attenuation_check)
 from .states import KET0, classical_mixture, maximally_mixed, pure_density
 
 EXIT_OK = 0
@@ -483,8 +484,9 @@ def run_command(cfg: RunConfig) -> int:
             payload = emit_json(cfg, header, columns)
         else:
             payload = emit_svg(cfg, results)
-    except (ReferenceVanished, DeviationVanished) as exc:
-        print(f"error: --epsilon: {exc}", file=sys.stderr)
+    except (ReferenceVanished, DeviationVanished, NoiseOverflow) as exc:
+        flag = "--noise-sigma" if isinstance(exc, NoiseOverflow) else "--epsilon"
+        print(f"error: {flag}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)

@@ -20,10 +20,9 @@ so the whole module is safe for concurrent use.
 ``expm_hermitian`` is the checked entry to the one closed form of the
 exponential: ``_generator`` checks a generator, ``_turns`` a phase against
 it, and ``_expm_weights`` gives two weight columns over the fixed terms I
-and n.sigma (zero for a multiple of I), the form in which ``circuit``
-executes stacked circuits without multiplying stacks of matrices;
-``_pair_weights`` gives the real columns of their pairs w w+, all a probe
-readout needs.
+and n.sigma (zero for a multiple of I), which ``circuit.embed`` weighs an
+``Evolve``'s fixed terms by; ``_pair_weights`` gives the real columns of
+their pairs w w+, all a probe readout needs.
 """
 
 from __future__ import annotations

@@ -152,17 +152,22 @@ def tomograph(rho: np.ndarray, noise: ReadoutNoise) -> TomographyRecord:
     With ``noise.sigma > 0`` every coefficient except the trace gets an
     independent Gaussian perturbation drawn from a generator keyed by
     ``(seed, i, j)``, so identical (sigma, seed) pairs reproduce the record
-    exactly.
+    exactly.  Noise that overflows a coefficient past the float range
+    raises ``NoiseOverflow``, naming ``sigma``.
     """
     rho = _register(rho, "tomograph", stack=False)
     if not is_hermitian(rho):
         raise ValueError("tomograph expects a Hermitian register state")
     c = np.trace(rho @ _PAULI_BASIS, axis1=-2, axis2=-1).real
     if noise.sigma > 0.0:
-        for i, j in np.ndindex(4, 4):
-            if (i, j) != (0, 0):
-                rng = np.random.default_rng((noise.seed, i, j))
-                c[i, j] += noise.sigma * rng.standard_normal()
+        with np.errstate(over="ignore"):  # an overflow is raised below
+            for i, j in np.ndindex(4, 4):
+                if (i, j) != (0, 0):
+                    rng = np.random.default_rng((noise.seed, i, j))
+                    c[i, j] += noise.sigma * rng.standard_normal()
+        if not np.isfinite(c).all():
+            raise NoiseOverflow(f"readout noise sigma = {float(noise.sigma)!r} overflows a "
+                                f"tomography coefficient past the float range")
     return TomographyRecord(c)
 
 
@@ -179,6 +184,10 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
 class DeviationVanished(ValueError):
     """The probe's eps is below the floor, where round-off spoils the
     deviation matrix."""
+
+
+class NoiseOverflow(ValueError):
+    """The readout noise's sigma overflows a tomography coefficient."""
 
 
 def _tomography(probe_eps: float, noise: ReadoutNoise) -> tuple[TomographyRecord, float]:

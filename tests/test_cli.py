@@ -442,6 +442,19 @@ class TestMainExitCodes:
             assert (code, captured.err) == (
                 EXIT_INVARIANT, "invariant failure: column 'k_analytic' is not finite: nan\n")
 
+    def test_tomography_noise_past_the_float_range_exits_2(self, capsys):
+        """Noise of the float maximum overflows a coefficient to inf: a usage
+        error naming the flag (it once exited 1 on ``tomography coefficients
+        must be finite``).  Noise of 1e300 stays in range and runs."""
+        assert main(["tomography", "--noise-sigma", "1.7976931348623157e308"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --noise-sigma: readout noise sigma = "
+                                "1.7976931348623157e+308 overflows a tomography "
+                                "coefficient past the float range\n")
+        assert captured.out == ""
+        assert main(["tomography", "--noise-sigma", "1e300"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     # Past noise of about 1e154 the squares of the noisy deviation matrix
     # overflow; the overlap is scale-free, so the fidelity is printed, and
     # noise this far above the signal gives the same value at every sigma.

@@ -24,7 +24,7 @@ DEMO_SHA256 = {
     "violation_curve.py":
         "5e41ebcffe0651f1db1ac6898ccd6fa3e1412504bdb48cfdafb7f5390503eef3",
     "noninvasive_probe.py":
-        "f952a2f0eb01926796d5a3b211ad3109945dd8a0bb1da19cb668fec66c31999f",
+        "50696ba9bd947f88f001dfc64ade1d5096ca5494d692937e80753c4ecd18170e",
     "tomography_and_t2.py":
         "74974f4662e72370ea56254743d3f8becb29aef4a0f2cefc8587552ac4f7611e",
 }

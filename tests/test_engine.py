@@ -74,7 +74,7 @@ from lgsim.linalg import (
     unitary,
 )
 from lgsim.nmr import (ReadoutNoise, T2Config, TomographyRecord, k_attenuation_check,
-                       reconstruct, t2_dephase, tomograph)
+                       reconstruct, t2_dephase, tomograph, tomography_fidelity_experiment)
 from lgsim.states import (
     KET0,
     KET1,
@@ -529,13 +529,15 @@ def test_reference_equals_the_six_gate_zero_time_circuit(h, obs, rho_sys, eps, p
     (0.0 * SIGMA_X, 0.3, np.array([[0.5, 0.7], [1.0, 2.0]])),
     (0.7 * IDENTITY_2, 0.0, 0.0),
 ])
-def test_scattering_circuits_expand_to_at_most_four_terms(h, t_k, t_m):
+def test_scattering_circuits_expand_to_at_most_four_terms(h, t_k, t_m, monkeypatch):
     """The scattering circuit's two free evolutions give four products of
-    terms, well under the 16 past which ``_expand`` folds the weights into
-    the matrix units, so ``circuit_unitary`` and ``run`` multiply its
-    terms as they stand."""
-    _, fixed = lgsim.circuit._expand(Circuit(scattering_gates(h, SIGMA_Z, t_k, t_m)))
-    assert len(fixed) <= 4
+    fixed terms, which the readout sums over the pair basis of two gates,
+    well under the 16 products it takes."""
+    bases = counting(lgsim.circuit, "_pair_basis", monkeypatch)
+    circuit = Circuit(scattering_gates(h, SIGMA_Z, t_k, t_m))
+    _probe_signal(circuit, kron(pseudo_pure(0.5, KET0), maximally_mixed()))
+    assert bases == [(2,)]
+    assert math.prod(len(gate.fixed) for gate in circuit.gates) == 4
 
 
 @SETTINGS
@@ -869,18 +871,27 @@ def test_gradient_dephase_prepare_makes_two_exponential_calls(monkeypatch):
     assert len(calls) == 2
 
 
-def test_max_disturbance_takes_one_partial_trace(monkeypatch):
-    """``noninvasive-check`` runs ``max_disturbance`` once per state, on the
+def test_max_disturbance_makes_one_probe_readout(monkeypatch):
+    """``noninvasive-check`` runs ``max_disturbance`` once per state: one
+    ``_probe_signal`` call with the three Bloch readouts I (x) sigma_j on the
     stack of its 5x5 grid of time pairs."""
-    calls = counting(lgsim.leggett_garg, "partial_trace", monkeypatch)
+    readouts = counting(lgsim.leggett_garg, "_probe_signal", monkeypatch)
     lgsim.cli._compute(lgsim.cli.parse_config(["noninvasive-check"], environ={}))
-    assert [args[0].shape for args in calls] == [(5, 5, 4, 4)] * 2
+    assert [(circuit.gates[3].phase.shape, readout.shape)
+            for circuit, _, readout in readouts] == [((5, 5), (3, 4, 4))] * 2
 
 
-def test_max_disturbance_takes_one_trace_distance(monkeypatch):
-    calls = counting(lgsim.leggett_garg, "trace_distance", monkeypatch)
+def test_max_disturbance_forms_no_output_state(monkeypatch):
+    """``max_disturbance`` reads the register's Bloch vectors off the probe
+    readout: ``noninvasive-check`` calls no ``run``, ``partial_trace`` or
+    ``trace_distance``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("max_disturbance formed an output state")
+
+    for name in ("run", "partial_trace", "trace_distance"):
+        for module in (lgsim, lgsim.linalg, lgsim.circuit, lgsim.leggett_garg):
+            monkeypatch.setattr(module, name, refuse, raising=False)
     lgsim.cli._compute(lgsim.cli.parse_config(["noninvasive-check"], environ={}))
-    assert [args[0].shape for args in calls] == [(5, 5, 2, 2)] * 2
 
 
 @SETTINGS
@@ -1067,22 +1078,22 @@ def test_stacked_circuits_equal_the_per_circuit_loop(shape, rng):
 
 
 def test_stacked_evolve_of_a_multiple_of_the_identity_has_a_zero_axis_term(rng):
-    """A multiple of I keeps the two weight columns of every ``Evolve``: its
-    axis term is the zero matrix, weighted by zero."""
-    gate = Evolve(SYSTEM, 0.7 * IDENTITY_2, rng.uniform(-3.0, 3.0, 9))
-    weights, fixed = gate.terms
-    assert weights.shape == (9, 2) and fixed.shape == (2, 4, 4)
-    np.testing.assert_array_equal(fixed[0], np.eye(4))
-    np.testing.assert_array_equal(fixed[1], np.zeros((4, 4)))
-    np.testing.assert_array_equal(weights[:, 1], 0.0)
+    """A multiple of I keeps the two fixed terms of every ``Evolve``: its
+    axis term is the zero matrix, and ``embed`` is its phase times I."""
+    phases = rng.uniform(-3.0, 3.0, 9)
+    gate = Evolve(SYSTEM, 0.7 * IDENTITY_2, phases)
+    assert gate.fixed.shape == (2, 4, 4) and gate.pairs.shape == (3, 9)
+    np.testing.assert_array_equal(gate.fixed[0], np.eye(4))
+    np.testing.assert_array_equal(gate.fixed[1], np.zeros((4, 4)))
+    np.testing.assert_allclose(embed(gate), np.exp(-0.7j * phases)[:, None, None] * np.eye(4),
+                               rtol=0, atol=1e-15)
     gates = (Hadamard(PROBE), gate, ControlledU(PROBE, SYSTEM, SIGMA_X), gate)
     assert_matches_the_loop(gates, random_density(rng, 4), (9,))
 
 
-def test_many_stacked_evolves_fold_into_the_matrix_units(rng):
-    """Five stacked (two-term) evolutions on both wires make 32 products of
-    terms, folded into the 16 matrix units; twice as many gates still
-    leave 16 terms."""
+def test_many_stacked_evolves_equal_the_per_circuit_loop(rng):
+    """Five stacked evolutions on both wires, and twice as many gates, with
+    stacks of several shapes broadcasting together."""
     def evolve(wire, shape):
         h = np.tensordot(rng.standard_normal(4),
                          np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]), 1)
@@ -1091,9 +1102,6 @@ def test_many_stacked_evolves_fold_into_the_matrix_units(rng):
     gates = (evolve(PROBE, (4, 1)), Hadamard(SYSTEM), evolve(SYSTEM, (3,)),
              ControlledU(SYSTEM, PROBE, SIGMA_Y), evolve(PROBE, (4, 3)),
              evolve(SYSTEM, ()), evolve(SYSTEM, (3,)), evolve(PROBE, (1, 3)))
-    assert len(lgsim.circuit._expand(Circuit(gates[:5]))[1]) == 8
-    assert len(lgsim.circuit._expand(Circuit(gates[:7]))[1]) == 16
-    assert len(lgsim.circuit._expand(Circuit(gates + gates))[1]) == 16
     assert_matches_the_loop(gates, random_density(rng, 4), (4, 3))
     assert_matches_the_loop(gates + gates, random_density(rng, 4), (4, 3))
 
@@ -1121,6 +1129,64 @@ def test_probe_readout_folds_many_evolutions(count, rng):
     got, _ = _probe_signal(circuit, rho_in)
     np.testing.assert_allclose(got, expect_probe_z(run(circuit, rho_in)),
                                rtol=0, atol=1e-14)
+
+
+PAULIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), evolutions=st.integers(0, 4),
+       others=st.integers(1, 4), count=st.integers(1, 5))
+def test_a_stack_of_readouts_equals_each_readout_alone(seed, evolutions, others, count):
+    """``_probe_signal`` on a stack of readouts forms the fixed products and
+    their traces once; each readout's ``(signal, reference)`` is bitwise what
+    a call with that readout alone returns, for random circuits of 0-4 free
+    evolutions with number or stacked phases."""
+    rng = np.random.default_rng(seed)
+    wires = (PROBE, SYSTEM)
+    gates = []
+    for _ in range(evolutions):
+        shape = ((), (3,), (2, 1), (1, 3))[rng.integers(4)]
+        gates.append(Evolve(wires[rng.integers(2)], np.tensordot(rng.standard_normal(4),
+                                                                 PAULIS, 1),
+                            rng.uniform(-3.0, 3.0, shape)))
+    for _ in range(others):
+        control = rng.integers(2)
+        gates.append(Hadamard(wires[control]) if rng.integers(2) else
+                     ControlledU(wires[control], wires[1 - control], SIGMA_X))
+    circuit = Circuit([gates[i] for i in rng.permutation(len(gates))])
+    rho_in = kron(pseudo_pure(rng.uniform(0.05, 1.0), KET0), random_density(rng, 2))
+    readouts = kron(PAULIS[rng.integers(0, 4, count)], PAULIS[rng.integers(0, 4, count)])
+    signals, references = _probe_signal(circuit, rho_in, readouts)
+    assert references.shape == (count,)
+    for readout, signal, reference in zip(readouts, signals, references):
+        alone, alone_reference = _probe_signal(circuit, rho_in, readout)
+        assert np.asarray(alone).tobytes() == signal.tobytes()
+        assert alone_reference == reference
+
+
+def test_no_library_path_reaches_the_circuit_unitary(monkeypatch, tmp_path):
+    """Every measurement is a probe readout: with ``run`` and
+    ``circuit_unitary`` broken everywhere, the correlators, K, the
+    disturbance, the T2 and tomography checks and the five commands still
+    run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library path formed the circuit unitary")
+
+    for name in ("run", "circuit_unitary"):
+        for module in (lgsim, lgsim.circuit, lgsim.leggett_garg, lgsim.nmr, lgsim.cli):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    rho, evo = classical_mixture(0.3, 0.7), Evolution(1.3)
+    sweep(evo, rho, 0.5, 0.0, math.pi, 9)
+    k_value(rho, SIGMA_Z, evo, Schedule(0.0, 0.4, 0.8), 0.5)
+    correlation_circuit(rho, SIGMA_X, evo, 0.2, np.linspace(0.2, 1.0, 3))
+    max_disturbance(rho, SIGMA_Z, evo, [0.0, 0.5, 1.0])
+    k_attenuation_check(T2Config(3.0, 0.8, 0.01), 1.0, 0.5)
+    tomography_fidelity_experiment(0.01, 3)
+    for command in lgsim.cli.COMMANDS:
+        out = tmp_path / f"{command}.csv"
+        assert lgsim.cli.main([command, "--steps", "5", "--output", str(out)]) == 0
+        assert out.read_text()
 
 
 def test_stacked_circuit_broadcasts_against_a_stack_of_states(rng):
@@ -1249,7 +1315,7 @@ def test_default_sweep_takes_almost_no_page_faults():
 def test_stacked_results_survive_later_engine_calls(size):
     """States from ``run`` and unitaries from ``circuit_unitary`` are
     their own call's arrays; later calls leave them, the inputs and the
-    gates' read-only terms alone."""
+    gates' read-only fixed stacks alone."""
     t = np.linspace(0.0, 3.0, size)
     obs = observable_from_state(KET0)
     circuit = Circuit(scattering_gates(SIGMA_X, obs, 0.5 * t, t))

@@ -8,6 +8,7 @@ from conftest import random_density
 
 from lgsim.leggett_garg import SweepResult
 from lgsim.nmr import (
+    NoiseOverflow,
     ReadoutNoise,
     T2Config,
     TomographyRecord,
@@ -236,6 +237,13 @@ class TestTomograph:
         c[0, 0], c[2, 3] = 1.0, value
         with pytest.raises(ValueError, match="finite"):
             TomographyRecord(c)
+
+    @pytest.mark.parametrize("sigma", [np.finfo(float).max, float(np.finfo(float).max)])
+    def test_noise_past_the_float_range_raises_naming_sigma(self, sigma):
+        rho = np.kron(pure_density(KET0), maximally_mixed())
+        with pytest.raises(NoiseOverflow, match="sigma = 1.7976931348623157e"):
+            tomograph(rho, ReadoutNoise(sigma=sigma, seed=42))
+        assert issubclass(NoiseOverflow, ValueError)
 
     def test_rejects_a_non_hermitian_matrix(self):
         """Its coefficients would lose their imaginary parts, and the
