@@ -13,12 +13,11 @@ I and n.sigma for an ``Evolve``.  Nothing later checks them again.
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
 then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
 S + (4, 4) and the readouts shape S.  Every measurement of the package is a
-probe readout: ``_probe_signal`` reads Re Tr[R V rho V+] for a readout R,
-or a stack of them, forming no state.  It reads each ``Evolve`` through the
-three real columns of its pair weights w_b conj(w_c) (``pairs``), for the
-scattering circuit by a 3x3 real matrix and one real bilinear form over the
-stacks, and takes at most four free evolutions (16 products); the
-scattering circuit has two.  ``circuit_unitary`` is the plain ordered
+probe readout: ``_probe_signal`` reads Re Tr[R V rho V+] of the six
+``scattering_gates`` for a readout R, or a stack of them, forming no state.
+It reads each of their two free evolutions through the three real columns
+of its pair weights w_b conj(w_c) (``pairs``), by a 3x3 real matrix and one
+real bilinear form over the stacks.  ``circuit_unitary`` is the plain ordered
 product of ``embed``, which weighs an ``Evolve``'s fixed terms by the
 complex ``linalg._expm_weights``, and ``run`` is V rho V+ of it: the
 reference the readout is tested against, sharing with it only the gates'
@@ -58,6 +57,10 @@ _PROBE_Y = kron(SIGMA_Y, IDENTITY_2)
 # sum_a u_a P_a over its real pair columns u (``linalg._pair_weights``) and
 # these P_a; at zero phase u = (1, 0, 0).
 _PAIR_BASIS = np.stack((_P0, _P1, -SIGMA_Y))
+# The pairs of the scattering circuit's two free evolutions: a (9, 16) map from
+# their pair index to the pair (b, c) of products, the first gate's index slowest.
+_PAIR_BASIS_2 = np.einsum("apq,brs->abprqs", _PAIR_BASIS, _PAIR_BASIS).reshape(9, 16)
+_PAIR_BASIS_2.flags.writeable = False
 
 
 def _check_wire(wire: str) -> None:
@@ -198,74 +201,37 @@ def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
     return v @ rho_in @ dagger(v)
 
 
-def _probe_signal(circuit: Circuit, rho_in: np.ndarray, readout: np.ndarray = _PROBE_Z):
-    """``(signal, reference)`` for one checked state, read off pair weights.
+def _probe_signal(gates, rho_in: np.ndarray, readout: np.ndarray = _PROBE_Z):
+    """``(signal, reference)`` of the six ``scattering_gates`` on one checked
+    state: Re Tr[readout V rho V+] (``expect_probe_z(run(...))`` for the
+    default sigma_z (x) I) and its value at zero phases.
 
-    The signal Re Tr[readout V rho V+] (``expect_probe_z(run(...))`` for the
-    default sigma_z (x) I) is Re sum_bc T_bc w_b conj(w_c) for V = sum_b w_b
-    M_b over the products M_b of one term per gate and the fixed traces
-    T_bc = Tr[readout M_b rho M_c+].  Each ``Evolve`` enters only through
-    its pairs w_b conj(w_c) = sum_a u_a P_a (its real ``pairs`` columns u and
-    ``_PAIR_BASIS``), so T is summed against the P_a once, whatever the stack
-    size, into real traces G, and G against every column in one ``einsum``:
-    for the scattering circuit a 3x3 G and one bilinear form over the stacks,
-    with no product of them formed.  The reference is G_0 = Re T_00, the
-    circuit at zero phases (every u = (1, 0, 0)).  A circuit holds at most
-    four free evolutions (16 products; the paper's holds two), as
-    ``_pair_basis`` bounds; a fifth raises ValueError.  Traces and stacks
-    are summed by ``einsum``, which rounds alike on every BLAS kernel.
-
-    A stack of R readouts (R, 4, 4) shares the M_b and their traces and
-    returns R signals (R,) + S and R references, each bitwise what that
-    readout alone returns; one readout of one circuit returns floats.
+    V = sum_b w_b M_b over the four products M_b of one fixed term per gate.
+    Each free evolution enters only through its real ``pairs`` columns u, as
+    w_b conj(w_c) = sum_a u_a P_a over ``_PAIR_BASIS``, so the traces T_bc =
+    Tr[readout M_b rho M_c+] are summed once against ``_PAIR_BASIS_2`` into
+    a real 3x3 G, and G against both columns in one bilinear ``einsum``; no
+    product of the stacks is formed.  The reference is G_00 = Re T_00 (every
+    u = (1, 0, 0)).  Every sum is an ``einsum``, which rounds alike on every
+    BLAS kernel.  A stack of R readouts (R, 4, 4) shares the M_b and their
+    traces and returns R signals (R,) + S and R references, each bitwise
+    what that readout alone returns; one readout of one circuit returns
+    floats.
     """
-    if not circuit.gates:
-        raise ValueError("cannot execute an empty circuit")
-    fixed, columns = None, []
-    for gate in circuit.gates:
-        if isinstance(gate, Evolve):
-            if len(columns) == 4:
-                raise ValueError("the probe readout takes at most four free evolutions")
-            columns.append(gate.pairs)
-        fixed = gate.fixed if fixed is None else (gate.fixed @ fixed[:, None]).reshape(-1, 4, 4)
+    _, early, _, late, _, _ = gates
+    fixed = gates[0].fixed
+    for gate in gates[1:]:
+        fixed = (gate.fixed @ fixed[:, None]).reshape(-1, 4, 4)
     lead = readout.shape[:-2]
-    probed = (readout[..., None, :, :] @ fixed @ rho_in).reshape(lead + (len(fixed), 16))
-    traces = np.einsum("...bi,ci->...bc", probed, fixed.reshape(-1, 16).conj())
+    probed = (readout[..., None, :, :] @ fixed @ rho_in).reshape(lead + (4, 16))
+    traces = np.einsum("...bi,ci->...bc", probed, fixed.reshape(4, 16).conj())
     # the real part copied contiguous: einsum sums a strided operand in another order
-    traces = np.einsum("ax,...x->...a", _pair_basis(len(columns)),
-                       traces.reshape(lead + (-1,))).real.copy()
-    signal, reference = _contract(traces, columns), traces[..., 0]
-    return tuple(value if value.ndim else float(value) for value in (signal, reference))
-
-
-@functools.cache
-def _pair_basis(n: int) -> np.ndarray:
-    """The ``_PAIR_BASIS`` of n two-term gates, as a (3**n, 4**n) matrix from
-    the pair index a to the pair (b, c) of products, the first gate's the
-    slowest index of each; n <= 4, the free evolutions a probe readout takes
-    (n = 8 would be 6.9 GB)."""
-    basis = np.ones((1, 1, 1), dtype=complex)
-    for _ in range(n):
-        a, p, q = basis.shape
-        basis = np.einsum("apq,brs->abprqs", basis, _PAIR_BASIS).reshape(3 * a, 2 * p, 2 * q)
-    basis = basis.reshape(len(basis), -1)
-    basis.flags.writeable = False
-    return basis
-
-
-def _contract(traces: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
-    """sum_k traces[..., k] prod_i columns[i][k_i] over the multi-index k of
-    one entry per column (the first column's the slowest), in one
-    ``einsum``: a lead axis of ``traces`` (one per readout) leads the result,
-    the stacks, which trail each column, broadcast after it, and no product
-    of them is formed."""
-    n = len(columns)
-    lead = list(range(n, traces.ndim - 1 + n))
-    operands = [traces.reshape(traces.shape[:-1] + tuple(len(u) for u in columns)),
-                lead + list(range(n))]
-    for axis, u in enumerate(columns):
-        operands += [u, [axis, ...]]
-    return np.einsum(*operands, lead + [...])
+    traces = np.einsum("ax,...x->...a", _PAIR_BASIS_2,
+                       traces.reshape(lead + (16,))).real.copy().reshape(lead + (3, 3))
+    axes = list(range(2, traces.ndim))
+    signal = np.einsum(traces, axes + [0, 1], early.pairs, [0, ...], late.pairs, [1, ...],
+                       axes + [...])
+    return tuple(v if v.ndim else float(v) for v in (signal, traces[..., 0, 0]))
 
 
 def build_scattering_circuit(

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # No function here calls ``run``; the benchmark's tracer tests it is patched here too.
-from .circuit import Circuit, _probe_signal, run, scattering_gates  # noqa: F401
+from .circuit import _probe_signal, run, scattering_gates  # noqa: F401
 from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _real, dagger, density,
                      dichotomic_observable, kron)
 from .states import KET0, pseudo_pure, pure_density
@@ -245,8 +245,8 @@ def correlation_circuit(rho_sys, obs, evo: Evolution, t_k, t_m,
     broadcast shape otherwise; normalized matches the oracle.
     """
     rho_in = _probe_register(rho_sys, probe_eps)
-    circuit = Circuit(scattering_gates(evo.hamiltonian, obs, t_k, t_m))
-    raw, reference = _probe_signal(circuit, rho_in)
+    gates = scattering_gates(evo.hamiltonian, obs, t_k, t_m)
+    raw, reference = _probe_signal(gates, rho_in)
     return raw, raw / _check_reference(reference)
 
 
@@ -262,10 +262,12 @@ def max_disturbance(rho_sys, obs, evo: Evolution, times, probe_eps: float = 1.0)
     times = _real(times, "times")
     if not times.size:
         raise ValueError("max_disturbance needs at least one time in times")
+    flat = times.ravel()
+    _first_bad("times must be finite and >= 0, got", flat, (0.0 <= flat) & (flat < math.inf))
     rho_in = _probe_register(rho_sys, probe_eps)
     a, b = np.meshgrid(times, times)
     gates = scattering_gates(evo.hamiltonian, obs, np.minimum(a, b), np.maximum(a, b))
-    after, _ = _probe_signal(Circuit(gates), rho_in, _SYSTEM_READOUTS)
+    after, _ = _probe_signal(gates, rho_in, _SYSTEM_READOUTS)
     before = np.einsum("jik,ki->j", _SYSTEM_READOUTS, rho_in).real
     return float(0.5 * np.linalg.norm(after - before[:, None, None], axis=0).max())
 

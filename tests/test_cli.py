@@ -1,16 +1,20 @@
 """Flag parsing, precedence, serialization formats, and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgsim.cli import (
+    COMMANDS,
     EXIT_INVARIANT,
     EXIT_IO,
     EXIT_OK,
@@ -776,3 +780,41 @@ def test_output_matches_recorded_digest(args, digest, tmp_path, capsysbinary,
         assert main(list(args)) == EXIT_OK
         data = capsysbinary.readouterr().out
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+NUMERIC_FLAGS = ("--theta-min", "--theta-max", "--epsilon", "--t2-probe", "--t2-system",
+                 "--duration", "--noise-sigma")
+HOSTILE_VALUES = ("0", "-0.0", "5e-324", "2.2250738585072014e-308", "1e-300", "-1e-300",
+                  "1e-15", "1e-7", "5e-7", "0.5", "1", "-1", "3.141592653589793",
+                  "6.283185307179586", "1e10", "1e300", "1.7976931348623157e308",
+                  "-1.7976931348623157e308", "1e400", "nan", "inf", "-inf", "abc", "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(COMMANDS),
+       flags=st.lists(st.tuples(st.sampled_from(NUMERIC_FLAGS), st.sampled_from(HOSTILE_VALUES)),
+                      min_size=1, max_size=4, unique_by=lambda pair: pair[0]),
+       steps=st.integers(2, 7))
+@example(command="tomography", flags=[("--noise-sigma", "1.7976931348623157e308")], steps=5)
+@example(command="noise-check", flags=[("--epsilon", "1e-7")], steps=5)
+def test_hostile_numeric_flags_exit_0_or_2_naming_a_flag(command, flags, steps):
+    """``main`` in-process on hostile values of the numeric flags, with
+    numpy's warnings as errors: it exits 0, or 2 naming a flag it was given,
+    or 1 only for the documented non-finite output (a column or an SVG
+    coordinate that is not finite); it never raises."""
+    argv = [command, f"--steps={steps}", *(f"{flag}={value}" for flag, value in flags)]
+    out, err = io.BytesIO(), io.StringIO()
+    stdout = io.TextIOWrapper(out)
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    message, printed = err.getvalue(), out.getvalue()
+    if code == EXIT_OK:
+        assert printed and not message
+    elif code == EXIT_USAGE:
+        assert not printed
+        assert any(flag in message for flag in ("--steps", *dict(flags))), message
+    else:
+        assert code == EXIT_INVARIANT and not printed
+        assert "is not finite" in message, message

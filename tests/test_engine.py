@@ -463,12 +463,12 @@ def test_k_value_and_correlator_run_one_stack_and_one_reference(engine_calls):
 
 
 def test_noise_check_reads_both_halves_off_the_traces(engine_calls):
-    """The ideal signals and reference in one ``_probe_signal`` call, the
-    dephased signals in a second one on the first five gates, read by the
-    dephased sigma_x (x) I; no output state is formed (a ``run`` on those
-    gates and one on the closing Hadamard when the dephased half did)."""
+    """The ideal and the dephased signals and the reference in one
+    ``_probe_signal`` call on the six gates, by a stack of two readouts (two
+    calls when the dephased half read the first five gates on its own); no
+    output state is formed."""
     k_attenuation_check(T2Config(3.0, 0.8, 0.01), math.pi / 3)
-    assert len(engine_calls["_probe_signal"]) == 2
+    assert len(engine_calls["_probe_signal"]) == 1
     assert len(engine_calls["run"]) == 0
 
 
@@ -518,8 +518,8 @@ def test_reference_equals_the_six_gate_zero_time_circuit(h, obs, rho_sys, eps, p
     """The reference read off the traces of the circuit of any time pair or
     stack is bitwise the probe signal of the full circuit at zero times."""
     rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
-    zero_time, _ = _probe_signal(build_scattering_circuit(h, obs, 0.0, 0.0), rho_in)
-    _, reference = _probe_signal(Circuit(scattering_gates(h, obs, *pairs)), rho_in)
+    zero_time, _ = _probe_signal(build_scattering_circuit(h, obs, 0.0, 0.0).gates, rho_in)
+    _, reference = _probe_signal(scattering_gates(h, obs, *pairs), rho_in)
     assert reference == zero_time
 
 
@@ -529,15 +529,13 @@ def test_reference_equals_the_six_gate_zero_time_circuit(h, obs, rho_sys, eps, p
     (0.0 * SIGMA_X, 0.3, np.array([[0.5, 0.7], [1.0, 2.0]])),
     (0.7 * IDENTITY_2, 0.0, 0.0),
 ])
-def test_scattering_circuits_expand_to_at_most_four_terms(h, t_k, t_m, monkeypatch):
-    """The scattering circuit's two free evolutions give four products of
-    fixed terms, which the readout sums over the pair basis of two gates,
-    well under the 16 products it takes."""
-    bases = counting(lgsim.circuit, "_pair_basis", monkeypatch)
-    circuit = Circuit(scattering_gates(h, SIGMA_Z, t_k, t_m))
-    _probe_signal(circuit, kron(pseudo_pure(0.5, KET0), maximally_mixed()))
-    assert bases == [(2,)]
-    assert math.prod(len(gate.fixed) for gate in circuit.gates) == 4
+def test_scattering_circuits_expand_to_at_most_four_terms(h, t_k, t_m):
+    """The six scattering gates hold one fixed term each but for the two
+    free evolutions, which hold two: the circuit expands to the four
+    products of fixed terms the readout forms, for number and stacked
+    times, |a| = 0 and a multiple of I."""
+    gates = scattering_gates(h, SIGMA_Z, t_k, t_m)
+    assert math.prod(len(gate.fixed) for gate in gates) == 4
 
 
 @SETTINGS
@@ -556,9 +554,9 @@ def test_probe_readout_equals_the_trace_of_the_output_states(h, obs, rho_sys, ep
     """The correlators' readout off the circuit's terms is <sigma_z> of the
     probe in the states ``run`` forms, for number and stacked time pairs."""
     rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
-    circuit = Circuit(scattering_gates(h, obs, *pairs))
+    circuit = build_scattering_circuit(h, obs, *pairs)
     want = expect_probe_z(run(circuit, rho_in))
-    got, _ = _probe_signal(circuit, rho_in)
+    got, _ = _probe_signal(circuit.gates, rho_in)
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
@@ -568,22 +566,37 @@ def test_probe_readout_equals_the_trace_of_the_output_states(h, obs, rho_sys, ep
        duration=st.floats(0.0, 2.0), theta=st.floats(0.0, 2 * math.pi), eps=epsilons)
 def test_dephased_readout_equals_the_dephased_state(t2_probe, t2_system, duration,
                                                     theta, eps):
-    """The dephased signals read off the first five gates' traces by the
-    dephased sigma_x (x) I equal <sigma_z> of the probe after the closing
-    Hadamard on the dephased states ``run`` forms (the channel is its own
-    adjoint), and ``k_attenuation_check``'s noisy K is theirs."""
+    """The dephased signals read off the six gates' traces by H D(sigma_x
+    (x) I) H, for the probe Hadamard H, equal <sigma_z> of the probe after
+    the closing Hadamard on the dephased states ``run`` forms (H is its own
+    inverse, and the channel D its own adjoint), and
+    ``k_attenuation_check``'s noisy K is theirs."""
     cfg = T2Config(t2_probe, t2_system, duration)
     rho_in = kron(pseudo_pure(eps, KET0), maximally_mixed())
     dt = theta / 2.0
     gates = scattering_gates(SIGMA_X, SIGMA_Z, (0.0, dt, 0.0), (dt, 2 * dt, 2 * dt))
     dephased = t2_dephase(run(Circuit(gates[:-1]), rho_in), cfg)
     want = expect_probe_z(run(Circuit(gates[-1:]), dephased))
-    got, _ = _probe_signal(Circuit(gates[:-1]), rho_in,
-                           t2_dephase(kron(SIGMA_X, IDENTITY_2), cfg))
+    hadamard = kron(HADAMARD, IDENTITY_2)
+    got, _ = _probe_signal(gates, rho_in,
+                           hadamard @ t2_dephase(kron(SIGMA_X, IDENTITY_2), cfg) @ hadamard)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-    c12, c23, c13 = want / _probe_signal(Circuit(gates), rho_in)[1]
+    c12, c23, c13 = want / _probe_signal(gates, rho_in)[1]
     # the readouts' round-off, about 1e-15, is divided by the reference eps
     assert abs(k_attenuation_check(cfg, theta, eps)[1] - (c12 + c23 - c13)) <= 1e-14 / eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(t2_probe=st.floats(0.05, 5.0), t2_system=st.floats(0.05, 5.0),
+       duration=st.floats(0.0, 2.0), theta=st.floats(0.0, 2 * math.pi), eps=epsilons)
+def test_the_ideal_row_of_the_noise_check_is_k_value(t2_probe, t2_system, duration,
+                                                     theta, eps):
+    """The sigma_z (x) I row of ``k_attenuation_check``'s stack of two
+    readouts is bitwise K of that readout alone, as ``k_value`` reads it."""
+    k_ideal, _ = k_attenuation_check(T2Config(t2_probe, t2_system, duration), theta, eps)
+    want = k_value(maximally_mixed(), SIGMA_Z, Evolution(1.0),
+                   Schedule(0.0, theta / 2.0, theta), eps).k
+    assert k_ideal == want
 
 
 def test_t2_dephase_broadcasts_over_a_stack(rng):
@@ -877,8 +890,8 @@ def test_max_disturbance_makes_one_probe_readout(monkeypatch):
     stack of its 5x5 grid of time pairs."""
     readouts = counting(lgsim.leggett_garg, "_probe_signal", monkeypatch)
     lgsim.cli._compute(lgsim.cli.parse_config(["noninvasive-check"], environ={}))
-    assert [(circuit.gates[3].phase.shape, readout.shape)
-            for circuit, _, readout in readouts] == [((5, 5), (3, 4, 4))] * 2
+    assert [(gates[3].phase.shape, readout.shape)
+            for gates, _, readout in readouts] == [((5, 5), (3, 4, 4))] * 2
 
 
 def test_max_disturbance_forms_no_output_state(monkeypatch):
@@ -1106,61 +1119,28 @@ def test_many_stacked_evolves_equal_the_per_circuit_loop(rng):
     assert_matches_the_loop(gates + gates, random_density(rng, 4), (4, 3))
 
 
-@pytest.mark.parametrize("count", [5, 6, 7, 8, 16])
-def test_probe_readout_folds_many_evolutions(count, rng):
-    """Up to four two-term gates (16 products of terms) the readout equals
-    <sigma_z> of the probe in the states ``run`` forms; it folds nothing, so
-    a fifth raises (counts 7, 8 and 16) rather than building a pair basis of
-    3**n x 4**n entries."""
-    def evolve(wire, shape):
-        h = np.tensordot(rng.standard_normal(4),
-                         np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]), 1)
-        return Evolve(wire, h, rng.uniform(-3.0, 3.0, shape))
-
-    gates = (evolve(PROBE, (4, 1)), Hadamard(SYSTEM), evolve(SYSTEM, (3,)),
-             ControlledU(SYSTEM, PROBE, SIGMA_Y), evolve(PROBE, (4, 3)),
-             evolve(SYSTEM, ()), evolve(SYSTEM, (3,)), evolve(PROBE, (1, 3)))
-    circuit = Circuit((gates + gates)[:count])
-    rho_in = kron(pseudo_pure(0.6, KET0), classical_mixture(0.3, 0.7))
-    if count > 6:
-        with pytest.raises(ValueError, match="at most four free evolutions"):
-            _probe_signal(circuit, rho_in)
-        return
-    got, _ = _probe_signal(circuit, rho_in)
-    np.testing.assert_allclose(got, expect_probe_z(run(circuit, rho_in)),
-                               rtol=0, atol=1e-14)
-
-
 PAULIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 @SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), evolutions=st.integers(0, 4),
-       others=st.integers(1, 4), count=st.integers(1, 5))
-def test_a_stack_of_readouts_equals_each_readout_alone(seed, evolutions, others, count):
+@given(seed=st.integers(0, 2**32 - 1),
+       shapes=st.sampled_from([((), ()), ((), (3,)), ((2, 1), (1, 3)), ((4, 3), (4, 3))]),
+       count=st.integers(1, 5))
+def test_a_stack_of_readouts_equals_each_readout_alone(seed, shapes, count):
     """``_probe_signal`` on a stack of readouts forms the fixed products and
     their traces once; each readout's ``(signal, reference)`` is bitwise what
-    a call with that readout alone returns, for random circuits of 0-4 free
-    evolutions with number or stacked phases."""
+    a call with that readout alone returns, for random scattering circuits
+    with number or stacked times."""
     rng = np.random.default_rng(seed)
-    wires = (PROBE, SYSTEM)
-    gates = []
-    for _ in range(evolutions):
-        shape = ((), (3,), (2, 1), (1, 3))[rng.integers(4)]
-        gates.append(Evolve(wires[rng.integers(2)], np.tensordot(rng.standard_normal(4),
-                                                                 PAULIS, 1),
-                            rng.uniform(-3.0, 3.0, shape)))
-    for _ in range(others):
-        control = rng.integers(2)
-        gates.append(Hadamard(wires[control]) if rng.integers(2) else
-                     ControlledU(wires[control], wires[1 - control], SIGMA_X))
-    circuit = Circuit([gates[i] for i in rng.permutation(len(gates))])
+    gates = scattering_gates(np.tensordot(rng.standard_normal(4), PAULIS, 1),
+                             unit_observable(rng.standard_normal(3)),
+                             rng.uniform(0.0, 1.5, shapes[0]), rng.uniform(1.5, 3.0, shapes[1]))
     rho_in = kron(pseudo_pure(rng.uniform(0.05, 1.0), KET0), random_density(rng, 2))
     readouts = kron(PAULIS[rng.integers(0, 4, count)], PAULIS[rng.integers(0, 4, count)])
-    signals, references = _probe_signal(circuit, rho_in, readouts)
+    signals, references = _probe_signal(gates, rho_in, readouts)
     assert references.shape == (count,)
     for readout, signal, reference in zip(readouts, signals, references):
-        alone, alone_reference = _probe_signal(circuit, rho_in, readout)
+        alone, alone_reference = _probe_signal(gates, rho_in, readout)
         assert np.asarray(alone).tobytes() == signal.tobytes()
         assert alone_reference == reference
 

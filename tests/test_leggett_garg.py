@@ -247,8 +247,18 @@ class TestMaxDisturbance:
             max_disturbance(maximally_mixed(), SZ, EVO, times)
 
     def test_rejects_a_negative_time(self):
-        with pytest.raises(ValueError, match="theta_k >= 0"):
+        with pytest.raises(ValueError, match=r"^times must be finite and >= 0, got -0\.1$"):
             max_disturbance(maximally_mixed(), SZ, EVO, [-0.1, 0.5])
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)])
+    def test_a_bad_time_is_named(self, bad, shape):
+        """The first time that is negative or not finite is named as
+        ``times``, a 2-d ``times`` too, before any circuit is built."""
+        times = np.full(math.prod(shape), 0.5)
+        times[1:] = bad
+        with pytest.raises(ValueError, match=f"^times must be finite and >= 0, got {bad!r}$"):
+            max_disturbance(maximally_mixed(), SZ, EVO, times.reshape(shape))
 
     def test_exported_from_the_package(self):
         import lgsim
