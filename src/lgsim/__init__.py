@@ -17,7 +17,6 @@ from .circuit import (
     expect_probe_y,
     expect_probe_z,
     run,
-    scattering_gates,
 )
 from .leggett_garg import (
     Evolution,

@@ -13,15 +13,15 @@ I and n.sigma for an ``Evolve``.  Nothing later checks them again.
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
 then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
 S + (4, 4) and the readouts shape S.  Every measurement of the package is a
-probe readout: ``_probe_signal`` reads Re Tr[R V rho V+] of the six
-``scattering_gates`` for a readout R, or a stack of them, forming no state.
-It reads each of their two free evolutions through the three real columns
-of its pair weights w_b conj(w_c) (``pairs``), by a 3x3 real matrix and one
-real bilinear form over the stacks.  ``circuit_unitary`` is the plain ordered
-product of ``embed``, which weighs an ``Evolve``'s fixed terms by the
-complex ``linalg._expm_weights``, and ``run`` is V rho V+ of it: the
-reference the readout is tested against, sharing with it only the gates'
-checked operands.  No other library function calls either.
+probe readout: ``_probe_signal`` reads Re Tr[R V rho V+] of the scattering
+circuit for a readout R, or a stack of them, off its operands (h, O and the
+two times), building no gate and forming no state, by a 3x3 real matrix and
+one real bilinear form over the pair weights of the two free evolutions.
+``build_scattering_circuit`` builds the same circuit as six gates, the
+reference: ``circuit_unitary`` is the plain ordered product of ``embed``,
+which weighs an ``Evolve``'s fixed terms by the complex
+``linalg._expm_weights``, and ``run`` is V rho V+ of it, sharing with the
+readout only the operand checks.  No other library function calls either.
 
 The probe readout of the interferometer built by ``build_scattering_circuit``
 returns Re Tr[rho_sys O(t_m) O(t_k)]: a Hadamard splits the probe, the two
@@ -76,6 +76,7 @@ def _on_wire(wire: str, one_wire: np.ndarray) -> np.ndarray:
 
 
 _HADAMARD_ON = {wire: _on_wire(wire, HADAMARD[None]) for wire in WIRES}
+_PROBE_HADAMARD = _HADAMARD_ON[PROBE][0]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -101,11 +102,9 @@ class Evolve:
     ``hamiltonian`` and ``phase`` (a number too) as ``expm_hermitian`` does,
     naming ``phase``, and keeps the generator as the read-only copy that
     check returns and an array phase as a read-only float copy, so later
-    writes to the caller's arrays cannot reach the gate.  Its ``fixed``
-    terms, I and n.sigma embedded, carry two weightings: ``pairs``, the real
-    columns of ``linalg._pair_weights`` (shape (3,) + S, over
-    ``_PAIR_BASIS``), which the probe readout forms, and the complex columns
-    of ``linalg._expm_weights`` (shape S + (2,)), which ``embed`` forms."""
+    writes to the caller's arrays cannot reach the gate.  ``embed`` weighs
+    its ``fixed`` terms, I and n.sigma embedded, by the complex columns of
+    ``linalg._expm_weights`` (shape S + (2,))."""
 
     wire: str
     hamiltonian: np.ndarray
@@ -123,10 +122,6 @@ class Evolve:
             object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "_angles", _turns(phase, a0, norm))
         object.__setattr__(self, "fixed", _read_only(_on_wire(self.wire, one_wire)))
-
-    @property
-    def pairs(self) -> np.ndarray:
-        return _pair_weights(self._angles[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,70 +196,9 @@ def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
     return v @ rho_in @ dagger(v)
 
 
-def _probe_signal(gates, rho_in: np.ndarray, readout: np.ndarray = _PROBE_Z):
-    """``(signal, reference)`` of the six ``scattering_gates`` on one checked
-    state: Re Tr[readout V rho V+] (``expect_probe_z(run(...))`` for the
-    default sigma_z (x) I) and its value at zero phases.
-
-    V = sum_b w_b M_b over the four products M_b of one fixed term per gate.
-    Each free evolution enters only through its real ``pairs`` columns u, as
-    w_b conj(w_c) = sum_a u_a P_a over ``_PAIR_BASIS``, so the traces T_bc =
-    Tr[readout M_b rho M_c+] are summed once against ``_PAIR_BASIS_2`` into
-    a real 3x3 G, and G against both columns in one bilinear ``einsum``; no
-    product of the stacks is formed.  The reference is G_00 = Re T_00 (every
-    u = (1, 0, 0)).  Every sum is an ``einsum``, which rounds alike on every
-    BLAS kernel.  A stack of R readouts (R, 4, 4) shares the M_b and their
-    traces and returns R signals (R,) + S and R references, each bitwise
-    what that readout alone returns; one readout of one circuit returns
-    floats.
-    """
-    _, early, _, late, _, _ = gates
-    fixed = gates[0].fixed
-    for gate in gates[1:]:
-        fixed = (gate.fixed @ fixed[:, None]).reshape(-1, 4, 4)
-    lead = readout.shape[:-2]
-    probed = (readout[..., None, :, :] @ fixed @ rho_in).reshape(lead + (4, 16))
-    traces = np.einsum("...bi,ci->...bc", probed, fixed.reshape(4, 16).conj())
-    # the real part copied contiguous: einsum sums a strided operand in another order
-    traces = np.einsum("ax,...x->...a", _PAIR_BASIS_2,
-                       traces.reshape(lead + (16,))).real.copy().reshape(lead + (3, 3))
-    axes = list(range(2, traces.ndim))
-    signal = np.einsum(traces, axes + [0, 1], early.pairs, [0, ...], late.pairs, [1, ...],
-                       axes + [...])
-    return tuple(v if v.ndim else float(v) for v in (signal, traces[..., 0, 0]))
-
-
-def build_scattering_circuit(
-    h: np.ndarray, obs: np.ndarray, theta_k: float, theta_m: float
-) -> Circuit:
-    """Interferometer measuring the two-time correlator of ``obs``.
-
-    ``theta_k`` and ``theta_m`` are the earlier and later measurement times
-    against the generator ``h``, checked as given by ``scattering_gates``:
-    the free evolutions are exp(-i*theta*h), so
-    for H = omega*sigma_x they are plain times, not phases omega*t.  The
-    controlled two-time operator product is decomposed into free evolutions
-    interleaved with two controlled copies of the dichotomic observable; the
-    trailing uncontrolled evolution that would complete the Heisenberg
-    conjugation acts after the last controlled gate and cannot affect the
-    probe readout, so it is dropped.
-    """
-    return Circuit(scattering_gates(h, obs, theta_k, theta_m))
-
-
-def scattering_gates(h: np.ndarray, obs: np.ndarray, theta_k, theta_m):
-    """The six gates of ``build_scattering_circuit`` for a stack of (theta_k, theta_m).
-
-    ``theta_k`` and ``theta_m`` are real numbers or arrays that broadcast
-    against each other; the gates then describe one circuit per pair.
-    ``obs`` is validated once, into the one ``ControlledU`` both controlled
-    slots hold (each ``Evolve`` checks ``h``), and the ordering
-    0 <= theta_k <= theta_m < inf in one vectorised test on the broadcast
-    pair.  Each ``Evolve`` keeps its own phase un-broadcast, so a number
-    theta_k against a stack of theta_m embeds as one 4x4 matrix rather than
-    a stack of equal ones.
-    """
-    obs = dichotomic_observable(obs)
+def _time_order(theta_k, theta_m):
+    """The times as floats (``_real``), checked for 0 <= theta_k <= theta_m
+    < inf in one vectorised test on the broadcast pair."""
     theta_k = _real(theta_k, "theta_k")
     theta_m = _real(theta_m, "theta_m")
     low, high = np.broadcast_arrays(theta_k, theta_m)
@@ -272,15 +206,71 @@ def scattering_gates(h: np.ndarray, obs: np.ndarray, theta_k, theta_m):
     if bad.any():
         raise ValueError(f"need inf > theta_m >= theta_k >= 0, got "
                          f"({low[bad][0]}, {high[bad][0]})")
+    return theta_k, theta_m
+
+
+def _probe_signal(h, obs, theta_k, theta_m, rho_in: np.ndarray,
+                  readout: np.ndarray = _PROBE_Z):
+    """``(signal, reference)`` of ``build_scattering_circuit(h, obs,
+    theta_k, theta_m)`` on one checked state, building no gate: Re
+    Tr[readout V rho V+] (``expect_probe_z(run(...))`` for the default
+    sigma_z (x) I) and its value at zero phases.
+
+    V = sum_b w_b M_b over the four products M_b = H C E_m C E_k H of the
+    probe Hadamard H, the controlled observable C and one fixed term, I or
+    n.sigma, of each free evolution E, the early index slowest.  Each free
+    evolution enters only through the real columns u of its pair weights
+    (``linalg._pair_weights``), as w_b conj(w_c) = sum_a u_a P_a over
+    ``_PAIR_BASIS``, so the traces T_bc = Tr[readout M_b rho M_c+] are
+    summed once against ``_PAIR_BASIS_2`` into a real 3x3 G, and G against
+    both columns in one bilinear ``einsum``.  The reference is G_00 = Re
+    T_00 (every u = (1, 0, 0)).  Every sum is an ``einsum``, which rounds
+    alike on every BLAS kernel.  A stack of R readouts (R, 4, 4) shares the
+    M_b and their traces and returns R signals (R,) + S and R references,
+    each bitwise what that readout alone returns; one readout of one circuit
+    returns floats.
+    """
+    obs = dichotomic_observable(obs)
+    theta_k, theta_m = _time_order(theta_k, theta_m)
+    _, a0, norm, one_wire = _generator(h)
+    early, late = (_pair_weights(_turns(phase, a0, norm)[0])
+                   for phase in (theta_k, theta_m - theta_k))
+    evolve = _on_wire(SYSTEM, one_wire)
+    controlled = kron(_P0, IDENTITY_2) + kron(_P1, obs)
+    fixed = (_PROBE_HADAMARD @ (controlled @ (evolve[None] @ (
+        controlled @ (evolve[:, None] @ _PROBE_HADAMARD))))).reshape(4, 4, 4)
+    lead = readout.shape[:-2]
+    probed = (readout[..., None, :, :] @ fixed @ rho_in).reshape(lead + (4, 16))
+    traces = np.einsum("...bi,ci->...bc", probed, fixed.reshape(4, 16).conj())
+    # the real part copied contiguous: einsum sums a strided operand in another order
+    traces = np.einsum("ax,...x->...a", _PAIR_BASIS_2,
+                       traces.reshape(lead + (16,))).real.copy().reshape(lead + (3, 3))
+    axes = list(range(2, traces.ndim))
+    signal = np.einsum(traces, axes + [0, 1], early, [0, ...], late, [1, ...],
+                       axes + [...])
+    return tuple(v if v.ndim else float(v) for v in (signal, traces[..., 0, 0]))
+
+
+def build_scattering_circuit(h: np.ndarray, obs: np.ndarray, theta_k, theta_m) -> Circuit:
+    """Interferometer measuring the two-time correlator of ``obs``, as the
+    six gates ``_probe_signal`` reads without building them.
+
+    ``theta_k`` and ``theta_m`` are the earlier and later measurement times
+    against the generator ``h``, numbers or arrays that broadcast together
+    (one circuit per pair); the free evolutions are exp(-i*theta*h), so for
+    H = omega*sigma_x they are plain times, not phases omega*t.  ``obs`` is
+    checked once, into the one ``ControlledU`` both controlled slots hold.
+    Each ``Evolve`` keeps its own phase un-broadcast, so a number theta_k
+    against a stack of theta_m embeds as one 4x4 matrix.  The trailing
+    uncontrolled evolution that would complete the Heisenberg conjugation
+    acts after the last controlled gate and cannot affect the probe readout,
+    so it is dropped.
+    """
+    obs = dichotomic_observable(obs)
+    theta_k, theta_m = _time_order(theta_k, theta_m)
     controlled = ControlledU(PROBE, SYSTEM, obs)
-    return (
-        Hadamard(PROBE),
-        Evolve(SYSTEM, h, theta_k),
-        controlled,
-        Evolve(SYSTEM, h, theta_m - theta_k),
-        controlled,
-        Hadamard(PROBE),
-    )
+    return Circuit((Hadamard(PROBE), Evolve(SYSTEM, h, theta_k), controlled,
+                    Evolve(SYSTEM, h, theta_m - theta_k), controlled, Hadamard(PROBE)))
 
 
 def _probe_readout(rho: np.ndarray, probe_pauli: np.ndarray):

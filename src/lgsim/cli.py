@@ -4,8 +4,9 @@ Subcommands
     sweep              K over a uniform theta grid, with the closed-form
                        prediction and the per-point absolute error
     correlations       the three two-time correlators over the same grid
-    noninvasive-check  ``max_disturbance`` of I/2 and of |0><0| over 5 times
-                       spanning the theta range
+    noninvasive-check  ``max_disturbance`` of I/2, of |0><0| and of the
+                       --populations mixture over 5 times spanning the
+                       theta range
     tomography         the 16 Pauli coefficients of the input state and the
                        deviation-matrix fidelity against the ideal
     noise-check        K at theta = pi/3 with and without T2 dephasing
@@ -288,10 +289,11 @@ def _compute(cfg: RunConfig):
     if cfg.command == "noninvasive-check":
         evo, obs = Evolution(omega=1.0), observable_from_state(KET0)
         times = np.linspace(cfg.theta_min, cfg.theta_max, 5) / evo.energy_gap
+        states = {"mixed": maximally_mixed(), "pure_zero": pure_density(KET0),
+                  "configured": classical_mixture(*cfg.populations)}
         distances = [max_disturbance(rho, obs, evo, times, cfg.epsilon)
-                     for rho in (maximally_mixed(), pure_density(KET0))]
-        header = ["state", "max_trace_distance"]
-        return header, [["mixed", "pure_zero"], distances], None
+                     for rho in states.values()]
+        return ["state", "max_trace_distance"], [list(states), distances], None
 
     if cfg.command == "tomography":
         record, fidelity = _tomography(

@@ -8,9 +8,10 @@ from an eigendecomposition of H and shares no code with the circuit.  The
 one circuit correlator is ``correlation_circuit``, for a time pair or a stack
 of them, on the register ``_probe_register`` builds.  It reads the signal
 and the zero-time reference off one matrix of traces of the circuit's terms
-(``circuit._probe_signal``), forming no state.  ``max_disturbance``, the
-paper's noninvasiveness check, runs a grid of time pairs on that register
-and reads the system's Bloch vector off the same traces.
+(``circuit._probe_signal``, which takes H, O and the times), building no
+gate and forming no state.  ``max_disturbance``, the paper's
+noninvasiveness check, runs a grid of time pairs on that register and reads
+the system's Bloch vector off the same traces.
 ``k_value`` assembles K = C12 + C23 - C13 for an equally spaced schedule and
 ``sweep`` over a theta grid, each in one ``correlation_circuit`` call on a
 (3, N) stack, returning the curve as the columns of one ``SweepResult``;
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # No function here calls ``run``; the benchmark's tracer tests it is patched here too.
-from .circuit import _probe_signal, run, scattering_gates  # noqa: F401
+from .circuit import _probe_signal, run  # noqa: F401
 from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _real, dagger, density,
                      dichotomic_observable, kron)
 from .states import KET0, pseudo_pure, pure_density
@@ -245,8 +246,7 @@ def correlation_circuit(rho_sys, obs, evo: Evolution, t_k, t_m,
     broadcast shape otherwise; normalized matches the oracle.
     """
     rho_in = _probe_register(rho_sys, probe_eps)
-    gates = scattering_gates(evo.hamiltonian, obs, t_k, t_m)
-    raw, reference = _probe_signal(gates, rho_in)
+    raw, reference = _probe_signal(evo.hamiltonian, obs, t_k, t_m, rho_in)
     return raw, raw / _check_reference(reference)
 
 
@@ -266,8 +266,8 @@ def max_disturbance(rho_sys, obs, evo: Evolution, times, probe_eps: float = 1.0)
     _first_bad("times must be finite and >= 0, got", flat, (0.0 <= flat) & (flat < math.inf))
     rho_in = _probe_register(rho_sys, probe_eps)
     a, b = np.meshgrid(times, times)
-    gates = scattering_gates(evo.hamiltonian, obs, np.minimum(a, b), np.maximum(a, b))
-    after, _ = _probe_signal(gates, rho_in, _SYSTEM_READOUTS)
+    after, _ = _probe_signal(evo.hamiltonian, obs, np.minimum(a, b), np.maximum(a, b),
+                             rho_in, _SYSTEM_READOUTS)
     before = np.einsum("jik,ki->j", _SYSTEM_READOUTS, rho_in).real
     return float(0.5 * np.linalg.norm(after - before[:, None, None], axis=0).max())
 

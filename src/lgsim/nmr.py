@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _probe_signal, scattering_gates
+from .circuit import _PROBE_HADAMARD, _probe_signal
 from .leggett_garg import _REFERENCE_FLOOR, SweepResult, _check_reference, _probe_register
 from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _real, _register,
                      is_hermitian, kron, overlap_fidelity)
@@ -82,9 +82,10 @@ def k_attenuation_check(
     touch it.  Both values are normalized to the ideal reference, so the
     noisy/ideal ratio equals the probe coherence factor exp(-duration/t2_probe).
 
-    Both halves are read off one ``circuit._probe_signal`` call on the six
-    gates, forming no state, by the readouts sigma_z (x) I and H D(sigma_x
-    (x) I) H: the closing probe Hadamard H is its own inverse and turns
+    Both halves are read off one ``circuit._probe_signal`` call on the
+    circuit's operands, building no gate and forming no state, by the
+    readouts sigma_z (x) I and H D(sigma_x (x) I) H: the closing probe
+    Hadamard H (``circuit._PROBE_HADAMARD``) is its own inverse and turns
     sigma_z into sigma_x, and the channel D is its own adjoint.  Both K are
     the ``k`` column of a two-row ``SweepResult``, formed there from the
     correlators checked against the ideal reference.
@@ -97,10 +98,10 @@ def k_attenuation_check(
     dt = theta / 2.0  # the energy gap of sigma_x is 2
 
     # the three correlators of the (0, dt, 2dt) schedule, theta = gap * dt
-    gates = scattering_gates(SIGMA_X, SIGMA_Z, (0.0, dt, 0.0), (dt, 2.0 * dt, 2.0 * dt))
-    hadamard = gates[-1].fixed[0]
-    signals, references = _probe_signal(gates, rho_in, np.stack((
-        _PAULI_BASIS[3, 0], hadamard @ t2_dephase(_PAULI_BASIS[1, 0], cfg) @ hadamard)))
+    dephased = _PROBE_HADAMARD @ t2_dephase(_PAULI_BASIS[1, 0], cfg) @ _PROBE_HADAMARD
+    signals, references = _probe_signal(SIGMA_X, SIGMA_Z, (0.0, dt, 0.0),
+                                        (dt, 2.0 * dt, 2.0 * dt), rho_in,
+                                        np.stack((_PAULI_BASIS[3, 0], dephased)))
     c12, c23, c13 = (signals / _check_reference(references[0])).T
     return tuple(SweepResult((theta, theta), c12, c23, c13).k.tolist())
 

@@ -21,7 +21,6 @@ from lgsim.circuit import (
     expect_probe_y,
     expect_probe_z,
     run,
-    scattering_gates,
 )
 from lgsim.linalg import (
     IDENTITY_2,
@@ -106,7 +105,7 @@ class TestGateValidation:
 
     def test_infinite_measurement_time_rejected(self):
         with pytest.raises(ValueError, match=r"theta_k >= 0, got \(0.0, inf\)"):
-            scattering_gates(SIGMA_X, SIGMA_Z, 0.0, math.inf)
+            build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, math.inf)
 
     def test_controlled_gate_keeps_no_reference_to_the_callers_array(self):
         u = SIGMA_X.copy()

@@ -744,9 +744,9 @@ GOLDEN_SHA256 = [
     (("correlations", "--format", "json"),
      "928c8aa0bc5eb270bcb63a658b31293c24ffc733fce79c5665a09b19dae95c23"),
     (("noninvasive-check", "--format", "csv"),
-     "366bada9b4735db0e311952b47a1526473389c41e79822ba2e77ee56a96ce6b9"),
+     "98608fd4b67d5562a5b6753bd0c5e403eb66e4c36515eaaa1f5ecd9e0e7e0f05"),
     (("noninvasive-check", "--format", "json"),
-     "c5c356cd83b65de29d00052699b1fd9d0b3cc94f33107c2cdf46cf54c7e0b9cc"),
+     "6c7ef9c62c4f04e9329a3543aa1b9586ac2e7492f3776b13915b1d5a09b7759f"),
     (("tomography", "--format", "csv"),
      "b341a485805ed8197cc53c688e91cdf2e100da55431d8ceb0e533862d62c3c03"),
     (("tomography", "--format", "json"),
@@ -780,6 +780,80 @@ def test_output_matches_recorded_digest(args, digest, tmp_path, capsysbinary,
         assert main(list(args)) == EXIT_OK
         data = capsysbinary.readouterr().out
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# The parameter audit: each RunConfig option at a second valid value, and its
+# effect on each command's output bytes against the defaults at --steps 9.  A
+# cell reads "changes" or "no effect, because ...".
+_CHANGES = "changes"
+_THETA = {"tomography": "no effect, because tomography reads no angle",
+          "noise-check": "no effect, because noise-check runs at theta = pi/3"}
+_NORMALIZED = "no effect, because the correlators are divided by a reference of the same eps"
+_QUBIT = ("no effect, because Re Tr[rho O(t_m) O(t_k)] of O = sigma_z under omega sigma_x "
+          "is the same for every qubit state rho")
+_DEPHASING = "no effect, because only noise-check dephases"
+_NOISE = "no effect, because only tomography draws readout noise"
+_EVERYWHERE = dict.fromkeys(COMMANDS, _CHANGES)
+PARAMETER_AUDIT = {
+    "theta_min": (["--theta-min", "0.5"], {**_EVERYWHERE, **_THETA}),
+    "theta_max": (["--theta-max", "3.0"], {**_EVERYWHERE, **_THETA}),
+    "steps": (["--steps", "7"], {
+        **_THETA, "sweep": _CHANGES, "correlations": _CHANGES,
+        "noninvasive-check": "no effect, because it reads 5 times of the theta range"}),
+    "epsilon": (["--epsilon", "0.5"], {
+        "sweep": _NORMALIZED, "correlations": _NORMALIZED, "noise-check": _NORMALIZED,
+        "noninvasive-check": "no effect, because the probe's populations after its first "
+                             "Hadamard, all the system sees, are 1/2 for every eps",
+        "tomography": _CHANGES}),
+    "populations": (["--populations", "0.9,0.1"], {
+        "sweep": _QUBIT, "correlations": _QUBIT, "noninvasive-check": _CHANGES,
+        "tomography": "no effect, because tomography measures the probe with I/2",
+        "noise-check": "no effect, because noise-check runs on I/2"}),
+    "t2_probe": (["--t2-probe", "1.0"], {
+        **dict.fromkeys(COMMANDS, _DEPHASING), "noise-check": _CHANGES}),
+    "t2_system": (["--t2-system", "1e-6"], {
+        **dict.fromkeys(COMMANDS, _DEPHASING),
+        "noise-check": "no effect, because the system's dephasing before the closing "
+                       "probe Hadamard is traced out with the system (a known defect "
+                       "of the noise model)"}),
+    "duration": (["--duration", "0.02"], {
+        **dict.fromkeys(COMMANDS, _DEPHASING), "noise-check": _CHANGES}),
+    "noise_sigma": (["--noise-sigma", "0.01"], {
+        **dict.fromkeys(COMMANDS, _NOISE), "tomography": _CHANGES}),
+    "seed": (["--seed", "7"], {
+        **dict.fromkeys(COMMANDS, _NOISE),
+        "tomography": "no effect, because the default noise_sigma 0 draws no noise"}),
+    "output": (["--output"], dict.fromkeys(
+        COMMANDS, "no effect, because it chooses where the bytes go, not what they are")),
+    "format": (["--format", "json"], _EVERYWHERE),
+    "degrees": (["--degrees"], dict.fromkeys(
+        COMMANDS, "no effect, because it converts only given theta bounds")),
+}
+
+
+def test_every_option_changes_a_command_or_says_why(tmp_path, capsysbinary, monkeypatch):
+    """Each RunConfig option, set to a second valid value, changes the output
+    bytes of exactly the commands its row marks "changes"; ``--output``
+    writes its file."""
+    monkeypatch.delenv("LGSIM_SEED", raising=False)
+    assert list(PARAMETER_AUDIT) == [option.name for option in fields(RunConfig)[1:]]
+
+    def output(command, *flags):
+        assert main([command, "--steps", "9", *flags]) == EXIT_OK
+        return capsysbinary.readouterr().out
+
+    observed, table = {}, {}
+    for option, (flags, effects) in PARAMETER_AUDIT.items():
+        for command in COMMANDS:
+            if option == "output":
+                out = tmp_path / f"{command}.out"
+                assert output(command, *flags, str(out)) == b""
+                got = out.read_bytes()
+            else:
+                got = output(command, *flags)
+            observed[option, command] = got != output(command)
+            table[option, command] = effects[command] == _CHANGES
+    assert observed == table
 
 
 NUMERIC_FLAGS = ("--theta-min", "--theta-max", "--epsilon", "--t2-probe", "--t2-system",

@@ -43,7 +43,6 @@ from lgsim.circuit import (
     expect_probe_y,
     expect_probe_z,
     run,
-    scattering_gates,
 )
 from lgsim.leggett_garg import (
     Evolution,
@@ -181,7 +180,7 @@ def test_one_gate_circuit_equals_its_embedding(gate):
        size=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
 def test_circuit_unitary_equals_ordered_matmul(h, obs, size, seed):
     t_k, t_m = np.sort(np.random.default_rng(seed).uniform(0.0, 3.0, (2, size)), axis=0)
-    gates = scattering_gates(h, obs, t_k, t_m)
+    gates = build_scattering_circuit(h, obs, t_k, t_m).gates
     want = embed(gates[0])
     for gate in gates[1:]:
         want = np.matmul(embed(gate), want)
@@ -223,7 +222,7 @@ def test_expm_stack_equals_scalar_calls(h, angles):
 def test_stack_equals_scalar_runs(h, obs, rho_sys, eps, pairs):
     rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
     t_k, t_m = np.array(pairs).T
-    stacked = run(Circuit(scattering_gates(h, obs, t_k, t_m)), rho_in)
+    stacked = run(build_scattering_circuit(h, obs, t_k, t_m), rho_in)
     assert stacked.shape == (len(pairs), 4, 4)
     for out, (a, b) in zip(stacked, pairs):
         single = run(build_scattering_circuit(h, obs, a, b), rho_in)
@@ -442,12 +441,12 @@ def test_default_sweep_stacks_its_angles_in_two_exponentials(monkeypatch):
 
 def test_scattering_gates_keep_each_phase_unbroadcast():
     t_m = np.linspace(0.0, 1.0, 5)
-    gates = scattering_gates(SIGMA_X, SIGMA_Z, 0.0, t_m)
+    gates = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, t_m).gates
     assert np.shape(gates[1].phase) == ()
     assert np.shape(gates[3].phase) == (5,)
     assert embed(gates[1]).shape == (4, 4)
     with pytest.raises(ValueError, match=r"theta_k >= 0, got \(0.5, 0.0\)"):
-        scattering_gates(SIGMA_X, SIGMA_Z, 0.5, t_m)
+        build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.5, t_m)
 
 
 def test_k_value_and_correlator_run_one_stack_and_one_reference(engine_calls):
@@ -473,15 +472,12 @@ def test_noise_check_reads_both_halves_off_the_traces(engine_calls):
 
 
 def test_each_correlator_call_builds_its_gates_once(monkeypatch):
-    """One ``scattering_gates`` call per correlator, k_value, noise check
-    and sweep, whose one (3, steps) stack holds all three correlators: the
-    zero-time reference reuses those gates (2, 2, 2 and 4 calls when it
-    built a circuit of its own, and the sweep 3 when it built a stack per
-    correlator)."""
-    calls = []
-    for module in (lgsim, lgsim.circuit, lgsim.leggett_garg, lgsim.nmr, lgsim.cli):
-        if hasattr(module, "scattering_gates"):
-            counting(module, "scattering_gates", monkeypatch, calls)
+    """One probe readout, which forms the circuit's fixed products from its
+    operands, per correlator, k_value, noise check and sweep, whose one
+    (3, steps) stack holds all three correlators: the zero-time reference
+    reuses those products (2, 2, 2 and 4 readouts when it built a circuit of
+    its own, and the sweep 3 when it built a stack per correlator)."""
+    calls = counting_everywhere("_probe_signal", monkeypatch)
     rho = classical_mixture(0.5, 0.5)
     entry_points = {
         "correlation_circuit": lambda: correlation_circuit(
@@ -516,11 +512,14 @@ def test_each_correlator_call_builds_its_gates_once(monkeypatch):
          eps=1.0, pairs=(np.array([0.0, 0.4]), np.array([0.5, 2.0])))  # omega = 0
 def test_reference_equals_the_six_gate_zero_time_circuit(h, obs, rho_sys, eps, pairs):
     """The reference read off the traces of the circuit of any time pair or
-    stack is bitwise the probe signal of the full circuit at zero times."""
+    stack is bitwise the probe signal of the full circuit at zero times, and
+    within 1e-15 of <sigma_z> of the probe after the six gates at zero times."""
     rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
-    zero_time, _ = _probe_signal(build_scattering_circuit(h, obs, 0.0, 0.0).gates, rho_in)
-    _, reference = _probe_signal(scattering_gates(h, obs, *pairs), rho_in)
+    zero_time, _ = _probe_signal(h, obs, 0.0, 0.0, rho_in)
+    _, reference = _probe_signal(h, obs, *pairs, rho_in)
     assert reference == zero_time
+    want = expect_probe_z(run(build_scattering_circuit(h, obs, 0.0, 0.0), rho_in))
+    assert abs(reference - want) <= 1e-15
 
 
 @pytest.mark.parametrize("h,t_k,t_m", [
@@ -534,7 +533,7 @@ def test_scattering_circuits_expand_to_at_most_four_terms(h, t_k, t_m):
     free evolutions, which hold two: the circuit expands to the four
     products of fixed terms the readout forms, for number and stacked
     times, |a| = 0 and a multiple of I."""
-    gates = scattering_gates(h, SIGMA_Z, t_k, t_m)
+    gates = build_scattering_circuit(h, SIGMA_Z, t_k, t_m).gates
     assert math.prod(len(gate.fixed) for gate in gates) == 4
 
 
@@ -554,9 +553,8 @@ def test_probe_readout_equals_the_trace_of_the_output_states(h, obs, rho_sys, ep
     """The correlators' readout off the circuit's terms is <sigma_z> of the
     probe in the states ``run`` forms, for number and stacked time pairs."""
     rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
-    circuit = build_scattering_circuit(h, obs, *pairs)
-    want = expect_probe_z(run(circuit, rho_in))
-    got, _ = _probe_signal(circuit.gates, rho_in)
+    want = expect_probe_z(run(build_scattering_circuit(h, obs, *pairs), rho_in))
+    got, _ = _probe_signal(h, obs, *pairs, rho_in)
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
@@ -566,22 +564,23 @@ def test_probe_readout_equals_the_trace_of_the_output_states(h, obs, rho_sys, ep
        duration=st.floats(0.0, 2.0), theta=st.floats(0.0, 2 * math.pi), eps=epsilons)
 def test_dephased_readout_equals_the_dephased_state(t2_probe, t2_system, duration,
                                                     theta, eps):
-    """The dephased signals read off the six gates' traces by H D(sigma_x
-    (x) I) H, for the probe Hadamard H, equal <sigma_z> of the probe after
-    the closing Hadamard on the dephased states ``run`` forms (H is its own
-    inverse, and the channel D its own adjoint), and
+    """The dephased signals read off the scattering circuit's traces by H
+    D(sigma_x (x) I) H, for the probe Hadamard H, equal <sigma_z> of the
+    probe after the closing Hadamard on the dephased states ``run`` forms (H
+    is its own inverse, and the channel D its own adjoint), and
     ``k_attenuation_check``'s noisy K is theirs."""
     cfg = T2Config(t2_probe, t2_system, duration)
     rho_in = kron(pseudo_pure(eps, KET0), maximally_mixed())
     dt = theta / 2.0
-    gates = scattering_gates(SIGMA_X, SIGMA_Z, (0.0, dt, 0.0), (dt, 2 * dt, 2 * dt))
+    times = (0.0, dt, 0.0), (dt, 2 * dt, 2 * dt)
+    gates = build_scattering_circuit(SIGMA_X, SIGMA_Z, *times).gates
     dephased = t2_dephase(run(Circuit(gates[:-1]), rho_in), cfg)
     want = expect_probe_z(run(Circuit(gates[-1:]), dephased))
     hadamard = kron(HADAMARD, IDENTITY_2)
-    got, _ = _probe_signal(gates, rho_in,
+    got, _ = _probe_signal(SIGMA_X, SIGMA_Z, *times, rho_in,
                            hadamard @ t2_dephase(kron(SIGMA_X, IDENTITY_2), cfg) @ hadamard)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-    c12, c23, c13 = want / _probe_signal(gates, rho_in)[1]
+    c12, c23, c13 = want / _probe_signal(SIGMA_X, SIGMA_Z, *times, rho_in)[1]
     # the readouts' round-off, about 1e-15, is divided by the reference eps
     assert abs(k_attenuation_check(cfg, theta, eps)[1] - (c12 + c23 - c13)) <= 1e-14 / eps
 
@@ -661,7 +660,9 @@ def test_tomograph_rejects_a_stack(shape):
 REAL_ENTRY_POINTS = {
     "expm_hermitian": ("angle", lambda z: expm_hermitian(SIGMA_X, z)),
     "Evolve": ("phase", lambda z: Evolve(SYSTEM, SIGMA_X, [0.1, z])),
-    "scattering_gates": ("theta_m", lambda z: scattering_gates(SIGMA_X, SIGMA_Z, 0.0, z)),
+    # the gates of the scattering circuit, named on the later time
+    "scattering_gates": ("theta_m", lambda z: build_scattering_circuit(
+        SIGMA_X, SIGMA_Z, 0.0, z).gates),
     "correlation_circuit": ("theta_k", lambda z: correlation_circuit(
         maximally_mixed(), SIGMA_Z, Evolution(1.0), z, 0.5, 0.5)),
     "heisenberg_observable": ("t", lambda z: heisenberg_observable(
@@ -783,7 +784,7 @@ def test_run_preserves_trace_and_positivity(h, obs, pairs, lead, seed):
     unit trace, Hermitian, no eigenvalue below -1e-12."""
     t_k, t_m = np.array(pairs).T
     rho_in = random_density_stack(seed, lead)[..., None, :, :]
-    out = run(Circuit(scattering_gates(h, obs, t_k, t_m)), rho_in)
+    out = run(build_scattering_circuit(h, obs, t_k, t_m), rho_in)
     assert out.shape == lead + (len(pairs), 4, 4)
     np.testing.assert_allclose(np.trace(out, axis1=-2, axis2=-1), 1.0,
                                rtol=0, atol=1e-12)
@@ -885,13 +886,14 @@ def test_gradient_dephase_prepare_makes_two_exponential_calls(monkeypatch):
 
 
 def test_max_disturbance_makes_one_probe_readout(monkeypatch):
-    """``noninvasive-check`` runs ``max_disturbance`` once per state: one
-    ``_probe_signal`` call with the three Bloch readouts I (x) sigma_j on the
-    stack of its 5x5 grid of time pairs."""
+    """``noninvasive-check`` runs ``max_disturbance`` once per state (I/2,
+    |0><0| and the ``--populations`` mixture): one ``_probe_signal`` call
+    with the three Bloch readouts I (x) sigma_j on the stack of its 5x5 grid
+    of time pairs."""
     readouts = counting(lgsim.leggett_garg, "_probe_signal", monkeypatch)
     lgsim.cli._compute(lgsim.cli.parse_config(["noninvasive-check"], environ={}))
-    assert [(gates[3].phase.shape, readout.shape)
-            for gates, _, readout in readouts] == [((5, 5), (3, 4, 4))] * 2
+    assert [(np.shape(t_m), readout.shape)
+            for *_, t_m, _, readout in readouts] == [((5, 5), (3, 4, 4))] * 3
 
 
 def test_max_disturbance_forms_no_output_state(monkeypatch):
@@ -972,14 +974,14 @@ def test_controlled_gate_from_a_nested_list_embeds_as_from_the_array(h, angle, c
 
 
 def test_scattering_gates_validate_each_operand_once(monkeypatch):
-    """One check of the observable and of the controlled unitary; each
-    ``Evolve`` checks its phase and forms no weights until a readout or
+    """``build_scattering_circuit`` checks the observable and the controlled
+    unitary once; each ``Evolve`` checks its phase and forms no weights until
     ``circuit_unitary`` asks (2 ``_expm_weights`` when each formed its
     complex weights on construction)."""
     names = ("dichotomic_observable", "unitary", "expm_hermitian", "_turns",
              "_pair_weights", "_expm_weights")
     counts = {name: counting_everywhere(name, monkeypatch) for name in names}
-    gates = scattering_gates(SIGMA_X, SIGMA_Z, 0.0, np.linspace(0.0, 1.0, 5))
+    gates = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, np.linspace(0.0, 1.0, 5)).gates
     assert {name: len(calls) for name, calls in counts.items()} == {
         "dichotomic_observable": 1, "unitary": 1, "expm_hermitian": 0,
         "_turns": 2, "_pair_weights": 0, "_expm_weights": 0}
@@ -987,21 +989,23 @@ def test_scattering_gates_validate_each_operand_once(monkeypatch):
 
 
 def test_default_sweep_validation_counts(monkeypatch):
-    """Per default sweep on empty memos, whose one ``scattering_gates`` call
-    builds one (3, 721) stack: one ``unitary`` (3 with a stack per
-    correlator, 8 when each controlled slot had its own gate), 3
-    ``is_hermitian`` (the system state, the observable and the generator,
-    which the two free evolutions share; 4 when each evolution checked it,
-    10 with a stack per correlator, 13 when the reference built a circuit of
-    its own, 23 when ``embed`` validated the generator again), one
-    ``density`` and one ``dichotomic_observable`` (2 and 5 when the built
-    probe state and observable were checked again)."""
+    """Per default sweep on empty memos, whose one probe readout reads one
+    (3, 721) stack off the circuit's operands: no ``unitary`` (a checked
+    dichotomic observable is unitary, so the readout checks no controlled
+    gate; 1 when it read a ``ControlledU``, 3 with a stack per correlator, 8
+    when each controlled slot had its own gate), 3 ``is_hermitian`` (the
+    system state, the observable and the generator, which the two free
+    evolutions share; 4 when each evolution checked it, 10 with a stack per
+    correlator, 13 when the reference built a circuit of its own, 23 when
+    ``embed`` validated the generator again), one ``density`` and one
+    ``dichotomic_observable`` (2 and 5 when the built probe state and
+    observable were checked again)."""
     rho = classical_mixture(0.5, 0.5)
     names = ("unitary", "is_hermitian", "density", "dichotomic_observable")
     calls = {name: counting_everywhere(name, monkeypatch) for name in names}
     sweep(Evolution(1.0), rho, 1.0, 0.0, 2 * math.pi, 721)
     assert {name: len(calls[name]) for name in names} == {
-        "unitary": 1, "is_hermitian": 3, "density": 1, "dichotomic_observable": 1}
+        "unitary": 0, "is_hermitian": 3, "density": 1, "dichotomic_observable": 1}
 
 
 def test_a_repeated_sweep_checks_no_operand_again(monkeypatch):
@@ -1043,8 +1047,8 @@ def test_states_from_any_accepted_vector_pass_the_later_checks(amplitudes, exces
 
 
 def test_built_gates_run_without_validation(monkeypatch):
-    gates = scattering_gates(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, 0.2,
-                             np.linspace(0.2, 2.0, 7))
+    gates = build_scattering_circuit(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, 0.2,
+                                     np.linspace(0.2, 2.0, 7)).gates
     gates += (Evolve(PROBE, SIGMA_Y, 0.4), ControlledU(SYSTEM, PROBE, SIGMA_X))
     rho = kron(pseudo_pure(0.5, KET0), maximally_mixed())
 
@@ -1086,7 +1090,7 @@ def assert_matches_the_loop(gates, rho, shape):
 @pytest.mark.parametrize("shape", [(), (0,), (3,), (5, 5), (31,), (32,), (64,), (721,)])
 def test_stacked_circuits_equal_the_per_circuit_loop(shape, rng):
     t_k, t_m = np.sort(rng.uniform(0.0, 3.0, (2,) + shape), axis=0)
-    gates = scattering_gates(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, t_k, t_m)
+    gates = build_scattering_circuit(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, t_k, t_m).gates
     assert_matches_the_loop(gates, random_density(rng, 4), shape)
 
 
@@ -1095,7 +1099,7 @@ def test_stacked_evolve_of_a_multiple_of_the_identity_has_a_zero_axis_term(rng):
     axis term is the zero matrix, and ``embed`` is its phase times I."""
     phases = rng.uniform(-3.0, 3.0, 9)
     gate = Evolve(SYSTEM, 0.7 * IDENTITY_2, phases)
-    assert gate.fixed.shape == (2, 4, 4) and gate.pairs.shape == (3, 9)
+    assert gate.fixed.shape == (2, 4, 4)
     np.testing.assert_array_equal(gate.fixed[0], np.eye(4))
     np.testing.assert_array_equal(gate.fixed[1], np.zeros((4, 4)))
     np.testing.assert_allclose(embed(gate), np.exp(-0.7j * phases)[:, None, None] * np.eye(4),
@@ -1132,15 +1136,15 @@ def test_a_stack_of_readouts_equals_each_readout_alone(seed, shapes, count):
     a call with that readout alone returns, for random scattering circuits
     with number or stacked times."""
     rng = np.random.default_rng(seed)
-    gates = scattering_gates(np.tensordot(rng.standard_normal(4), PAULIS, 1),
-                             unit_observable(rng.standard_normal(3)),
-                             rng.uniform(0.0, 1.5, shapes[0]), rng.uniform(1.5, 3.0, shapes[1]))
+    operands = (np.tensordot(rng.standard_normal(4), PAULIS, 1),
+                unit_observable(rng.standard_normal(3)),
+                rng.uniform(0.0, 1.5, shapes[0]), rng.uniform(1.5, 3.0, shapes[1]))
     rho_in = kron(pseudo_pure(rng.uniform(0.05, 1.0), KET0), random_density(rng, 2))
     readouts = kron(PAULIS[rng.integers(0, 4, count)], PAULIS[rng.integers(0, 4, count)])
-    signals, references = _probe_signal(gates, rho_in, readouts)
+    signals, references = _probe_signal(*operands, rho_in, readouts)
     assert references.shape == (count,)
     for readout, signal, reference in zip(readouts, signals, references):
-        alone, alone_reference = _probe_signal(gates, rho_in, readout)
+        alone, alone_reference = _probe_signal(*operands, rho_in, readout)
         assert np.asarray(alone).tobytes() == signal.tobytes()
         assert alone_reference == reference
 
@@ -1169,9 +1173,34 @@ def test_no_library_path_reaches_the_circuit_unitary(monkeypatch, tmp_path):
         assert out.read_text()
 
 
+def test_no_measurement_builds_a_gate(monkeypatch, tmp_path):
+    """The probe readout takes the circuit's operands: with the construction
+    of every ``Hadamard``, ``Evolve`` and ``ControlledU`` refused, the
+    correlators, K, the sweep, the disturbance, the T2 and tomography checks
+    and the five commands still run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a measurement built a gate")
+
+    for gate in (Hadamard, Evolve, ControlledU):
+        monkeypatch.setattr(gate, "__post_init__", refuse)
+    rho, evo = classical_mixture(0.3, 0.7), Evolution(1.3)
+    correlation_circuit(rho, SIGMA_X, evo, 0.2, np.linspace(0.2, 1.0, 3))
+    k_value(rho, SIGMA_Z, evo, Schedule(0.0, 0.4, 0.8), 0.5)
+    sweep(evo, rho, 0.5, 0.0, math.pi, 9)
+    max_disturbance(rho, SIGMA_Z, evo, [0.0, 0.5, 1.0])
+    k_attenuation_check(T2Config(3.0, 0.8, 0.01), 1.0, 0.5)
+    tomography_fidelity_experiment(0.01, 3)
+    for command in lgsim.cli.COMMANDS:
+        out = tmp_path / f"{command}.csv"
+        assert lgsim.cli.main([command, "--steps", "5", "--output", str(out)]) == 0
+        assert out.read_text()
+    with pytest.raises(AssertionError, match="built a gate"):
+        build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, 1.0)
+
+
 def test_stacked_circuit_broadcasts_against_a_stack_of_states(rng):
     t_k, t_m = np.sort(rng.uniform(0.0, 3.0, (2, 4, 1)), axis=0)
-    gates = scattering_gates(SIGMA_X - 0.4 * SIGMA_Y, SIGMA_Z, t_k, t_m)
+    gates = build_scattering_circuit(SIGMA_X - 0.4 * SIGMA_Y, SIGMA_Z, t_k, t_m).gates
     rho = random_density_stack(7, (3,))
     want = loop_run(gates, rho)[1]
     got = run(Circuit(gates), rho)
@@ -1181,14 +1210,14 @@ def test_stacked_circuit_broadcasts_against_a_stack_of_states(rng):
     rho = random_density_stack(7, (2, 3))
     np.testing.assert_allclose(run(Circuit(one_gate), rho), loop_run(one_gate, rho)[1],
                                rtol=0, atol=1e-14)
-    three = scattering_gates(SIGMA_X, SIGMA_Z, np.zeros(3), np.ones(3))
+    three = build_scattering_circuit(SIGMA_X, SIGMA_Z, np.zeros(3), np.ones(3))
     with pytest.raises(ValueError):
-        run(Circuit(three), random_density_stack(7, (2,)))
+        run(three, random_density_stack(7, (2,)))
 
 
 def test_two_identical_calls_give_identical_bytes(rng):
     t_k, t_m = np.sort(rng.uniform(0.0, 3.0, (2, 721)), axis=0)
-    circuit = Circuit(scattering_gates(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, t_k, t_m))
+    circuit = build_scattering_circuit(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, t_k, t_m)
     rho = random_density(rng, 4)
     assert run(circuit, rho).tobytes() == run(circuit, rho).tobytes()
     assert circuit_unitary(circuit).tobytes() == circuit_unitary(circuit).tobytes()
@@ -1298,13 +1327,13 @@ def test_stacked_results_survive_later_engine_calls(size):
     gates' read-only fixed stacks alone."""
     t = np.linspace(0.0, 3.0, size)
     obs = observable_from_state(KET0)
-    circuit = Circuit(scattering_gates(SIGMA_X, obs, 0.5 * t, t))
+    circuit = build_scattering_circuit(SIGMA_X, obs, 0.5 * t, t)
     rho_in = kron(pseudo_pure(0.7, KET0), classical_mixture(0.3, 0.7))
     rho_in.flags.writeable = False
     state, v = run(circuit, rho_in), circuit_unitary(circuit)
     kept = state.copy(), v.copy()
 
-    other = Circuit(scattering_gates(SIGMA_X + SIGMA_Z, obs, t, 2.0 * t))
+    other = build_scattering_circuit(SIGMA_X + SIGMA_Z, obs, t, 2.0 * t)
     run(other, rho_in)
     circuit_unitary(other)
     for t_k, t_m in [(0.0, t), (t, 2.0 * t)]:
