@@ -5,10 +5,11 @@ left Kronecker factor) and ``system``.  A circuit is an ordered list of gates
 drawn from three kinds: a Hadamard on one wire, a free evolution
 exp(-i*phase*h) on one wire, and a controlled unitary between the wires.
 Gates validate on construction and keep what they built from the checked
-operands, read-only: an ``Evolve`` a copy of its generator and its checked
-angles, a ``ControlledU`` of its unitary, and every gate its ``fixed``
-stack of 4x4 matrices: one for a Hadamard or a controlled gate, the embedded
-I and n.sigma for an ``Evolve``.  Nothing later checks them again.
+operands, read-only: an ``Evolve`` a copy of its generator, a ``ControlledU``
+of its unitary, and every gate its ``matrix``, the 4x4 unitary it applies to
+the register (a stack for an ``Evolve`` of an array of phases, whose
+exponential ``expm_hermitian`` forms on construction).  Nothing later checks
+them again.
 
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
 then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
@@ -19,8 +20,7 @@ two times), building no gate and forming no state, by a 3x3 real matrix and
 one real bilinear form over the pair weights of the two free evolutions.
 ``build_scattering_circuit`` builds the same circuit as six gates, the
 reference: ``circuit_unitary`` is the plain ordered product of ``embed``,
-which weighs an ``Evolve``'s fixed terms by the complex
-``linalg._expm_weights``, and ``run`` is V rho V+ of it, sharing with the
+each gate's ``matrix``, and ``run`` is V rho V+ of it, sharing with the
 readout only the operand checks.  No other library function calls either.
 
 The probe readout of the interferometer built by ``build_scattering_circuit``
@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _expm_weights, _generator,
-                     _pair_weights, _real, _register, _turns, dagger, dichotomic_observable,
+from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _generator, _pair_weights, _real,
+                     _register, _turns, dagger, dichotomic_observable, expm_hermitian,
                      kron, unitary)
 
 PROBE = "probe"
@@ -75,8 +75,8 @@ def _on_wire(wire: str, one_wire: np.ndarray) -> np.ndarray:
     return kron(IDENTITY_2, one_wire)
 
 
-_HADAMARD_ON = {wire: _on_wire(wire, HADAMARD[None]) for wire in WIRES}
-_PROBE_HADAMARD = _HADAMARD_ON[PROBE][0]
+_HADAMARD_ON = {wire: _on_wire(wire, HADAMARD) for wire in WIRES}
+_PROBE_HADAMARD = _HADAMARD_ON[PROBE]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -88,11 +88,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Hadamard:
     wire: str
-    fixed: np.ndarray = field(init=False, repr=False, compare=False)
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_wire(self.wire)
-        object.__setattr__(self, "fixed", _read_only(_HADAMARD_ON[self.wire]))
+        object.__setattr__(self, "matrix", _read_only(_HADAMARD_ON[self.wire]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,27 +101,27 @@ class Evolve:
     may be an array: a stack of gates).  Construction checks
     ``hamiltonian`` and ``phase`` (a number too) as ``expm_hermitian`` does,
     naming ``phase``, and keeps the generator as the read-only copy that
-    check returns and an array phase as a read-only float copy, so later
-    writes to the caller's arrays cannot reach the gate.  ``embed`` weighs
-    its ``fixed`` terms, I and n.sigma embedded, by the complex columns of
-    ``linalg._expm_weights`` (shape S + (2,))."""
+    check returns, an array phase as a read-only float copy, and its
+    ``matrix``, the exponential of ``expm_hermitian`` embedded (shape
+    S + (4, 4)), so later writes to the caller's arrays cannot reach the
+    gate."""
 
     wire: str
     hamiltonian: np.ndarray
     phase: float | np.ndarray
-    _angles: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    fixed: np.ndarray = field(init=False, repr=False)
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_wire(self.wire)
-        h, a0, norm, one_wire = _generator(self.hamiltonian)
+        h = _generator(self.hamiltonian)[0]
         object.__setattr__(self, "hamiltonian", h)
         phase = _real(self.phase, "phase")
         if not isinstance(self.phase, (int, float)):  # an array: keep a copy
             phase = _read_only(np.array(phase))
             object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "_angles", _turns(phase, a0, norm))
-        object.__setattr__(self, "fixed", _read_only(_on_wire(self.wire, one_wire)))
+        # + 0.0 turns the -0 of kron's products 0 * x off the wire into +0
+        matrix = _on_wire(self.wire, expm_hermitian(h, phase)) + 0.0
+        object.__setattr__(self, "matrix", _read_only(matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +133,7 @@ class ControlledU:
     control: str
     target: str
     u: np.ndarray
-    fixed: np.ndarray = field(init=False, repr=False)
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_wire(self.control)
@@ -146,7 +146,7 @@ class ControlledU:
             embedded = kron(_P0, IDENTITY_2) + kron(_P1, u)
         else:
             embedded = kron(IDENTITY_2, _P0) + kron(u, _P1)
-        object.__setattr__(self, "fixed", _read_only(embedded[None]))
+        object.__setattr__(self, "matrix", _read_only(embedded))
 
 
 Gate = Hadamard | Evolve | ControlledU
@@ -162,18 +162,14 @@ class Circuit:
 
 def embed(gate: Gate) -> np.ndarray:
     """The 4x4 unitary a gate applies to the full register (a stack of them
-    for an ``Evolve`` with an array of phases).
+    for an ``Evolve`` with an array of phases): the ``matrix`` the gate
+    formed on construction.
 
     Single-wire gates are tensored with the identity on the other wire; a
     controlled gate becomes |0><0|_c (x) I + |1><1|_c (x) U with the factor
-    order fixed by probe = left.  An ``Evolve`` weighs its two ``fixed``
-    terms, I and n.sigma, by the complex ``_expm_weights`` of its checked
-    angles; every other gate gives its one fixed matrix.
+    order fixed by probe = left.
     """
-    if isinstance(gate, Evolve):
-        weights = _expm_weights(*gate._angles)
-        return (weights @ gate.fixed.reshape(2, 16)).reshape(weights.shape[:-1] + (4, 4))
-    return gate.fixed[0]
+    return gate.matrix
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

@@ -33,8 +33,8 @@ import numpy as np
 
 # No function here calls ``run``; the benchmark's tracer tests it is patched here too.
 from .circuit import _probe_signal, run  # noqa: F401
-from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _real, dagger, density,
-                     dichotomic_observable, kron)
+from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _number, _real, dagger,
+                     density, dichotomic_observable, kron)
 from .states import KET0, pseudo_pure, pure_density
 
 # Guard band above the bound K = 1, so the exact K = 1 boundary at theta = 0
@@ -67,7 +67,7 @@ class Evolution:
     omega: float
 
     def __post_init__(self):
-        if not 0.0 <= _real(self.omega, "omega") < math.inf:
+        if not 0.0 <= _number(self.omega, "omega") < math.inf:
             raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
 
     @property
@@ -89,7 +89,7 @@ class Schedule:
 
     def __post_init__(self):
         for name in ("t1", "t2", "t3"):
-            if not math.isfinite(_real(getattr(self, name), name)):
+            if not math.isfinite(_number(getattr(self, name), name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.t1 <= self.t2 <= self.t3:
             raise ValueError(
@@ -204,7 +204,7 @@ def correlation_oracle(rho_sys, obs, evo: Evolution, t_k: float, t_m: float) -> 
     call at both times, each checked as its time ``t`` on its own first.
     """
     rho_sys = density(rho_sys)
-    times = (_real(t_m, "t"), _real(t_k, "t"))
+    times = (_number(t_m, "t"), _number(t_k, "t"))
     later, earlier = heisenberg_observable(obs, evo, times)
     return float(np.trace(rho_sys @ (later @ earlier)).real)
 
@@ -309,9 +309,9 @@ def sweep(evo: Evolution, rho_sys, probe_eps: float, theta_min: float,
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
-    if not 0.0 <= _real(theta_min, "theta_min") < math.inf:
+    if not 0.0 <= _number(theta_min, "theta_min") < math.inf:
         raise ValueError(f"theta_min must be finite and >= 0, got {theta_min!r}")
-    if not theta_min < _real(theta_max, "theta_max") < math.inf:
+    if not theta_min < _number(theta_max, "theta_max") < math.inf:
         raise ValueError(f"theta_max must be finite and > theta_min, "
                          f"got ({theta_min}, {theta_max})")
     if evo.omega <= 0.0:

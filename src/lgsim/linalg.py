@@ -6,7 +6,8 @@ states, gates and observables are 2x2 or 4x4 matrices.  The constructors
 ``expm_hermitian`` for a generator and its phases, validate once, on entry into
 the library; Hermitian operands pass the one private ``_hermitian`` check,
 real ones (angles, times, tables, scalar parameters) the one ``_real``
-check, which passes only integer and float input, casting nothing else.
+check, which passes only integer and float input, casting nothing else
+(``_number``, at a door that takes a number, also refuses an array).
 ``unitary``, ``density``, ``dichotomic_observable`` and the generator check
 ``_generator`` are memoized per process: after ``operator``'s shape and
 finite checks, each keys on the operand's complex bytes and shape in a
@@ -17,12 +18,11 @@ What is built from checked inputs, the exponential included, is not checked
 again, and the operations below assume valid inputs and stay pure.  Values
 are immutable by convention (the memoized checks return read-only arrays),
 so the whole module is safe for concurrent use.
-``expm_hermitian`` is the checked entry to the one closed form of the
-exponential: ``_generator`` checks a generator, ``_turns`` a phase against
-it, and ``_expm_weights`` gives two weight columns over the fixed terms I
-and n.sigma (zero for a multiple of I), which ``circuit.embed`` weighs an
-``Evolve``'s fixed terms by; ``_pair_weights`` gives the real columns of
-their pairs w w+, all a probe readout needs.
+``expm_hermitian`` is the one closed form of the exponential, the only one
+in the package (a ``circuit.Evolve`` keeps it, embedded): ``_generator``
+checks a generator and ``_turns`` a phase against it.  ``_pair_weights``
+gives the real columns of the pairs w w+ of its weights over I and n.sigma,
+all a probe readout needs.
 """
 
 from __future__ import annotations
@@ -88,6 +88,14 @@ def _real(values, what: str):
     if values.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be real, got a {values.dtype} input")
     return values.astype(float, copy=False)[()]
+
+
+def _number(value, what: str):
+    """``_real`` at a door that takes a number: an array raises, naming ``what``."""
+    value = _real(value, what)
+    if np.ndim(value):
+        raise ValueError(f"{what} must be a number, got an array of shape {value.shape}")
+    return value
 
 
 def _memo(check):
@@ -210,14 +218,19 @@ def expm_hermitian(h: np.ndarray, angle) -> np.ndarray:
     ``angle`` is a number, or an array of shape S giving a stack of shape
     S + (2, 2).  Writing h = a0*I + a.sigma, the exponential is
     exp(-i*angle*a0) * (cos(angle*|a|) I - i sin(angle*|a|) n.sigma) with the
-    unit axis n = a/|a|, which is exact for a single qubit; no series or
-    scaling-and-squaring is involved.  The generator check, a0, |a| and the
-    read-only terms I and n.sigma come from the memoized ``_generator``, once
-    per distinct generator; ``_turns`` checks the angle, and the exponential
-    is the sum of the terms weighted by the columns of ``_expm_weights``.
+    unit axis n = a/|a| (n.sigma the zero matrix for |a| = 0), which is exact
+    for a single qubit; no series or scaling-and-squaring is involved.  The
+    generator check, a0, |a| (by ``math.hypot``, so the exponential is unitary
+    to round-off, unchecked) and the read-only terms I and n.sigma come from
+    the memoized ``_generator``, once per distinct generator; ``_turns``
+    checks the angle.
     """
     _, a0, norm, terms = _generator(h)
-    weights = _expm_weights(*_turns(_real(angle, "angle"), a0, norm))
+    turn, shift = _turns(_real(angle, "angle"), a0, norm)
+    phase = np.exp(-1j * shift)
+    weights = np.empty(phase.shape + (2,), dtype=complex)
+    np.multiply(phase, np.cos(turn), out=weights[..., 0])
+    np.multiply(-1j * phase, np.sin(turn), out=weights[..., 1])
     return (weights @ terms.reshape(-1, 4)).reshape(weights.shape[:-1] + (2, 2))
 
 
@@ -231,24 +244,12 @@ def _turns(angle, a0: float, norm: float):
     return turn, shift
 
 
-def _expm_weights(turn, shift) -> np.ndarray:
-    """The weights exp(-i*shift) cos(turn) and -i exp(-i*shift) sin(turn) of
-    I and n.sigma for the checked ``_turns``; for |a| = 0 the axis term is
-    the zero matrix, so its weight does not matter.  |a| is taken by
-    ``math.hypot``, so the exponential is unitary to round-off, unchecked."""
-    phase = np.exp(-1j * shift)
-    weights = np.empty(phase.shape + (2,), dtype=complex)
-    np.multiply(phase, np.cos(turn), out=weights[..., 0])
-    np.multiply(-1j * phase, np.sin(turn), out=weights[..., 1])
-    return weights
-
-
 def _pair_weights(turn) -> np.ndarray:
     """The pair weights of the exponential, as real columns of shape (3,) + S,
     the pair index first.
 
     For the weights w = exp(-i*shift) (cos(turn), -i sin(turn)) of
-    ``_expm_weights``, w w+ is cos^2(turn) E00 + sin^2(turn) E11 +
+    ``expm_hermitian``, w w+ is cos^2(turn) E00 + sin^2(turn) E11 +
     sin(turn) cos(turn) (-sigma_y) over the two terms: the columns are
     (cos^2, sin^2, sin cos) of ``turn``, (1, 0, 0) at zero phase, and the
     phase exp(-i*shift) of a0 drops out.

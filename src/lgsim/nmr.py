@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import _PROBE_HADAMARD, _probe_signal
 from .leggett_garg import _REFERENCE_FLOOR, SweepResult, _check_reference, _probe_register
-from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _real, _register,
+from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _number, _real, _register,
                      is_hermitian, kron, overlap_fidelity)
 from .states import deviation, maximally_mixed
 
@@ -42,11 +42,11 @@ class T2Config:
     duration: float
 
     def __post_init__(self):
-        if not _real(self.t2_probe, "t2_probe") > 0.0:
+        if not _number(self.t2_probe, "t2_probe") > 0.0:
             raise ValueError(f"t2_probe must be positive, got {self.t2_probe}")
-        if not _real(self.t2_system, "t2_system") > 0.0:
+        if not _number(self.t2_system, "t2_system") > 0.0:
             raise ValueError(f"t2_system must be positive, got {self.t2_system}")
-        if not 0.0 <= _real(self.duration, "duration") < math.inf:
+        if not 0.0 <= _number(self.duration, "duration") < math.inf:
             raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
 
 
@@ -92,7 +92,7 @@ def k_attenuation_check(
 
     Returns ``(k_ideal, k_noisy)``.
     """
-    if not 0.0 <= _real(theta, "theta") < math.inf:
+    if not 0.0 <= _number(theta, "theta") < math.inf:
         raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
     rho_in = _probe_register(maximally_mixed(), probe_eps)
     dt = theta / 2.0  # the energy gap of sigma_x is 2
@@ -114,7 +114,7 @@ class ReadoutNoise:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 <= _real(self.sigma, "sigma") < math.inf:
+        if not 0.0 <= _number(self.sigma, "sigma") < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:

@@ -25,6 +25,7 @@ from lgsim.circuit import (
 from lgsim.linalg import (
     IDENTITY_2,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     expm_hermitian,
     kron,
@@ -118,12 +119,13 @@ class TestGateValidation:
         h = SIGMA_X.copy()
         gate = Evolve(SYSTEM, h, 0.3)
         h[:] = SIGMA_Z
-        np.testing.assert_array_equal(embed(gate), circuit_unitary(Circuit((gate,))))
+        np.testing.assert_array_equal(embed(gate),
+                                      kron(IDENTITY_2, expm_hermitian(SIGMA_X, 0.3)))
         np.testing.assert_array_equal(gate.hamiltonian, SIGMA_X)
 
     def test_evolve_keeps_no_reference_to_the_callers_phases(self):
-        """``phase`` is a read-only copy, and ``embed`` reads the angles
-        checked at construction: both must see the phases given."""
+        """``phase`` is a read-only copy, and ``embed`` gives the matrix
+        formed at construction: both must see the phases given."""
         t = np.array([0.1, 0.2])
         gate = Evolve(SYSTEM, SIGMA_X, t)
         t[0] = 1.0
@@ -138,11 +140,18 @@ class TestGateValidation:
     def test_evolve_keeps_a_number_phase_as_given(self, phase):
         assert Evolve(SYSTEM, SIGMA_X, phase).phase is phase
 
+    @pytest.mark.parametrize("wire", [PROBE, SYSTEM])
+    def test_evolve_matrix_holds_no_signed_zero(self, wire):
+        """The blocks off the wire are +0, as the exponential's own zeros are."""
+        for h in (SIGMA_X - 0.3 * SIGMA_Z, SIGMA_Y, 0.7 * IDENTITY_2):
+            parts = Evolve(wire, h, np.linspace(-2.0, 2.0, 5)).matrix.view(float)
+            assert not (np.signbit(parts) & (parts == 0.0)).any()
+
     def test_gate_operators_are_read_only(self):
         gates = (ControlledU(PROBE, SYSTEM, SIGMA_X.copy()),
                  Evolve(SYSTEM, SIGMA_X.copy(), 1.0))
-        for array in (gates[0].u, gates[1].hamiltonian, gates[0].fixed,
-                      gates[1].fixed, Hadamard(PROBE).fixed):
+        for array in (gates[0].u, gates[1].hamiltonian, gates[0].matrix,
+                      gates[1].matrix, Hadamard(PROBE).matrix):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 2.0
 

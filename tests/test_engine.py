@@ -429,13 +429,13 @@ def test_default_sweep_runs_at_most_four_circuit_stacks(engine_calls):
 def test_default_sweep_stacks_its_angles_in_two_exponentials(monkeypatch):
     """One circuit of two free evolutions over the (3, 721) stack: each
     stacked phase becomes one stack of real pair columns, read without a
-    complex exponential (2 ``_expm_weights`` calls of shape (3, 721) when the
+    complex exponential (2 ``expm_hermitian`` calls of shape (3, 721) when the
     readout took the complex weights), and the reference builds nothing of
     its own."""
-    names = ("expm_hermitian", "_expm_weights", "_pair_weights")
+    names = ("expm_hermitian", "_pair_weights")
     calls = {name: counting_everywhere(name, monkeypatch) for name in names}
     sweep(Evolution(1.0), classical_mixture(0.5, 0.5), 1.0, 0.0, 2 * math.pi, 721)
-    assert calls["expm_hermitian"] == calls["_expm_weights"] == []
+    assert calls["expm_hermitian"] == []
     assert [np.shape(turn) for turn, in calls["_pair_weights"]] == [(3, 721)] * 2
 
 
@@ -471,32 +471,6 @@ def test_noise_check_reads_both_halves_off_the_traces(engine_calls):
     assert len(engine_calls["run"]) == 0
 
 
-def test_each_correlator_call_builds_its_gates_once(monkeypatch):
-    """One probe readout, which forms the circuit's fixed products from its
-    operands, per correlator, k_value, noise check and sweep, whose one
-    (3, steps) stack holds all three correlators: the zero-time reference
-    reuses those products (2, 2, 2 and 4 readouts when it built a circuit of
-    its own, and the sweep 3 when it built a stack per correlator)."""
-    calls = counting_everywhere("_probe_signal", monkeypatch)
-    rho = classical_mixture(0.5, 0.5)
-    entry_points = {
-        "correlation_circuit": lambda: correlation_circuit(
-            rho, SIGMA_Z, Evolution(1.0), 0.1, 0.4),
-        "k_value": lambda: k_value(rho, SIGMA_Z, Evolution(1.0),
-                                   Schedule(0.0, 0.3, 0.6)),
-        "k_attenuation_check": lambda: k_attenuation_check(
-            T2Config(0.1, 0.8, 0.002), math.pi / 3),
-        "sweep": lambda: sweep(Evolution(1.0), rho, 1.0, 0.0, 2 * math.pi, 721),
-    }
-    counts = {}
-    for name, call in entry_points.items():
-        calls.clear()
-        call()
-        counts[name] = len(calls)
-    assert counts == {"correlation_circuit": 1, "k_value": 1,
-                      "k_attenuation_check": 1, "sweep": 1}
-
-
 @SETTINGS
 @given(
     h=generators(),
@@ -520,21 +494,6 @@ def test_reference_equals_the_six_gate_zero_time_circuit(h, obs, rho_sys, eps, p
     assert reference == zero_time
     want = expect_probe_z(run(build_scattering_circuit(h, obs, 0.0, 0.0), rho_in))
     assert abs(reference - want) <= 1e-15
-
-
-@pytest.mark.parametrize("h,t_k,t_m", [
-    (SIGMA_X, 0.3, 0.8),
-    (SIGMA_X + 0.3 * SIGMA_Z, np.linspace(0.0, 1.0, 4), np.linspace(1.0, 2.0, 4)),
-    (0.0 * SIGMA_X, 0.3, np.array([[0.5, 0.7], [1.0, 2.0]])),
-    (0.7 * IDENTITY_2, 0.0, 0.0),
-])
-def test_scattering_circuits_expand_to_at_most_four_terms(h, t_k, t_m):
-    """The six scattering gates hold one fixed term each but for the two
-    free evolutions, which hold two: the circuit expands to the four
-    products of fixed terms the readout forms, for number and stacked
-    times, |a| = 0 and a multiple of I."""
-    gates = build_scattering_circuit(h, SIGMA_Z, t_k, t_m).gates
-    assert math.prod(len(gate.fixed) for gate in gates) == 4
 
 
 @SETTINGS
@@ -726,6 +685,32 @@ SCALAR_DOORS = sorted(set(REAL_ENTRY_POINTS) - {
 def test_scalar_doors_reject_a_bool(entry, z):
     name, call = REAL_ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be real, got a bool input"):
+        call(z)
+
+
+# The doors documented as taking a number, each also on its other operand
+# where it has one: a one-element array of 0.5 passes every range check there.
+NUMBER_DOORS = {
+    **{name: REAL_ENTRY_POINTS[name] for name in (
+        "Evolution", "Schedule", "T2Config", "ReadoutNoise", "classical_mixture",
+        "pseudo_pure", "correlation_oracle", "k_attenuation_check", "sweep")},
+    "classical_mixture p0": ("p0", lambda z: classical_mixture(z, 0.5)),
+    "correlation_oracle t_k": ("t", lambda z: correlation_oracle(
+        maximally_mixed(), SIGMA_Z, Evolution(1.0), z, 0.9)),
+    "sweep theta_min": ("theta_min", lambda z: sweep(Evolution(1.0), maximally_mixed(),
+                                                     1.0, z, 1.0, 3)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NUMBER_DOORS))
+@pytest.mark.parametrize("z", [np.array([0.5]), np.array([[0.5]])], ids=["1", "1x1"])
+def test_number_doors_reject_an_array(entry, z):
+    """A one-element array is refused, naming the operand, where ``sweep``
+    read array bounds as one point of an unequal schedule, ``classical_mixture``
+    returned a (1,) array and the dataclasses kept the array."""
+    name, call = NUMBER_DOORS[entry]
+    with pytest.raises(ValueError, match=rf"^{name} must be a number, got an array of "
+                                         rf"shape {re.escape(str(z.shape))}"):
         call(z)
 
 
@@ -975,16 +960,16 @@ def test_controlled_gate_from_a_nested_list_embeds_as_from_the_array(h, angle, c
 
 def test_scattering_gates_validate_each_operand_once(monkeypatch):
     """``build_scattering_circuit`` checks the observable and the controlled
-    unitary once; each ``Evolve`` checks its phase and forms no weights until
-    ``circuit_unitary`` asks (2 ``_expm_weights`` when each formed its
-    complex weights on construction)."""
+    unitary once; each ``Evolve`` checks its phase and forms its exponential
+    on construction, in one ``expm_hermitian`` call, which checks the phase
+    against the generator in one ``_turns``."""
     names = ("dichotomic_observable", "unitary", "expm_hermitian", "_turns",
-             "_pair_weights", "_expm_weights")
+             "_pair_weights")
     counts = {name: counting_everywhere(name, monkeypatch) for name in names}
     gates = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, np.linspace(0.0, 1.0, 5)).gates
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "dichotomic_observable": 1, "unitary": 1, "expm_hermitian": 0,
-        "_turns": 2, "_pair_weights": 0, "_expm_weights": 0}
+        "dichotomic_observable": 1, "unitary": 1, "expm_hermitian": 2,
+        "_turns": 2, "_pair_weights": 0}
     assert gates[2] is gates[4]
 
 
@@ -1095,13 +1080,10 @@ def test_stacked_circuits_equal_the_per_circuit_loop(shape, rng):
 
 
 def test_stacked_evolve_of_a_multiple_of_the_identity_has_a_zero_axis_term(rng):
-    """A multiple of I keeps the two fixed terms of every ``Evolve``: its
-    axis term is the zero matrix, and ``embed`` is its phase times I."""
+    """For a multiple of I the axis term of the exponential is the zero
+    matrix: ``embed`` is each phase times I."""
     phases = rng.uniform(-3.0, 3.0, 9)
     gate = Evolve(SYSTEM, 0.7 * IDENTITY_2, phases)
-    assert gate.fixed.shape == (2, 4, 4)
-    np.testing.assert_array_equal(gate.fixed[0], np.eye(4))
-    np.testing.assert_array_equal(gate.fixed[1], np.zeros((4, 4)))
     np.testing.assert_allclose(embed(gate), np.exp(-0.7j * phases)[:, None, None] * np.eye(4),
                                rtol=0, atol=1e-15)
     gates = (Hadamard(PROBE), gate, ControlledU(PROBE, SYSTEM, SIGMA_X), gate)
@@ -1324,7 +1306,7 @@ def test_default_sweep_takes_almost_no_page_faults():
 def test_stacked_results_survive_later_engine_calls(size):
     """States from ``run`` and unitaries from ``circuit_unitary`` are
     their own call's arrays; later calls leave them, the inputs and the
-    gates' read-only fixed stacks alone."""
+    gates' read-only matrices alone."""
     t = np.linspace(0.0, 3.0, size)
     obs = observable_from_state(KET0)
     circuit = build_scattering_circuit(SIGMA_X, obs, 0.5 * t, t)
@@ -1364,15 +1346,32 @@ def test_oracle_runs_without_the_circuit_exponentials(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle used a circuit exponential")
 
-    for name in ("expm_hermitian", "_expm_weights"):
-        for module in (lgsim.linalg, lgsim.states, lgsim.circuit,
-                       lgsim.leggett_garg, lgsim.nmr, lgsim.cli):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+    for module in (lgsim.linalg, lgsim.states, lgsim.circuit,
+                   lgsim.leggett_garg, lgsim.nmr, lgsim.cli):
+        monkeypatch.setattr(module, "expm_hermitian", refuse, raising=False)
     value = correlation_oracle(maximally_mixed(), SIGMA_Z, Evolution(1.3), 0.2, 0.9)
     assert abs(value - math.cos(2 * 1.3 * 0.7)) <= 1e-12
     rotated = lgsim.leggett_garg.heisenberg_observable(SIGMA_Z, Evolution(0.5), 1.0)
     np.testing.assert_allclose(rotated, math.cos(1.0) * SIGMA_Z + math.sin(1.0) * SIGMA_Y,
                                rtol=0, atol=1e-15)
+
+
+def test_reference_evolutions_are_the_closed_form_exponential(monkeypatch):
+    """Each ``Evolve`` of the reference circuit is ``expm_hermitian``'s
+    exponential: refused in ``circuit``, the reference cannot be built, while
+    every measurement, which reads the circuit's operands, still runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the circuit's exponential was refused")
+
+    monkeypatch.setattr(lgsim.circuit, "expm_hermitian", refuse)
+    with pytest.raises(AssertionError, match="refused"):
+        build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.1, 0.4)
+    rho, evo = classical_mixture(0.5, 0.5), Evolution(1.0)
+    sweep(evo, rho, 1.0, 0.0, math.pi, 5)
+    k_value(rho, SIGMA_Z, evo, Schedule(0.0, 0.3, 0.6))
+    correlation_circuit(rho, SIGMA_Z, evo, 0.1, 0.4)
+    max_disturbance(rho, SIGMA_Z, evo, [0.0, 0.5])
+    k_attenuation_check(T2Config(3.0, 0.8, 0.01), math.pi / 3)
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308])
