@@ -98,8 +98,8 @@ class RunConfig:
         if self.theta_min < 0.0:
             raise UsageError(f"--theta-min: must be >= 0, got {self.theta_min}")
         with np.errstate(over="ignore", invalid="ignore"):  # near the float limit
-            grid = np.linspace(self.theta_min, self.theta_max, self.steps)
-        if not (np.diff(grid) > 0.0).all():
+            gaps = np.diff(np.linspace(self.theta_min, self.theta_max, self.steps))
+        if not (gaps > 0.0).all():
             raise UsageError("--theta-min/--theta-max: need min < max, with --steps "
                              "distinct points between them, got "
                              f"({self.theta_min}, {self.theta_max})")
@@ -388,9 +388,7 @@ def emit_svg(cfg: RunConfig, results: SweepResult) -> str:
     thetas = results.theta
     if cfg.command == "sweep":
         series = [("K", results.k)]
-        # bisecting analytic_k past theta ~ 9e307 meets NaN; find_violations reports it
-        with np.errstate(invalid="ignore"):
-            bands = find_violations(results)
+        bands = find_violations(results)
     else:
         series = [("C12", results.c12), ("C23", results.c23), ("C13", results.c13)]
         bands = []

@@ -17,7 +17,8 @@ the system's Bloch vector off the same traces.
 (3, N) stack, returning the curve as the columns of one ``SweepResult``;
 ``analytic_k`` evaluates the closed-form prediction 2 cos(theta) - cos(2 theta),
 where theta is the dimensionless phase (energy gap) x (spacing) accumulated
-between consecutive measurements.
+between consecutive measurements.  ``find_violations`` reads the intervals
+where a swept K exceeds 1 off its grid and the closed-form roots of K - 1.
 
 hbar = 1 throughout: times, frequencies and energies enter only through
 phases.
@@ -40,7 +41,6 @@ from .states import KET0, pseudo_pure, pure_density
 # Guard band above the bound K = 1, so the exact K = 1 boundary at theta = 0
 # is never flagged as a violation.
 _VIOLATION_GUARD = 1e-12
-_BISECT_TOL = 1e-9
 # Normalized correlators carry round-off of about 2.5e-16 / |reference|: the
 # floor keeps it below 5e-10 and passes eps = 1e-6 (references just under 1e-6).
 _REFERENCE_FLOOR = 5e-7
@@ -81,7 +81,7 @@ class Evolution:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Three measurement times with equal spacing t2 - t1 = t3 - t2."""
+    """Measurement times 0 <= t1 <= t2 <= t3 with t2 - t1 = t3 - t2."""
 
     t1: float
     t2: float
@@ -89,8 +89,8 @@ class Schedule:
 
     def __post_init__(self):
         for name in ("t1", "t2", "t3"):
-            if not math.isfinite(_number(getattr(self, name), name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            if not 0.0 <= _number(getattr(self, name), name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not self.t1 <= self.t2 <= self.t3:
             raise ValueError(
                 f"need t1 <= t2 <= t3, got ({self.t1}, {self.t2}, {self.t3})"
@@ -322,17 +322,17 @@ def sweep(evo: Evolution, rho_sys, probe_eps: float, theta_min: float,
     return _k_curve(rho_sys, obs, evo, probe_eps, np.array([0.0, 1.0, 2.0])[:, None] * dt)
 
 
-def find_violations(
-    results: SweepResult, *, k_fn=analytic_k
-) -> list[tuple[float, float]]:
+def find_violations(results: SweepResult) -> list[tuple[float, float]]:
     """Maximal theta intervals where K exceeds the classical bound 1.
 
     Reads the ``theta`` and ``k`` columns of ``results``, which must be
     sorted by theta.  Grid membership uses K > 1 + 1e-12, so the exact K = 1
-    boundary is never flagged.  Interval endpoints falling between grid
-    points are refined by bisecting ``k_fn`` (the continuation of the swept
-    curve) down to 1e-9, or down to adjacent floats where those are farther
-    apart.
+    boundary is never flagged.  An edge between grid points is a root of
+    K - 1 = (1 - n_x^2) 2 cos(theta) (1 - cos(theta)), which holds under
+    H = omega sigma_x for every state and observable n.sigma (Leggett & Garg,
+    PRL 54, 857 (1985)): the largest root pi/2 + k pi or 2 k pi at or below
+    the first violating point, or the smallest at or above the last, kept
+    inside that point's gap to its neighbour.
     """
     thetas, ks = results.theta, results.k
     if not len(thetas):
@@ -350,23 +350,13 @@ def find_violations(
     for first, stop in zip(edges[::2], edges[1::2]):
         lo = thetas[first]
         if first > 0:
-            lo = _bisect_crossing(k_fn, thetas[first - 1], lo)
+            root = max((math.floor(lo / math.pi - 0.5) + 0.5) * math.pi,
+                       math.floor(lo / math.tau) * math.tau)
+            lo = min(lo, max(thetas[first - 1], root))
         hi = thetas[stop - 1]
         if stop < n:
-            hi = _bisect_crossing(k_fn, thetas[stop], hi)
+            root = min((math.ceil(hi / math.pi - 0.5) + 0.5) * math.pi,
+                       math.ceil(hi / math.tau) * math.tau)
+            hi = max(hi, min(thetas[stop], root))
         intervals.append((lo, hi))
     return intervals
-
-
-def _bisect_crossing(k_fn, outside: float, inside: float) -> float:
-    """Locate K = 1 between a non-violating and a violating point."""
-    a, b = outside, inside
-    while abs(b - a) > _BISECT_TOL:
-        mid = 0.5 * a + 0.5 * b  # a + b would overflow past about 9e307
-        if mid in (a, b):
-            break
-        k = k_fn(mid)
-        if not math.isfinite(k):
-            raise ValueError(f"k_fn is not finite at theta = {mid!r}: {float(k)!r}")
-        a, b = (a, mid) if k > 1.0 else (mid, b)
-    return 0.5 * a + 0.5 * b

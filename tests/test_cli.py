@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import math
+import pathlib
+import tempfile
 import warnings
 from dataclasses import asdict, fields
 
@@ -19,6 +21,7 @@ from lgsim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    FORMATS,
     RunConfig,
     UsageError,
     emit_csv,
@@ -478,8 +481,6 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("args", [
         ["sweep", "--steps", "3", "--theta-max", "1e308"],
         ["correlations", "--steps", "3", "--theta-max", "1e308"],
-        # the curve fits, but bisecting analytic_k past 9e307 meets NaN
-        ["sweep", "--steps", "9", "--theta-min", "9.5e307", "--theta-max", "9.51e307"],
     ])
     def test_non_finite_svg_coordinate_exits_1_and_writes_no_file(
             self, args, tmp_path, capsys):
@@ -489,10 +490,17 @@ class TestMainExitCodes:
         code = main([*args, "--format", "svg", "--output", str(out)])
         assert code == EXIT_INVARIANT
         captured = capsys.readouterr()
-        message = ("k_fn is not finite at theta = 9.505625e+307: nan" if "9.5e307" in args
-                   else "SVG x coordinate is not finite: inf")
-        assert captured.err == f"invariant failure: {message}\n"
+        assert captured.err == "invariant failure: SVG x coordinate is not finite: inf\n"
         assert not out.exists()
+
+    def test_band_edges_near_the_float_limit_exit_0(self, tmp_path, capsys):
+        """The curve fits the x scale, and the band edges come from the closed
+        form, which is finite at any finite theta: one band, no warning."""
+        out = tmp_path / "x.svg"
+        args = ["sweep", "--steps", "9", "--theta-min", "9.5e307", "--theta-max", "9.51e307"]
+        assert main([*args, "--format", "svg", "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert out.read_text(encoding="utf-8").count('class="violation"') == 1
 
 
 class TestSweepOutput:
@@ -868,27 +876,38 @@ HOSTILE_VALUES = ("0", "-0.0", "5e-324", "2.2250738585072014e-308", "1e-300", "-
 @given(command=st.sampled_from(COMMANDS),
        flags=st.lists(st.tuples(st.sampled_from(NUMERIC_FLAGS), st.sampled_from(HOSTILE_VALUES)),
                       min_size=1, max_size=4, unique_by=lambda pair: pair[0]),
-       steps=st.integers(2, 7))
-@example(command="tomography", flags=[("--noise-sigma", "1.7976931348623157e308")], steps=5)
-@example(command="noise-check", flags=[("--epsilon", "1e-7")], steps=5)
-def test_hostile_numeric_flags_exit_0_or_2_naming_a_flag(command, flags, steps):
-    """``main`` in-process on hostile values of the numeric flags, with
-    numpy's warnings as errors: it exits 0, or 2 naming a flag it was given,
-    or 1 only for the documented non-finite output (a column or an SVG
-    coordinate that is not finite); it never raises."""
-    argv = [command, f"--steps={steps}", *(f"{flag}={value}" for flag, value in flags)]
+       steps=st.integers(2, 7), fmt=st.sampled_from(FORMATS))
+@example(command="tomography", flags=[("--noise-sigma", "1.7976931348623157e308")], steps=5,
+         fmt="csv")
+@example(command="noise-check", flags=[("--epsilon", "1e-7")], steps=5, fmt="csv")
+@example(command="sweep", flags=[("--theta-min", "1e300")], steps=7, fmt="svg")
+@example(command="sweep", flags=[("--theta-min", "1e300"),
+                                 ("--theta-max", "-1.7976931348623157e308")], steps=4, fmt="csv")
+def test_hostile_numeric_flags_exit_0_or_2_naming_a_flag(command, flags, steps, fmt):
+    """``main`` in-process on hostile values of the numeric flags, in each
+    format, with numpy's warnings as errors: it exits 0, or 2 naming a flag
+    it was given, or 1 only for the documented non-finite output (a column or
+    an SVG coordinate that is not finite); it never raises.  An SVG goes to a
+    file, written only on exit 0."""
+    argv = [command, f"--steps={steps}", f"--format={fmt}",
+            *(f"{flag}={value}" for flag, value in flags)]
     out, err = io.BytesIO(), io.StringIO()
     stdout = io.TextIOWrapper(out)
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
+    # a directory of its own per example: hypothesis refuses function-scoped fixtures
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(argv)
-    message, printed = err.getvalue(), out.getvalue()
+        svg = pathlib.Path(tmp, "out.svg")
+        code = main([*argv, f"--output={svg}"] if fmt == "svg" else argv)
+        written = svg.read_bytes() if svg.exists() else b""
+    message, printed = err.getvalue(), out.getvalue() + written
+    if fmt == "svg":
+        assert not out.getvalue()
     if code == EXIT_OK:
         assert printed and not message
     elif code == EXIT_USAGE:
         assert not printed
-        assert any(flag in message for flag in ("--steps", *dict(flags))), message
+        assert any(flag in message for flag in ("--steps", "--format", *dict(flags))), message
     else:
         assert code == EXIT_INVARIANT and not printed
         assert "is not finite" in message, message

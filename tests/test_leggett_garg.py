@@ -112,6 +112,12 @@ class TestSchedule:
         with pytest.raises(ValueError, match="t1 <= t2"):
             Schedule(0.5, 0.3, 0.1)
 
+    def test_rejects_a_negative_time(self):
+        """k_value runs its circuits from t1 >= 0; a negative t1 is refused
+        at the door, naming it, not later under the circuit's own names."""
+        with pytest.raises(ValueError, match=r"^t1 must be finite and >= 0, got -1\.0$"):
+            Schedule(-1.0, 0.0, 1.0)
+
     @pytest.mark.parametrize("times,name", [
         ((0.0, math.inf, math.inf), "t2"),
         ((-math.inf, 0.0, math.inf), "t1"),
@@ -558,44 +564,59 @@ class TestFindViolations:
         with pytest.raises(ValueError, match="sorted"):
             find_violations(SweepResult(**columns(2, theta=[1.0, 0.5])))
 
-    def test_bisects_to_finite_edges_near_the_float_limit(self):
-        """The midpoint is halved before the sum, which overflows past 9e307."""
+    def test_edges_stay_finite_near_the_float_limit(self):
+        """Past 9e307 every grid gap holds roots of K - 1 a float apart; the
+        upper edge is the nearest, the last violating point itself."""
         results = sweep(EVO, maximally_mixed(), 1.0, 9.5e307, 9.51e307, 9)
-
-        def k_fn(theta):  # crosses between the last violating grid point and the next
-            return 2.0 if theta < 9.5058e307 else 0.0
-
-        [(lo, hi)] = find_violations(results, k_fn=k_fn)
-        assert lo == 9.5e307
-        assert hi == pytest.approx(9.5058e307, rel=1e-15)
-
-    def test_rejects_a_non_finite_continuation(self):
-        results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 2 * math.pi, 11)
-        message = r"k_fn is not finite at theta = 0\.3141592653589793: nan"
-        with pytest.raises(ValueError, match=message):
-            find_violations(results, k_fn=lambda theta: math.nan)
+        assert find_violations(results) == [(9.5e307, 9.505e307)]
 
     @settings(max_examples=200, deadline=None)
-    @given(mask=st.lists(st.booleans(), min_size=1, max_size=40),
-           steps=st.lists(st.floats(0.01, 1.0), min_size=40, max_size=40))
-    def test_equals_the_point_loop_on_any_mask(self, mask, steps):
-        """Runs anywhere, including those that touch either end of the grid."""
-        n = len(mask)
-        thetas = np.cumsum(steps[:n])
-        ks = np.where(mask, 1.25, 0.75)
-        results = SweepResult(thetas, ks / 2, ks / 2, np.zeros(n))
+    @given(steps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=40),
+           ends_on_a_turn=st.booleans())
+    def test_edges_match_a_bisection_of_the_closed_form(self, steps, ends_on_a_turn):
+        """On grids of spacing 0.01-1.0 (each gap holds at most one root of
+        K - 1), sometimes ending where K touches 1 at a multiple of 2 pi."""
+        thetas = np.cumsum(steps)
+        if ends_on_a_turn:
+            turn = math.tau * math.ceil(thetas[-1] / math.tau)
+            thetas = np.append(thetas[:-1] + (turn - thetas[-1]), turn)
+        results = SweepResult(thetas, np.cos(thetas), np.cos(thetas), np.cos(2 * thetas))
+        got = find_violations(results)
+        want = bisected_violations(results)
+        assert len(got) == len(want)
+        for edges, wanted in zip(got, want):
+            for edge, target in zip(edges, wanted):
+                # K - 1 grows as (theta - 2 pi k)^2 where it only touches 1
+                tol = 1e-7 if math.isclose(math.cos(target), 1.0, abs_tol=1e-9) else 1e-8
+                assert abs(edge - target) <= tol
 
-        def k_fn(theta):  # a continuation crossing the bound in each gap
-            return 1.0 + 0.25 * math.cos(7.0 * theta)
-
-        want = point_loop_violations(list(results), k_fn)
-        assert find_violations(results, k_fn=k_fn) == want
-
-    def test_takes_the_continuation_by_keyword_only(self):
-        """A stale positional threshold raises rather than pass as ``k_fn``."""
+    def test_takes_no_second_argument(self):
+        """A stale positional threshold or continuation raises."""
         results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 2 * math.pi, 11)
         with pytest.raises(TypeError):
             find_violations(results, 1.0)
+        with pytest.raises(TypeError):
+            find_violations(results, k_fn=analytic_k)
+
+    def test_coarse_grid_gets_the_root_nearest_the_violating_point(self):
+        """Spacing 1.25 pi: the gap after 3.75 pi holds 4 pi, where K touches
+        1, and 4.5 pi, where it crosses; the edge is the nearer, 4 pi."""
+        results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 20 * math.pi, 17)
+        lo, hi = find_violations(results)[0]
+        assert lo == pytest.approx(3.5 * math.pi, abs=1e-12)
+        assert hi == pytest.approx(4.0 * math.pi, abs=1e-12)
+        assert analytic_k(4.0 * math.pi) == pytest.approx(1.0, abs=1e-12)
+
+    def test_reads_no_continuation(self, monkeypatch):
+        """The edges of the default sweep come with no call to ``analytic_k``
+        and no cosine at all."""
+        def refuse(theta):
+            raise AssertionError("find_violations evaluated K off the grid")
+
+        results = sweep(EVO, maximally_mixed(), 1.0, 0.0, 2 * math.pi, 721)
+        monkeypatch.setattr("lgsim.leggett_garg.analytic_k", refuse)
+        monkeypatch.setattr(np, "cos", refuse)
+        assert find_violations(results) == [(0.0, 0.5 * math.pi), (1.5 * math.pi, 2 * math.pi)]
 
     def test_boundary_point_not_flagged(self):
         """K = 1 exactly (theta = 0) sits on the bound, not above it.
@@ -614,20 +635,11 @@ class TestFindViolations:
         assert (results.k[:-1] <= 1.0).all() and results.k[-1] > 1.0
         assert find_violations(results) == []
 
-    def test_refinement_stops_at_adjacent_floats(self):
-        """Near theta = 1e7 adjacent floats lie about 1.9e-9 apart, farther
-        than the 1e-9 tolerance, so bisection ends at an adjacent pair."""
+    def test_edges_near_1e7_sit_on_the_crossings(self):
+        """Near theta = 1e7 adjacent floats lie about 1.9e-9 apart; each
+        interior edge still has K within 1e-7 of the bound."""
         results = sweep(EVO, maximally_mixed(), 1.0, 1e7, 1e7 + 10, 721)
-        calls = 0
-
-        def k_fn(theta):
-            nonlocal calls
-            calls += 1
-            if calls > 500:
-                raise RuntimeError("bisection does not terminate")
-            return analytic_k(theta)
-
-        intervals = find_violations(results, k_fn=k_fn)
+        intervals = find_violations(results)
         assert intervals
         for lo, hi in intervals:
             for end in (lo, hi):
@@ -635,15 +647,23 @@ class TestFindViolations:
                     assert abs(analytic_k(end) - 1.0) < 1e-7
 
 
-def point_loop_violations(results, k_fn):
-    """``find_violations`` as a walk over the points, one run at a time: the
-    reference the columnar version is checked against."""
-    from lgsim.leggett_garg import _bisect_crossing
+def bisected_violations(results):
+    """``find_violations`` as a walk over the points, one run at a time, each
+    interior edge bisected on ``analytic_k`` to 1e-9: the reference the
+    closed-form edges are checked against."""
+    def bisect(outside, inside):
+        a, b = outside, inside
+        while abs(b - a) > 1e-9:
+            mid = 0.5 * a + 0.5 * b
+            if mid in (a, b):
+                break
+            a, b = (a, mid) if analytic_k(mid) > 1.0 else (mid, b)
+        return 0.5 * a + 0.5 * b
 
-    thetas = [r.theta for r in results]
-    above = [r.k > 1.0 + 1e-12 for r in results]
+    thetas = results.theta.tolist()
+    above = (results.k > 1.0 + 1e-12).tolist()
     intervals = []
-    i, n = 0, len(results)
+    i, n = 0, len(thetas)
     while i < n:
         if not above[i]:
             i += 1
@@ -651,12 +671,8 @@ def point_loop_violations(results, k_fn):
         j = i
         while j + 1 < n and above[j + 1]:
             j += 1
-        lo = thetas[i]
-        if i > 0:
-            lo = _bisect_crossing(k_fn, thetas[i - 1], thetas[i])
-        hi = thetas[j]
-        if j + 1 < n:
-            hi = _bisect_crossing(k_fn, thetas[j + 1], thetas[j])
+        lo = bisect(thetas[i - 1], thetas[i]) if i > 0 else thetas[i]
+        hi = bisect(thetas[j + 1], thetas[j]) if j + 1 < n else thetas[j]
         intervals.append((lo, hi))
         i = j + 1
     return intervals
