@@ -7,9 +7,9 @@ exp(-i*phase*h) on one wire, and a controlled unitary between the wires.
 Gates validate on construction and keep what they built from the checked
 operands, read-only: an ``Evolve`` a copy of its generator, a ``ControlledU``
 of its unitary, and every gate its ``matrix``, the 4x4 unitary it applies to
-the register (a stack for an ``Evolve`` of an array of phases, whose
-exponential ``expm_hermitian`` forms on construction).  Nothing later checks
-them again.
+the register (a stack for an ``Evolve`` of an array of phases; an
+``Evolve`` forms the exponential of ``expm_hermitian`` on construction).
+Nothing later checks them again.
 
 An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
 then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _generator, _pair_weights, _real,
-                     _register, _turns, dagger, dichotomic_observable, expm_hermitian,
+from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _closed_form, _generator,
+                     _pair_weights, _real, _register, _turns, dagger, dichotomic_observable,
                      kron, unitary)
 
 PROBE = "probe"
@@ -99,10 +99,11 @@ class Hadamard:
 class Evolve:
     """Free evolution exp(-i * phase * hamiltonian) on one wire (``phase``
     may be an array: a stack of gates).  Construction checks
-    ``hamiltonian`` and ``phase`` (a number too) as ``expm_hermitian`` does,
-    naming ``phase``, and keeps the generator as the read-only copy that
-    check returns, an array phase as a read-only float copy, and its
-    ``matrix``, the exponential of ``expm_hermitian`` embedded (shape
+    ``hamiltonian`` and ``phase`` (a number too) once each, as
+    ``expm_hermitian`` does, naming ``phase``, and keeps the generator as the
+    read-only copy that check returns, an array phase as a read-only float
+    copy, and its ``matrix``, the exponential of ``expm_hermitian`` formed
+    from the checked pair by ``linalg._closed_form`` and embedded (shape
     S + (4, 4)), so later writes to the caller's arrays cannot reach the
     gate."""
 
@@ -113,14 +114,14 @@ class Evolve:
 
     def __post_init__(self):
         _check_wire(self.wire)
-        h = _generator(self.hamiltonian)[0]
-        object.__setattr__(self, "hamiltonian", h)
+        generator = _generator(self.hamiltonian)
+        object.__setattr__(self, "hamiltonian", generator[0])
         phase = _real(self.phase, "phase")
         if not isinstance(self.phase, (int, float)):  # an array: keep a copy
             phase = _read_only(np.array(phase))
             object.__setattr__(self, "phase", phase)
         # + 0.0 turns the -0 of kron's products 0 * x off the wire into +0
-        matrix = _on_wire(self.wire, expm_hermitian(h, phase)) + 0.0
+        matrix = _on_wire(self.wire, _closed_form(generator, phase)) + 0.0
         object.__setattr__(self, "matrix", _read_only(matrix))
 
 
@@ -194,14 +195,15 @@ def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
 
 def _time_order(theta_k, theta_m):
     """The times as floats (``_real``), checked for 0 <= theta_k <= theta_m
-    < inf in one vectorised test on the broadcast pair."""
+    < inf in one vectorised test, whose mask broadcasts the pair; only a
+    failed test broadcasts the times themselves, to name the first bad pair."""
     theta_k = _real(theta_k, "theta_k")
     theta_m = _real(theta_m, "theta_m")
-    low, high = np.broadcast_arrays(theta_k, theta_m)
-    bad = ~((0.0 <= low) & (low <= high) & (high < math.inf))
-    if bad.any():
+    ok = (0.0 <= theta_k) & (theta_k <= theta_m) & (theta_m < math.inf)
+    if not ok.all():
+        low, high = np.broadcast_arrays(theta_k, theta_m)
         raise ValueError(f"need inf > theta_m >= theta_k >= 0, got "
-                         f"({low[bad][0]}, {high[bad][0]})")
+                         f"({low[~ok][0]}, {high[~ok][0]})")
     return theta_k, theta_m
 
 

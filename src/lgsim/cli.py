@@ -97,8 +97,12 @@ class RunConfig:
             raise UsageError(f"--epsilon: must be in (0, 1], got {self.epsilon}")
         if self.theta_min < 0.0:
             raise UsageError(f"--theta-min: must be >= 0, got {self.theta_min}")
+        gap = Evolution(omega=1.0).energy_gap
         with np.errstate(over="ignore", invalid="ignore"):  # near the float limit
-            gaps = np.diff(np.linspace(self.theta_min, self.theta_max, self.steps))
+            # the grid as a sweep reports it, gap * (theta / gap): subnormal
+            # spacings can round to 0 there
+            gaps = np.diff(np.linspace(self.theta_min, self.theta_max, self.steps)
+                           / gap * gap)
         if not (gaps > 0.0).all():
             raise UsageError("--theta-min/--theta-max: need min < max, with --steps "
                              "distinct points between them, got "

@@ -3,10 +3,13 @@
 Correlators are available through two independent routes: the scattering
 circuit (the simulated experiment, including the pseudo-pure probe and its
 reference normalization) and a direct Heisenberg-picture trace that serves as
-the oracle the circuit is validated against; the oracle takes its propagator
-from an eigendecomposition of H and shares no code with the circuit.  The
-one circuit correlator is ``correlation_circuit``, for a time pair or a stack
-of them, on the register ``_probe_register`` builds.  It reads the signal
+the oracle the circuit is validated against.  The oracle shares no code with
+the circuit: it reads H in its eigenbasis, from one ``np.linalg.eigh`` per
+drive omega (memoized with the checks of ``linalg``), where each time enters
+only through elementwise phase factors, so ``correlation_oracle`` takes a
+time pair or a stack of them in one contraction.  The one circuit correlator
+is ``correlation_circuit``, for a time pair or a stack of them, on the
+register ``_probe_register`` builds.  It reads the signal
 and the zero-time reference off one matrix of traces of the circuit's terms
 (``circuit._probe_signal``, which takes H, O and the times), building no
 gate and forming no state.  ``max_disturbance``, the paper's
@@ -26,6 +29,7 @@ phases.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -34,8 +38,8 @@ import numpy as np
 
 # No function here calls ``run``; the benchmark's tracer tests it is patched here too.
 from .circuit import _probe_signal, run  # noqa: F401
-from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _number, _real, dagger,
-                     density, dichotomic_observable, kron)
+from .linalg import (_MEMO_SIZE, _MEMOS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _number,
+                     _real, dagger, density, dichotomic_observable, kron)
 from .states import KET0, pseudo_pure, pure_density
 
 # Guard band above the bound K = 1, so the exact K = 1 boundary at theta = 0
@@ -171,42 +175,90 @@ def _first_bad(message: str, column: np.ndarray, ok: np.ndarray) -> None:
         raise ValueError(f"{message} {float(column[np.argmin(ok)])!r}")
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _eigenbasis(evo: Evolution):
+    """H = V diag(E) V+ from one ``np.linalg.eigh``, memoized per drive (an
+    ``Evolution`` hashes and compares by its omega), as the read-only
+    ``(rates, V, V+, to_basis)``: the rates -iE, whose exp(rates * t) is
+    exp(-iEt), and the (4, 4) map V+ (x) V^T of a flattened 2x2 X onto the
+    flattened V+ X V."""
+    energies, vectors = np.linalg.eigh(evo.hamiltonian)
+    vectors_h = dagger(vectors).copy()
+    basis = (-1j * energies, vectors, vectors_h, kron(vectors_h, vectors.T))
+    for array in basis:
+        array.flags.writeable = False
+    return basis
+
+
+_MEMOS.append(_eigenbasis)
+
+
+def _phases(rates: np.ndarray, t) -> np.ndarray:
+    """The phases -iE*t, shape t.shape + (len(E),), of the times ``t``
+    (checked by ``_real`` as ``t``); names the first time whose phases are
+    not finite."""
+    t = _real(t, "t")
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range
+        phases = t[..., None] * rates
+    finite = np.isfinite(phases).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"the oracle needs finite phases omega*t, got t = "
+                         f"{float(t[~finite][0])!r}")
+    return phases
+
+
 def heisenberg_observable(obs, evo: Evolution, t) -> np.ndarray:
     """O(t) = exp(+iHt) O exp(-iHt); stays Hermitian and dichotomic.
 
     ``t`` is a real time, or an array of them (a stack t.shape + (2, 2)).
-    exp(-iHt) comes from one ``eigh`` H = V E V+ as I + V (exp(-iEt) - 1) V+,
-    exactly I at t = 0.  A time whose phases E*t are not finite is named.
+    exp(-iHt) is I + V (exp(-iEt) - 1) V+ in the oracle's memoized
+    eigenbasis H = V E V+, exactly I at t = 0.  A time whose phases E*t are
+    not finite is named.
 
     Convention: for O = sigma_z under H = omega*sigma_x this gives
     cos(2*omega*t)*sigma_z + sin(2*omega*t)*sigma_y.  The sign of the sigma_y
     term is convention-dependent and drops out of every reported quantity.
     """
     obs = dichotomic_observable(obs)
-    energies, vectors = np.linalg.eigh(evo.hamiltonian)
-    t = _real(t, "t")
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range
-        phases = t[..., None] * energies
-    bad = ~np.isfinite(phases).all(axis=-1)
-    if bad.any():
-        raise ValueError(f"the oracle needs finite phases omega*t, got t = "
-                         f"{float(t[bad][0])!r}")
-    turns = np.expm1(-1j * phases)[..., None, :]
-    forward = IDENTITY_2 + (vectors * turns) @ dagger(vectors)
+    rates, vectors, vectors_h, _ = _eigenbasis(evo)
+    turns = np.expm1(_phases(rates, t))[..., None, :]
+    forward = IDENTITY_2 + (vectors * turns) @ vectors_h
     return dagger(forward) @ obs @ forward
 
 
-def correlation_oracle(rho_sys, obs, evo: Evolution, t_k: float, t_m: float) -> float:
+def correlation_oracle(rho_sys, obs, evo: Evolution, t_k, t_m):
     """Re Tr[rho_sys O(t_m) O(t_k)] computed directly in the Heisenberg picture.
 
     This is the brute-force route the circuit is checked against; it never
-    touches the probe or the circuit machinery: one ``heisenberg_observable``
-    call at both times, each checked as its time ``t`` on its own first.
+    touches the probe or the circuit machinery.  In the memoized eigenbasis
+    H = V E V+ (one ``eigh`` per drive), with rho' = V+ rho V and O' = V+ O V,
+    the correlator is Re sum_lij rho'_li O'_ij O'_jl e^{i(d_ij t_m + d_jl t_k)}
+    for the gaps d_ij = E_i - E_j: the phase factors exp(-iEt) of each time,
+    taken elementwise, and one ``einsum``, with no operator product per time.
+    ``t_k`` and ``t_m`` are numbers or arrays that broadcast together, each
+    checked as its time ``t`` on its own; a time whose phases are not finite
+    is named, t_m first.  Returns a float for numbers and an array of the
+    broadcast shape otherwise.
     """
     rho_sys = density(rho_sys)
-    times = (_number(t_m, "t"), _number(t_k, "t"))
-    later, earlier = heisenberg_observable(obs, evo, times)
-    return float(np.trace(rho_sys @ (later @ earlier)).real)
+    obs = dichotomic_observable(obs)
+    rates, _, _, to_basis = _eigenbasis(evo)
+    rho_e = (to_basis @ rho_sys.ravel()).reshape(2, 2)
+    obs_e = (to_basis @ obs.ravel()).reshape(2, 2)
+    t_m, t_k = _real(t_m, "t"), _real(t_k, "t")
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range
+        # exp(-iEt) with the level first, so each elementwise pass runs over the times
+        late = np.exp(np.multiply.outer(rates, t_m))
+        early = np.exp(np.multiply.outer(rates, t_k))
+        # e^{i d_ij t_m} e^{i d_jl t_k} = conj(late_i) late_j conj(early_j) early_l
+        value = np.einsum("li,i...,ij,j...,j...,jl,l...->...", rho_e, late.conj(), obs_e,
+                          late, early.conj(), obs_e, early).real
+    # Checked once, on the value, not per time: only a phase that is not
+    # finite gives NaN, and ``_phases`` then names its time, t_m first.
+    if np.isnan(value).any():
+        _phases(rates, t_m)
+        _phases(rates, t_k)
+    return value if value.ndim else float(value)
 
 
 def _probe_register(rho_sys, probe_eps: float) -> np.ndarray:
@@ -332,7 +384,10 @@ def find_violations(results: SweepResult) -> list[tuple[float, float]]:
     H = omega sigma_x for every state and observable n.sigma (Leggett & Garg,
     PRL 54, 857 (1985)): the largest root pi/2 + k pi or 2 k pi at or below
     the first violating point, or the smallest at or above the last, kept
-    inside that point's gap to its neighbour.
+    inside that point's gap to its neighbour.  On a grid of spacing pi/2 or
+    more a lower edge can stop at a tangent 2 k pi, where K only touches 1,
+    though K also exceeds 1 on the half-period below it (no grid point there
+    tells the two apart): sweep at spacing below pi/2 for the full region.
     """
     thetas, ks = results.theta, results.k
     if not len(thetas):

@@ -881,6 +881,8 @@ HOSTILE_VALUES = ("0", "-0.0", "5e-324", "2.2250738585072014e-308", "1e-300", "-
          fmt="csv")
 @example(command="noise-check", flags=[("--epsilon", "1e-7")], steps=5, fmt="csv")
 @example(command="sweep", flags=[("--theta-min", "1e300")], steps=7, fmt="svg")
+@example(command="sweep", flags=[("--theta-max", "5e-324")], steps=2, fmt="svg")
+@example(command="correlations", flags=[("--theta-max", "5e-324")], steps=2, fmt="svg")
 @example(command="sweep", flags=[("--theta-min", "1e300"),
                                  ("--theta-max", "-1.7976931348623157e308")], steps=4, fmt="csv")
 def test_hostile_numeric_flags_exit_0_or_2_naming_a_flag(command, flags, steps, fmt):

@@ -693,10 +693,8 @@ def test_scalar_doors_reject_a_bool(entry, z):
 NUMBER_DOORS = {
     **{name: REAL_ENTRY_POINTS[name] for name in (
         "Evolution", "Schedule", "T2Config", "ReadoutNoise", "classical_mixture",
-        "pseudo_pure", "correlation_oracle", "k_attenuation_check", "sweep")},
+        "pseudo_pure", "k_attenuation_check", "sweep")},
     "classical_mixture p0": ("p0", lambda z: classical_mixture(z, 0.5)),
-    "correlation_oracle t_k": ("t", lambda z: correlation_oracle(
-        maximally_mixed(), SIGMA_Z, Evolution(1.0), z, 0.9)),
     "sweep theta_min": ("theta_min", lambda z: sweep(Evolution(1.0), maximally_mixed(),
                                                      1.0, z, 1.0, 3)),
 }
@@ -960,16 +958,18 @@ def test_controlled_gate_from_a_nested_list_embeds_as_from_the_array(h, angle, c
 
 def test_scattering_gates_validate_each_operand_once(monkeypatch):
     """``build_scattering_circuit`` checks the observable and the controlled
-    unitary once; each ``Evolve`` checks its phase and forms its exponential
-    on construction, in one ``expm_hermitian`` call, which checks the phase
-    against the generator in one ``_turns``."""
-    names = ("dichotomic_observable", "unitary", "expm_hermitian", "_turns",
-             "_pair_weights")
+    unitary once; each ``Evolve`` checks its generator and phase once and
+    forms its exponential on construction, in one ``_closed_form`` call on
+    the checked pair (no ``expm_hermitian``, which would check both again),
+    which checks the phase against the generator in one ``_turns``."""
+    names = ("dichotomic_observable", "unitary", "expm_hermitian", "_closed_form",
+             "_generator", "_real", "_turns", "_pair_weights")
     counts = {name: counting_everywhere(name, monkeypatch) for name in names}
     gates = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, np.linspace(0.0, 1.0, 5)).gates
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "dichotomic_observable": 1, "unitary": 1, "expm_hermitian": 2,
-        "_turns": 2, "_pair_weights": 0}
+        "dichotomic_observable": 1, "unitary": 1, "expm_hermitian": 0,
+        "_closed_form": 2, "_generator": 2, "_real": 4, "_turns": 2,
+        "_pair_weights": 0}
     assert gates[2] is gates[4]
 
 
@@ -1358,12 +1358,13 @@ def test_oracle_runs_without_the_circuit_exponentials(monkeypatch):
 
 def test_reference_evolutions_are_the_closed_form_exponential(monkeypatch):
     """Each ``Evolve`` of the reference circuit is ``expm_hermitian``'s
-    exponential: refused in ``circuit``, the reference cannot be built, while
-    every measurement, which reads the circuit's operands, still runs."""
+    closed-form exponential, ``_closed_form``: refused in ``circuit``, the
+    reference cannot be built, while every measurement, which reads the
+    circuit's operands, still runs."""
     def refuse(*args, **kwargs):
         raise AssertionError("the circuit's exponential was refused")
 
-    monkeypatch.setattr(lgsim.circuit, "expm_hermitian", refuse)
+    monkeypatch.setattr(lgsim.circuit, "_closed_form", refuse)
     with pytest.raises(AssertionError, match="refused"):
         build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.1, 0.4)
     rho, evo = classical_mixture(0.5, 0.5), Evolution(1.0)
@@ -1383,3 +1384,60 @@ def test_oracle_rejects_a_time_without_finite_phases(t):
         lgsim.leggett_garg.heisenberg_observable(SIGMA_Z, evo, t)
     with pytest.raises(ValueError, match=message):
         correlation_oracle(maximally_mixed(), SIGMA_Z, evo, 0.1, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho_sys=qubit_states(), obs=direction.map(unit_observable),
+       omega=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 4.0)),
+       t_k=st.floats(-10.0, 10.0), t_m=st.floats(-10.0, 10.0))
+def test_oracle_is_the_trace_of_the_heisenberg_product(rho_sys, obs, omega, t_k, t_m):
+    """Read in H's eigenbasis, the oracle is Re Tr[rho O(t_m) O(t_k)] of the
+    two Heisenberg observables, to round-off, at any times and drive."""
+    evo = Evolution(omega)
+    later = heisenberg_observable(obs, evo, t_m)
+    earlier = heisenberg_observable(obs, evo, t_k)
+    want = np.trace(rho_sys @ later @ earlier).real
+    got = correlation_oracle(rho_sys, obs, evo, t_k, t_m)
+    assert type(got) is float
+    assert abs(got - want) <= 1e-14
+
+
+@SETTINGS
+@given(rho_sys=qubit_states(), obs=direction.map(unit_observable), omega=omegas,
+       t_k=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+       t_m=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2))
+def test_a_stacked_oracle_is_one_call_per_pair(rho_sys, obs, omega, t_k, t_m):
+    """Times that broadcast give the broadcast shape, each entry the number
+    call on its pair."""
+    evo = Evolution(omega)
+    stacked = correlation_oracle(rho_sys, obs, evo, np.reshape(t_k, (3, 1)), t_m)
+    assert stacked.shape == (3, 2)
+    for (i, j), got in np.ndenumerate(stacked):
+        assert abs(got - correlation_oracle(rho_sys, obs, evo, t_k[i], t_m[j])) <= 1e-15
+    assert correlation_oracle(rho_sys, obs, evo, t_k[0], [t_m[0]]).shape == (1,)
+
+
+def test_the_oracle_takes_one_eigh_per_drive(monkeypatch):
+    """H's eigenbasis is memoized per omega: two oracle calls, one of them on
+    a stack, and one Heisenberg observable on the same drive take one
+    ``eigh``, and another drive one more."""
+    calls = counting(np.linalg, "eigh", monkeypatch)
+    correlation_oracle(maximally_mixed(), SIGMA_Z, Evolution(1.3), 0.2, 0.9)
+    correlation_oracle(classical_mixture(0.9, 0.1), SIGMA_X, Evolution(1.3),
+                       [0.1, 0.2], 0.9)
+    heisenberg_observable(SIGMA_Y, Evolution(1.3), 0.5)
+    assert len(calls) == 1
+    correlation_oracle(maximally_mixed(), SIGMA_Z, Evolution(0.7), 0.2, 0.9)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("t_k, t_m, named", [
+    ([0.1, math.inf], [math.nan, 0.2], math.nan),
+    ([0.1, math.inf], [0.3, 0.2], math.inf),
+    (-math.inf, [0.3, 1e308], 1e308),
+])
+def test_a_stacked_oracle_names_a_bad_later_time_first(t_k, t_m, named):
+    """In a stack too, the first time whose phases are not finite is named,
+    every later time before any earlier one."""
+    with pytest.raises(ValueError, match=re.escape(f"got t = {named!r}")):
+        correlation_oracle(maximally_mixed(), SIGMA_Z, Evolution(4.0), t_k, t_m)
