@@ -7,13 +7,7 @@ normalization, T2 dephasing, and Pauli-basis tomography."""
 from .circuit import (
     PROBE,
     SYSTEM,
-    Circuit,
-    ControlledU,
-    Evolve,
-    Hadamard,
     build_scattering_circuit,
-    circuit_unitary,
-    embed,
     expect_probe_y,
     expect_probe_z,
     run,

@@ -1,196 +1,61 @@
-"""The two-wire scattering circuit and its execution.
+"""The two-wire scattering circuit: its unitary, its execution and its readout.
 
-The register has exactly two named wires: ``probe`` (the ancilla, always the
-left Kronecker factor) and ``system``.  A circuit is an ordered list of gates
-drawn from three kinds: a Hadamard on one wire, a free evolution
-exp(-i*phase*h) on one wire, and a controlled unitary between the wires.
-Gates validate on construction and keep what they built from the checked
-operands, read-only: an ``Evolve`` a copy of its generator, a ``ControlledU``
-of its unitary, and every gate its ``matrix``, the 4x4 unitary it applies to
-the register (a stack for an ``Evolve`` of an array of phases; an
-``Evolve`` forms the exponential of ``expm_hermitian`` on construction).
-Nothing later checks them again.
+The register has exactly two wires: ``probe`` (the ancilla, always the left
+Kronecker factor) and ``system``.  The one circuit of the package is the
+scattering interferometer: a probe Hadamard H, the free evolution E_k to the
+earlier time, a controlled copy C of the dichotomic observable O, the free
+evolution E_m to the later time, C again and a closing H.
 
-An ``Evolve`` gate may carry an array of phases of shape S: the circuit is
-then a stack, ``embed``, ``circuit_unitary`` and ``run`` return shape
-S + (4, 4) and the readouts shape S.  Every measurement of the package is a
-probe readout: ``_probe_signal`` reads Re Tr[R V rho V+] of the scattering
-circuit for a readout R, or a stack of them, off its operands (h, O and the
-two times), building no gate and forming no state, by a 3x3 real matrix and
-one real bilinear form over the pair weights of the two free evolutions.
-``build_scattering_circuit`` builds the same circuit as six gates, the
-reference: ``circuit_unitary`` is the plain ordered product of ``embed``,
-each gate's ``matrix``, and ``run`` is V rho V+ of it, sharing with the
-readout only the operand checks.  No other library function calls either.
+Every measurement of the package is a probe readout: ``_probe_signal`` reads
+Re Tr[R V rho V+] of that circuit for a readout R, or a stack of them, off its
+operands (h, O and the two times), forming neither V nor a state, by a 3x3
+real matrix and one real bilinear form over the pair weights of the two free
+evolutions.  ``build_scattering_circuit`` forms V itself, the reference, and
+``run`` is V rho V+; they share with the readout only the operand checks, and
+no other library function calls either.  Number times give one (4, 4) V and
+arrays of times a stack S + (4, 4), whose readouts have shape S.
 
-The probe readout of the interferometer built by ``build_scattering_circuit``
-returns Re Tr[rho_sys O(t_m) O(t_k)]: a Hadamard splits the probe, the two
-controlled copies of the observable interleaved with free evolutions apply
-the two-time operator product to one interferometer arm only, and the closing
-Hadamard maps the accumulated relative phase onto <sigma_z> of the probe.
+The probe readout of the interferometer returns Re Tr[rho_sys O(t_m) O(t_k)]:
+the Hadamard splits the probe, the two controlled copies of the observable
+interleaved with free evolutions apply the two-time operator product to one
+interferometer arm only, and the closing Hadamard maps the accumulated
+relative phase onto <sigma_z> of the probe.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _closed_form, _generator,
-                     _pair_weights, _real, _register, _turns, dagger, dichotomic_observable,
-                     kron, unitary)
+from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _generator, _pair_weights, _real,
+                     _register, _turns, dagger, dichotomic_observable, expm_hermitian, kron)
 
 PROBE = "probe"
 SYSTEM = "system"
-WIRES = (PROBE, SYSTEM)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+_PROBE_HADAMARD = kron(HADAMARD, IDENTITY_2)
+_PROBE_HADAMARD.flags.writeable = False
 
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 _PROBE_Z = kron(SIGMA_Z, IDENTITY_2)
 _PROBE_Y = kron(SIGMA_Y, IDENTITY_2)
 
-# An Evolve's pair weights w_b conj(w_c) in its 2-term index (b, c) are
+# A free evolution's pair weights w_b conj(w_c) in its 2-term index (b, c) are
 # sum_a u_a P_a over its real pair columns u (``linalg._pair_weights``) and
 # these P_a; at zero phase u = (1, 0, 0).
 _PAIR_BASIS = np.stack((_P0, _P1, -SIGMA_Y))
 # The pairs of the scattering circuit's two free evolutions: a (9, 16) map from
-# their pair index to the pair (b, c) of products, the first gate's index slowest.
+# their pair index to the pair (b, c) of products, the early evolution's index slowest.
 _PAIR_BASIS_2 = np.einsum("apq,brs->abprqs", _PAIR_BASIS, _PAIR_BASIS).reshape(9, 16)
 _PAIR_BASIS_2.flags.writeable = False
 
 
-def _check_wire(wire: str) -> None:
-    if wire not in WIRES:
-        raise ValueError(f"unknown wire {wire!r}; expected one of {WIRES}")
-
-
-def _on_wire(wire: str, one_wire: np.ndarray) -> np.ndarray:
-    """One-wire operators (or a stack of them) tensored with I on the other wire."""
-    if wire == PROBE:
-        return kron(one_wire, IDENTITY_2)
-    return kron(IDENTITY_2, one_wire)
-
-
-_HADAMARD_ON = {wire: _on_wire(wire, HADAMARD) for wire in WIRES}
-_PROBE_HADAMARD = _HADAMARD_ON[PROBE]
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """``array``, which a gate keeps, made read-only."""
-    array.flags.writeable = False
-    return array
-
-
-@dataclass(frozen=True)
-class Hadamard:
-    wire: str
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _check_wire(self.wire)
-        object.__setattr__(self, "matrix", _read_only(_HADAMARD_ON[self.wire]))
-
-
-@dataclass(frozen=True, eq=False)
-class Evolve:
-    """Free evolution exp(-i * phase * hamiltonian) on one wire (``phase``
-    may be an array: a stack of gates).  Construction checks
-    ``hamiltonian`` and ``phase`` (a number too) once each, as
-    ``expm_hermitian`` does, naming ``phase``, and keeps the generator as the
-    read-only copy that check returns, an array phase as a read-only float
-    copy, and its ``matrix``, the exponential of ``expm_hermitian`` formed
-    from the checked pair by ``linalg._closed_form`` and embedded (shape
-    S + (4, 4)), so later writes to the caller's arrays cannot reach the
-    gate."""
-
-    wire: str
-    hamiltonian: np.ndarray
-    phase: float | np.ndarray
-    matrix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        _check_wire(self.wire)
-        generator = _generator(self.hamiltonian)
-        object.__setattr__(self, "hamiltonian", generator[0])
-        phase = _real(self.phase, "phase")
-        if not isinstance(self.phase, (int, float)):  # an array: keep a copy
-            phase = _read_only(np.array(phase))
-            object.__setattr__(self, "phase", phase)
-        # + 0.0 turns the -0 of kron's products 0 * x off the wire into +0
-        matrix = _on_wire(self.wire, _closed_form(generator, phase)) + 0.0
-        object.__setattr__(self, "matrix", _read_only(matrix))
-
-
-@dataclass(frozen=True, eq=False)
-class ControlledU:
-    """U on ``target`` when ``control`` is |1>; ``u`` is kept as the
-    read-only copy ``unitary`` returns, so later writes to the caller's
-    array cannot reach the gate."""
-
-    control: str
-    target: str
-    u: np.ndarray
-    matrix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        _check_wire(self.control)
-        _check_wire(self.target)
-        if self.control == self.target:
-            raise ValueError("control and target must be distinct wires")
-        u = unitary(self.u)
-        object.__setattr__(self, "u", u)
-        if self.control == PROBE:
-            embedded = kron(_P0, IDENTITY_2) + kron(_P1, u)
-        else:
-            embedded = kron(IDENTITY_2, _P0) + kron(u, _P1)
-        object.__setattr__(self, "matrix", _read_only(embedded))
-
-
-Gate = Hadamard | Evolve | ControlledU
-
-
-@dataclass(frozen=True, eq=False)
-class Circuit:
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-
-
-def embed(gate: Gate) -> np.ndarray:
-    """The 4x4 unitary a gate applies to the full register (a stack of them
-    for an ``Evolve`` with an array of phases): the ``matrix`` the gate
-    formed on construction.
-
-    Single-wire gates are tensored with the identity on the other wire; a
-    controlled gate becomes |0><0|_c (x) I + |1><1|_c (x) U with the factor
-    order fixed by probe = left.
-    """
-    return gate.matrix
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """The ordered product embed(g_n) @ ... @ embed(g_1) of the gates (the
-    first gate acts first), stacked circuits broadcasting."""
-    if not circuit.gates:
-        raise ValueError("cannot execute an empty circuit")
-    return functools.reduce(lambda v, m: m @ v, map(embed, circuit.gates))
-
-
-def run(circuit: Circuit, rho_in: np.ndarray) -> np.ndarray:
-    """V rho V+ for the circuit unitary V of ``circuit_unitary``.
-
-    The input may be a stack of states of shape S + (4, 4); it broadcasts
-    against a stacked circuit.  Trace and positivity of the input carry over
-    exactly, up to round-off.
-    """
-    rho_in = _register(rho_in, "run")
-    v = circuit_unitary(circuit)
-    return v @ rho_in @ dagger(v)
+def _controlled(obs: np.ndarray) -> np.ndarray:
+    """|0><0| (x) I + |1><1| (x) O: ``obs`` on the system when the probe is |1>."""
+    return kron(_P0, IDENTITY_2) + kron(_P1, obs)
 
 
 def _time_order(theta_k, theta_m):
@@ -210,8 +75,8 @@ def _time_order(theta_k, theta_m):
 def _probe_signal(h, obs, theta_k, theta_m, rho_in: np.ndarray,
                   readout: np.ndarray = _PROBE_Z):
     """``(signal, reference)`` of ``build_scattering_circuit(h, obs,
-    theta_k, theta_m)`` on one checked state, building no gate: Re
-    Tr[readout V rho V+] (``expect_probe_z(run(...))`` for the default
+    theta_k, theta_m)`` on one checked state, forming neither V nor a state:
+    Re Tr[readout V rho V+] (``expect_probe_z(run(...))`` for the default
     sigma_z (x) I) and its value at zero phases.
 
     V = sum_b w_b M_b over the four products M_b = H C E_m C E_k H of the
@@ -233,8 +98,8 @@ def _probe_signal(h, obs, theta_k, theta_m, rho_in: np.ndarray,
     _, a0, norm, one_wire = _generator(h)
     early, late = (_pair_weights(_turns(phase, a0, norm)[0])
                    for phase in (theta_k, theta_m - theta_k))
-    evolve = _on_wire(SYSTEM, one_wire)
-    controlled = kron(_P0, IDENTITY_2) + kron(_P1, obs)
+    evolve = kron(IDENTITY_2, one_wire)
+    controlled = _controlled(obs)
     fixed = (_PROBE_HADAMARD @ (controlled @ (evolve[None] @ (
         controlled @ (evolve[:, None] @ _PROBE_HADAMARD))))).reshape(4, 4, 4)
     lead = readout.shape[:-2]
@@ -249,26 +114,41 @@ def _probe_signal(h, obs, theta_k, theta_m, rho_in: np.ndarray,
     return tuple(v if v.ndim else float(v) for v in (signal, traces[..., 0, 0]))
 
 
-def build_scattering_circuit(h: np.ndarray, obs: np.ndarray, theta_k, theta_m) -> Circuit:
-    """Interferometer measuring the two-time correlator of ``obs``, as the
-    six gates ``_probe_signal`` reads without building them.
+def build_scattering_circuit(h: np.ndarray, obs: np.ndarray, theta_k, theta_m) -> np.ndarray:
+    """The unitary V = H C E_m C E_k H of the interferometer measuring the
+    two-time correlator of ``obs``, which ``_probe_signal`` reads without
+    forming it: (4, 4), or S + (4, 4) for times of broadcast shape S.
 
     ``theta_k`` and ``theta_m`` are the earlier and later measurement times
     against the generator ``h``, numbers or arrays that broadcast together
-    (one circuit per pair); the free evolutions are exp(-i*theta*h), so for
-    H = omega*sigma_x they are plain times, not phases omega*t.  ``obs`` is
-    checked once, into the one ``ControlledU`` both controlled slots hold.
-    Each ``Evolve`` keeps its own phase un-broadcast, so a number theta_k
-    against a stack of theta_m embeds as one 4x4 matrix.  The trailing
+    (one circuit per pair); the free evolutions are E_k = exp(-i*theta_k*h)
+    and E_m = exp(-i*(theta_m - theta_k)*h) on the system, so for
+    H = omega*sigma_x they are plain times, not phases omega*t.  In V, H is
+    the probe Hadamard and C the controlled ``obs``, checked once.  The trailing
     uncontrolled evolution that would complete the Heisenberg conjugation
     acts after the last controlled gate and cannot affect the probe readout,
     so it is dropped.
     """
     obs = dichotomic_observable(obs)
     theta_k, theta_m = _time_order(theta_k, theta_m)
-    controlled = ControlledU(PROBE, SYSTEM, obs)
-    return Circuit((Hadamard(PROBE), Evolve(SYSTEM, h, theta_k), controlled,
-                    Evolve(SYSTEM, h, theta_m - theta_k), controlled, Hadamard(PROBE)))
+    controlled = _controlled(obs)
+    # + 0.0 turns the -0 of kron's products 0 * x off the system into +0
+    early, late = (kron(IDENTITY_2, expm_hermitian(h, phase)) + 0.0
+                   for phase in (theta_k, theta_m - theta_k))
+    return _PROBE_HADAMARD @ (controlled @ (late @ (controlled @ (
+        early @ _PROBE_HADAMARD))))
+
+
+def run(v: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
+    """V rho V+ for the register unitary ``v`` (4, 4), or a stack S + (4, 4)
+    such as ``build_scattering_circuit`` returns.
+
+    The input may be a stack of states of shape S + (4, 4); it broadcasts
+    against a stacked ``v``.  Trace and positivity of the input carry over
+    exactly, up to round-off.
+    """
+    rho_in = _register(rho_in, "run")
+    return v @ rho_in @ dagger(v)
 
 
 def _probe_readout(rho: np.ndarray, probe_pauli: np.ndarray):

@@ -226,6 +226,15 @@ def heisenberg_observable(obs, evo: Evolution, t) -> np.ndarray:
     return dagger(forward) @ obs @ forward
 
 
+def _qubit_state(rho_sys) -> np.ndarray:
+    """``rho_sys`` checked by ``density`` and as a single qubit: the door
+    check of the system state, for the oracle and the circuit alike."""
+    rho_sys = density(rho_sys)
+    if rho_sys.shape[0] != 2:
+        raise ValueError("system state must be a single qubit")
+    return rho_sys
+
+
 def correlation_oracle(rho_sys, obs, evo: Evolution, t_k, t_m):
     """Re Tr[rho_sys O(t_m) O(t_k)] computed directly in the Heisenberg picture.
 
@@ -240,7 +249,7 @@ def correlation_oracle(rho_sys, obs, evo: Evolution, t_k, t_m):
     is named, t_m first.  Returns a float for numbers and an array of the
     broadcast shape otherwise.
     """
-    rho_sys = density(rho_sys)
+    rho_sys = _qubit_state(rho_sys)
     obs = dichotomic_observable(obs)
     rates, _, _, to_basis = _eigenbasis(evo)
     rho_e = (to_basis @ rho_sys.ravel()).reshape(2, 2)
@@ -264,9 +273,7 @@ def correlation_oracle(rho_sys, obs, evo: Evolution, t_k, t_m):
 def _probe_register(rho_sys, probe_eps: float) -> np.ndarray:
     """The register state every correlator circuit runs on: the pseudo-pure
     probe (1-eps) I/2 + eps |0><0| (x) the checked single-qubit ``rho_sys``."""
-    rho_sys = density(rho_sys)
-    if rho_sys.shape[0] != 2:
-        raise ValueError("system state must be a single qubit")
+    rho_sys = _qubit_state(rho_sys)
     return kron(pseudo_pure(probe_eps, KET0), rho_sys)
 
 

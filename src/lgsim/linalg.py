@@ -19,12 +19,10 @@ again, and the operations below assume valid inputs and stay pure.  Values
 are immutable by convention (the memoized checks return read-only arrays),
 so the whole module is safe for concurrent use.
 ``expm_hermitian`` is the one closed form of the exponential, the only one
-in the package (a ``circuit.Evolve`` keeps it, embedded): ``_generator``
-checks a generator and ``_turns`` a phase against it, and ``_closed_form``
-forms it from a checked generator and angle, for ``expm_hermitian`` and for
-``Evolve``, which checks both itself.  ``_pair_weights``
-gives the real columns of the pairs w w+ of its weights over I and n.sigma,
-all a probe readout needs.
+in the package (``circuit.build_scattering_circuit`` forms its free
+evolutions with it): ``_generator`` checks a generator and ``_turns`` a
+phase against it.  ``_pair_weights`` gives the real columns of the pairs
+w w+ of its weights over I and n.sigma, all a probe readout needs.
 """
 
 from __future__ import annotations
@@ -227,15 +225,8 @@ def expm_hermitian(h: np.ndarray, angle) -> np.ndarray:
     the memoized ``_generator``, once per distinct generator; ``_turns``
     checks the angle.
     """
-    return _closed_form(_generator(h), _real(angle, "angle"))
-
-
-def _closed_form(generator, angle) -> np.ndarray:
-    """The exponential of ``expm_hermitian`` for the ``_generator`` tuple of a
-    checked generator at a real ``angle`` (already through ``_real``), which
-    ``_turns`` checks against it; for a caller that checked both itself."""
-    _, a0, norm, terms = generator
-    turn, shift = _turns(angle, a0, norm)
+    _, a0, norm, terms = _generator(h)
+    turn, shift = _turns(_real(angle, "angle"), a0, norm)
     phase = np.exp(-1j * shift)
     weights = np.empty(phase.shape + (2,), dtype=complex)
     np.multiply(phase, np.cos(turn), out=weights[..., 0])

@@ -1,23 +1,17 @@
-"""Gate embedding, circuit execution, and the scattering interferometer."""
+"""The scattering unitary V, its execution, and the interferometer's readouts."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import random_density, scattering_reference
 
 from lgsim.circuit import (
+    _PROBE_HADAMARD,
     HADAMARD,
-    PROBE,
-    SYSTEM,
-    Circuit,
-    ControlledU,
-    Evolve,
-    Hadamard,
+    _controlled,
     build_scattering_circuit,
-    circuit_unitary,
-    embed,
     expect_probe_y,
     expect_probe_z,
     run,
@@ -52,116 +46,96 @@ def heisenberg_product(obs, h, theta_k, theta_m):
 class TestEmbed:
     def test_hadamard_on_probe(self):
         np.testing.assert_allclose(
-            embed(Hadamard(PROBE)), kron(HADAMARD, IDENTITY_2), atol=0
-        )
-
-    def test_hadamard_on_system(self):
-        np.testing.assert_allclose(
-            embed(Hadamard(SYSTEM)), kron(IDENTITY_2, HADAMARD), atol=0
+            _PROBE_HADAMARD, kron(HADAMARD, IDENTITY_2), atol=0
         )
 
     def test_controlled_x_is_cnot(self):
-        np.testing.assert_allclose(
-            embed(ControlledU(PROBE, SYSTEM, SIGMA_X)), CNOT, atol=0
-        )
-
-    def test_controlled_from_system_wire(self):
-        got = embed(ControlledU(SYSTEM, PROBE, SIGMA_X))
-        expected = kron(IDENTITY_2, np.diag([1.0, 0.0])) + kron(
-            SIGMA_X, np.diag([0.0, 1.0])
-        )
-        np.testing.assert_allclose(got, expected, atol=0)
+        np.testing.assert_allclose(_controlled(SIGMA_X), CNOT, atol=0)
 
     def test_zero_phase_evolution_is_identity(self):
-        np.testing.assert_allclose(embed(Evolve(SYSTEM, SIGMA_X, 0.0)), np.eye(4),
-                                   atol=0)
+        """At zero times V is H C C H, the identity to round-off."""
+        for h in (SIGMA_X, SIGMA_Y - 0.4 * SIGMA_Z, 0.7 * IDENTITY_2):
+            np.testing.assert_allclose(build_scattering_circuit(h, SIGMA_Z, 0.0, 0.0),
+                                       np.eye(4), rtol=0, atol=1e-15)
 
     def test_embedded_gates_are_unitary(self, rng):
         for _ in range(10):
-            gate = Evolve(SYSTEM, SIGMA_X, rng.uniform(0, 10))
-            u = embed(gate)
-            np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+            theta_k, theta_m = np.sort(rng.uniform(0, 10, size=2))
+            v = build_scattering_circuit(SIGMA_X - 0.3 * SIGMA_Z, SIGMA_Y, theta_k, theta_m)
+            np.testing.assert_allclose(v @ v.conj().T, np.eye(4), atol=1e-12)
 
 
 class TestGateValidation:
-    def test_unknown_wire(self):
-        with pytest.raises(ValueError, match="wire"):
-            Hadamard("ancilla")
-
-    def test_control_equals_target(self):
-        with pytest.raises(ValueError, match="distinct"):
-            ControlledU(PROBE, PROBE, SIGMA_X)
-
     def test_non_hermitian_generator(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            Evolve(SYSTEM, np.array([[0, 1], [0, 0]]), 1.0)
+            build_scattering_circuit(np.array([[0, 1], [0, 0]]), SIGMA_Z, 0.0, 1.0)
 
     def test_non_unitary_controlled_gate(self):
-        with pytest.raises(ValueError, match="unitary"):
-            ControlledU(PROBE, SYSTEM, 2.0 * SIGMA_X)
+        """A Hermitian O that is not unitary never reaches the controlled
+        gate: it is refused as not dichotomic."""
+        with pytest.raises(ValueError, match="dichotomic"):
+            build_scattering_circuit(SIGMA_X, 2.0 * SIGMA_X, 0.0, 1.0)
 
     def test_non_finite_phase_rejected_on_construction(self):
+        """Finite times whose phase theta*|a| overflows are refused by the
+        exponential."""
         with pytest.raises(ValueError, match="finite angles"):
-            Evolve(SYSTEM, SIGMA_X, [0.0, math.nan])
+            build_scattering_circuit(1e300 * SIGMA_X, SIGMA_Z, 0.0, [0.0, 1e10])
 
     def test_infinite_measurement_time_rejected(self):
         with pytest.raises(ValueError, match=r"theta_k >= 0, got \(0.0, inf\)"):
             build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, math.inf)
 
     def test_controlled_gate_keeps_no_reference_to_the_callers_array(self):
-        u = SIGMA_X.copy()
-        gate = ControlledU(PROBE, SYSTEM, u)
-        u[:] = 2 * np.eye(2)
-        v = circuit_unitary(Circuit((gate,)))
-        np.testing.assert_allclose(v @ v.conj().T, np.eye(4), atol=1e-15)
+        obs = SIGMA_X.copy()
+        v = build_scattering_circuit(SIGMA_Y, obs, 0.2, 0.7)
+        kept = v.copy()
+        obs[:] = 2 * np.eye(2)
+        np.testing.assert_array_equal(v, kept)
+        with pytest.raises(ValueError, match="dichotomic"):
+            build_scattering_circuit(SIGMA_Y, obs, 0.2, 0.7)
 
     def test_evolve_keeps_no_reference_to_the_callers_generator(self):
+        """A generator edited in place after a build gives the edited V."""
         h = SIGMA_X.copy()
-        gate = Evolve(SYSTEM, h, 0.3)
+        build_scattering_circuit(h, SIGMA_Z, 0.1, 0.3)
         h[:] = SIGMA_Z
-        np.testing.assert_array_equal(embed(gate),
-                                      kron(IDENTITY_2, expm_hermitian(SIGMA_X, 0.3)))
-        np.testing.assert_array_equal(gate.hamiltonian, SIGMA_X)
+        np.testing.assert_array_equal(build_scattering_circuit(h, SIGMA_Z, 0.1, 0.3),
+                                      build_scattering_circuit(SIGMA_Z, SIGMA_Z, 0.1, 0.3))
 
     def test_evolve_keeps_no_reference_to_the_callers_phases(self):
-        """``phase`` is a read-only copy, and ``embed`` gives the matrix
-        formed at construction: both must see the phases given."""
         t = np.array([0.1, 0.2])
-        gate = Evolve(SYSTEM, SIGMA_X, t)
+        v = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, t)
         t[0] = 1.0
-        np.testing.assert_array_equal(gate.phase, [0.1, 0.2])
-        np.testing.assert_allclose(embed(gate),
-                                   kron(IDENTITY_2, expm_hermitian(SIGMA_X, [0.1, 0.2])),
-                                   rtol=0, atol=1e-15)
-        with pytest.raises(ValueError, match="read-only"):
-            gate.phase[0] = 1.0
+        np.testing.assert_array_equal(
+            v, build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, np.array([0.1, 0.2])))
 
     @pytest.mark.parametrize("phase", [0.3, 2, np.float64(0.3)])
     def test_evolve_keeps_a_number_phase_as_given(self, phase):
-        assert Evolve(SYSTEM, SIGMA_X, phase).phase is phase
+        """A number time of any real type gives one 4x4 V, that of its float."""
+        v = build_scattering_circuit(SIGMA_X, SIGMA_Z, phase, phase)
+        assert v.shape == (4, 4)
+        np.testing.assert_array_equal(
+            v, build_scattering_circuit(SIGMA_X, SIGMA_Z, float(phase), float(phase)))
 
-    @pytest.mark.parametrize("wire", [PROBE, SYSTEM])
-    def test_evolve_matrix_holds_no_signed_zero(self, wire):
-        """The blocks off the wire are +0, as the exponential's own zeros are."""
+    @pytest.mark.parametrize("times", [(0.4, 1.3), (np.linspace(0.0, 1.0, 5), 2.0)],
+                             ids=["number", "stack"])
+    def test_scattering_unitary_holds_no_signed_zero(self, times):
+        """V's zero entries are +0, as the reference's products give them."""
         for h in (SIGMA_X - 0.3 * SIGMA_Z, SIGMA_Y, 0.7 * IDENTITY_2):
-            parts = Evolve(wire, h, np.linspace(-2.0, 2.0, 5)).matrix.view(float)
-            assert not (np.signbit(parts) & (parts == 0.0)).any()
+            for obs in (SIGMA_Z, SIGMA_X, IDENTITY_2):
+                parts = build_scattering_circuit(h, obs, *times).view(float)
+                assert not (np.signbit(parts) & (parts == 0.0)).any()
 
     def test_gate_operators_are_read_only(self):
-        gates = (ControlledU(PROBE, SYSTEM, SIGMA_X.copy()),
-                 Evolve(SYSTEM, SIGMA_X.copy(), 1.0))
-        for array in (gates[0].u, gates[1].hamiltonian, gates[0].matrix,
-                      gates[1].matrix, Hadamard(PROBE).matrix):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 2.0
+        """The probe Hadamard every V is built from cannot be written."""
+        with pytest.raises(ValueError, match="read-only"):
+            _PROBE_HADAMARD[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("make", [
-    lambda: Evolve(SYSTEM, SIGMA_X, 0.5),
-    lambda: ControlledU(PROBE, SYSTEM, SIGMA_X),
-    lambda: Circuit((Hadamard(PROBE), Evolve(SYSTEM, SIGMA_X, 0.5))),
     lambda: TomographyRecord(np.eye(4)),
-], ids=["Evolve", "ControlledU", "Circuit", "TomographyRecord"])
+], ids=["TomographyRecord"])
 def test_objects_holding_arrays_compare_and_hash_by_identity(make):
     """Two equal-valued objects are distinct, hashable and still frozen."""
     a, b = make(), make()
@@ -175,22 +149,18 @@ def test_objects_holding_arrays_compare_and_hash_by_identity(make):
 class TestRun:
     def test_no_effect_circuit(self, rng):
         rho = random_density(rng, 4)
-        out = run(Circuit((Evolve(SYSTEM, SIGMA_X, 0.0),)), rho)
+        out = run(build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, 0.0), rho)
         np.testing.assert_allclose(out, rho, atol=1e-15)
 
     def test_hadamard_splits_probe(self):
         rho_in = kron(pure_density(KET0), pure_density(KET0))
-        out = run(Circuit((Hadamard(PROBE),)), rho_in)
+        out = run(_PROBE_HADAMARD, rho_in)
         plus = pure_density([1 / math.sqrt(2), 1 / math.sqrt(2)])
         np.testing.assert_allclose(out, kron(plus, pure_density(KET0)), atol=1e-15)
 
-    def test_empty_circuit_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            run(Circuit(()), np.eye(4) / 4.0)
-
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="4x4"):
-            run(Circuit((Hadamard(PROBE),)), IDENTITY_2 / 2.0)
+            run(_PROBE_HADAMARD, IDENTITY_2 / 2.0)
 
     def test_preserves_trace_and_positivity(self, rng):
         circ = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.4, 1.9)
@@ -228,10 +198,6 @@ class TestRun:
 
 
 class TestScatteringCircuit:
-    def test_length_is_six_gates(self):
-        circ = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.1, 0.2)
-        assert len(circ.gates) == 6
-
     def test_zero_times_read_unity(self):
         """At theta_k = theta_m = 0 the correlator is Tr[rho O O] = 1."""
         circ = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, 0.0)
@@ -326,15 +292,17 @@ class TestProbeReadout:
 
 class TestCircuitUnitary:
     def test_product_is_unitary(self):
-        circ = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.3, 0.9)
-        v = circuit_unitary(circ)
+        v = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.3, 0.9)
         np.testing.assert_allclose(v @ v.conj().T, np.eye(4), atol=1e-12)
 
     def test_order_matters(self):
-        forward = circuit_unitary(
-            Circuit((Hadamard(PROBE), ControlledU(PROBE, SYSTEM, SIGMA_X)))
-        )
-        backward = circuit_unitary(
-            Circuit((ControlledU(PROBE, SYSTEM, SIGMA_X), Hadamard(PROBE)))
-        )
-        assert np.max(np.abs(forward - backward)) > 0.1
+        """V, which is the reference, against the six gates in reverse order
+        (H E_k C E_m C H), which differ from it for this generator."""
+        h = SIGMA_X + 0.5 * SIGMA_Z
+        v = build_scattering_circuit(h, SIGMA_Z, 0.2, 1.3)
+        np.testing.assert_allclose(v, scattering_reference(h, SIGMA_Z, 0.2, 1.3),
+                                   rtol=0, atol=1e-15)
+        reverse = (_PROBE_HADAMARD @ kron(IDENTITY_2, expm_hermitian(h, 0.2))
+                   @ _controlled(SIGMA_Z) @ kron(IDENTITY_2, expm_hermitian(h, 1.1))
+                   @ _controlled(SIGMA_Z) @ _PROBE_HADAMARD)
+        assert np.max(np.abs(v - reverse)) > 0.1

@@ -1,5 +1,5 @@
 """The batched scattering engine: stacked circuits against a per-circuit loop
-of ``embed`` and ``@``, stacks against scalar runs, sweeps against per-point
+of number-time builds, stacks against scalar runs, sweeps against per-point
 calls, drives of any omega against the oracle, and how many circuits each
 entry point runs; properties of K, of the raw probe signal and of ``run`` over random inputs;
 the one register-state validator and the stack operations of ``nmr``,
@@ -26,20 +26,12 @@ import lgsim.leggett_garg
 import lgsim.linalg
 import lgsim.nmr
 import lgsim.states
-from conftest import random_density
+from conftest import random_density, scattering_reference
 from lgsim.circuit import (
+    _PROBE_HADAMARD,
     HADAMARD,
-    PROBE,
-    SYSTEM,
-    WIRES,
-    Circuit,
-    ControlledU,
-    Evolve,
-    Hadamard,
     _probe_signal,
     build_scattering_circuit,
-    circuit_unitary,
-    embed,
     expect_probe_y,
     expect_probe_z,
     run,
@@ -158,33 +150,22 @@ def test_expm_hermitian_is_unitary_wherever_its_phases_are_finite(
     assert np.max(np.abs(u @ u.conj().T - IDENTITY_2)) <= 1e-14
 
 
-def test_empty_circuit_raises():
-    with pytest.raises(ValueError, match="empty"):
-        circuit_unitary(Circuit())
-
-
-@pytest.mark.parametrize("gate", [
-    Hadamard(PROBE),
-    Hadamard(SYSTEM),
-    Evolve(SYSTEM, SIGMA_X, 0.7),
-    Evolve(PROBE, SIGMA_Y, np.linspace(0.0, 3.0, 5)),
-    ControlledU(PROBE, SYSTEM, SIGMA_Z),
-    ControlledU(SYSTEM, PROBE, SIGMA_X),
-])
-def test_one_gate_circuit_equals_its_embedding(gate):
-    np.testing.assert_array_equal(circuit_unitary(Circuit((gate,))), embed(gate))
-
-
 @SETTINGS
-@given(h=generators(), obs=direction.map(unit_observable),
-       size=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
-def test_circuit_unitary_equals_ordered_matmul(h, obs, size, seed):
-    t_k, t_m = np.sort(np.random.default_rng(seed).uniform(0.0, 3.0, (2, size)), axis=0)
-    gates = build_scattering_circuit(h, obs, t_k, t_m).gates
-    want = embed(gates[0])
-    for gate in gates[1:]:
-        want = np.matmul(embed(gate), want)
-    got = circuit_unitary(Circuit(gates))
+@given(h=st.one_of(generators(), st.floats(-2.0, 2.0).map(lambda a0: a0 * IDENTITY_2)),
+       obs=st.one_of(direction.map(unit_observable),
+                     st.sampled_from([IDENTITY_2, -IDENTITY_2])),
+       shapes=st.sampled_from([((), ()), ((7,), (7,)), ((), (4,)), ((3, 1), (3, 4))]),
+       seed=st.integers(0, 2**32 - 1))
+def test_circuit_unitary_equals_ordered_matmul(h, obs, shapes, seed):
+    """V against ``scattering_reference``, the six gates multiplied in order
+    from numpy primitives alone, which shares no code with the library: the
+    Hadamards, the controlled O and the probe (x) system order, for any a0,
+    axis or |a| = 0, any dichotomic O and number, stacked or broadcast times."""
+    rng = np.random.default_rng(seed)
+    t_k, t_m = rng.uniform(0.0, 1.5, shapes[0]), rng.uniform(1.5, 3.0, shapes[1])
+    got = build_scattering_circuit(h, obs, t_k, t_m)
+    want = scattering_reference(h, obs, t_k, t_m)
+    assert got.shape == want.shape == np.broadcast_shapes(*shapes) + (4, 4)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -440,11 +421,14 @@ def test_default_sweep_stacks_its_angles_in_two_exponentials(monkeypatch):
 
 
 def test_scattering_gates_keep_each_phase_unbroadcast():
+    """A number theta_k against a stack of theta_m gives the stack, each
+    entry the number-time V of its pair."""
     t_m = np.linspace(0.0, 1.0, 5)
-    gates = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, t_m).gates
-    assert np.shape(gates[1].phase) == ()
-    assert np.shape(gates[3].phase) == (5,)
-    assert embed(gates[1]).shape == (4, 4)
+    v = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, t_m)
+    assert v.shape == (5, 4, 4)
+    for got, time in zip(v, t_m):
+        np.testing.assert_allclose(got, build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, time),
+                                   rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match=r"theta_k >= 0, got \(0.5, 0.0\)"):
         build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.5, t_m)
 
@@ -481,7 +465,7 @@ def test_noise_check_reads_both_halves_off_the_traces(engine_calls):
                     .map(lambda p: tuple(np.array(p).T))),
 )
 @example(h=0.7 * IDENTITY_2, obs=SIGMA_Z, rho_sys=maximally_mixed(), eps=0.5,
-         pairs=(0.3, 1.1))  # a multiple of I: each Evolve keeps one column
+         pairs=(0.3, 1.1))  # a multiple of I
 @example(h=Evolution(0.0).hamiltonian, obs=SIGMA_X, rho_sys=classical_mixture(0.2, 0.8),
          eps=1.0, pairs=(np.array([0.0, 0.4]), np.array([0.5, 2.0])))  # omega = 0
 def test_reference_equals_the_six_gate_zero_time_circuit(h, obs, rho_sys, eps, pairs):
@@ -525,16 +509,17 @@ def test_dephased_readout_equals_the_dephased_state(t2_probe, t2_system, duratio
                                                     theta, eps):
     """The dephased signals read off the scattering circuit's traces by H
     D(sigma_x (x) I) H, for the probe Hadamard H, equal <sigma_z> of the
-    probe after the closing Hadamard on the dephased states ``run`` forms (H
-    is its own inverse, and the channel D its own adjoint), and
+    probe after the closing Hadamard on the dephased states ``run`` forms
+    from H V, the circuit before that Hadamard (H is its own inverse, and the
+    channel D its own adjoint), and
     ``k_attenuation_check``'s noisy K is theirs."""
     cfg = T2Config(t2_probe, t2_system, duration)
     rho_in = kron(pseudo_pure(eps, KET0), maximally_mixed())
     dt = theta / 2.0
     times = (0.0, dt, 0.0), (dt, 2 * dt, 2 * dt)
-    gates = build_scattering_circuit(SIGMA_X, SIGMA_Z, *times).gates
-    dephased = t2_dephase(run(Circuit(gates[:-1]), rho_in), cfg)
-    want = expect_probe_z(run(Circuit(gates[-1:]), dephased))
+    before_hadamard = _PROBE_HADAMARD @ build_scattering_circuit(SIGMA_X, SIGMA_Z, *times)
+    dephased = t2_dephase(run(before_hadamard, rho_in), cfg)
+    want = expect_probe_z(run(_PROBE_HADAMARD, dephased))
     hadamard = kron(HADAMARD, IDENTITY_2)
     got, _ = _probe_signal(SIGMA_X, SIGMA_Z, *times, rho_in,
                            hadamard @ t2_dephase(kron(SIGMA_X, IDENTITY_2), cfg) @ hadamard)
@@ -579,7 +564,7 @@ def test_t2_dephase_rejects_non_register_shapes(shape):
 T2 = T2Config(t2_probe=2.0, t2_system=0.5, duration=0.04)
 NO_NOISE = ReadoutNoise(sigma=0.0, seed=0)
 REGISTER_ENTRY_POINTS = {
-    "run": lambda rho: run(Circuit((Hadamard(PROBE),)), rho),
+    "run": lambda rho: run(_PROBE_HADAMARD, rho),
     "probe readout": expect_probe_z,
     "probe readout y": expect_probe_y,
     "partial_trace": lambda rho: partial_trace(rho, "system"),
@@ -618,10 +603,9 @@ def test_tomograph_rejects_a_stack(shape):
 # a call that hands it ``z``.
 REAL_ENTRY_POINTS = {
     "expm_hermitian": ("angle", lambda z: expm_hermitian(SIGMA_X, z)),
-    "Evolve": ("phase", lambda z: Evolve(SYSTEM, SIGMA_X, [0.1, z])),
-    # the gates of the scattering circuit, named on the later time
+    # the scattering circuit, named on the later time
     "scattering_gates": ("theta_m", lambda z: build_scattering_circuit(
-        SIGMA_X, SIGMA_Z, 0.0, z).gates),
+        SIGMA_X, SIGMA_Z, 0.0, z)),
     "correlation_circuit": ("theta_k", lambda z: correlation_circuit(
         maximally_mixed(), SIGMA_Z, Evolution(1.0), z, 0.5, 0.5)),
     "heisenberg_observable": ("t", lambda z: heisenberg_observable(
@@ -675,8 +659,7 @@ def test_real_entry_points_reject_a_text_input(entry, z):
 # The doors that hand ``z`` on alone: numpy reads ``[0.1, True]`` as floats,
 # and ``np.diag`` a diagonal of 1.0 and True too.  The oracle checks each of
 # its two times on its own (it once packed them as ``(True, 0.1)``).
-SCALAR_DOORS = sorted(set(REAL_ENTRY_POINTS) - {
-    "Evolve", "max_disturbance", "TomographyRecord"})
+SCALAR_DOORS = sorted(set(REAL_ENTRY_POINTS) - {"max_disturbance", "TomographyRecord"})
 
 
 @pytest.mark.parametrize("entry", SCALAR_DOORS)
@@ -715,13 +698,46 @@ def test_number_doors_reject_an_array(entry, z):
 @pytest.mark.parametrize("z", [True, np.bool_(False), np.array(True)],
                          ids=["python", "numpy-scalar", "array"])
 def test_evolve_and_the_oracle_name_a_bool_time_alone(z):
-    """A bool phase is refused naming ``phase`` (a Python bool once passed
-    the number fork and was refused as the exponential's ``angle``), and a
-    bool earlier time naming the oracle's ``t`` (it was read as 1.0)."""
-    with pytest.raises(ValueError, match="^phase must be real, got a bool input"):
-        Evolve(SYSTEM, SIGMA_X, z)
+    """A bool earlier time is refused naming the oracle's ``t`` (it was read
+    as 1.0)."""
     with pytest.raises(ValueError, match="^t must be real, got a bool input"):
         correlation_oracle(maximally_mixed(), SIGMA_Z, Evolution(1.0), z, 0.5)
+
+
+def test_every_correlator_door_names_a_two_qubit_state():
+    """A 4x4 system state is refused naming it, by the oracle as by the
+    circuit (the oracle once failed inside a numpy ``matmul``)."""
+    rho, evo = np.eye(4) / 4.0, Evolution(1.0)
+    calls = (lambda: correlation_oracle(rho, SIGMA_Z, evo, 0.1, 0.2),
+             lambda: correlation_circuit(rho, SIGMA_Z, evo, 0.1, 0.2),
+             lambda: k_value(rho, SIGMA_Z, evo, Schedule(0.0, 0.1, 0.2)),
+             lambda: max_disturbance(rho, SIGMA_Z, evo, [0.0, 0.5]))
+    for call in calls:
+        with pytest.raises(ValueError, match="^system state must be a single qubit$"):
+            call()
+
+
+# The public names of ``lgsim``: adding or removing one is an API change.
+PUBLIC_NAMES = [
+    "Evolution", "IDENTITY_2", "KET0", "KET1", "LGResult", "PAULI_LABELS", "PROBE",
+    "ReadoutNoise", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SYSTEM", "Schedule", "SweepResult",
+    "T2Config", "TomographyRecord", "analytic_k", "build_scattering_circuit",
+    "classical_mixture", "correlation_circuit", "correlation_oracle", "dagger", "density",
+    "deviation", "dichotomic_observable", "expect_probe_y", "expect_probe_z",
+    "expm_hermitian", "find_violations", "gradient_dephase_prepare",
+    "heisenberg_observable", "k_attenuation_check", "k_value", "kron", "max_disturbance",
+    "maximally_mixed", "observable_from_state", "operator", "overlap_fidelity",
+    "partial_trace", "pseudo_pure", "pure_density", "pure_state", "reconstruct", "run",
+    "sweep", "t2_dephase", "tomograph", "tomography_fidelity_experiment",
+    "trace_distance", "unitary",
+]
+
+
+def test_the_public_names_are_pinned():
+    """The package's public names, its submodules aside."""
+    names = sorted(name for name, value in vars(lgsim).items()
+                   if not name.startswith("_") and not isinstance(value, type(lgsim)))
+    assert names == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("z", [1.5, 3, np.array(1.5), np.int64(3), np.float32(1.5)])
@@ -936,41 +952,38 @@ def test_tomography_builds_no_kronecker_products(monkeypatch, rng):
 
 
 @SETTINGS
-@given(h=generators(), wire=st.sampled_from(WIRES),
-       phase=st.one_of(st.floats(-10.0, 10.0),
-                       st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
-                       st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6)
+@given(h=generators(),
+       phase=st.one_of(st.floats(0.0, 10.0),
+                       st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6),
+                       st.lists(st.floats(0.0, 10.0), min_size=6, max_size=6)
                        .map(lambda v: np.reshape(v, (2, 3)))))
-def test_evolve_embeds_as_the_kronecker_product_of_its_exponential(h, wire, phase):
-    one_wire = expm_hermitian(h, phase)
-    want = kron(one_wire, IDENTITY_2) if wire == PROBE else kron(IDENTITY_2, one_wire)
-    np.testing.assert_array_equal(embed(Evolve(wire, h, phase)), want)
+def test_evolve_embeds_as_the_kronecker_product_of_its_exponential(h, phase):
+    """With O = I the controlled gates are I and V = H E H, the free
+    evolution I (x) exp(-i phase h) on the system, to round-off."""
+    want = kron(IDENTITY_2, expm_hermitian(h, phase))
+    np.testing.assert_allclose(build_scattering_circuit(h, IDENTITY_2, 0.0, phase), want,
+                               rtol=0, atol=1e-15)
 
 
 @SETTINGS
-@given(h=generators(), angle=st.floats(-10.0, 10.0), control=st.sampled_from(WIRES))
-def test_controlled_gate_from_a_nested_list_embeds_as_from_the_array(h, angle, control):
-    u = expm_hermitian(h, angle)
-    target = SYSTEM if control == PROBE else PROBE
-    np.testing.assert_array_equal(embed(ControlledU(control, target, u.tolist())),
-                                  embed(ControlledU(control, target, u)))
+@given(h=generators(), obs=direction.map(unit_observable), pair=times)
+def test_controlled_gate_from_a_nested_list_embeds_as_from_the_array(h, obs, pair):
+    np.testing.assert_array_equal(build_scattering_circuit(h.tolist(), obs.tolist(), *pair),
+                                  build_scattering_circuit(h, obs, *pair))
 
 
 def test_scattering_gates_validate_each_operand_once(monkeypatch):
-    """``build_scattering_circuit`` checks the observable and the controlled
-    unitary once; each ``Evolve`` checks its generator and phase once and
-    forms its exponential on construction, in one ``_closed_form`` call on
-    the checked pair (no ``expm_hermitian``, which would check both again),
-    which checks the phase against the generator in one ``_turns``."""
-    names = ("dichotomic_observable", "unitary", "expm_hermitian", "_closed_form",
-             "_generator", "_real", "_turns", "_pair_weights")
+    """``build_scattering_circuit`` checks the observable once and no
+    unitary (a checked dichotomic observable is unitary); each free evolution
+    is one ``expm_hermitian`` call, which checks the generator and its phase
+    once, in one ``_turns``."""
+    names = ("dichotomic_observable", "unitary", "expm_hermitian", "_generator", "_real",
+             "_turns", "_pair_weights")
     counts = {name: counting_everywhere(name, monkeypatch) for name in names}
-    gates = build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, np.linspace(0.0, 1.0, 5)).gates
+    build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, np.linspace(0.0, 1.0, 5))
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "dichotomic_observable": 1, "unitary": 1, "expm_hermitian": 0,
-        "_closed_form": 2, "_generator": 2, "_real": 4, "_turns": 2,
-        "_pair_weights": 0}
-    assert gates[2] is gates[4]
+        "dichotomic_observable": 1, "unitary": 0, "expm_hermitian": 2,
+        "_generator": 2, "_real": 4, "_turns": 2, "_pair_weights": 0}
 
 
 def test_default_sweep_validation_counts(monkeypatch):
@@ -1032,41 +1045,39 @@ def test_states_from_any_accepted_vector_pass_the_later_checks(amplitudes, exces
 
 
 def test_built_gates_run_without_validation(monkeypatch):
-    gates = build_scattering_circuit(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, 0.2,
-                                     np.linspace(0.2, 2.0, 7)).gates
-    gates += (Evolve(PROBE, SIGMA_Y, 0.4), ControlledU(SYSTEM, PROBE, SIGMA_X))
+    """A built V runs on a register state with every validation refused."""
+    v = build_scattering_circuit(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, 0.2,
+                                 np.linspace(0.2, 2.0, 7))
     rho = kron(pseudo_pure(0.5, KET0), maximally_mixed())
 
     def refuse(*args, **kwargs):
-        raise AssertionError("validation ran on built gates")
+        raise AssertionError("validation ran on a built circuit")
 
     for name in ("operator", "is_hermitian", "unitary", "expm_hermitian", "_turns",
                  "dichotomic_observable"):
         for module in (lgsim.linalg, lgsim.circuit):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    circuit_unitary(Circuit(gates))
-    assert run(Circuit(gates), rho).shape == (7, 4, 4)
+    assert run(v, rho).shape == (7, 4, 4)
 
 
-def loop_run(gates, rho) -> tuple[np.ndarray, np.ndarray]:
-    """The circuit unitaries and V rho V+, one circuit of the stack at a
-    time, from each gate's ``embed`` and ``@``."""
-    embedded = [embed(gate) for gate in gates]
-    lead = np.broadcast_shapes(*(m.shape[:-2] for m in embedded), rho.shape[:-2])
+def loop_run(h, obs, t_k, t_m, rho) -> tuple[np.ndarray, np.ndarray]:
+    """The circuit unitaries and V rho V+, one circuit of the broadcast stack
+    at a time, each V from a build on its number times."""
+    lead = np.broadcast_shapes(np.shape(t_k), np.shape(t_m), rho.shape[:-2])
     unitaries = np.empty(lead + (4, 4), dtype=complex)
     states = np.empty(lead + (4, 4), dtype=complex)
     for index in np.ndindex(lead):
-        v = np.eye(4, dtype=complex)
-        for m in embedded:
-            v = np.broadcast_to(m, lead + (4, 4))[index] @ v
+        v = build_scattering_circuit(h, obs, np.broadcast_to(t_k, lead)[index],
+                                     np.broadcast_to(t_m, lead)[index])
         unitaries[index] = v
         states[index] = v @ np.broadcast_to(rho, lead + (4, 4))[index] @ v.conj().T
     return unitaries, states
 
 
-def assert_matches_the_loop(gates, rho, shape):
-    want_v, want_rho = loop_run(gates, rho)
-    got_v, got_rho = circuit_unitary(Circuit(gates)), run(Circuit(gates), rho)
+def assert_matches_the_loop(h, obs, t_k, t_m, rho, shape):
+    want_v, want_rho = loop_run(h, obs, t_k, t_m, rho)
+    got_v = build_scattering_circuit(h, obs, t_k, t_m)
+    got_rho = run(got_v, rho)
     assert got_v.shape == got_rho.shape == shape + (4, 4)
     np.testing.assert_allclose(got_v, want_v, rtol=0, atol=1e-14)
     np.testing.assert_allclose(got_rho, want_rho, rtol=0, atol=1e-14)
@@ -1075,34 +1086,32 @@ def assert_matches_the_loop(gates, rho, shape):
 @pytest.mark.parametrize("shape", [(), (0,), (3,), (5, 5), (31,), (32,), (64,), (721,)])
 def test_stacked_circuits_equal_the_per_circuit_loop(shape, rng):
     t_k, t_m = np.sort(rng.uniform(0.0, 3.0, (2,) + shape), axis=0)
-    gates = build_scattering_circuit(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, t_k, t_m).gates
-    assert_matches_the_loop(gates, random_density(rng, 4), shape)
+    assert_matches_the_loop(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, t_k, t_m,
+                            random_density(rng, 4), shape)
 
 
 def test_stacked_evolve_of_a_multiple_of_the_identity_has_a_zero_axis_term(rng):
     """For a multiple of I the axis term of the exponential is the zero
-    matrix: ``embed`` is each phase times I."""
-    phases = rng.uniform(-3.0, 3.0, 9)
-    gate = Evolve(SYSTEM, 0.7 * IDENTITY_2, phases)
-    np.testing.assert_allclose(embed(gate), np.exp(-0.7j * phases)[:, None, None] * np.eye(4),
+    matrix: each free evolution is its phase times I, and with C C = I the
+    circuit is the phase of theta_m times I."""
+    t_k, t_m = np.sort(rng.uniform(0.0, 3.0, (2, 9)), axis=0)
+    h = 0.7 * IDENTITY_2
+    np.testing.assert_allclose(build_scattering_circuit(h, SIGMA_X, t_k, t_m),
+                               np.exp(-0.7j * t_m)[:, None, None] * np.eye(4),
                                rtol=0, atol=1e-15)
-    gates = (Hadamard(PROBE), gate, ControlledU(PROBE, SYSTEM, SIGMA_X), gate)
-    assert_matches_the_loop(gates, random_density(rng, 4), (9,))
+    assert_matches_the_loop(h, SIGMA_X, t_k, t_m, random_density(rng, 4), (9,))
 
 
 def test_many_stacked_evolves_equal_the_per_circuit_loop(rng):
-    """Five stacked evolutions on both wires, and twice as many gates, with
-    stacks of several shapes broadcasting together."""
-    def evolve(wire, shape):
-        h = np.tensordot(rng.standard_normal(4),
-                         np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]), 1)
-        return Evolve(wire, h, rng.uniform(-3.0, 3.0, shape))
-
-    gates = (evolve(PROBE, (4, 1)), Hadamard(SYSTEM), evolve(SYSTEM, (3,)),
-             ControlledU(SYSTEM, PROBE, SIGMA_Y), evolve(PROBE, (4, 3)),
-             evolve(SYSTEM, ()), evolve(SYSTEM, (3,)), evolve(PROBE, (1, 3)))
-    assert_matches_the_loop(gates, random_density(rng, 4), (4, 3))
-    assert_matches_the_loop(gates + gates, random_density(rng, 4), (4, 3))
+    """Stacks of times of several shapes broadcasting together, a number
+    time against a stack too."""
+    h = np.tensordot(rng.standard_normal(4), np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]), 1)
+    obs = unit_observable(rng.standard_normal(3))
+    t_k = rng.uniform(0.0, 1.5, (4, 1))
+    assert_matches_the_loop(h, obs, t_k, rng.uniform(1.5, 3.0, (1, 3)),
+                            random_density(rng, 4), (4, 3))
+    assert_matches_the_loop(h, obs, 0.7, rng.uniform(1.5, 3.0, (4, 3)),
+                            random_density(rng, 4), (4, 3))
 
 
 PAULIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -1132,14 +1141,14 @@ def test_a_stack_of_readouts_equals_each_readout_alone(seed, shapes, count):
 
 
 def test_no_library_path_reaches_the_circuit_unitary(monkeypatch, tmp_path):
-    """Every measurement is a probe readout: with ``run`` and
-    ``circuit_unitary`` broken everywhere, the correlators, K, the
-    disturbance, the T2 and tomography checks and the five commands still
-    run."""
+    """Every measurement is a probe readout of the circuit's operands: with
+    ``build_scattering_circuit`` and ``run`` broken everywhere, the
+    correlators, K, the sweep, the disturbance, the T2 and tomography checks
+    and the five commands still run."""
     def refuse(*args, **kwargs):
         raise AssertionError("a library path formed the circuit unitary")
 
-    for name in ("run", "circuit_unitary"):
+    for name in ("run", "build_scattering_circuit"):
         for module in (lgsim, lgsim.circuit, lgsim.leggett_garg, lgsim.nmr, lgsim.cli):
             monkeypatch.setattr(module, name, refuse, raising=False)
     rho, evo = classical_mixture(0.3, 0.7), Evolution(1.3)
@@ -1156,15 +1165,14 @@ def test_no_library_path_reaches_the_circuit_unitary(monkeypatch, tmp_path):
 
 
 def test_no_measurement_builds_a_gate(monkeypatch, tmp_path):
-    """The probe readout takes the circuit's operands: with the construction
-    of every ``Hadamard``, ``Evolve`` and ``ControlledU`` refused, the
+    """The probe readout takes the circuit's operands: with the exponential
+    of every free-evolution gate refused in ``lgsim.circuit``, the
     correlators, K, the sweep, the disturbance, the T2 and tomography checks
-    and the five commands still run."""
+    and the five commands still run, and only the reference V fails."""
     def refuse(*args, **kwargs):
         raise AssertionError("a measurement built a gate")
 
-    for gate in (Hadamard, Evolve, ControlledU):
-        monkeypatch.setattr(gate, "__post_init__", refuse)
+    monkeypatch.setattr(lgsim.circuit, "expm_hermitian", refuse)
     rho, evo = classical_mixture(0.3, 0.7), Evolution(1.3)
     correlation_circuit(rho, SIGMA_X, evo, 0.2, np.linspace(0.2, 1.0, 3))
     k_value(rho, SIGMA_Z, evo, Schedule(0.0, 0.4, 0.8), 0.5)
@@ -1182,15 +1190,15 @@ def test_no_measurement_builds_a_gate(monkeypatch, tmp_path):
 
 def test_stacked_circuit_broadcasts_against_a_stack_of_states(rng):
     t_k, t_m = np.sort(rng.uniform(0.0, 3.0, (2, 4, 1)), axis=0)
-    gates = build_scattering_circuit(SIGMA_X - 0.4 * SIGMA_Y, SIGMA_Z, t_k, t_m).gates
+    h = SIGMA_X - 0.4 * SIGMA_Y
     rho = random_density_stack(7, (3,))
-    want = loop_run(gates, rho)[1]
-    got = run(Circuit(gates), rho)
+    want = loop_run(h, SIGMA_Z, t_k, t_m, rho)[1]
+    got = run(build_scattering_circuit(h, SIGMA_Z, t_k, t_m), rho)
     assert got.shape == (4, 3, 4, 4)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-    one_gate = (Evolve(PROBE, SIGMA_Y, 0.4),)
     rho = random_density_stack(7, (2, 3))
-    np.testing.assert_allclose(run(Circuit(one_gate), rho), loop_run(one_gate, rho)[1],
+    np.testing.assert_allclose(run(build_scattering_circuit(SIGMA_Y, SIGMA_X, 0.4, 1.0), rho),
+                               loop_run(SIGMA_Y, SIGMA_X, 0.4, 1.0, rho)[1],
                                rtol=0, atol=1e-14)
     three = build_scattering_circuit(SIGMA_X, SIGMA_Z, np.zeros(3), np.ones(3))
     with pytest.raises(ValueError):
@@ -1202,7 +1210,8 @@ def test_two_identical_calls_give_identical_bytes(rng):
     circuit = build_scattering_circuit(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, t_k, t_m)
     rho = random_density(rng, 4)
     assert run(circuit, rho).tobytes() == run(circuit, rho).tobytes()
-    assert circuit_unitary(circuit).tobytes() == circuit_unitary(circuit).tobytes()
+    again = build_scattering_circuit(SIGMA_X + 0.3 * SIGMA_Z, SIGMA_Z, t_k, t_m)
+    assert circuit.tobytes() == again.tobytes()
 
 
 # SHA-256 of the five columns' bytes (theta, c12, c23, c13, k), recorded
@@ -1304,27 +1313,25 @@ def test_default_sweep_takes_almost_no_page_faults():
 
 @pytest.mark.parametrize("size", [721, 64])
 def test_stacked_results_survive_later_engine_calls(size):
-    """States from ``run`` and unitaries from ``circuit_unitary`` are
-    their own call's arrays; later calls leave them, the inputs and the
-    gates' read-only matrices alone."""
+    """States from ``run`` and unitaries from ``build_scattering_circuit``
+    are their own call's arrays; later calls leave them and the inputs
+    alone."""
     t = np.linspace(0.0, 3.0, size)
     obs = observable_from_state(KET0)
-    circuit = build_scattering_circuit(SIGMA_X, obs, 0.5 * t, t)
+    v = build_scattering_circuit(SIGMA_X, obs, 0.5 * t, t)
     rho_in = kron(pseudo_pure(0.7, KET0), classical_mixture(0.3, 0.7))
     rho_in.flags.writeable = False
-    state, v = run(circuit, rho_in), circuit_unitary(circuit)
+    state = run(v, rho_in)
     kept = state.copy(), v.copy()
 
-    other = build_scattering_circuit(SIGMA_X + SIGMA_Z, obs, t, 2.0 * t)
-    run(other, rho_in)
-    circuit_unitary(other)
+    run(build_scattering_circuit(SIGMA_X + SIGMA_Z, obs, t, 2.0 * t), rho_in)
     for t_k, t_m in [(0.0, t), (t, 2.0 * t)]:
         correlation_circuit(classical_mixture(0.9, 0.1), obs, Evolution(1.3),
                             t_k, t_m, 0.4)
     np.testing.assert_array_equal(state, kept[0])
     np.testing.assert_array_equal(v, kept[1])
-    np.testing.assert_array_equal(run(circuit, rho_in), kept[0])
-    np.testing.assert_array_equal(circuit_unitary(circuit), kept[1])
+    np.testing.assert_array_equal(run(v, rho_in), kept[0])
+    np.testing.assert_array_equal(build_scattering_circuit(SIGMA_X, obs, 0.5 * t, t), kept[1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -1357,14 +1364,14 @@ def test_oracle_runs_without_the_circuit_exponentials(monkeypatch):
 
 
 def test_reference_evolutions_are_the_closed_form_exponential(monkeypatch):
-    """Each ``Evolve`` of the reference circuit is ``expm_hermitian``'s
-    closed-form exponential, ``_closed_form``: refused in ``circuit``, the
-    reference cannot be built, while every measurement, which reads the
-    circuit's operands, still runs."""
+    """Each free evolution of the reference circuit is ``expm_hermitian``'s
+    closed-form exponential: refused in ``circuit``, the reference cannot be
+    built, while every measurement, which reads the circuit's operands,
+    still runs."""
     def refuse(*args, **kwargs):
         raise AssertionError("the circuit's exponential was refused")
 
-    monkeypatch.setattr(lgsim.circuit, "_closed_form", refuse)
+    monkeypatch.setattr(lgsim.circuit, "expm_hermitian", refuse)
     with pytest.raises(AssertionError, match="refused"):
         build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.1, 0.4)
     rho, evo = classical_mixture(0.5, 0.5), Evolution(1.0)
