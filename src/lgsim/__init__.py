@@ -4,14 +4,7 @@ Leggett-Garg quantity K = C12 + C23 - C13, including the NMR-side machinery:
 maximally mixed state preparation, pseudo-pure probes with reference
 normalization, T2 dephasing, and Pauli-basis tomography."""
 
-from .circuit import (
-    PROBE,
-    SYSTEM,
-    build_scattering_circuit,
-    expect_probe_y,
-    expect_probe_z,
-    run,
-)
+from .circuit import build_scattering_circuit, expect_probe_z, run
 from .leggett_garg import (
     Evolution,
     LGResult,
@@ -41,7 +34,6 @@ from .linalg import (
     overlap_fidelity,
     partial_trace,
     trace_distance,
-    unitary,
 )
 from .nmr import (
     PAULI_LABELS,

@@ -1,21 +1,19 @@
 """The two-wire scattering circuit: its unitary, its execution and its readout.
 
-The register has exactly two wires: ``probe`` (the ancilla, always the left
-Kronecker factor) and ``system``.  The one circuit of the package is the
+The register has exactly two wires, the probe (the ancilla, always the left
+Kronecker factor) and the system.  The one circuit of the package is the
 scattering interferometer: a probe Hadamard H, the free evolution E_k to the
 earlier time, a controlled copy C of the dichotomic observable O, the free
 evolution E_m to the later time, C again and a closing H.
 
-Every measurement of the package is a probe readout: ``_probe_signal`` reads
-Re Tr[R V rho V+] of that circuit for a readout R, or a stack of them, off its
-operands (h, O and the two times), forming neither V nor a state, by a 3x3
-real matrix and one real bilinear form over the pair weights of the two free
-evolutions.  ``build_scattering_circuit`` forms V itself, the reference, and
-``run`` is V rho V+; they share with the readout only the operand checks, and
-no other library function calls either.  Number times give one (4, 4) V and
-arrays of times a stack S + (4, 4), whose readouts have shape S.
+Every measurement of the package is ``_probe_signal``, Re Tr[R V rho_in V+]
+of that circuit under the drive omega*sigma_x on pseudo-pure probe (x) rho,
+for a readout R or a stack of them: one memoized real tensor per (O, R)
+against the register's coefficients and the two evolutions' pair weights.
+``build_scattering_circuit`` forms V for any generator, the reference, and
+``run`` is V rho V+; no library function calls either.
 
-The probe readout of the interferometer returns Re Tr[rho_sys O(t_m) O(t_k)]:
+The probe readout of the interferometer returns Re Tr[rho O(t_m) O(t_k)]:
 the Hadamard splits the probe, the two controlled copies of the observable
 interleaved with free evolutions apply the two-time operator product to one
 interferometer arm only, and the closing Hadamard maps the accumulated
@@ -24,15 +22,15 @@ relative phase onto <sigma_z> of the probe.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .linalg import (IDENTITY_2, SIGMA_Y, SIGMA_Z, _generator, _pair_weights, _real,
-                     _register, _turns, dagger, dichotomic_observable, expm_hermitian, kron)
-
-PROBE = "probe"
-SYSTEM = "system"
+from .linalg import (_MEMO_SIZE, _MEMOS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                     _pair_weights, _qubit_state, _real, _register, dagger,
+                     dichotomic_observable, expm_hermitian, kron)
+from .states import _polarization
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _PROBE_HADAMARD = kron(HADAMARD, IDENTITY_2)
@@ -41,21 +39,29 @@ _PROBE_HADAMARD.flags.writeable = False
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 _PROBE_Z = kron(SIGMA_Z, IDENTITY_2)
-_PROBE_Y = kron(SIGMA_Y, IDENTITY_2)
+_PAULIS = np.stack((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z))
 
-# A free evolution's pair weights w_b conj(w_c) in its 2-term index (b, c) are
-# sum_a u_a P_a over its real pair columns u (``linalg._pair_weights``) and
-# these P_a; at zero phase u = (1, 0, 0).
+# A free evolution exp(-i phase sigma_x) = cos(phase) I - i sin(phase) sigma_x
+# on the system: its fixed terms, and its pair weights w_b conj(w_c) in the
+# term index (b, c), sum_a u_a P_a over its real pair columns u
+# (``linalg._pair_weights``) and these P_a; at zero phase u = (1, 0, 0).
+_EVOLVE = kron(IDENTITY_2, np.stack((IDENTITY_2, SIGMA_X)))
+_EVOLVE_HADAMARD = _EVOLVE @ _PROBE_HADAMARD
 _PAIR_BASIS = np.stack((_P0, _P1, -SIGMA_Y))
 # The pairs of the scattering circuit's two free evolutions: a (9, 16) map from
-# their pair index to the pair (b, c) of products, the early evolution's index slowest.
-_PAIR_BASIS_2 = np.einsum("apq,brs->abprqs", _PAIR_BASIS, _PAIR_BASIS).reshape(9, 16)
-_PAIR_BASIS_2.flags.writeable = False
+# their pair index to the pair (c, b) of products, the early evolution's index slowest.
+_PAIR_BASIS_2 = np.einsum("apq,brs->abqspr", _PAIR_BASIS, _PAIR_BASIS).reshape(9, 16)
+# The register terms (sigma_p (x) sigma_j) / 4, p = 0, z and j = 0, x, y, z,
+# transposed and flattened: Tr[A S] = A.ravel() . S.T.ravel().  The pseudo-pure
+# probe (x) rho is their sum weighed by (1, eps) (x) (Tr rho, r).
+_REGISTER_TERMS = kron(_PAULIS[[0, 3], None], _PAULIS[None]).swapaxes(-1, -2) / 4.0
+_REGISTER_TERMS = _REGISTER_TERMS.reshape(8, 16)
+_CONTROL_0 = kron(_P0, IDENTITY_2)
 
 
 def _controlled(obs: np.ndarray) -> np.ndarray:
     """|0><0| (x) I + |1><1| (x) O: ``obs`` on the system when the probe is |1>."""
-    return kron(_P0, IDENTITY_2) + kron(_P1, obs)
+    return _CONTROL_0 + kron(_P1, obs)
 
 
 def _time_order(theta_k, theta_m):
@@ -72,42 +78,61 @@ def _time_order(theta_k, theta_m):
     return theta_k, theta_m
 
 
-def _probe_signal(h, obs, theta_k, theta_m, rho_in: np.ndarray,
-                  readout: np.ndarray = _PROBE_Z):
-    """``(signal, reference)`` of ``build_scattering_circuit(h, obs,
-    theta_k, theta_m)`` on one checked state, forming neither V nor a state:
-    Re Tr[readout V rho V+] (``expect_probe_z(run(...))`` for the default
-    sigma_z (x) I) and its value at zero phases.
+def _drive_phase(omega: float, t):
+    """omega * t for the checked times ``t`` of a free evolution; names the
+    first time whose phase is not finite."""
+    with np.errstate(over="ignore"):  # past the float range
+        phase = omega * t
+    finite = np.isfinite(phase)
+    if not finite.all():
+        raise ValueError(f"the circuit needs finite phases omega*t, got t = "
+                         f"{float(np.broadcast_to(t, np.shape(phase))[~finite][0])!r}")
+    return phase
 
-    V = sum_b w_b M_b over the four products M_b = H C E_m C E_k H of the
-    probe Hadamard H, the controlled observable C and one fixed term, I or
-    n.sigma, of each free evolution E, the early index slowest.  Each free
-    evolution enters only through the real columns u of its pair weights
-    (``linalg._pair_weights``), as w_b conj(w_c) = sum_a u_a P_a over
-    ``_PAIR_BASIS``, so the traces T_bc = Tr[readout M_b rho M_c+] are
-    summed once against ``_PAIR_BASIS_2`` into a real 3x3 G, and G against
-    both columns in one bilinear ``einsum``.  The reference is G_00 = Re
-    T_00 (every u = (1, 0, 0)).  Every sum is an ``einsum``, which rounds
-    alike on every BLAS kernel.  A stack of R readouts (R, 4, 4) shares the
-    M_b and their traces and returns R signals (R,) + S and R references,
-    each bitwise what that readout alone returns; one readout of one circuit
-    returns floats.
-    """
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _readout_tensor(obs: bytes, readout: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """The read-only real G, S + (3, 3, 8) for readouts S + (4, 4), per
+    register term S_s, of the bytes of a checked O and of the readouts: V =
+    sum_b w_b M_b over the products M_b = H C E_m C E_k H of one fixed term,
+    I or sigma_x, per evolution, and G sums Tr[readout M_b S_s M_c+] against
+    ``_PAIR_BASIS_2``; the readout is Re sum_ac G_ac u_a v_c."""
+    controlled = _controlled(np.frombuffer(obs, dtype=complex).reshape(2, 2))
+    readout = np.frombuffer(readout, dtype=complex).reshape(shape)
+    fixed = (_PROBE_HADAMARD @ (controlled @ (
+        _EVOLVE[None] @ (controlled @ _EVOLVE_HADAMARD)[:, None]))).reshape(4, 4, 4)
+    lead = shape[:-2]
+    # M_c+ readout M_b, flattened to (c, b) and its entries
+    probed = dagger(fixed)[:, None] @ (readout[..., None, :, :] @ fixed)[..., None, :, :, :]
+    traces = np.einsum("...xq,sq->...xs", probed.reshape(lead + (16, 16)), _REGISTER_TERMS)
+    tensor = np.einsum("ax,...xs->...as", _PAIR_BASIS_2, traces).real.copy()
+    tensor = tensor.reshape(lead + (3, 3, 8))
+    tensor.flags.writeable = False
+    return tensor
+
+
+_MEMOS.append(_readout_tensor)
+
+
+def _probe_signal(omega: float, obs, theta_k, theta_m, rho_sys, probe_eps: float,
+                  readout: np.ndarray = _PROBE_Z):
+    """``(signal, reference)``: Re Tr[readout V rho_in V+] of the circuit of
+    the drive omega*sigma_x on pseudo-pure probe (``probe_eps``) (x)
+    ``rho_sys`` (``expect_probe_z(run(...))`` for sigma_z (x) I), and its
+    value at zero times, G_00.  G is ``_readout_tensor`` against the
+    register's coefficients (1, eps) (x) (Tr rho, r), r the Bloch vector,
+    and the signal G against both pair columns in one ``einsum``.  R stacked
+    readouts give R signals (R,) + S, each bitwise that readout's alone."""
+    rho_sys = _qubit_state(rho_sys)
+    probe_eps = _polarization(probe_eps)
     obs = dichotomic_observable(obs)
     theta_k, theta_m = _time_order(theta_k, theta_m)
-    _, a0, norm, one_wire = _generator(h)
-    early, late = (_pair_weights(_turns(phase, a0, norm)[0])
-                   for phase in (theta_k, theta_m - theta_k))
-    evolve = kron(IDENTITY_2, one_wire)
-    controlled = _controlled(obs)
-    fixed = (_PROBE_HADAMARD @ (controlled @ (evolve[None] @ (
-        controlled @ (evolve[:, None] @ _PROBE_HADAMARD))))).reshape(4, 4, 4)
-    lead = readout.shape[:-2]
-    probed = (readout[..., None, :, :] @ fixed @ rho_in).reshape(lead + (4, 16))
-    traces = np.einsum("...bi,ci->...bc", probed, fixed.reshape(4, 16).conj())
-    # the real part copied contiguous: einsum sums a strided operand in another order
-    traces = np.einsum("ax,...x->...a", _PAIR_BASIS_2,
-                       traces.reshape(lead + (16,))).real.copy().reshape(lead + (3, 3))
+    early, late = (_pair_weights(_drive_phase(omega, t)) for t in (theta_k, theta_m - theta_k))
+    readout = np.ascontiguousarray(readout, dtype=complex)
+    tensor = _readout_tensor(obs.tobytes(), readout.tobytes(), readout.shape)
+    bloch = np.einsum("jik,ki->j", _PAULIS, rho_sys).real
+    register = np.multiply.outer((1.0, probe_eps), bloch).ravel()
+    traces = np.einsum("...s,s->...", tensor, register)
     axes = list(range(2, traces.ndim))
     signal = np.einsum(traces, axes + [0, 1], early, [0, ...], late, [1, ...],
                        axes + [...])
@@ -151,19 +176,8 @@ def run(v: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
     return v @ rho_in @ dagger(v)
 
 
-def _probe_readout(rho: np.ndarray, probe_pauli: np.ndarray):
-    """Re Tr[rho probe_pauli] for one state (a float) or a stack (an array);
-    ``probe_pauli`` is a Pauli on the probe tensored with I on the system."""
-    value = np.einsum("...ij,ji->...", _register(rho, "probe readout"),
-                      probe_pauli).real
-    return float(value) if value.ndim == 0 else value
-
-
 def expect_probe_z(rho: np.ndarray):
-    """<sigma_z> of the probe wire; the real part of the scattering signal."""
-    return _probe_readout(rho, _PROBE_Z)
-
-
-def expect_probe_y(rho: np.ndarray):
-    """<sigma_y> of the probe wire; carries the imaginary part of the signal."""
-    return _probe_readout(rho, _PROBE_Y)
+    """<sigma_z> of the probe wire, Re Tr[rho (sigma_z (x) I)], for one
+    register state (a float) or a stack (an array); the scattering signal."""
+    value = np.einsum("...ij,ji->...", _register(rho, "probe readout"), _PROBE_Z).real
+    return float(value) if value.ndim == 0 else value

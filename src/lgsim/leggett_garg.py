@@ -9,12 +9,12 @@ drive omega (memoized with the checks of ``linalg``), where each time enters
 only through elementwise phase factors, so ``correlation_oracle`` takes a
 time pair or a stack of them in one contraction.  The one circuit correlator
 is ``correlation_circuit``, for a time pair or a stack of them, on the
-register ``_probe_register`` builds.  It reads the signal
-and the zero-time reference off one matrix of traces of the circuit's terms
-(``circuit._probe_signal``, which takes H, O and the times), building no
-gate and forming no state.  ``max_disturbance``, the paper's
-noninvasiveness check, runs a grid of time pairs on that register and reads
-the system's Bloch vector off the same traces.
+pseudo-pure probe (x) the system state.  It reads the signal and the
+zero-time reference off one probe readout (``circuit._probe_signal``, which
+takes omega, O, the times, the system state and eps), building no gate and
+forming no state.  ``max_disturbance``, the paper's noninvasiveness check,
+runs a grid of time pairs through the same readout and reads the system's
+Bloch vector off it.
 ``k_value`` assembles K = C12 + C23 - C13 for an equally spaced schedule and
 ``sweep`` over a theta grid, each in one ``correlation_circuit`` call on a
 (3, N) stack, returning the curve as the columns of one ``SweepResult``;
@@ -39,8 +39,8 @@ import numpy as np
 # No function here calls ``run``; the benchmark's tracer tests it is patched here too.
 from .circuit import _probe_signal, run  # noqa: F401
 from .linalg import (_MEMO_SIZE, _MEMOS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _number,
-                     _real, dagger, density, dichotomic_observable, kron)
-from .states import KET0, pseudo_pure, pure_density
+                     _qubit_state, _real, dagger, dichotomic_observable, kron)
+from .states import KET0, pure_density
 
 # Guard band above the bound K = 1, so the exact K = 1 boundary at theta = 0
 # is never flagged as a violation.
@@ -48,8 +48,10 @@ _VIOLATION_GUARD = 1e-12
 # Normalized correlators carry round-off of about 2.5e-16 / |reference|: the
 # floor keeps it below 5e-10 and passes eps = 1e-6 (references just under 1e-6).
 _REFERENCE_FLOOR = 5e-7
-# The readouts I (x) sigma_j of the system's Bloch vector, j = x, y, z.
-_SYSTEM_READOUTS = kron(IDENTITY_2, np.stack((SIGMA_X, SIGMA_Y, SIGMA_Z)))
+# The system's Bloch vector r_j = Tr[sigma_j rho], j = x, y, z, and its
+# readouts I (x) sigma_j on the register.
+_SYSTEM_PAULIS = np.stack((SIGMA_X, SIGMA_Y, SIGMA_Z))
+_SYSTEM_READOUTS = kron(IDENTITY_2, _SYSTEM_PAULIS)
 
 
 def observable_from_state(psi0) -> np.ndarray:
@@ -226,15 +228,6 @@ def heisenberg_observable(obs, evo: Evolution, t) -> np.ndarray:
     return dagger(forward) @ obs @ forward
 
 
-def _qubit_state(rho_sys) -> np.ndarray:
-    """``rho_sys`` checked by ``density`` and as a single qubit: the door
-    check of the system state, for the oracle and the circuit alike."""
-    rho_sys = density(rho_sys)
-    if rho_sys.shape[0] != 2:
-        raise ValueError("system state must be a single qubit")
-    return rho_sys
-
-
 def correlation_oracle(rho_sys, obs, evo: Evolution, t_k, t_m):
     """Re Tr[rho_sys O(t_m) O(t_k)] computed directly in the Heisenberg picture.
 
@@ -270,13 +263,6 @@ def correlation_oracle(rho_sys, obs, evo: Evolution, t_k, t_m):
     return value if value.ndim else float(value)
 
 
-def _probe_register(rho_sys, probe_eps: float) -> np.ndarray:
-    """The register state every correlator circuit runs on: the pseudo-pure
-    probe (1-eps) I/2 + eps |0><0| (x) the checked single-qubit ``rho_sys``."""
-    rho_sys = _qubit_state(rho_sys)
-    return kron(pseudo_pure(probe_eps, KET0), rho_sys)
-
-
 class ReferenceVanished(ValueError):
     """The reference is below the floor: the probe's eps is too small."""
 
@@ -300,12 +286,12 @@ def correlation_circuit(rho_sys, obs, evo: Evolution, t_k, t_m,
     enters as the pseudo-pure state (1-eps) I/2 + eps |0><0|, so the raw
     signal is scaled by eps.  As in the experiment, raw values are normalized
     to the signal of the zero-time circuit, whose correlator is exactly 1
-    because O^2 = I, read off the raw signal's own traces.  Returns
-    ``(raw, normalized)``, floats for number times and arrays of the
-    broadcast shape otherwise; normalized matches the oracle.
+    because O^2 = I, read off the same readout.  A time whose phase omega*t
+    overflows is named.  Returns ``(raw, normalized)``, floats for number
+    times and arrays of the broadcast shape otherwise; normalized matches
+    the oracle.
     """
-    rho_in = _probe_register(rho_sys, probe_eps)
-    raw, reference = _probe_signal(evo.hamiltonian, obs, t_k, t_m, rho_in)
+    raw, reference = _probe_signal(evo.omega, obs, t_k, t_m, rho_sys, probe_eps)
     return raw, raw / _check_reference(reference)
 
 
@@ -314,20 +300,21 @@ def max_disturbance(rho_sys, obs, evo: Evolution, times, probe_eps: float = 1.0)
     scattering circuit (the probe traced out) and ``rho_sys`` before it, over
     every pair drawn from ``times`` (the earlier as t_k), run as one stack on
     the register of ``correlation_circuit``; zero, to round-off, for I/2.
-    For qubits that is half the distance |s - s0| of the Bloch vectors s_j =
-    Re Tr[(I (x) sigma_j) rho] of the register after and before the circuit
-    (Nielsen & Chuang 9.2.1), s from one ``_probe_signal`` call on the three
-    readouts: no output state is formed."""
+    For qubits that is half the distance |s - r| of the system's Bloch
+    vectors (Nielsen & Chuang 9.2.1): s_j = Re Tr[(I (x) sigma_j) rho_out]
+    after the circuit, from one ``_probe_signal`` call on the three
+    readouts, and r_j = Tr[sigma_j rho_sys] before it; no output state is
+    formed."""
     times = _real(times, "times")
     if not times.size:
         raise ValueError("max_disturbance needs at least one time in times")
     flat = times.ravel()
     _first_bad("times must be finite and >= 0, got", flat, (0.0 <= flat) & (flat < math.inf))
-    rho_in = _probe_register(rho_sys, probe_eps)
+    rho_sys = _qubit_state(rho_sys)
     a, b = np.meshgrid(times, times)
-    after, _ = _probe_signal(evo.hamiltonian, obs, np.minimum(a, b), np.maximum(a, b),
-                             rho_in, _SYSTEM_READOUTS)
-    before = np.einsum("jik,ki->j", _SYSTEM_READOUTS, rho_in).real
+    after, _ = _probe_signal(evo.omega, obs, np.minimum(a, b), np.maximum(a, b),
+                             rho_sys, probe_eps, _SYSTEM_READOUTS)
+    before = np.einsum("jik,ki->j", _SYSTEM_PAULIS, rho_sys).real
     return float(0.5 * np.linalg.norm(after - before[:, None, None], axis=0).max())
 
 

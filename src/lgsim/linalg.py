@@ -2,18 +2,19 @@
 
 Everything in this package is a plain ``numpy`` array of ``complex`` entries;
 states, gates and observables are 2x2 or 4x4 matrices.  The constructors
-``operator``, ``unitary``, ``density`` and ``dichotomic_observable``, and
+``operator``, ``density`` and ``dichotomic_observable``, and
 ``expm_hermitian`` for a generator and its phases, validate once, on entry into
 the library; Hermitian operands pass the one private ``_hermitian`` check,
 real ones (angles, times, tables, scalar parameters) the one ``_real``
 check, which passes only integer and float input, casting nothing else
 (``_number``, at a door that takes a number, also refuses an array).
-``unitary``, ``density``, ``dichotomic_observable`` and the generator check
+``density``, ``dichotomic_observable`` and the generator check
 ``_generator`` are memoized per process: after ``operator``'s shape and
 finite checks, each keys on the operand's complex bytes and shape in a
 bounded, thread-safe ``functools.lru_cache`` and returns the checked matrix
 as a read-only copy, so an operand passed again is not checked again, and
-one edited in place is checked anew.
+one edited in place is checked anew.  ``_MEMOS`` lists every memo of the
+package, these and the readout's and the oracle's, for ``cache_clear``.
 What is built from checked inputs, the exponential included, is not checked
 again, and the operations below assume valid inputs and stay pure.  Values
 are immutable by convention (the memoized checks return read-only arrays),
@@ -32,9 +33,8 @@ import math
 
 import numpy as np
 
-# Entrywise tolerance for Hermiticity / unitarity checks.
+# Entrywise tolerance for Hermiticity checks.
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-12
 TRACE_TOL = 1e-12
 # Smallest admissible eigenvalue of a density matrix (round-off slack
 # accumulated by 4x4 products).
@@ -48,7 +48,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # Entries kept by each memoized check: a working set of a few states,
 # observables and generators, not a table that grows with the inputs.
 _MEMO_SIZE = 32
-# The caches of the memoized checks, for ``cache_clear``.
+# The caches of the package's memos, for ``cache_clear``.
 _MEMOS = []
 
 
@@ -135,16 +135,6 @@ def is_hermitian(m: np.ndarray) -> bool:
 
 
 @_memo
-def unitary(u: np.ndarray) -> np.ndarray:
-    """Validate that ``u`` is unitary (U U+ = I entrywise to 1e-12); returns
-    it as a read-only copy."""
-    residual = abs(u @ dagger(u) - np.eye(len(u))).max()
-    if not residual <= UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary (|UU+ - I| = {residual:.3e})")
-    return u
-
-
-@_memo
 def density(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, positive; returns
     it as a read-only copy.
@@ -160,6 +150,15 @@ def density(rho: np.ndarray) -> np.ndarray:
     if lowest < -POSITIVITY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
     return rho
+
+
+def _qubit_state(rho_sys) -> np.ndarray:
+    """``rho_sys`` checked by ``density`` and as a single qubit: the door
+    check of the system state, for the oracle and the circuit alike."""
+    rho_sys = density(rho_sys)
+    if rho_sys.shape[0] != 2:
+        raise ValueError("system state must be a single qubit")
+    return rho_sys
 
 
 @_memo

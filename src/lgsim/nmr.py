@@ -6,7 +6,9 @@ protocol duration is negligible against the ideal K.  The tomography half
 measures the 16 two-qubit Pauli coefficients of a register state, optionally
 perturbed by seeded Gaussian readout noise, and reconstructs the state from
 a record; the private ``_tomography`` runs that chain on the register of a
-pseudo-pure probe and I/2, giving the deviation-matrix fidelity.
+pseudo-pure probe and I/2, the one place the package forms that register,
+giving the deviation-matrix fidelity.  ``k_attenuation_check`` reads its
+ideal and dephased K off one probe readout of the scattering circuit.
 
 Randomness is never global: each noisy coefficient draws from a generator
 keyed by (seed, row, column), so records are reproducible bit for bit and
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import _PROBE_HADAMARD, _probe_signal
-from .leggett_garg import _REFERENCE_FLOOR, SweepResult, _check_reference, _probe_register
+from .leggett_garg import _REFERENCE_FLOOR, SweepResult, _check_reference
 from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _number, _real, _register,
                      is_hermitian, kron, overlap_fidelity)
-from .states import deviation, maximally_mixed
+from .states import KET0, deviation, maximally_mixed, pseudo_pure
 
 PAULI_LABELS = ("I", "x", "y", "z")
 _PAULIS = np.stack((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z))
@@ -83,10 +85,11 @@ def k_attenuation_check(
     noisy/ideal ratio equals the probe coherence factor exp(-duration/t2_probe).
 
     Both halves are read off one ``circuit._probe_signal`` call on the
-    circuit's operands, building no gate and forming no state, by the
-    readouts sigma_z (x) I and H D(sigma_x (x) I) H: the closing probe
-    Hadamard H (``circuit._PROBE_HADAMARD``) is its own inverse and turns
-    sigma_z into sigma_x, and the channel D is its own adjoint.  Both K are
+    drive sigma_x, O, the times, I/2 and eps, building no gate and forming
+    no state, by the readouts sigma_z (x) I and H D(sigma_x (x) I) H, whose
+    readout tensor is memoized per T2Config: the closing probe Hadamard H
+    (``circuit._PROBE_HADAMARD``) is its own inverse and turns sigma_z into
+    sigma_x, and the channel D is its own adjoint.  Both K are
     the ``k`` column of a two-row ``SweepResult``, formed there from the
     correlators checked against the ideal reference.
 
@@ -94,14 +97,13 @@ def k_attenuation_check(
     """
     if not 0.0 <= _number(theta, "theta") < math.inf:
         raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
-    rho_in = _probe_register(maximally_mixed(), probe_eps)
     dt = theta / 2.0  # the energy gap of sigma_x is 2
 
     # the three correlators of the (0, dt, 2dt) schedule, theta = gap * dt
     dephased = _PROBE_HADAMARD @ t2_dephase(_PAULI_BASIS[1, 0], cfg) @ _PROBE_HADAMARD
-    signals, references = _probe_signal(SIGMA_X, SIGMA_Z, (0.0, dt, 0.0),
-                                        (dt, 2.0 * dt, 2.0 * dt), rho_in,
-                                        np.stack((_PAULI_BASIS[3, 0], dephased)))
+    signals, references = _probe_signal(1.0, SIGMA_Z, (0.0, dt, 0.0),
+                                        (dt, 2.0 * dt, 2.0 * dt), maximally_mixed(),
+                                        probe_eps, np.stack((_PAULI_BASIS[3, 0], dephased)))
     c12, c23, c13 = (signals / _check_reference(references[0])).T
     return tuple(SweepResult((theta, theta), c12, c23, c13).k.tolist())
 
@@ -200,7 +202,7 @@ def _tomography(probe_eps: float, noise: ReadoutNoise) -> tuple[TomographyRecord
     spoils the deviation matrix (noise-free, the fidelity reads below 1 under
     about 1e-11 and the matrix is zero under about 1e-16), so such an eps
     raises ``DeviationVanished``."""
-    rho = _probe_register(maximally_mixed(), probe_eps)
+    rho = kron(pseudo_pure(probe_eps, KET0), maximally_mixed())
     if probe_eps < _REFERENCE_FLOOR:
         raise DeviationVanished(f"deviation matrix lost to round-off: probe polarization "
                                 f"{probe_eps!r} < {_REFERENCE_FLOOR:g}; cannot compare")

@@ -57,15 +57,19 @@ def classical_mixture(p0: float, p1: float) -> np.ndarray:
     return np.diag([p0, p1]).astype(complex)
 
 
-def pseudo_pure(epsilon: float, psi) -> np.ndarray:
-    """Pseudo-pure state (1 - eps) I/2 + eps |psi><psi|.
-
-    ``epsilon`` models the net polarization of the probe ensemble and must
-    lie in (0, 1]: at 0 the probe carries no signal and every downstream
-    normalization would divide by zero.
-    """
-    if not 0.0 < _number(epsilon, "epsilon") <= 1.0:
+def _polarization(epsilon) -> float:
+    """``epsilon`` checked as a probe polarization in (0, 1]: at 0 the probe
+    carries no signal and every downstream normalization would divide by zero."""
+    checked = _number(epsilon, "epsilon")
+    if not 0.0 < checked <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    return checked
+
+
+def pseudo_pure(epsilon: float, psi) -> np.ndarray:
+    """Pseudo-pure state (1 - eps) I/2 + eps |psi><psi|, eps the net
+    polarization of the probe ensemble (``_polarization``)."""
+    epsilon = _polarization(epsilon)
     return (1.0 - epsilon) * IDENTITY_2 / 2.0 + epsilon * pure_density(psi)
 
 

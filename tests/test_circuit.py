@@ -11,8 +11,8 @@ from lgsim.circuit import (
     _PROBE_HADAMARD,
     HADAMARD,
     _controlled,
+    _probe_signal,
     build_scattering_circuit,
-    expect_probe_y,
     expect_probe_z,
     run,
 )
@@ -28,6 +28,8 @@ from lgsim.linalg import (
 )
 from lgsim.nmr import TomographyRecord
 from lgsim.states import KET0, maximally_mixed, pure_density
+
+PROBE_Y = kron(SIGMA_Y, IDENTITY_2)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -274,20 +276,32 @@ class TestProbeReadout:
         assert expect_probe_z(kron(maximally_mixed(), maximally_mixed())) == 0.0
 
     def test_y_on_circular_probe(self):
-        plus_i = pure_density([1 / math.sqrt(2), 1j / math.sqrt(2)])
-        assert abs(expect_probe_y(kron(plus_i, maximally_mixed())) - 1.0) <= 1e-12
+        """On |+> (x-axis) with O = sigma_z under sigma_x, the pair 2 omega
+        (t_m - t_k) = pi/2 gives O(t_m) O(t_k) = sigma_y sigma_z = i sigma_x:
+        the correlator is i, so the pure probe ends circular, <sigma_y> = +-1
+        and <sigma_z> = 0."""
+        plus = pure_density([1 / math.sqrt(2), 1 / math.sqrt(2)])
+        (y, z), _ = _probe_signal(1.0, SIGMA_Z, 0.0, math.pi / 4, plus, 1.0,
+                                  np.stack((PROBE_Y, kron(SIGMA_Z, IDENTITY_2))))
+        assert abs(abs(y) - 1.0) <= 1e-12
+        assert abs(z) <= 1e-15
 
     def test_y_on_probe_zero(self):
-        assert abs(expect_probe_y(kron(pure_density(KET0), maximally_mixed()))) \
-            <= 1e-15
+        """At zero times the circuit is H C C H = I: the pure probe stays |0>."""
+        y, _ = _probe_signal(1.0, SIGMA_Z, 0.0, 0.0, maximally_mixed(), 1.0, PROBE_Y)
+        assert abs(y) <= 1e-15
 
     def test_y_vanishes_after_circuit_on_mixed_system(self, rng):
-        """Im Tr[rho U] = 0 for rho = I/2 and the Hermitian-product U."""
+        """Im Tr[rho U] = 0 for rho = I/2 and the Hermitian-product U, read
+        off the probe readout by sigma_y (x) I and off the output states."""
         for _ in range(10):
             theta_k, theta_m = np.sort(rng.uniform(0, math.pi, size=2))
+            y, _ = _probe_signal(1.0, SIGMA_Z, theta_k, theta_m, maximally_mixed(), 1.0,
+                                 PROBE_Y)
+            assert abs(y) <= 1e-12
             circ = build_scattering_circuit(SIGMA_X, SIGMA_Z, theta_k, theta_m)
             out = run(circ, kron(pure_density(KET0), maximally_mixed()))
-            assert abs(expect_probe_y(out)) <= 1e-12
+            assert abs(np.trace(PROBE_Y @ out).real) <= 1e-12
 
 
 class TestCircuitUnitary:

@@ -343,15 +343,16 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("command", ["sweep", "noise-check"])
     @pytest.mark.parametrize("eps,signal", [
         pytest.param(eps, signal, id=eps)
-        for eps, signal in (("1e-300", "0"), ("5e-324", "0"), ("1e-16", "5.55e-17"),
-                            ("1e-13", "9.99e-14"), ("1e-10", "1e-10"))])
+        for eps, signal in (("1e-300", "1e-300"), ("5e-324", "4.94e-324"),
+                            ("1e-16", "1e-16"), ("1e-13", "1e-13"), ("1e-10", "1e-10"))])
     def test_vanishing_reference_exits_2(self, command, eps, signal, capsys):
         """An --epsilon too small for the reference normalization is a usage
         error naming the flag, exit 2 (it once exited 1 as an invariant
         failure).  The message names the signal it could not divide by and
-        the floor (1e-300 is lost against the 1/2 of the probe's mixed
-        part); at 1e-10 and 1e-13 round-off would spoil the normalized
-        values."""
+        the floor.  The readout weighs the probe's polarized part by eps
+        itself, apart from its I/2 part, so the reference is eps to
+        round-off, down to the smallest subnormal; at 1e-10 and 1e-13
+        round-off would spoil the normalized values."""
         assert main([command, "--steps", "3", "--epsilon", eps]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err == (f"error: --epsilon: reference signal vanished: "
@@ -837,6 +838,23 @@ PARAMETER_AUDIT = {
     "degrees": (["--degrees"], dict.fromkeys(
         COMMANDS, "no effect, because it converts only given theta bounds")),
 }
+
+
+# The exit code of each command at --epsilon 1e-9, below the floor 5e-7: the
+# correlators' reference and the tomography's deviation matrix are lost to
+# round-off there, while noninvasive-check normalizes nothing.
+EPSILON_BELOW_FLOOR = {"sweep": EXIT_USAGE, "correlations": EXIT_USAGE,
+                       "noise-check": EXIT_USAGE, "tomography": EXIT_USAGE,
+                       "noninvasive-check": EXIT_OK}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_epsilon_below_the_floor_exits_as_its_cell_says(command, capsys):
+    assert sorted(EPSILON_BELOW_FLOOR) == sorted(COMMANDS)
+    code = main([command, "--steps", "9", "--epsilon", "1e-9"])
+    assert code == EPSILON_BELOW_FLOOR[command]
+    captured = capsys.readouterr()
+    assert ("--epsilon" in captured.err) == (code == EXIT_USAGE)
 
 
 def test_every_option_changes_a_command_or_says_why(tmp_path, capsysbinary, monkeypatch):

@@ -32,7 +32,6 @@ from lgsim.circuit import (
     HADAMARD,
     _probe_signal,
     build_scattering_circuit,
-    expect_probe_y,
     expect_probe_z,
     run,
 )
@@ -62,7 +61,6 @@ from lgsim.linalg import (
     kron,
     partial_trace,
     trace_distance,
-    unitary,
 )
 from lgsim.nmr import (ReadoutNoise, T2Config, TomographyRecord, k_attenuation_check,
                        reconstruct, t2_dephase, tomograph, tomography_fidelity_experiment)
@@ -107,22 +105,6 @@ def generators(draw):
     """A 2x2 Hermitian a0*I + a.sigma with |a0|, |a_i| <= 2."""
     a0, *a = (draw(st.floats(-2.0, 2.0)) for _ in range(4))
     return a0 * IDENTITY_2 + pauli_vector(a)
-
-
-@SETTINGS
-@given(dim=st.sampled_from([2, 4]), angle=st.floats(0.0, 6.0),
-       entry=st.tuples(st.integers(0, 3), st.integers(0, 3)))
-def test_unitary_rejects_one_bad_entry(dim, angle, entry):
-    u = expm_hermitian(SIGMA_X + 0.3 * SIGMA_Z, angle)
-    if dim == 4:
-        u = kron(u, HADAMARD)
-    checked = unitary(u)
-    np.testing.assert_array_equal(checked, u)
-    assert checked is not u and not checked.flags.writeable
-    bad = u.copy()
-    bad[entry[0] % dim, entry[1] % dim] += 1e-9
-    with pytest.raises(ValueError, match="not unitary"):
-        unitary(bad)
 
 
 @settings(max_examples=300, deadline=None)
@@ -455,51 +437,115 @@ def test_noise_check_reads_both_halves_off_the_traces(engine_calls):
     assert len(engine_calls["run"]) == 0
 
 
-@SETTINGS
-@given(
-    h=generators(),
-    obs=direction.map(unit_observable),
-    rho_sys=qubit_states(),
-    eps=epsilons,
-    pairs=st.one_of(times, st.lists(times, min_size=1, max_size=6)
-                    .map(lambda p: tuple(np.array(p).T))),
-)
-@example(h=0.7 * IDENTITY_2, obs=SIGMA_Z, rho_sys=maximally_mixed(), eps=0.5,
-         pairs=(0.3, 1.1))  # a multiple of I
-@example(h=Evolution(0.0).hamiltonian, obs=SIGMA_X, rho_sys=classical_mixture(0.2, 0.8),
-         eps=1.0, pairs=(np.array([0.0, 0.4]), np.array([0.5, 2.0])))  # omega = 0
-def test_reference_equals_the_six_gate_zero_time_circuit(h, obs, rho_sys, eps, pairs):
-    """The reference read off the traces of the circuit of any time pair or
-    stack is bitwise the probe signal of the full circuit at zero times, and
-    within 1e-15 of <sigma_z> of the probe after the six gates at zero times."""
+# The drives of the readout: omega sigma_x at omega = 0, 1 or drawn.
+drives = st.one_of(st.just(0.0), st.just(1.0), omegas)
+pair_stacks = st.one_of(times, st.lists(times, min_size=1, max_size=6)
+                        .map(lambda p: tuple(np.array(p).T)),
+                        st.lists(times, min_size=6, max_size=6)
+                        .map(lambda p: tuple(np.array(p).T.reshape(2, 2, 3))))
+
+
+def reference_readouts(omega, obs, pairs, rho_sys, eps, readouts):
+    """Re Tr[R V rho_in V+] for each readout R of the (R, 4, 4) ``readouts``
+    on the states ``run`` forms from the reference V of the drive omega
+    sigma_x on pseudo-pure probe (x) ``rho_sys``, readout first."""
     rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
-    zero_time, _ = _probe_signal(h, obs, 0.0, 0.0, rho_in)
-    _, reference = _probe_signal(h, obs, *pairs, rho_in)
+    out = run(build_scattering_circuit(omega * SIGMA_X, obs, *pairs), rho_in)
+    return np.einsum("rij,...ji->r...", readouts, out).real
+
+
+@SETTINGS
+@given(omega=drives, obs=direction.map(unit_observable), rho_sys=qubit_states(),
+       eps=epsilons,
+       pairs=st.one_of(times, st.lists(times, min_size=1, max_size=6)
+                       .map(lambda p: tuple(np.array(p).T))))
+@example(omega=0.0, obs=SIGMA_X, rho_sys=classical_mixture(0.2, 0.8), eps=1.0,
+         pairs=(np.array([0.0, 0.4]), np.array([0.5, 2.0])))
+def test_reference_equals_the_six_gate_zero_time_circuit(omega, obs, rho_sys, eps, pairs):
+    """The reference read off the readout of any time pair or stack is
+    bitwise the probe signal of the circuit at zero times, and within 1e-15
+    of <sigma_z> of the probe after the six gates at zero times."""
+    zero_time, _ = _probe_signal(omega, obs, 0.0, 0.0, rho_sys, eps)
+    _, reference = _probe_signal(omega, obs, *pairs, rho_sys, eps)
     assert reference == zero_time
-    want = expect_probe_z(run(build_scattering_circuit(h, obs, 0.0, 0.0), rho_in))
+    rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
+    want = expect_probe_z(run(build_scattering_circuit(omega * SIGMA_X, obs, 0.0, 0.0),
+                              rho_in))
     assert abs(reference - want) <= 1e-15
 
 
 @SETTINGS
-@given(
-    h=generators(),
-    obs=direction.map(unit_observable),
-    rho_sys=qubit_states(),
-    eps=epsilons,
-    pairs=st.one_of(times, st.lists(times, min_size=1, max_size=6)
-                    .map(lambda p: tuple(np.array(p).T)),
-                    st.lists(times, min_size=6, max_size=6)
-                    .map(lambda p: tuple(np.array(p).T.reshape(2, 2, 3)))),
-)
-def test_probe_readout_equals_the_trace_of_the_output_states(h, obs, rho_sys, eps,
+@given(omega=drives, obs=direction.map(unit_observable), rho_sys=qubit_states(),
+       eps=epsilons, pairs=pair_stacks)
+def test_probe_readout_equals_the_trace_of_the_output_states(omega, obs, rho_sys, eps,
                                                              pairs):
-    """The correlators' readout off the circuit's terms is <sigma_z> of the
-    probe in the states ``run`` forms, for number and stacked time pairs."""
+    """The correlators' readout is <sigma_z> of the probe in the states
+    ``run`` forms, for number and stacked time pairs."""
     rho_in = kron(pseudo_pure(eps, KET0), rho_sys)
-    want = expect_probe_z(run(build_scattering_circuit(h, obs, *pairs), rho_in))
-    got, _ = _probe_signal(h, obs, *pairs, rho_in)
+    want = expect_probe_z(run(build_scattering_circuit(omega * SIGMA_X, obs, *pairs), rho_in))
+    got, _ = _probe_signal(omega, obs, *pairs, rho_sys, eps)
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@SETTINGS
+@given(omega=drives, obs=direction.map(unit_observable), rho_sys=qubit_states(),
+       eps=epsilons, pairs=pair_stacks, seed=st.integers(0, 2**32 - 1),
+       count=st.sampled_from([None, 1, 3]))
+def test_readout_equals_the_reference_circuit_on_pseudo_pure_registers(
+        omega, obs, rho_sys, eps, pairs, seed, count):
+    """Every readout, one (4, 4) or a stack of ``count`` random Pauli
+    products, is Re Tr[R V rho_in V+] of the reference circuit's output
+    states on kron(pseudo_pure(eps, |0>), rho), for the drive omega sigma_x at
+    omega = 0, 1 or drawn, on number and broadcast time pairs."""
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, 4, (2, count or 1))
+    readouts = kron(PAULIS[picks[0]], PAULIS[picks[1]])
+    want = reference_readouts(omega, obs, pairs, rho_sys, eps, readouts)
+    got, _ = _probe_signal(omega, obs, *pairs, rho_sys, eps,
+                           readouts if count else readouts[0])
+    if count is None:
+        want = want[0] if np.ndim(got) else float(want[0])
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@SETTINGS
+@given(omega=drives, obs=direction.map(unit_observable), rho_sys=qubit_states(),
+       eps=epsilons, pairs=pair_stacks, stacked=st.booleans())
+def test_cold_and_warm_memos_give_the_same_bits(omega, obs, rho_sys, eps, pairs, stacked):
+    """A readout on empty memos and the same readout again, its tensor now
+    memoized, agree bitwise; the memoized tensor is read-only."""
+    readout = lgsim.leggett_garg._SYSTEM_READOUTS if stacked else lgsim.circuit._PROBE_Z
+    for memo in lgsim.linalg._MEMOS:
+        memo.cache_clear()
+    cold = _probe_signal(omega, obs, *pairs, rho_sys, eps, readout)
+    assert lgsim.circuit._readout_tensor.cache_info().misses == 1
+    warm = _probe_signal(omega, obs, *pairs, rho_sys, eps, readout)
+    assert lgsim.circuit._readout_tensor.cache_info().hits == 1
+    for a, b in zip(cold, warm):
+        assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    tensor = lgsim.circuit._readout_tensor(dichotomic_observable(obs).tobytes(),
+                                           readout.tobytes(), readout.shape)
+    assert tensor.shape == readout.shape[:-2] + (3, 3, 8) and not tensor.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        tensor[..., 0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda evo: correlation_circuit(maximally_mixed(), SIGMA_Z, evo, 0.0, 1e10),
+    lambda evo: correlation_circuit(maximally_mixed(), SIGMA_Z, evo,
+                                    np.array([0.0, 1e10]), np.array([1.0, 1.5e10])),
+    lambda evo: max_disturbance(maximally_mixed(), SIGMA_Z, evo, [0.0, 1e10]),
+    lambda evo: k_value(maximally_mixed(), SIGMA_Z, evo, Schedule(1e10, 2e10, 3e10)),
+], ids=["late", "early-in-a-stack", "disturbance", "k_value"])
+def test_an_overflowing_phase_names_its_time(call):
+    """A phase omega*t past the float range is refused naming omega*t and
+    the first time whose phase overflows (it once named ``expm_hermitian``'s
+    angles, which the caller never called), as the oracle names its time."""
+    with pytest.raises(ValueError, match=r"^the circuit needs finite phases omega\*t, "
+                                         r"got t = 10000000000\.0$"):
+        call(Evolution(1e300))
 
 
 @SETTINGS
@@ -521,10 +567,10 @@ def test_dephased_readout_equals_the_dephased_state(t2_probe, t2_system, duratio
     dephased = t2_dephase(run(before_hadamard, rho_in), cfg)
     want = expect_probe_z(run(_PROBE_HADAMARD, dephased))
     hadamard = kron(HADAMARD, IDENTITY_2)
-    got, _ = _probe_signal(SIGMA_X, SIGMA_Z, *times, rho_in,
+    got, _ = _probe_signal(1.0, SIGMA_Z, *times, maximally_mixed(), eps,
                            hadamard @ t2_dephase(kron(SIGMA_X, IDENTITY_2), cfg) @ hadamard)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-    c12, c23, c13 = want / _probe_signal(SIGMA_X, SIGMA_Z, *times, rho_in)[1]
+    c12, c23, c13 = want / _probe_signal(1.0, SIGMA_Z, *times, maximally_mixed(), eps)[1]
     # the readouts' round-off, about 1e-15, is divided by the reference eps
     assert abs(k_attenuation_check(cfg, theta, eps)[1] - (c12 + c23 - c13)) <= 1e-14 / eps
 
@@ -566,7 +612,6 @@ NO_NOISE = ReadoutNoise(sigma=0.0, seed=0)
 REGISTER_ENTRY_POINTS = {
     "run": lambda rho: run(_PROBE_HADAMARD, rho),
     "probe readout": expect_probe_z,
-    "probe readout y": expect_probe_y,
     "partial_trace": lambda rho: partial_trace(rho, "system"),
     "t2_dephase": lambda rho: t2_dephase(rho, T2),
     "tomograph": lambda rho: tomograph(rho, NO_NOISE),
@@ -719,17 +764,17 @@ def test_every_correlator_door_names_a_two_qubit_state():
 
 # The public names of ``lgsim``: adding or removing one is an API change.
 PUBLIC_NAMES = [
-    "Evolution", "IDENTITY_2", "KET0", "KET1", "LGResult", "PAULI_LABELS", "PROBE",
-    "ReadoutNoise", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SYSTEM", "Schedule", "SweepResult",
+    "Evolution", "IDENTITY_2", "KET0", "KET1", "LGResult", "PAULI_LABELS",
+    "ReadoutNoise", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "Schedule", "SweepResult",
     "T2Config", "TomographyRecord", "analytic_k", "build_scattering_circuit",
     "classical_mixture", "correlation_circuit", "correlation_oracle", "dagger", "density",
-    "deviation", "dichotomic_observable", "expect_probe_y", "expect_probe_z",
+    "deviation", "dichotomic_observable", "expect_probe_z",
     "expm_hermitian", "find_violations", "gradient_dephase_prepare",
     "heisenberg_observable", "k_attenuation_check", "k_value", "kron", "max_disturbance",
     "maximally_mixed", "observable_from_state", "operator", "overlap_fidelity",
     "partial_trace", "pseudo_pure", "pure_density", "pure_state", "reconstruct", "run",
     "sweep", "t2_dephase", "tomograph", "tomography_fidelity_experiment",
-    "trace_distance", "unitary",
+    "trace_distance",
 ]
 
 
@@ -892,7 +937,7 @@ def test_max_disturbance_makes_one_probe_readout(monkeypatch):
     readouts = counting(lgsim.leggett_garg, "_probe_signal", monkeypatch)
     lgsim.cli._compute(lgsim.cli.parse_config(["noninvasive-check"], environ={}))
     assert [(np.shape(t_m), readout.shape)
-            for *_, t_m, _, readout in readouts] == [((5, 5), (3, 4, 4))] * 3
+            for *_, t_m, _, _, readout in readouts] == [((5, 5), (3, 4, 4))] * 3
 
 
 def test_max_disturbance_forms_no_output_state(monkeypatch):
@@ -988,22 +1033,21 @@ def test_scattering_gates_validate_each_operand_once(monkeypatch):
 
 def test_default_sweep_validation_counts(monkeypatch):
     """Per default sweep on empty memos, whose one probe readout reads one
-    (3, 721) stack off the circuit's operands: no ``unitary`` (a checked
-    dichotomic observable is unitary, so the readout checks no controlled
-    gate; 1 when it read a ``ControlledU``, 3 with a stack per correlator, 8
-    when each controlled slot had its own gate), 3 ``is_hermitian`` (the
-    system state, the observable and the generator, which the two free
-    evolutions share; 4 when each evolution checked it, 10 with a stack per
+    (3, 721) stack off omega, the observable, the times and the system
+    state: 2 ``is_hermitian`` (the system state and the observable; 3 when
+    the readout took a generator and checked it, 10 with a stack per
     correlator, 13 when the reference built a circuit of its own, 23 when
     ``embed`` validated the generator again), one ``density`` and one
     ``dichotomic_observable`` (2 and 5 when the built probe state and
-    observable were checked again)."""
+    observable were checked again).  No controlled gate is checked for
+    unitarity (1 when the readout read a ``ControlledU``, 3 with a stack
+    per correlator, 8 when each controlled slot had its own gate)."""
     rho = classical_mixture(0.5, 0.5)
-    names = ("unitary", "is_hermitian", "density", "dichotomic_observable")
+    names = ("is_hermitian", "density", "dichotomic_observable")
     calls = {name: counting_everywhere(name, monkeypatch) for name in names}
     sweep(Evolution(1.0), rho, 1.0, 0.0, 2 * math.pi, 721)
     assert {name: len(calls[name]) for name in names} == {
-        "unitary": 0, "is_hermitian": 3, "density": 1, "dichotomic_observable": 1}
+        "is_hermitian": 2, "density": 1, "dichotomic_observable": 1}
 
 
 def test_a_repeated_sweep_checks_no_operand_again(monkeypatch):
@@ -1122,20 +1166,20 @@ PAULIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
        shapes=st.sampled_from([((), ()), ((), (3,)), ((2, 1), (1, 3)), ((4, 3), (4, 3))]),
        count=st.integers(1, 5))
 def test_a_stack_of_readouts_equals_each_readout_alone(seed, shapes, count):
-    """``_probe_signal`` on a stack of readouts forms the fixed products and
-    their traces once; each readout's ``(signal, reference)`` is bitwise what
-    a call with that readout alone returns, for random scattering circuits
-    with number or stacked times."""
+    """``_probe_signal`` on a stack of readouts builds one tensor for the
+    stack; each readout's ``(signal, reference)`` is bitwise what a call with
+    that readout alone returns, for random scattering circuits of the drive
+    omega sigma_x (omega = 0, 1 or drawn) with number or stacked times."""
     rng = np.random.default_rng(seed)
-    operands = (np.tensordot(rng.standard_normal(4), PAULIS, 1),
+    operands = ((0.0, 1.0, rng.uniform(0.25, 4.0))[rng.integers(3)],
                 unit_observable(rng.standard_normal(3)),
-                rng.uniform(0.0, 1.5, shapes[0]), rng.uniform(1.5, 3.0, shapes[1]))
-    rho_in = kron(pseudo_pure(rng.uniform(0.05, 1.0), KET0), random_density(rng, 2))
+                rng.uniform(0.0, 1.5, shapes[0]), rng.uniform(1.5, 3.0, shapes[1]),
+                random_density(rng, 2), rng.uniform(0.05, 1.0))
     readouts = kron(PAULIS[rng.integers(0, 4, count)], PAULIS[rng.integers(0, 4, count)])
-    signals, references = _probe_signal(*operands, rho_in, readouts)
+    signals, references = _probe_signal(*operands, readouts)
     assert references.shape == (count,)
     for readout, signal, reference in zip(readouts, signals, references):
-        alone, alone_reference = _probe_signal(*operands, rho_in, readout)
+        alone, alone_reference = _probe_signal(*operands, readout)
         assert np.asarray(alone).tobytes() == signal.tobytes()
         assert alone_reference == reference
 
@@ -1215,11 +1259,13 @@ def test_two_identical_calls_give_identical_bytes(rng):
 
 
 # SHA-256 of the five columns' bytes (theta, c12, c23, c13, k), recorded
-# when the correlators came to read the probe signal off real pair weights.
+# when the correlators came to read the probe signal off real pair weights;
+# eps-0.3-ket1-subrange again when the readout came to weigh the register's
+# coefficients (1, eps) (x) (Tr rho, r) against one tensor per observable.
 SWEEP_COLUMN_SHA256 = {
     "default": "7674fceef4292722211868e37480f1c8a4966b60b188c70fce44805f9fe84840",
     "eps-0.3-ket1-subrange":
-        "8dd710bce03c65060e21475aea568838fe41a4da029ff83c6e6136e4422fb096",
+        "d1c45eecaef8adbb69d12dc3fe6d1717376ac05c8e6b9600f62307974ae52bfb",
     "mixture-97-steps":
         "93d423daee03f7cd1c79ce5a52f538b30590c5726d8b95c1036224ce2cb9c376",
 }

@@ -25,7 +25,6 @@ from lgsim.linalg import (
     overlap_fidelity,
     partial_trace,
     trace_distance,
-    unitary,
 )
 
 KET0_PROJ = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -246,14 +245,6 @@ class TestOverlapFidelity:
 
 
 class TestConstructors:
-    def test_unitary_accepts_hadamard(self):
-        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        np.testing.assert_allclose(unitary(h), h, atol=0)
-
-    def test_unitary_rejects_scaled(self):
-        with pytest.raises(ValueError, match="unitary"):
-            unitary(2.0 * IDENTITY_2)
-
     def test_density_accepts_random(self, rng):
         rho = random_density(rng, 4)
         np.testing.assert_allclose(density(rho), rho, atol=0)
@@ -283,11 +274,9 @@ class TestConstructors:
 
 def _checks(rng):
     """Each memoized check with an operand it accepts."""
-    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return (
         (density, random_density(rng, 4)),
         (dichotomic_observable, SIGMA_X.copy()),
-        (unitary, np.linalg.qr(z)[0]),
         (lambda h: expm_hermitian(h, 0.7), random_hermitian(rng, 2)),
     )
 
@@ -314,7 +303,7 @@ class TestCheckMemo:
             first = check(operand)
             again = check(operand.copy())
             from_list = check(operand.tolist())
-            assert len(hermitian_checks) == (check is not unitary)
+            assert len(hermitian_checks) == 1
             np.testing.assert_array_equal(again, first)
             np.testing.assert_array_equal(from_list, first)
 
@@ -359,7 +348,7 @@ class TestCheckMemo:
 
     def test_results_are_read_only_copies_of_the_same_bits(self, rng):
         signed_zeros = (dichotomic_observable, np.array([[-0.0, 1.0], [1.0, -0.0]]))
-        for check, operand in (*_checks(rng)[:3], signed_zeros):
+        for check, operand in (*_checks(rng)[:2], signed_zeros):
             operand = operand.astype(complex)
             for _ in range(2):
                 checked = check(operand)
