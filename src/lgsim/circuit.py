@@ -8,10 +8,10 @@ evolution E_m to the later time, C again and a closing H.
 
 Every measurement of the package is ``_probe_signal``, Re Tr[R V rho_in V+]
 of that circuit under the drive omega*sigma_x on pseudo-pure probe (x) rho,
-for a readout R or a stack of them: one memoized real tensor per (O, R)
-against the register's coefficients and the two evolutions' pair weights.
-``build_scattering_circuit`` forms V for any generator, the reference, and
-``run`` is V rho V+; no library function calls either.
+for a readout R or a stack of them, with no gate built and no state formed;
+its callers check the probe's polarization.  ``build_scattering_circuit``
+forms V for any generator, the reference, and ``run`` is V rho V+; no
+library function calls either.
 
 The probe readout of the interferometer returns Re Tr[rho O(t_m) O(t_k)]:
 the Hadamard splits the probe, the two controlled copies of the observable
@@ -27,10 +27,9 @@ import math
 
 import numpy as np
 
-from .linalg import (_MEMO_SIZE, _MEMOS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                     _pair_weights, _qubit_state, _real, _register, dagger,
+from .linalg import (_MEMO_SIZE, _MEMOS, _PAULI_BASIS, _PAULIS, IDENTITY_2, SIGMA_X,
+                     SIGMA_Y, _first_bad, _qubit_state, _real, _register, dagger,
                      dichotomic_observable, expm_hermitian, kron)
-from .states import _polarization
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _PROBE_HADAMARD = kron(HADAMARD, IDENTITY_2)
@@ -38,24 +37,33 @@ _PROBE_HADAMARD.flags.writeable = False
 
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
-_PROBE_Z = kron(SIGMA_Z, IDENTITY_2)
-_PAULIS = np.stack((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z))
+_PROBE_Z = _PAULI_BASIS[3, 0]
 
 # A free evolution exp(-i phase sigma_x) = cos(phase) I - i sin(phase) sigma_x
 # on the system: its fixed terms, and its pair weights w_b conj(w_c) in the
 # term index (b, c), sum_a u_a P_a over its real pair columns u
-# (``linalg._pair_weights``) and these P_a; at zero phase u = (1, 0, 0).
+# (``_pair_weights``) and these P_a; at zero phase u = (1, 0, 0).
 _EVOLVE = kron(IDENTITY_2, np.stack((IDENTITY_2, SIGMA_X)))
 _EVOLVE_HADAMARD = _EVOLVE @ _PROBE_HADAMARD
 _PAIR_BASIS = np.stack((_P0, _P1, -SIGMA_Y))
+
+
+def _pair_weights(phase) -> np.ndarray:
+    """The real pair columns u of the free evolution of ``phase``, of shape
+    (3,) + S, the pair index first: its weights w = (cos, -i sin) over I and
+    sigma_x give w w+ = cos^2 E00 + sin^2 E11 + sin cos (-sigma_y), so u is
+    (cos^2, sin^2, sin cos) over ``_PAIR_BASIS``."""
+    cos, sin = np.cos(phase), np.sin(phase)
+    return np.array((cos * cos, sin * sin, sin * cos))
+
+
 # The pairs of the scattering circuit's two free evolutions: a (9, 16) map from
 # their pair index to the pair (c, b) of products, the early evolution's index slowest.
 _PAIR_BASIS_2 = np.einsum("apq,brs->abqspr", _PAIR_BASIS, _PAIR_BASIS).reshape(9, 16)
 # The register terms (sigma_p (x) sigma_j) / 4, p = 0, z and j = 0, x, y, z,
 # transposed and flattened: Tr[A S] = A.ravel() . S.T.ravel().  The pseudo-pure
 # probe (x) rho is their sum weighed by (1, eps) (x) (Tr rho, r).
-_REGISTER_TERMS = kron(_PAULIS[[0, 3], None], _PAULIS[None]).swapaxes(-1, -2) / 4.0
-_REGISTER_TERMS = _REGISTER_TERMS.reshape(8, 16)
+_REGISTER_TERMS = (_PAULI_BASIS[[0, 3]].swapaxes(-1, -2) / 4.0).reshape(8, 16)
 _CONTROL_0 = kron(_P0, IDENTITY_2)
 
 
@@ -83,10 +91,7 @@ def _drive_phase(omega: float, t):
     first time whose phase is not finite."""
     with np.errstate(over="ignore"):  # past the float range
         phase = omega * t
-    finite = np.isfinite(phase)
-    if not finite.all():
-        raise ValueError(f"the circuit needs finite phases omega*t, got t = "
-                         f"{float(np.broadcast_to(t, np.shape(phase))[~finite][0])!r}")
+    _first_bad("the circuit needs finite phases omega*t, got t =", t, np.isfinite(phase))
     return phase
 
 
@@ -122,9 +127,9 @@ def _probe_signal(omega: float, obs, theta_k, theta_m, rho_sys, probe_eps: float
     value at zero times, G_00.  G is ``_readout_tensor`` against the
     register's coefficients (1, eps) (x) (Tr rho, r), r the Bloch vector,
     and the signal G against both pair columns in one ``einsum``.  R stacked
-    readouts give R signals (R,) + S, each bitwise that readout's alone."""
+    readouts give R signals (R,) + S, each bitwise that readout's alone.  The
+    caller checks ``probe_eps``."""
     rho_sys = _qubit_state(rho_sys)
-    probe_eps = _polarization(probe_eps)
     obs = dichotomic_observable(obs)
     theta_k, theta_m = _time_order(theta_k, theta_m)
     early, late = (_pair_weights(_drive_phase(omega, t)) for t in (theta_k, theta_m - theta_k))

@@ -26,10 +26,9 @@ notation, JSON as the same rounded numbers); a NaN or infinite value, or an
 SVG coordinate that overflows, exits 1 and writes nothing.
 
 Exit codes: 0 success, 1 internal invariant failure, 2 usage error (an
---epsilon too small to normalize by, or below the 5e-7 floor under which
-round-off spoils tomography, is one, and so are a --steps past a million and
-a --noise-sigma whose noise overflows a tomography coefficient), 3 I/O
-error.
+--epsilon below 5e-7 is one in every command that normalizes by it, all but
+noninvasive-check, and so are a --steps past a million and a --noise-sigma
+whose noise overflows a tomography coefficient), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -43,12 +42,12 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .leggett_garg import (Evolution, ReferenceVanished, SweepResult, _first_bad,
-                           analytic_k, find_violations, max_disturbance,
-                           observable_from_state, sweep)
-from .nmr import (PAULI_LABELS, DeviationVanished, NoiseOverflow, ReadoutNoise, T2Config,
-                  _tomography, k_attenuation_check)
-from .states import KET0, classical_mixture, maximally_mixed, pure_density
+from .leggett_garg import (Evolution, SweepResult, analytic_k, find_violations,
+                           max_disturbance, observable_from_state, sweep)
+from .linalg import _first_bad
+from .nmr import (PAULI_LABELS, NoiseOverflow, ReadoutNoise, T2Config, _tomography,
+                  k_attenuation_check)
+from .states import KET0, EpsilonBelowFloor, classical_mixture, maximally_mixed, pure_density
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -488,7 +487,7 @@ def run_command(cfg: RunConfig) -> int:
             payload = emit_json(cfg, header, columns)
         else:
             payload = emit_svg(cfg, results)
-    except (ReferenceVanished, DeviationVanished, NoiseOverflow) as exc:
+    except (EpsilonBelowFloor, NoiseOverflow) as exc:
         flag = "--noise-sigma" if isinstance(exc, NoiseOverflow) else "--epsilon"
         print(f"error: {flag}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,20 +38,14 @@ import numpy as np
 
 # No function here calls ``run``; the benchmark's tracer tests it is patched here too.
 from .circuit import _probe_signal, run  # noqa: F401
-from .linalg import (_MEMO_SIZE, _MEMOS, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _number,
-                     _qubit_state, _real, dagger, dichotomic_observable, kron)
-from .states import KET0, pure_density
+from .linalg import (_MEMO_SIZE, _MEMOS, _PAULI_BASIS, _PAULIS, IDENTITY_2, SIGMA_X,
+                     _first_bad, _number, _qubit_state, _real, dagger,
+                     dichotomic_observable, kron)
+from .states import KET0, _normalizable, _polarization, pure_density
 
 # Guard band above the bound K = 1, so the exact K = 1 boundary at theta = 0
 # is never flagged as a violation.
 _VIOLATION_GUARD = 1e-12
-# Normalized correlators carry round-off of about 2.5e-16 / |reference|: the
-# floor keeps it below 5e-10 and passes eps = 1e-6 (references just under 1e-6).
-_REFERENCE_FLOOR = 5e-7
-# The system's Bloch vector r_j = Tr[sigma_j rho], j = x, y, z, and its
-# readouts I (x) sigma_j on the register.
-_SYSTEM_PAULIS = np.stack((SIGMA_X, SIGMA_Y, SIGMA_Z))
-_SYSTEM_READOUTS = kron(IDENTITY_2, _SYSTEM_PAULIS)
 
 
 def observable_from_state(psi0) -> np.ndarray:
@@ -171,12 +165,6 @@ class SweepResult:
         return (LGResult(*point) for point in zip(*columns))
 
 
-def _first_bad(message: str, column: np.ndarray, ok: np.ndarray) -> None:
-    """Raise ``message`` with the first value of ``column`` where ``ok`` fails."""
-    if not ok.all():
-        raise ValueError(f"{message} {float(column[np.argmin(ok)])!r}")
-
-
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _eigenbasis(evo: Evolution):
     """H = V diag(E) V+ from one ``np.linalg.eigh``, memoized per drive (an
@@ -202,10 +190,8 @@ def _phases(rates: np.ndarray, t) -> np.ndarray:
     t = _real(t, "t")
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range
         phases = t[..., None] * rates
-    finite = np.isfinite(phases).all(axis=-1)
-    if not finite.all():
-        raise ValueError(f"the oracle needs finite phases omega*t, got t = "
-                         f"{float(t[~finite][0])!r}")
+    _first_bad("the oracle needs finite phases omega*t, got t =", t,
+               np.isfinite(phases).all(axis=-1))
     return phases
 
 
@@ -263,20 +249,6 @@ def correlation_oracle(rho_sys, obs, evo: Evolution, t_k, t_m):
     return value if value.ndim else float(value)
 
 
-class ReferenceVanished(ValueError):
-    """The reference is below the floor: the probe's eps is too small."""
-
-
-def _check_reference(reference: float) -> float:
-    """``reference``, the zero-time probe signal raw correlators are divided
-    by; raises ``ReferenceVanished`` below the floor."""
-    if not abs(reference) >= _REFERENCE_FLOOR:
-        raise ReferenceVanished(f"reference signal vanished: |signal| = "
-                                f"{abs(reference):.3g} < {_REFERENCE_FLOOR:g}; "
-                                f"cannot normalize")
-    return reference
-
-
 def correlation_circuit(rho_sys, obs, evo: Evolution, t_k, t_m,
                         probe_eps: float = 1.0):
     """Two-time correlators measured through the scattering circuit.
@@ -287,12 +259,14 @@ def correlation_circuit(rho_sys, obs, evo: Evolution, t_k, t_m,
     signal is scaled by eps.  As in the experiment, raw values are normalized
     to the signal of the zero-time circuit, whose correlator is exactly 1
     because O^2 = I, read off the same readout.  A time whose phase omega*t
-    overflows is named.  Returns ``(raw, normalized)``, floats for number
-    times and arrays of the broadcast shape otherwise; normalized matches
-    the oracle.
+    overflows is named, and so is an eps below the floor 5e-7
+    (``states._normalizable``).  Returns ``(raw, normalized)``, floats for
+    number times and arrays of the broadcast shape otherwise; normalized
+    matches the oracle.
     """
+    probe_eps = _normalizable(probe_eps)
     raw, reference = _probe_signal(evo.omega, obs, t_k, t_m, rho_sys, probe_eps)
-    return raw, raw / _check_reference(reference)
+    return raw, raw / reference
 
 
 def max_disturbance(rho_sys, obs, evo: Evolution, times, probe_eps: float = 1.0) -> float:
@@ -308,13 +282,12 @@ def max_disturbance(rho_sys, obs, evo: Evolution, times, probe_eps: float = 1.0)
     times = _real(times, "times")
     if not times.size:
         raise ValueError("max_disturbance needs at least one time in times")
-    flat = times.ravel()
-    _first_bad("times must be finite and >= 0, got", flat, (0.0 <= flat) & (flat < math.inf))
+    _first_bad("times must be finite and >= 0, got", times, (0.0 <= times) & (times < math.inf))
     rho_sys = _qubit_state(rho_sys)
     a, b = np.meshgrid(times, times)
     after, _ = _probe_signal(evo.omega, obs, np.minimum(a, b), np.maximum(a, b),
-                             rho_sys, probe_eps, _SYSTEM_READOUTS)
-    before = np.einsum("jik,ki->j", _SYSTEM_PAULIS, rho_sys).real
+                             rho_sys, _polarization(probe_eps), _PAULI_BASIS[0, 1:])
+    before = np.einsum("jik,ki->j", _PAULIS[1:], rho_sys).real
     return float(0.5 * np.linalg.norm(after - before[:, None, None], axis=0).max())
 
 

@@ -21,9 +21,9 @@ are immutable by convention (the memoized checks return read-only arrays),
 so the whole module is safe for concurrent use.
 ``expm_hermitian`` is the one closed form of the exponential, the only one
 in the package (``circuit.build_scattering_circuit`` forms its free
-evolutions with it): ``_generator`` checks a generator and ``_turns`` a
-phase against it.  ``_pair_weights`` gives the real columns of the pairs
-w w+ of its weights over I and n.sigma, all a probe readout needs.
+evolutions with it); it refuses an angle whose phases are not finite.
+``_PAULI_BASIS`` is the package's one two-qubit Pauli basis, and
+``_first_bad`` its one message naming an input's first bad value.
 """
 
 from __future__ import annotations
@@ -88,6 +88,13 @@ def _real(values, what: str):
     if values.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be real, got a {values.dtype} input")
     return values.astype(float, copy=False)[()]
+
+
+def _first_bad(message: str, values, ok) -> None:
+    """Raise ValueError ``message`` with the first entry of ``values``, broadcast
+    to the mask ``ok``, where ``ok`` fails, in C order."""
+    if not ok.all():
+        raise ValueError(f"{message} {float(np.broadcast_to(values, ok.shape)[~ok][0])!r}")
 
 
 def _number(value, what: str):
@@ -190,6 +197,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return res.reshape(res.shape[:-4] + (n, n))
 
 
+_PAULIS = np.stack((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z))
+# _PAULI_BASIS[i, j] = sigma_i (x) sigma_j, i, j = 0, x, y, z, probe Pauli first.
+_PAULI_BASIS = kron(_PAULIS[:, None], _PAULIS[None, :])
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return np.asarray(a, dtype=complex).conj().swapaxes(-1, -2)
@@ -221,11 +233,15 @@ def expm_hermitian(h: np.ndarray, angle) -> np.ndarray:
     for a single qubit; no series or scaling-and-squaring is involved.  The
     generator check, a0, |a| (by ``math.hypot``, so the exponential is unitary
     to round-off, unchecked) and the read-only terms I and n.sigma come from
-    the memoized ``_generator``, once per distinct generator; ``_turns``
-    checks the angle.
+    the memoized ``_generator``, once per distinct generator.  A real angle
+    (``_real``) passes if angle*|a| and angle*a0 are finite.
     """
-    _, a0, norm, terms = _generator(h)
-    turn, shift = _turns(_real(angle, "angle"), a0, norm)
+    a0, norm, terms = _generator(h)
+    angle = _real(angle, "angle")
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range
+        turn, shift = angle * norm, angle * a0
+    if not (np.isfinite(turn).all() and np.isfinite(shift).all()):
+        raise ValueError("expm_hermitian needs finite angles, angle*|a| and angle*a0")
     phase = np.exp(-1j * shift)
     weights = np.empty(phase.shape + (2,), dtype=complex)
     np.multiply(phase, np.cos(turn), out=weights[..., 0])
@@ -233,37 +249,13 @@ def expm_hermitian(h: np.ndarray, angle) -> np.ndarray:
     return (weights @ terms.reshape(-1, 4)).reshape(weights.shape[:-1] + (2, 2))
 
 
-def _turns(angle, a0: float, norm: float):
-    """``(angle*|a|, angle*a0)`` for a real ``angle`` (checked by ``_real``)
-    of a generator with a0 and |a|; raises unless both are finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range
-        turn, shift = angle * norm, angle * a0
-    if not (np.isfinite(turn).all() and np.isfinite(shift).all()):
-        raise ValueError("expm_hermitian needs finite angles, angle*|a| and angle*a0")
-    return turn, shift
-
-
-def _pair_weights(turn) -> np.ndarray:
-    """The pair weights of the exponential, as real columns of shape (3,) + S,
-    the pair index first.
-
-    For the weights w = exp(-i*shift) (cos(turn), -i sin(turn)) of
-    ``expm_hermitian``, w w+ is cos^2(turn) E00 + sin^2(turn) E11 +
-    sin(turn) cos(turn) (-sigma_y) over the two terms: the columns are
-    (cos^2, sin^2, sin cos) of ``turn``, (1, 0, 0) at zero phase, and the
-    phase exp(-i*shift) of a0 drops out.
-    """
-    cos, sin = np.cos(turn), np.sin(turn)
-    return np.array((cos * cos, sin * sin, sin * cos))
-
-
 @_memo
 def _generator(h: np.ndarray):
     """The checked 2x2 Hermitian generator h = a0*I + a.sigma of
-    ``expm_hermitian``, as ``(h, a0, |a|, terms)``: h read-only, and the
-    read-only fixed terms I and the unit axis (a/|a|).sigma, the zero matrix
-    for |a| = 0.  a0 or |a| may overflow to inf (the axis is then NaN),
-    which every phase then rejects."""
+    ``expm_hermitian``, as ``(a0, |a|, terms)``: the read-only fixed terms I
+    and the unit axis (a/|a|).sigma, the zero matrix for |a| = 0.  a0 or |a|
+    may overflow to inf (the axis is then NaN), which every phase then
+    rejects."""
     _hermitian(h, "generator", 2)
     ax, ay = h[0, 1].real, -h[0, 1].imag
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range
@@ -273,7 +265,7 @@ def _generator(h: np.ndarray):
         ax, ay, az = (x / (norm or 1.0) for x in (ax, ay, az))
         terms = np.stack((IDENTITY_2, ax * SIGMA_X + ay * SIGMA_Y + az * SIGMA_Z))
     terms.flags.writeable = False
-    return h, a0, norm, terms
+    return a0, norm, terms
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray):

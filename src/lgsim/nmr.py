@@ -5,10 +5,10 @@ transverse relaxation times; it exists to check that decoherence over the
 protocol duration is negligible against the ideal K.  The tomography half
 measures the 16 two-qubit Pauli coefficients of a register state, optionally
 perturbed by seeded Gaussian readout noise, and reconstructs the state from
-a record; the private ``_tomography`` runs that chain on the register of a
-pseudo-pure probe and I/2, the one place the package forms that register,
-giving the deviation-matrix fidelity.  ``k_attenuation_check`` reads its
-ideal and dephased K off one probe readout of the scattering circuit.
+a record; run on a pseudo-pure probe (x) I/2, that chain gives the fidelity
+of the measured deviation matrix.  ``k_attenuation_check`` gives K with and
+without dephasing.  Both refuse a probe polarization below the correlators'
+floor 5e-7, as the correlators do.
 
 Randomness is never global: each noisy coefficient draws from a generator
 keyed by (seed, row, column), so records are reproducible bit for bit and
@@ -24,15 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import _PROBE_HADAMARD, _probe_signal
-from .leggett_garg import _REFERENCE_FLOOR, SweepResult, _check_reference
-from .linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _number, _real, _register,
-                     is_hermitian, kron, overlap_fidelity)
-from .states import KET0, deviation, maximally_mixed, pseudo_pure
+from .leggett_garg import SweepResult
+from .linalg import (_PAULI_BASIS, SIGMA_Z, _number, _real, _register, is_hermitian, kron,
+                     overlap_fidelity)
+from .states import KET0, _normalizable, deviation, maximally_mixed, pseudo_pure
 
 PAULI_LABELS = ("I", "x", "y", "z")
-_PAULIS = np.stack((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z))
-# _PAULI_BASIS[i, j] = sigma_i (x) sigma_j, probe Pauli first.
-_PAULI_BASIS = kron(_PAULIS[:, None], _PAULIS[None, :])
 
 
 @dataclass(frozen=True)
@@ -97,6 +94,7 @@ def k_attenuation_check(
     """
     if not 0.0 <= _number(theta, "theta") < math.inf:
         raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
+    probe_eps = _normalizable(probe_eps)
     dt = theta / 2.0  # the energy gap of sigma_x is 2
 
     # the three correlators of the (0, dt, 2dt) schedule, theta = gap * dt
@@ -104,7 +102,7 @@ def k_attenuation_check(
     signals, references = _probe_signal(1.0, SIGMA_Z, (0.0, dt, 0.0),
                                         (dt, 2.0 * dt, 2.0 * dt), maximally_mixed(),
                                         probe_eps, np.stack((_PAULI_BASIS[3, 0], dephased)))
-    c12, c23, c13 = (signals / _check_reference(references[0])).T
+    c12, c23, c13 = (signals / references[0]).T
     return tuple(SweepResult((theta, theta), c12, c23, c13).k.tolist())
 
 
@@ -185,11 +183,6 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     return np.einsum("ij,ijkl->kl", record.coefficients, _PAULI_BASIS) / 4.0
 
 
-class DeviationVanished(ValueError):
-    """The probe's eps is below the floor, where round-off spoils the
-    deviation matrix."""
-
-
 class NoiseOverflow(ValueError):
     """The readout noise's sigma overflows a tomography coefficient."""
 
@@ -198,14 +191,11 @@ def _tomography(probe_eps: float, noise: ReadoutNoise) -> tuple[TomographyRecord
     """Tomograph (pseudo-pure probe of polarization ``probe_eps``) (x) I/2
     with ``noise`` and reconstruct it: the record and the normalized
     Hilbert-Schmidt overlap of the measured with the ideal deviation matrix.
-    Below the correlators' reference floor, 5e-7, round-off in the register
-    spoils the deviation matrix (noise-free, the fidelity reads below 1 under
-    about 1e-11 and the matrix is zero under about 1e-16), so such an eps
-    raises ``DeviationVanished``."""
-    rho = kron(pseudo_pure(probe_eps, KET0), maximally_mixed())
-    if probe_eps < _REFERENCE_FLOOR:
-        raise DeviationVanished(f"deviation matrix lost to round-off: probe polarization "
-                                f"{probe_eps!r} < {_REFERENCE_FLOOR:g}; cannot compare")
+    ``probe_eps`` passes the correlators' floor (``states._normalizable``):
+    below it round-off spoils the deviation matrix too (noise-free, the
+    fidelity reads below 1 under about 1e-11 and the matrix is zero under
+    about 1e-16)."""
+    rho = kron(pseudo_pure(_normalizable(probe_eps), KET0), maximally_mixed())
     record = tomograph(rho, noise)
     return record, overlap_fidelity(deviation(reconstruct(record)), deviation(rho))
 

@@ -66,6 +66,28 @@ def _polarization(epsilon) -> float:
     return checked
 
 
+# Every normalized value divides by a signal proportional to eps, but the
+# probe's I/2 part leaves a residue of up to about 8e-17 in that signal
+# whatever eps is (at eps = 1e-300 a random O normalizes to values of order
+# 1e281).  At the floor the normalized correlators stay within 5e-10 of the oracle.
+_EPSILON_FLOOR = 5e-7
+
+
+class EpsilonBelowFloor(ValueError):
+    """The probe's eps is below the floor, where round-off spoils every value
+    normalized by it."""
+
+
+def _normalizable(epsilon) -> float:
+    """``epsilon`` checked by ``_polarization`` and against the floor: the one
+    check of an eps that a correlator, K or a tomography fidelity normalizes by."""
+    checked = _polarization(epsilon)
+    if checked < _EPSILON_FLOOR:
+        raise EpsilonBelowFloor(f"probe polarization {float(checked)!r} < "
+                                f"{_EPSILON_FLOOR:g}; round-off spoils its normalization")
+    return checked
+
+
 def pseudo_pure(epsilon: float, psi) -> np.ndarray:
     """Pseudo-pure state (1 - eps) I/2 + eps |psi><psi|, eps the net
     polarization of the probe ensemble (``_polarization``)."""

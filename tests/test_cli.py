@@ -341,29 +341,24 @@ class TestMainExitCodes:
         assert code == EXIT_IO
 
     @pytest.mark.parametrize("command", ["sweep", "noise-check"])
-    @pytest.mark.parametrize("eps,signal", [
-        pytest.param(eps, signal, id=eps)
-        for eps, signal in (("1e-300", "1e-300"), ("5e-324", "4.94e-324"),
-                            ("1e-16", "1e-16"), ("1e-13", "1e-13"), ("1e-10", "1e-10"))])
-    def test_vanishing_reference_exits_2(self, command, eps, signal, capsys):
+    @pytest.mark.parametrize("eps", ["1e-300", "5e-324", "1e-16", "1e-13", "1e-10"])
+    def test_vanishing_reference_exits_2(self, command, eps, capsys):
         """An --epsilon too small for the reference normalization is a usage
         error naming the flag, exit 2 (it once exited 1 as an invariant
-        failure).  The message names the signal it could not divide by and
-        the floor.  The readout weighs the probe's polarized part by eps
-        itself, apart from its I/2 part, so the reference is eps to
-        round-off, down to the smallest subnormal; at 1e-10 and 1e-13
-        round-off would spoil the normalized values."""
+        failure).  The message names the polarization and the floor, down to
+        the smallest subnormal; at 1e-10 and 1e-13 round-off would spoil the
+        normalized values."""
         assert main([command, "--steps", "3", "--epsilon", eps]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err == (f"error: --epsilon: reference signal vanished: "
-                                f"|signal| = {signal} < 5e-07; cannot normalize\n")
+        assert captured.err == (f"error: --epsilon: probe polarization {float(eps)!r} "
+                                f"< 5e-07; round-off spoils its normalization\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("eps,sigma", [
         ("1e-17", "0"), ("1e-17", "0.03"), ("1e-16", "0"), ("1e-154", "0.03"),
         ("5e-324", "0"), ("1e-12", "0")])
     def test_tomography_epsilon_lost_to_round_off_exits_2(self, eps, sigma, capsys):
-        """Below the floor 5e-7 that the correlators' reference has, an
+        """Below the floor 5e-7 that the correlators have, an
         --epsilon is a usage error naming the flag, exit 2: round-off in the
         register spoils the deviation matrix (noise-free, 1e-15 read
         fidelity 0.998617829 and 1e-12 0.999999998 with exit 0, and below
@@ -373,9 +368,8 @@ class TestMainExitCodes:
         args = ["tomography", "--epsilon", eps, "--noise-sigma", sigma]
         assert main(args) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err == (f"error: --epsilon: deviation matrix lost to round-off: "
-                                f"probe polarization {float(eps)!r} < 5e-07; cannot "
-                                f"compare\n")
+        assert captured.err == (f"error: --epsilon: probe polarization {float(eps)!r} "
+                                f"< 5e-07; round-off spoils its normalization\n")
         assert captured.out == ""
         assert main(["tomography", "--epsilon", "1e-15", "--noise-sigma", sigma]) == EXIT_USAGE
         assert main(["tomography", "--epsilon", "5e-7", "--noise-sigma", sigma]) == EXIT_OK
@@ -383,9 +377,8 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("command", ["sweep", "correlations", "noise-check"])
     def test_smallest_epsilon_past_the_reference_floor_exits_0(self, command, capsys):
         """Bisecting --epsilon between 1e-7 (refused) and 1e-6 down to
-        adjacent floats, where round-off in the reference decides: every run
-        exits 0 or 2, never 1, and the smallest value not refused runs to
-        exit 0."""
+        adjacent floats: every run exits 0 or 2, never 1, and the smallest
+        value not refused, which runs to exit 0, is the floor itself."""
         def code(eps):
             result = main([command, "--steps", "3", "--epsilon", repr(eps)])
             assert result in (EXIT_OK, EXIT_USAGE), eps
@@ -396,8 +389,8 @@ class TestMainExitCodes:
         while math.nextafter(low, high) < high:
             mid = 0.5 * (low + high)
             low, high = (mid, high) if code(mid) == EXIT_USAGE else (low, mid)
-        assert abs(high - 5e-7) <= 1e-15
-        assert "error: --epsilon: reference signal vanished" in capsys.readouterr().err
+        assert high == 5e-7
+        assert "error: --epsilon: probe polarization" in capsys.readouterr().err
 
     def test_internal_invariant_failure_exits_1(self, monkeypatch, capsys):
         import lgsim.cli as cli_module
@@ -841,11 +834,13 @@ PARAMETER_AUDIT = {
 
 
 # The exit code of each command at --epsilon 1e-9, below the floor 5e-7: the
-# correlators' reference and the tomography's deviation matrix are lost to
-# round-off there, while noninvasive-check normalizes nothing.
+# correlators and the tomography's deviation matrix are lost to round-off
+# there, while noninvasive-check normalizes nothing.
 EPSILON_BELOW_FLOOR = {"sweep": EXIT_USAGE, "correlations": EXIT_USAGE,
                        "noise-check": EXIT_USAGE, "tomography": EXIT_USAGE,
                        "noninvasive-check": EXIT_OK}
+# The exit code of each command at --epsilon 5e-7, the floor itself.
+EPSILON_AT_FLOOR = dict.fromkeys(COMMANDS, EXIT_OK)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -855,6 +850,14 @@ def test_an_epsilon_below_the_floor_exits_as_its_cell_says(command, capsys):
     assert code == EPSILON_BELOW_FLOOR[command]
     captured = capsys.readouterr()
     assert ("--epsilon" in captured.err) == (code == EXIT_USAGE)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_epsilon_at_the_floor_exits_as_its_cell_says(command, capsys):
+    code = main([command, "--steps", "9", "--epsilon", "5e-7"])
+    assert code == EPSILON_AT_FLOOR[command]
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out
 
 
 def test_every_option_changes_a_command_or_says_why(tmp_path, capsysbinary, monkeypatch):

@@ -516,7 +516,7 @@ def test_readout_equals_the_reference_circuit_on_pseudo_pure_registers(
 def test_cold_and_warm_memos_give_the_same_bits(omega, obs, rho_sys, eps, pairs, stacked):
     """A readout on empty memos and the same readout again, its tensor now
     memoized, agree bitwise; the memoized tensor is read-only."""
-    readout = lgsim.leggett_garg._SYSTEM_READOUTS if stacked else lgsim.circuit._PROBE_Z
+    readout = lgsim.linalg._PAULI_BASIS[0, 1:] if stacked else lgsim.circuit._PROBE_Z
     for memo in lgsim.linalg._MEMOS:
         memo.cache_clear()
     cold = _probe_signal(omega, obs, *pairs, rho_sys, eps, readout)
@@ -912,14 +912,21 @@ def counting(module, name, monkeypatch, calls=None) -> list:
     return calls
 
 
+def holders(name, modules) -> list:
+    """The modules of ``modules`` that hold ``name``, at least one: a deleted
+    name fails here rather than leave a patch that checks nothing."""
+    found = [module for module in modules if hasattr(module, name)]
+    assert found, f"no module holds {name!r}"
+    return found
+
+
 def counting_everywhere(name, monkeypatch) -> list:
     """``counting`` of ``name`` in each lgsim module that holds it, into one
     list."""
     calls = []
-    for module in (lgsim.linalg, lgsim.states, lgsim.circuit, lgsim.leggett_garg,
-                   lgsim.nmr):
-        if hasattr(module, name):
-            counting(module, name, monkeypatch, calls)
+    for module in holders(name, (lgsim.linalg, lgsim.states, lgsim.circuit,
+                                 lgsim.leggett_garg, lgsim.nmr)):
+        counting(module, name, monkeypatch, calls)
     return calls
 
 
@@ -948,8 +955,8 @@ def test_max_disturbance_forms_no_output_state(monkeypatch):
         raise AssertionError("max_disturbance formed an output state")
 
     for name in ("run", "partial_trace", "trace_distance"):
-        for module in (lgsim, lgsim.linalg, lgsim.circuit, lgsim.leggett_garg):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+        for module in holders(name, (lgsim, lgsim.linalg, lgsim.circuit, lgsim.leggett_garg)):
+            monkeypatch.setattr(module, name, refuse)
     lgsim.cli._compute(lgsim.cli.parse_config(["noninvasive-check"], environ={}))
 
 
@@ -1021,14 +1028,14 @@ def test_scattering_gates_validate_each_operand_once(monkeypatch):
     """``build_scattering_circuit`` checks the observable once and no
     unitary (a checked dichotomic observable is unitary); each free evolution
     is one ``expm_hermitian`` call, which checks the generator and its phase
-    once, in one ``_turns``."""
-    names = ("dichotomic_observable", "unitary", "expm_hermitian", "_generator", "_real",
-             "_turns", "_pair_weights")
+    once."""
+    names = ("dichotomic_observable", "expm_hermitian", "_generator", "_real",
+             "_pair_weights")
     counts = {name: counting_everywhere(name, monkeypatch) for name in names}
     build_scattering_circuit(SIGMA_X, SIGMA_Z, 0.0, np.linspace(0.0, 1.0, 5))
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "dichotomic_observable": 1, "unitary": 0, "expm_hermitian": 2,
-        "_generator": 2, "_real": 4, "_turns": 2, "_pair_weights": 0}
+        "dichotomic_observable": 1, "expm_hermitian": 2, "_generator": 2, "_real": 4,
+        "_pair_weights": 0}
 
 
 def test_default_sweep_validation_counts(monkeypatch):
@@ -1097,10 +1104,9 @@ def test_built_gates_run_without_validation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validation ran on a built circuit")
 
-    for name in ("operator", "is_hermitian", "unitary", "expm_hermitian", "_turns",
-                 "dichotomic_observable"):
-        for module in (lgsim.linalg, lgsim.circuit):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+    for name in ("operator", "is_hermitian", "expm_hermitian", "dichotomic_observable"):
+        for module in holders(name, (lgsim.linalg, lgsim.circuit)):
+            monkeypatch.setattr(module, name, refuse)
     assert run(v, rho).shape == (7, 4, 4)
 
 
@@ -1193,8 +1199,9 @@ def test_no_library_path_reaches_the_circuit_unitary(monkeypatch, tmp_path):
         raise AssertionError("a library path formed the circuit unitary")
 
     for name in ("run", "build_scattering_circuit"):
-        for module in (lgsim, lgsim.circuit, lgsim.leggett_garg, lgsim.nmr, lgsim.cli):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+        for module in holders(name, (lgsim, lgsim.circuit, lgsim.leggett_garg, lgsim.nmr,
+                                     lgsim.cli)):
+            monkeypatch.setattr(module, name, refuse)
     rho, evo = classical_mixture(0.3, 0.7), Evolution(1.3)
     sweep(evo, rho, 0.5, 0.0, math.pi, 9)
     k_value(rho, SIGMA_Z, evo, Schedule(0.0, 0.4, 0.8), 0.5)
@@ -1399,9 +1406,9 @@ def test_oracle_runs_without_the_circuit_exponentials(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle used a circuit exponential")
 
-    for module in (lgsim.linalg, lgsim.states, lgsim.circuit,
-                   lgsim.leggett_garg, lgsim.nmr, lgsim.cli):
-        monkeypatch.setattr(module, "expm_hermitian", refuse, raising=False)
+    for module in holders("expm_hermitian", (lgsim.linalg, lgsim.states, lgsim.circuit,
+                                             lgsim.leggett_garg, lgsim.nmr, lgsim.cli)):
+        monkeypatch.setattr(module, "expm_hermitian", refuse)
     value = correlation_oracle(maximally_mixed(), SIGMA_Z, Evolution(1.3), 0.2, 0.9)
     assert abs(value - math.cos(2 * 1.3 * 0.7)) <= 1e-12
     rotated = lgsim.leggett_garg.heisenberg_observable(SIGMA_Z, Evolution(0.5), 1.0)

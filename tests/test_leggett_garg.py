@@ -295,17 +295,33 @@ class TestCorrelationCircuit:
         assert abs(normalized) <= 1e-12
 
     def test_vanishing_reference_is_an_error(self):
-        with pytest.raises(ValueError, match="reference"):
+        with pytest.raises(ValueError, match="probe polarization 1e-20 < 5e-07"):
             correlation_circuit(maximally_mixed(), SZ, EVO, 0.0, 0.1,
                                 probe_eps=1e-20)
 
     def test_reference_floor_passes_eps_1e_6_and_rejects_1e_7(self):
-        """Round-off of about 2.5e-16 / eps spoils smaller probe polarizations."""
+        """Round-off in the probe's I/2 part, independent of eps, spoils
+        smaller probe polarizations."""
         rho = classical_mixture(0.3, 0.7)
         _, normalized = correlation_circuit(rho, SZ, EVO, 0.2, 0.9, probe_eps=1e-6)
         assert abs(normalized - correlation_oracle(rho, SZ, EVO, 0.2, 0.9)) <= 1e-8
-        with pytest.raises(ValueError, match=r"\|signal\| = 1e-07 < 5e-07"):
+        with pytest.raises(ValueError, match="probe polarization 1e-07 < 5e-07"):
             correlation_circuit(rho, SZ, EVO, 0.2, 0.9, probe_eps=1e-7)
+
+    def test_at_the_floor_normalized_values_stay_within_5e_10_of_the_oracle(self, rng):
+        """The probe's I/2 part leaves a residue of up to about 8e-17 in the
+        signal whatever eps is; at the floor eps = 5e-7 it keeps normalized
+        correlators within 5e-10 of the oracle, over random states, dichotomic
+        observables, omega = 0, 1 or drawn, and time pairs in [0, 4 pi]."""
+        for case in range(300):
+            rho = random_density(rng, 2)
+            axis = rng.normal(size=3)
+            obs = np.tensordot(axis / np.linalg.norm(axis), (SIGMA_X, SIGMA_Y, SIGMA_Z), 1)
+            evo = Evolution((0.0, 1.0, rng.uniform(0.0, 3.0))[case % 3])
+            t_k, t_m = np.sort(rng.uniform(0.0, 4 * math.pi, (2, 10)), axis=0)
+            _, normalized = correlation_circuit(rho, obs, evo, t_k, t_m, 5e-7)
+            np.testing.assert_allclose(normalized, correlation_oracle(rho, obs, evo, t_k, t_m),
+                                       rtol=0, atol=5e-10)
 
     def test_matches_oracle_on_random_cases(self, rng):
         for _ in range(50):

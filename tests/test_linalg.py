@@ -1,6 +1,7 @@
 """Core linear algebra: products, partial traces, exponentials, fidelities."""
 
 import math
+import re
 import sys
 import threading
 
@@ -272,6 +273,17 @@ class TestConstructors:
             dichotomic_observable(np.diag([1.0, -(1.0 + 5e-10)]))
 
 
+@pytest.mark.parametrize("values,ok,named", [
+    (np.array([[0.0, 1.0], [-2.0, np.nan]]), np.array([[True, True], [False, False]]), -2.0),
+    (3.5, np.array([True, False]), 3.5),
+])
+def test_first_bad_names_the_first_failing_entry_in_c_order(values, ok, named):
+    """Any shape; the values broadcast to the mask; silent when all pass."""
+    with pytest.raises(ValueError, match=f"^bad: {re.escape(repr(named))}$"):
+        linalg._first_bad("bad:", values, ok)
+    linalg._first_bad("bad:", values, np.ones_like(ok))
+
+
 def _checks(rng):
     """Each memoized check with an operand it accepts."""
     return (
@@ -356,7 +368,7 @@ class TestCheckMemo:
                 assert checked.tobytes() == operand.tobytes()
                 with pytest.raises(ValueError, match="read-only"):
                     checked[0, 0] = 0.0
-        _, a0, norm, terms = linalg._generator(SIGMA_X)
+        a0, norm, terms = linalg._generator(SIGMA_X)
         assert (a0, norm) == (0.0, 1.0) and not terms.flags.writeable
 
     def test_each_memo_holds_at_most_its_fixed_size(self, rng):
